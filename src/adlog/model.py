@@ -64,7 +64,7 @@ class Constant:
         if self.symbol and (self.symbol[0].islower() or self.symbol[0].isdigit()) \
                 and all(c.isalnum() or c == "_" for c in self.symbol):
             return self.symbol
-        return f"'{self.symbol}'"
+        return "'" + self.symbol.replace("'", "''") + "'"
 
 
 @dataclass(frozen=True, order=True)

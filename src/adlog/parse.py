@@ -58,10 +58,13 @@ def _tokenize(text: str, origin: str) -> list[_Token]:
                 i += 1
             continue
         if c == "'":
+            # A quote inside a quoted constant is written twice.
             j = text.find("'", i + 1)
+            while 0 <= j < n - 1 and text[j + 1] == "'":
+                j = text.find("'", j + 2)
             if j < 0:
                 raise ParseError("unterminated quoted constant", origin, line, col)
-            tokens.append(_Token("quoted", text[i + 1:j], line, col))
+            tokens.append(_Token("quoted", text[i + 1:j].replace("''", "'"), line, col))
             col += j - i + 1
             i = j + 1
             continue

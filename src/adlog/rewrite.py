@@ -21,6 +21,7 @@ All generated predicates live in the reserved '@' namespace:
 from __future__ import annotations
 
 import itertools
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -291,25 +292,20 @@ def ground(program: StandardProgram, *, prune: bool = False,
     """Instantiate over the active constant domain, evaluating builtins away.
 
     Rule instances with a false builtin are dropped; true builtins are removed
-    from bodies.  With `prune`, rules whose positive body atoms can never be
-    derived are discarded; this cannot change any stable model on the atoms
-    that remain derivable.
+    from bodies.  Without `prune`, every variable ranges over the whole active
+    domain.  With `prune`, only instances whose positive body atoms are all
+    derivable are built: positive body literals are joined bottom-up against
+    the atoms derived so far, and only variables that occur in no positive
+    body literal range over the active domain.  Dropping the other instances
+    cannot change any stable model on the atoms that remain derivable.
     """
-    constants = sorted(program.constants() | set(extra_constants))
-    ground_rules: list[Rule] = []
     for rule in program.rules:
-        variables = sorted(rule.variables(), key=lambda v: v.name)
         if isinstance(rule.head, UpdateAtom) or any(isinstance(lit, UpdLiteral)
                                                     for lit in rule.body):
             raise ValidationError(f"rule {rule} still contains update atoms")
-        if variables and not constants:
-            continue
-        for combo in itertools.product(constants, repeat=len(variables)):
-            binding = {v: Constant(c) for v, c in zip(variables, combo)}
-            ground_rules.append(_instantiate(rule, binding))
-    ground_rules = [r for r in ground_rules if r is not None]
-    if prune:
-        ground_rules = _prune_underivable(ground_rules)
+    constants = [Constant(c) for c in sorted(program.constants() | set(extra_constants))]
+    instantiate = _ground_derivable if prune else _ground_all
+    ground_rules = instantiate(program.rules, constants)
     universe: set[Atom] = set()
     for rule in ground_rules:
         universe.add(rule.head)
@@ -317,6 +313,24 @@ def ground(program: StandardProgram, *, prune: bool = False,
             universe.add(lit.atom)
     return GroundProgram(tuple(dict.fromkeys(ground_rules)), frozenset(universe),
                          program.provenance)
+
+
+def _variables(rule: Rule) -> list[Variable]:
+    return sorted(rule.variables(), key=lambda v: v.name)
+
+
+def _ground_all(rules: Iterable[Rule], constants: list[Constant]) -> list[Rule]:
+    """Every instance over the active domain, in product order."""
+    out: list[Rule] = []
+    for rule in rules:
+        variables = _variables(rule)
+        if variables and not constants:
+            continue
+        for combo in itertools.product(constants, repeat=len(variables)):
+            instance = _instantiate(rule, dict(zip(variables, combo)))
+            if instance is not None:
+                out.append(instance)
+    return out
 
 
 def _instantiate(rule: Rule, binding) -> Rule | None:
@@ -330,16 +344,173 @@ def _instantiate(rule: Rule, binding) -> Rule | None:
     return Rule(rule.head.substitute(binding), tuple(body), rule.origin)
 
 
-def _prune_underivable(rules: list[Rule]) -> list[Rule]:
-    derivable: set[Atom] = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            if rule.head in derivable:
+# A positive body literal compiled against a rule's variable slots: each
+# argument is a Constant or the int slot of a variable.
+_Pattern = tuple[str, tuple]
+
+
+# One positive literal in a join order.  On arrival, `positions` are the
+# arguments fixed by a constant or an earlier binding and `key` their values
+# (Constant or variable slot); `unbound` pairs each other argument position
+# with its variable slot.  `exclude_pivot` marks a literal left of the pivot
+# with the pivot's predicate: under semi-naive evaluation it must not reuse
+# the new atom.
+_Step = namedtuple("_Step", "predicate positions key unbound exclude_pivot")
+
+# How a new atom for the pivot literal of a rule extends to full instances;
+# `free` holds the slots of the variables in no positive body literal.
+_Trigger = namedtuple("_Trigger", "rule variables pivot others free")
+
+
+def _step(pattern: _Pattern, bound: set[int], exclude_pivot: bool) -> _Step:
+    """Compile a literal joined after the slots in `bound`, which it then adds to."""
+    predicate, args = pattern
+    positions, key, unbound = [], [], []
+    for i, term in enumerate(args):
+        if isinstance(term, int) and term not in bound:
+            unbound.append((i, term))
+        else:
+            positions.append(i)
+            key.append(term)
+    bound.update(slot for _, slot in unbound)
+    return _Step(predicate, tuple(positions), tuple(key), tuple(unbound), exclude_pivot)
+
+
+def _triggers(rule: Rule, variables: list[Variable]) -> list[_Trigger]:
+    """One trigger per positive body literal; the rest are joined most-bound first."""
+    slot = {v: i for i, v in enumerate(variables)}
+    patterns: list[_Pattern] = [
+        (lit.atom.predicate, tuple(slot[t] if isinstance(t, Variable) else t
+                                   for t in lit.atom.args))
+        for lit in rule.body if isinstance(lit, StdLiteral) and lit.positive]
+    in_positive = {t for _, args in patterns for t in args if isinstance(t, int)}
+    free = tuple(i for i in range(len(variables)) if i not in in_positive)
+    triggers = []
+    for p, pivot in enumerate(patterns):
+        bound: set[int] = set()
+        first = _step(pivot, bound, False)
+        rest = [q for q in range(len(patterns)) if q != p]
+        others = []
+        while rest:
+            q = max(rest, key=lambda q: (sum(not isinstance(t, int) or t in bound
+                                             for t in patterns[q][1]), -q))
+            rest.remove(q)
+            others.append(_step(patterns[q], bound, q < p and patterns[q][0] == pivot[0]))
+        triggers.append(_Trigger(rule, tuple(variables), first, tuple(others), free))
+    return triggers
+
+
+class _Derivable:
+    """Atoms derived so far, by predicate, with lookups on fixed argument positions.
+
+    Every container keeps insertion order, so the join order, and with it the
+    order of the ground rules, does not depend on string hashing.
+    """
+
+    def __init__(self, triggers: Iterable[_Trigger]):
+        self.facts: dict[str, dict[tuple, None]] = {}
+        self.lookups: dict[str, dict[tuple[int, ...], dict[tuple, list[tuple]]]] = {}
+        for trigger in triggers:
+            for step in trigger.others:
+                if step.positions and step.unbound:
+                    self.lookups.setdefault(step.predicate, {}).setdefault(step.positions, {})
+
+    def add(self, atom: Atom) -> None:
+        self.facts.setdefault(atom.predicate, {})[atom.args] = None
+        for positions, table in self.lookups.get(atom.predicate, {}).items():
+            table.setdefault(tuple(atom.args[i] for i in positions), []).append(atom.args)
+
+    def candidates(self, step: _Step, key: tuple) -> Iterable[tuple]:
+        facts = self.facts.get(step.predicate, {})
+        if not step.unbound:
+            return (key,) if key in facts else ()
+        if not step.positions:
+            return facts
+        return self.lookups[step.predicate][step.positions].get(key, ())
+
+
+def _match(step: _Step, args: tuple, binding: list) -> list | None:
+    """Extend `binding` so that the step's literal equals `args`, or None."""
+    out = list(binding)
+    for i, slot in step.unbound:
+        if out[slot] is None:
+            out[slot] = args[i]
+        elif out[slot] != args[i]:
+            return None
+    return out
+
+
+def _join(steps: tuple[_Step, ...], binding: list, derivable: _Derivable, pivot: tuple):
+    if not steps:
+        yield binding
+        return
+    step = steps[0]
+    key = tuple(binding[t] if isinstance(t, int) else t for t in step.key)
+    for args in derivable.candidates(step, key):
+        if step.exclude_pivot and args == pivot:
+            continue
+        extended = _match(step, args, binding)
+        if extended is not None:
+            yield from _join(steps[1:], extended, derivable, pivot)
+
+
+def _ground_derivable(rules: Iterable[Rule], constants: list[Constant]) -> list[Rule]:
+    """Semi-naive bottom-up instantiation of the rules with derivable positive bodies.
+
+    A worklist holds atoms derived but not yet joined.  Each is joined into
+    every positive body literal it matches, with the other positive literals
+    read from the atoms joined before it; a literal left of the pivot with the
+    pivot's predicate skips the new atom itself, so each instance is built
+    once.  Instances come out in derivation order.
+    """
+    seeds: list[tuple[Rule, list[Variable]]] = []
+    triggers: list[_Trigger] = []
+    for rule in rules:
+        variables = _variables(rule)
+        if variables and not constants:
+            continue
+        rule_triggers = _triggers(rule, variables)
+        if not rule_triggers:
+            seeds.append((rule, variables))
+        triggers += rule_triggers
+    by_predicate: dict[str, list[_Trigger]] = {}
+    by_atom: dict[Atom, list[_Trigger]] = {}
+    for trigger in triggers:
+        pivot = trigger.pivot
+        if pivot.unbound:
+            by_predicate.setdefault(pivot.predicate, []).append(trigger)
+        else:
+            by_atom.setdefault(Atom(pivot.predicate, pivot.key), []).append(trigger)
+
+    out: list[Rule] = []
+    seen: set[Atom] = set()
+    queue: deque[Atom] = deque()
+
+    def emit(rule: Rule, variables, binding: list, free) -> None:
+        for values in itertools.product(constants, repeat=len(free)):
+            for slot, value in zip(free, values):
+                binding[slot] = value
+            instance = _instantiate(rule, dict(zip(variables, binding)))
+            if instance is None:
                 continue
-            if all(lit.atom in derivable for lit in rule.body if lit.positive):
-                derivable.add(rule.head)
-                changed = True
-    return [r for r in rules
-            if all(lit.atom in derivable for lit in r.body if lit.positive)]
+            out.append(instance)
+            if instance.head not in seen:
+                seen.add(instance.head)
+                queue.append(instance.head)
+
+    for rule, variables in seeds:
+        emit(rule, variables, [None] * len(variables), range(len(variables)))
+    derivable = _Derivable(triggers)
+    while queue:
+        atom = queue.popleft()
+        derivable.add(atom)
+        for trigger in by_predicate.get(atom.predicate, []) + by_atom.get(atom, []):
+            pivot = trigger.pivot
+            if any(atom.args[i] != c for i, c in zip(pivot.positions, pivot.key)):
+                continue
+            start = _match(pivot, atom.args, [None] * len(trigger.variables))
+            if start is None:
+                continue
+            for binding in _join(trigger.others, start, derivable, atom.args):
+                emit(trigger.rule, trigger.variables, binding, trigger.free)
+    return out

@@ -141,7 +141,8 @@ class TestRender:
 
 names = st.sampled_from(["p", "q", "r", "s", "edge", "mgr2", "k9"])
 constants = st.sampled_from([Constant("a"), Constant("b"), Constant("c1"),
-                             Constant("42"), Constant("Quoted Name")])
+                             Constant("42"), Constant("Quoted Name"),
+                             Constant("it's")])
 variables = st.sampled_from([Variable("X"), Variable("Y"), Variable("Zz")])
 ARITIES = {"p": 0, "q": 1, "r": 2, "s": 1, "edge": 2, "mgr2": 3, "k9": 1}
 

@@ -1,11 +1,19 @@
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
 from adlog import (Atom, Constant, Database, DeltaSet, Program, Rule,
-                   StdLiteral, UpdateProgram, embed_database, ground,
-                   parse_database, parse_program, render, rewrite_bm,
+                   StdLiteral, UpdateProgram, ValidationError, embed_database,
+                   ground, parse_database, parse_program, render, rewrite_bm,
                    rewrite_st, stable_family)
 from adlog.rewrite import (KIND_BRIDGE_DELETE, KIND_BRIDGE_INSERT, KIND_GUARD,
-                           KIND_RENAMED, StandardProgram)
+                           KIND_RENAMED, GroundProgram, StandardProgram)
+from adlog.selftest import InstanceGenerator
 
-from conftest import load_update_program
+from conftest import FIXTURES, load_update_program
 
 
 def plain(program: Program) -> StandardProgram:
@@ -192,3 +200,97 @@ class TestGround:
                                   parse_database("proj(p). mgr(x,p,d).")))
         for rule in g.rules:
             assert rule.is_ground()
+
+
+# --- relevance grounder against the product-plus-pruning oracle -------------
+
+def _prune_underivable(rules: list[Rule]) -> list[Rule]:
+    derivable: set[Atom] = set()
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            if rule.head in derivable:
+                continue
+            if all(lit.atom in derivable for lit in rule.body if lit.positive):
+                derivable.add(rule.head)
+                changed = True
+    return [r for r in rules
+            if all(lit.atom in derivable for lit in r.body if lit.positive)]
+
+
+def oracle_ground(program: StandardProgram, extra_constants=()) -> GroundProgram:
+    """Every active-domain instance, then the instances with underivable positive atoms dropped."""
+    rules = _prune_underivable(list(ground(program, extra_constants=extra_constants).rules))
+    universe = {r.head for r in rules} | {lit.atom for r in rules for lit in r.body}
+    return GroundProgram(tuple(rules), frozenset(universe), program.provenance)
+
+
+def assert_same_grounding(program: StandardProgram, extra_constants=()) -> None:
+    fast = ground(program, prune=True, extra_constants=extra_constants)
+    slow = oracle_ground(program, extra_constants)
+    assert frozenset(fast.rules) == frozenset(slow.rules)
+    assert len(fast.rules) == len(slow.rules)
+    assert fast.universe == slow.universe
+
+
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.adl"))
+
+
+class TestRelevanceGrounder:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("rewriting", [rewrite_st, rewrite_bm])
+    @pytest.mark.parametrize("extra", [(), ("zz",)])
+    def test_fixture_matches_oracle(self, name, rewriting, extra):
+        up, db = load_update_program(name, db=(FIXTURES / f"{name}.adb").exists(),
+                                     delta=(FIXTURES / f"{name}.adu").exists())
+        assert_same_grounding(embed_database(rewriting(up), db), extra)
+
+    def test_random_candidates_match_oracle(self):
+        gen = InstanceGenerator(random.Random(2024))
+        for _ in range(300):
+            up, db = gen._candidate()
+            for rewriting in (rewrite_st, rewrite_bm):
+                assert_same_grounding(embed_database(rewriting(up), db))
+
+    @pytest.mark.parametrize("text", [
+        "q(X) :- p(X,X).\np(a,a).\np(a,b).",                   # repeated variable
+        "q(X) :- p(X,b).\np(a,b).\np(c,d).",                   # constant in a body atom
+        "q(X,Y) :- p(X).\np(a).\nr(b).",                      # head-only variable
+        "q(X) :- p(X), Y != X.\np(a).\np(b).\nr(c).",          # builtin-only variable
+        "q(X) :- not p(X).\nr :- not s.\np(a).",              # no positive literal
+        "q(X) :- p(X).\na :- b.\nb.",                        # empty constant set
+        "t(X,Z) :- e(X,Y), t(Y,Z).\nt(X,Y) :- e(X,Y).\n"
+        "s(X,Z) :- e(X,Y), e(Y,Z), X != Z.\ne(a,b).\ne(b,c).\ne(c,a).",  # recursion, self-join
+    ])
+    def test_edge_case_matches_oracle(self, text):
+        program = plain(parse_program(text, validate=False))
+        assert_same_grounding(program)
+        assert_same_grounding(program, ("zz",))
+
+    def test_update_atoms_are_rejected(self):
+        program = plain(parse_program("+p(X) :- q(X).\nq(a)."))
+        with pytest.raises(ValidationError):
+            ground(program, prune=True)
+
+    def test_rule_order_does_not_depend_on_hash_seed(self):
+        script = (
+            "from pathlib import Path\n"
+            "from adlog import (DeltaSet, UpdateProgram, embed_database, ground,\n"
+            "                   parse_database, parse_delta, parse_program, rewrite_st)\n"
+            f"base = Path({str(FIXTURES / 'project_cascade')!r})\n"
+            "up = UpdateProgram(parse_delta(base.with_suffix('.adu').read_text()),\n"
+            "                   parse_program(base.with_suffix('.adl').read_text()))\n"
+            "db = parse_database(base.with_suffix('.adb').read_text())\n"
+            "for rule in ground(embed_database(rewrite_st(up), db), prune=True).rules:\n"
+            "    print(rule)\n")
+        src = str(FIXTURES.parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+        def rules(hash_seed: str) -> list[str]:
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, check=True, env=env).stdout.splitlines()
+
+        first = rules("1")
+        assert first and first == rules("2")
