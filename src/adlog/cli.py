@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success (and applied updates), 1 parse or validation errors,
-2 the chosen semantics rejected the update (database unchanged),
+Exit codes: 0 success (and applied updates), 1 parse, validation or usage
+errors, 2 the chosen semantics rejected the update (database unchanged),
 3 precondition or resource-limit violations.
 """
 
@@ -13,17 +13,32 @@ import sys
 
 from .model import (Database, DeltaSet, ParseError, PreconditionError,
                     ResourceLimitError, SchemaError, UpdateProgram,
-                    ValidationError, validate_update_program)
+                    ValidationError)
 from .parse import parse_database, parse_delta, parse_program, render
-from .rewrite import embed_database, ground, rewrite_bm, rewrite_st
-from .stable import DEFAULT_ENUMERATION_CAP, stable_family, well_founded
-from .update import Semantics, compare, run
+from .stable import DEFAULT_ENUMERATION_CAP
+from .update import Semantics, _Session, compare, run
 from . import selftest
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_REJECTED = 2
 EXIT_PRECONDITION = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, since exit code 2 means the update was rejected."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def cap(text: str) -> int:
+    """An enumeration cap: a non-negative number of atoms."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"the cap must not be negative: {value}")
+    return value
 
 
 def _add_io_flags(parser: argparse.ArgumentParser, *, db: bool = True,
@@ -46,39 +61,26 @@ def _load(args) -> tuple[UpdateProgram, Database]:
     if getattr(args, "db", None):
         with open(args.db, encoding="utf-8") as handle:
             database = parse_database(handle.read(), origin=args.db)
-    up = UpdateProgram(delta, program)
-    validate_update_program(up)
-    return up, database
-
-
-def _rewritten(up: UpdateProgram, mode: str):
-    return rewrite_bm(up) if mode == "bm" else rewrite_st(up)
+    return UpdateProgram(delta, program), database
 
 
 def cmd_rewrite(args) -> int:
-    up, _ = _load(args)
-    sys.stdout.write(render(_rewritten(up, args.mode)))
+    sys.stdout.write(render(_Session(*_load(args)).rewritten(args.mode)))
     return EXIT_OK
 
 
 def cmd_ground(args) -> int:
-    up, database = _load(args)
-    program = ground(embed_database(_rewritten(up, args.mode), database), prune=args.prune)
-    sys.stdout.write(render(program))
+    sys.stdout.write(render(_Session(*_load(args)).ground(args.mode)))
     return EXIT_OK
 
 
 def cmd_wf(args) -> int:
-    up, database = _load(args)
-    program = ground(embed_database(_rewritten(up, args.mode), database))
-    print(well_founded(program).render_key())
+    print(_Session(*_load(args)).wf(args.mode).render_key())
     return EXIT_OK
 
 
 def cmd_models(args) -> int:
-    up, database = _load(args)
-    program = ground(embed_database(_rewritten(up, args.mode), database))
-    family = stable_family(program, args.cap)
+    family = _Session(*_load(args), cap=args.cap).family(args.mode)
     if args.json:
         doc = {"models": [{"literals": r.model.render_key(),
                            "flags": sorted(r.flags),
@@ -162,7 +164,7 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adlog",
         description="Apply active-rule update programs to three-valued databases "
                     "under declarative semantics.")
@@ -176,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ground", help="print the ground instantiation")
     _add_io_flags(p)
     p.add_argument("--mode", choices=("st", "bm"), default="st")
-    p.add_argument("--prune", action="store_true",
-                   help="drop rules whose positive body atoms are underivable")
     p.set_defaults(handler=cmd_ground)
 
     p = sub.add_parser("wf", help="print the well-founded model of the rewritten program")
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("models", help="list the partial stable models with their classes")
     _add_io_flags(p)
     p.add_argument("--mode", choices=("st", "bm"), default="st")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=cap, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_models)
 
@@ -198,13 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ws, md, twfs, tmds, uts, ts, ms, mstt or ws-bm")
     p.add_argument("--choose", choices=("lex", "random"), default="lex")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=cap, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_apply)
 
     p = sub.add_parser("compare", help="run every semantics and relate the outputs")
     _add_io_flags(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=cap, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_compare)
 
@@ -222,18 +222,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ParseError, ValidationError, SchemaError) as exc:
+    except (ValueError, ParseError, ValidationError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (PreconditionError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     # Engine-internal errors (EngineError, ConsistencyError) propagate: they
     # are defects, not usage errors, and deserve a traceback.
 

@@ -287,25 +287,23 @@ def rewrite_bm(up: UpdateProgram) -> StandardProgram:
 # Grounding
 # ---------------------------------------------------------------------------
 
-def ground(program: StandardProgram, *, prune: bool = False,
+def ground(program: StandardProgram, *,
            extra_constants: Iterable[str] = ()) -> GroundProgram:
-    """Instantiate over the active constant domain, evaluating builtins away.
+    """Instantiate the rule instances whose positive body atoms are derivable.
 
-    Rule instances with a false builtin are dropped; true builtins are removed
-    from bodies.  Without `prune`, every variable ranges over the whole active
-    domain.  With `prune`, only instances whose positive body atoms are all
-    derivable are built: positive body literals are joined bottom-up against
-    the atoms derived so far, and only variables that occur in no positive
-    body literal range over the active domain.  Dropping the other instances
-    cannot change any stable model on the atoms that remain derivable.
+    Positive body literals are joined bottom-up against the atoms derived so
+    far; only variables that occur in no positive body literal range over the
+    active constant domain.  Rule instances with a false builtin are dropped;
+    true builtins are removed from bodies.  Leaving out the instances with an
+    underivable positive body atom cannot change any stable model on the
+    atoms that remain derivable.
     """
     for rule in program.rules:
         if isinstance(rule.head, UpdateAtom) or any(isinstance(lit, UpdLiteral)
                                                     for lit in rule.body):
             raise ValidationError(f"rule {rule} still contains update atoms")
     constants = [Constant(c) for c in sorted(program.constants() | set(extra_constants))]
-    instantiate = _ground_derivable if prune else _ground_all
-    ground_rules = instantiate(program.rules, constants)
+    ground_rules = _ground_derivable(program.rules, constants)
     universe: set[Atom] = set()
     for rule in ground_rules:
         universe.add(rule.head)
@@ -317,20 +315,6 @@ def ground(program: StandardProgram, *, prune: bool = False,
 
 def _variables(rule: Rule) -> list[Variable]:
     return sorted(rule.variables(), key=lambda v: v.name)
-
-
-def _ground_all(rules: Iterable[Rule], constants: list[Constant]) -> list[Rule]:
-    """Every instance over the active domain, in product order."""
-    out: list[Rule] = []
-    for rule in rules:
-        variables = _variables(rule)
-        if variables and not constants:
-            continue
-        for combo in itertools.product(constants, repeat=len(variables)):
-            instance = _instantiate(rule, dict(zip(variables, combo)))
-            if instance is not None:
-                out.append(instance)
-    return out
 
 
 def _instantiate(rule: Rule, binding) -> Rule | None:

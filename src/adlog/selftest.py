@@ -24,7 +24,7 @@ from .model import (Atom, Constant, Database, DeltaSet, Interpretation,
                     UpdateProgram, UpdLiteral, Variable, info_leq,
                     rename_constants)
 from .parse import parse_database, parse_delta, parse_program, render
-from .rewrite import StandardProgram, ground, rewrite_st
+from .rewrite import GroundProgram, rewrite_st
 from .stable import (FLAG_DETERMINISTIC, FLAG_MAX_DETERMINISTIC,
                      FLAG_WELL_FOUNDED, enumerate_pstable, is_pstable,
                      stable_family, well_founded)
@@ -252,7 +252,7 @@ def suite_fixtures() -> SuiteResult:
     for fixture in FIXTURES:
         up, db = load_fixture(fixture)
         if fixture.model_count is not None:
-            g = ground(StandardProgram(up.program.rules, {}))
+            g = as_ground(up.program.rules)
             family = stable_family(g)
             result.check(len(family.records) == fixture.model_count,
                          f"{fixture.name}: expected {fixture.model_count} models, "
@@ -303,9 +303,9 @@ class InstanceGenerator:
         while True:
             up, db = self._candidate()
             session = _Session(up, db)
-            if session.st_wf.undefined_count > self.max_residue:
+            if session.wf("st").undefined_count > self.max_residue:
                 continue
-            if well_founded(session.bm_ground).undefined_count > self.max_residue:
+            if session.wf("bm").undefined_count > self.max_residue:
                 continue
             return up, db
 
@@ -402,7 +402,18 @@ def random_ground_program(rng: random.Random):
         body = tuple(StdLiteral(rng.choice(atoms), positive=rng.random() < 0.55)
                      for _ in range(rng.randint(0, 3)))
         rules.append(Rule(head, body))
-    return ground(StandardProgram(tuple(dict.fromkeys(rules)), {}))
+    return as_ground(tuple(dict.fromkeys(rules)))
+
+
+def as_ground(rules) -> GroundProgram:
+    """A variable-free program exactly as written, every atom it mentions kept.
+
+    Grounding would drop the rules whose positive body atoms are underivable,
+    and with them atoms that the pinned propositional families mention.
+    """
+    rules = tuple(rules)
+    universe = {r.head for r in rules} | {lit.atom for r in rules for lit in r.body}
+    return GroundProgram(rules, frozenset(universe), {})
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +446,12 @@ def _check_ordering_case(result: SuiteResult, tag: str,
                  f"{tag}\nordering violated: md output not above ws output")
     # Totality test versus actually applying.
     delta_db = session.delta_applied
-    wf = session.st_wf
+    wf = session.wf("st")
     applied = session.apply_model(wf, delta_db)
     result.check(is_total_transformation(wf, delta_db) == applied.is_total,
                  f"{tag}\ntotality test disagrees with application")
     # Deterministic-family lattice laws.
-    family = session.st_family
+    family = session.family("st")
     det = [r.model for r in family.with_flag(FLAG_DETERMINISTIC)]
     (wf_rec,) = family.with_flag(FLAG_WELL_FOUNDED)
     (md_rec,) = family.with_flag(FLAG_MAX_DETERMINISTIC)

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import (AdlogError, Atom, ConsistencyError, Database, DeltaSet,
-                    EngineError, Interpretation, Polarity, PreconditionError,
-                    TruthValue, UpdateProgram, _record_arity, info_leq,
-                    validate_update_program)
-from .rewrite import (GroundProgram, base_atom_of_renamed, embed_database,
-                      ground, rewrite_bm, rewrite_st)
+from .model import (Atom, ConsistencyError, Database, DeltaSet, EngineError,
+                    Interpretation, Polarity, PreconditionError,
+                    ResourceLimitError, TruthValue, UpdateProgram,
+                    _record_arity, info_leq, validate_update_program)
+from .rewrite import (GroundProgram, StandardProgram, base_atom_of_renamed,
+                      embed_database, ground, rewrite_bm, rewrite_st)
 from .stable import (DEFAULT_ENUMERATION_CAP, FLAG_M_STABLE,
                      FLAG_MAX_DETERMINISTIC, FLAG_T_STABLE, ModelFamily,
                      stable_family, well_founded)
@@ -47,9 +48,23 @@ class Semantics(enum.Enum):
         raise ValueError(f"unknown semantics {text!r}")
 
 
-TOTAL_ONLY = frozenset({Semantics.TWFS, Semantics.TMDS, Semantics.UTS,
-                        Semantics.TS, Semantics.MS, Semantics.MSTT})
-NONDETERMINISTIC = frozenset({Semantics.TS, Semantics.MS, Semantics.MSTT})
+# How each semantics runs: the rewriting ("st" or "bm"); the model source
+# (None for the well-founded model, else the family flag its candidates
+# carry); whether a policy chooses among the candidates (else exactly one
+# must exist); whether the output, and whether the input, must be total.
+_Plan = namedtuple("_Plan", "mode source choose total_output total_input")
+
+PLANS = {
+    Semantics.WS: _Plan("st", None, False, False, False),
+    Semantics.MD: _Plan("st", FLAG_MAX_DETERMINISTIC, False, False, False),
+    Semantics.TWFS: _Plan("st", None, False, True, True),
+    Semantics.TMDS: _Plan("st", FLAG_MAX_DETERMINISTIC, False, True, True),
+    Semantics.UTS: _Plan("st", FLAG_T_STABLE, False, False, True),
+    Semantics.TS: _Plan("st", FLAG_T_STABLE, True, False, True),
+    Semantics.MS: _Plan("st", FLAG_M_STABLE, True, False, True),
+    Semantics.MSTT: _Plan("st", FLAG_M_STABLE, True, True, True),
+    Semantics.WS_BM: _Plan("bm", None, False, False, False),
+}
 
 STATUS_APPLIED = "applied"
 STATUS_REJECTED = "rejected-unchanged"
@@ -180,10 +195,14 @@ class RunReport:
 
 
 class _Session:
-    """Shared pipeline state so several semantics can reuse one grounding."""
+    """One pipeline: rewrite, embed, ground, compute models, apply.
+
+    Every stage is computed once per rewriting mode ("st" or "bm") and kept
+    on the instance, so several semantics and commands share one grounding.
+    """
 
     def __init__(self, up: UpdateProgram, database: Database, *,
-                 cap: int = DEFAULT_ENUMERATION_CAP, prune: bool = True):
+                 cap: int = DEFAULT_ENUMERATION_CAP):
         validate_update_program(up)
         arities = up.program.predicate_arities()
         for uatom in up.delta.updates:
@@ -195,31 +214,31 @@ class _Session:
         self.up = up
         self.database = database
         self.cap = cap
-        self.prune = prune
+        self._stages: dict[tuple[str, str], object] = {}
+
+    def _stage(self, name: str, mode: str, compute):
+        key = (name, mode)
+        if key not in self._stages:
+            self._stages[key] = compute()
+        return self._stages[key]
 
     @cached_property
     def delta_applied(self) -> Database:
         return apply_delta(self.up.delta, self.database)
 
-    @cached_property
-    def st_ground(self) -> GroundProgram:
-        return ground(embed_database(rewrite_st(self.up), self.database), prune=self.prune)
+    def rewritten(self, mode: str) -> StandardProgram:
+        return self._stage("rewritten", mode, lambda: (
+            rewrite_bm(self.up) if mode == "bm" else rewrite_st(self.up)))
 
-    @cached_property
-    def bm_ground(self) -> GroundProgram:
-        return ground(embed_database(rewrite_bm(self.up), self.database), prune=self.prune)
+    def ground(self, mode: str) -> GroundProgram:
+        return self._stage("ground", mode, lambda: ground(
+            embed_database(self.rewritten(mode), self.database)))
 
-    @cached_property
-    def st_wf(self) -> Interpretation:
-        return well_founded(self.st_ground)
+    def wf(self, mode: str) -> Interpretation:
+        return self._stage("wf", mode, lambda: well_founded(self.ground(mode)))
 
-    @cached_property
-    def bm_wf(self) -> Interpretation:
-        return well_founded(self.bm_ground)
-
-    @cached_property
-    def st_family(self) -> ModelFamily:
-        return stable_family(self.st_ground, self.cap)
+    def family(self, mode: str) -> ModelFamily:
+        return self._stage("family", mode, lambda: stable_family(self.ground(mode), self.cap))
 
     def apply_model(self, model: Interpretation, base: Database) -> Database:
         outcome = extract_updates(model, self.schema)
@@ -230,102 +249,54 @@ class _Session:
 
     def run(self, semantics: Semantics, policy: str = "lex",
             seed: int | None = None) -> RunReport:
-        if semantics in TOTAL_ONLY and not self.database.is_total:
+        plan = PLANS[semantics]
+        if plan.total_input and not self.database.is_total:
             raise PreconditionError(
                 f"{semantics.value} semantics requires a total input database")
         if policy == "random" and seed is None:
             seed = random.randrange(2 ** 32)  # recorded below, for replay
+        # The input delta is applied first under st; bm folds it into the rules.
+        base = self.delta_applied if plan.mode == "st" else self.database
+        stats: dict[str, int] | None = None
+        if plan.source is None:
+            candidates = [self.wf(plan.mode)]
+        else:
+            family = self.family(plan.mode)
+            stats = family.counts()
+            candidates = [r.model for r in family.with_flag(plan.source)]
 
         chosen: Interpretation | None = None
-        stats: dict[str, int] | None = None
-        status = STATUS_APPLIED
-        output = self.database
-
-        if semantics is Semantics.WS:
-            chosen = self.st_wf
-            output = self.apply_model(chosen, self.delta_applied)
-        elif semantics is Semantics.WS_BM:
-            chosen = self.bm_wf
-            output = self.apply_model(chosen, self.database)
-        elif semantics is Semantics.MD:
-            family = self.st_family
-            stats = family.counts()
-            (record,) = family.with_flag(FLAG_MAX_DETERMINISTIC)
-            chosen = record.model
-            output = self.apply_model(chosen, self.delta_applied)
-        elif semantics is Semantics.TWFS:
-            chosen = self.st_wf
-            candidate = self.apply_model(chosen, self.delta_applied)
-            if candidate.is_total:
-                output = candidate
-            else:
-                status = STATUS_REJECTED
-        elif semantics is Semantics.TMDS:
-            family = self.st_family
-            stats = family.counts()
-            (record,) = family.with_flag(FLAG_MAX_DETERMINISTIC)
-            chosen = record.model
-            candidate = self.apply_model(chosen, self.delta_applied)
-            if candidate.is_total:
-                output = candidate
-            else:
-                status = STATUS_REJECTED
-        elif semantics is Semantics.UTS:
-            family = self.st_family
-            stats = family.counts()
-            totals = family.with_flag(FLAG_T_STABLE)
-            if len(totals) == 1:
-                chosen = totals[0].model
-                output = self.apply_model(chosen, self.delta_applied)
-            else:
-                status = STATUS_REJECTED
-        elif semantics is Semantics.TS:
-            family = self.st_family
-            stats = family.counts()
-            totals = family.with_flag(FLAG_T_STABLE)
-            if totals:
-                chosen = _select(totals, policy, seed)
-                output = self.apply_model(chosen, self.delta_applied)
-            else:
-                status = STATUS_REJECTED
-        elif semantics is Semantics.MS:
-            family = self.st_family
-            stats = family.counts()
-            chosen = _select(family.with_flag(FLAG_M_STABLE), policy, seed)
-            output = self.apply_model(chosen, self.delta_applied)
-        elif semantics is Semantics.MSTT:
-            family = self.st_family
-            stats = family.counts()
-            eligible = [r for r in family.with_flag(FLAG_M_STABLE)
-                        if self.apply_model(r.model, self.delta_applied).is_total]
-            if eligible:
-                chosen = _select(eligible, policy, seed)
-                output = self.apply_model(chosen, self.delta_applied)
-            else:
-                status = STATUS_REJECTED
-        else:  # pragma: no cover
-            raise EngineError(f"unhandled semantics {semantics}")
-
-        if status == STATUS_REJECTED:
-            output = self.database
+        if plan.choose:
+            if plan.total_output:
+                candidates = [m for m in candidates if self.apply_model(m, base).is_total]
+            if candidates:
+                chosen = _select(candidates, policy, seed)
+        elif len(candidates) == 1:
+            chosen = candidates[0]
+        # A single model that fails the totality test is still reported.
+        output = self.apply_model(chosen, base) if chosen is not None else None
+        if output is None or plan.total_output and not output.is_total:
+            status, output = STATUS_REJECTED, self.database
+        else:
+            status = STATUS_APPLIED
         return RunReport(semantics, self.database, output, status, chosen, stats,
                          policy, seed if policy == "random" else None)
 
 
-def _select(records, policy: str, seed: int | None) -> Interpretation:
-    ordered = sorted(records, key=lambda r: r.model.render_key())
+def _select(models: list[Interpretation], policy: str, seed: int | None) -> Interpretation:
+    ordered = sorted(models, key=lambda m: m.render_key())
     if policy == "lex":
-        return ordered[0].model
+        return ordered[0]
     if policy == "random":
-        return random.Random(seed).choice(ordered).model
+        return random.Random(seed).choice(ordered)
     raise ValueError(f"unknown selection policy {policy!r}")
 
 
 def run(up: UpdateProgram, database: Database, semantics: Semantics,
         *, policy: str = "lex", seed: int | None = None,
-        cap: int = DEFAULT_ENUMERATION_CAP, prune: bool = True) -> RunReport:
+        cap: int = DEFAULT_ENUMERATION_CAP) -> RunReport:
     """Apply an update program to a database under one semantics."""
-    return _Session(up, database, cap=cap, prune=prune).run(semantics, policy, seed)
+    return _Session(up, database, cap=cap).run(semantics, policy, seed)
 
 
 @dataclass(frozen=True)
@@ -356,13 +327,17 @@ class CompareResult:
 
 
 def compare(up: UpdateProgram, database: Database,
-            *, cap: int = DEFAULT_ENUMERATION_CAP, prune: bool = True) -> CompareResult:
-    """Run every semantics with the lexicographic policy, recording per-row errors."""
-    session = _Session(up, database, cap=cap, prune=prune)
+            *, cap: int = DEFAULT_ENUMERATION_CAP) -> CompareResult:
+    """Run every semantics with the lexicographic policy.
+
+    A semantics whose precondition fails or whose enumeration exceeds the cap
+    becomes a row error; engine defects propagate.
+    """
+    session = _Session(up, database, cap=cap)
     rows = []
     for semantics in Semantics:
         try:
             rows.append(CompareRow(semantics, session.run(semantics), None))
-        except AdlogError as exc:
+        except (PreconditionError, ResourceLimitError) as exc:
             rows.append(CompareRow(semantics, None, str(exc)))
     return CompareResult(tuple(rows))

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -9,8 +10,20 @@ from adlog.cli import main
 from conftest import FIXTURES
 
 
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
 def fx(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def fixture_args(name: str) -> list[str]:
+    """`-p`, and `-d` / `-u` where the fixture has a database / an update file."""
+    args = ["-p", fx(f"{name}.adl")]
+    for flag, suffix in (("-d", ".adb"), ("-u", ".adu")):
+        if (FIXTURES / f"{name}{suffix}").exists():
+            args += [flag, fx(name + suffix)]
+    return args
 
 
 def invoke(capsys, *argv) -> tuple[int, str]:
@@ -56,6 +69,15 @@ class TestExitCodes:
         code = main(["models", "-p", str(prog), "--cap", "3"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["apply", "-p", "x.adl"],                                    # missing --semantics
+        ["models", "-p", fx("zoo_join.adl"), "--cap", "-1"],         # negative cap
+    ])
+    def test_usage_error_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+
 
 class TestOutputs:
     def test_apply_text_report(self, capsys):
@@ -98,6 +120,12 @@ class TestOutputs:
         assert code == 0
         parse_program(out)
 
+    def test_wf_prints_the_model_apply_uses(self, capsys):
+        args = fixture_args("project_cascade")
+        _, wf = invoke(capsys, "wf", *args)
+        _, report = invoke(capsys, "apply", *args, "--semantics", "ws", "--json")
+        assert wf.strip() == json.loads(report)["model"]
+
 
 class TestByteStability:
     """The same invocation must print identical bytes across processes."""
@@ -106,6 +134,8 @@ class TestByteStability:
         ("rewrite", "-p", fx("project_cascade.adl"), "-u", fx("project_cascade.adu")),
         ("models", "-p", fx("zoo_choice.adl")),
         ("compare", "-p", fx("new_hire_roles.adl"), "-u", fx("new_hire_roles.adu")),
+        ("wf", *fixture_args("project_cascade")),
+        ("ground", *fixture_args("project_cascade")),
     ])
     def test_two_process_runs_agree(self, argv):
         def run_once():
@@ -113,6 +143,27 @@ class TestByteStability:
                 [sys.executable, "-m", "adlog.cli", *argv],
                 capture_output=True, text=True, check=True).stdout
         assert run_once() == run_once()
+
+
+UPDATE_FIXTURES = ("confirm_manager", "new_hire_mixed", "new_hire_roles", "new_hire_unique",
+                   "new_hire_worker", "project_cascade", "promotion")
+
+
+class TestGoldenReports:
+    """Run reports pinned byte for byte: models, family counts, seeds, rejections."""
+
+    @pytest.mark.parametrize("name", UPDATE_FIXTURES)
+    def test_compare_json(self, name, capsys):
+        code, out = invoke(capsys, "compare", "--json", *fixture_args(name))
+        assert code == 0
+        assert out == (GOLDEN / f"compare_{name}.json").read_text()
+
+    @pytest.mark.parametrize("semantics", ["ts", "ms", "mstt"])
+    def test_apply_random_choice_json(self, semantics, capsys):
+        _, out = invoke(capsys, "apply", "--json", "--choose", "random", "--seed", "7",
+                        "--semantics", semantics, *fixture_args("new_hire_worker"))
+        golden = GOLDEN / f"apply_new_hire_worker_{semantics}_random7.json"
+        assert out == golden.read_text()
 
 
 class TestSelftestCommand:

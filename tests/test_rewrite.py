@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -10,8 +11,9 @@ from adlog import (Atom, Constant, Database, DeltaSet, Program, Rule,
                    ground, parse_database, parse_program, render, rewrite_bm,
                    rewrite_st, stable_family)
 from adlog.rewrite import (KIND_BRIDGE_DELETE, KIND_BRIDGE_INSERT, KIND_GUARD,
-                           KIND_RENAMED, GroundProgram, StandardProgram)
-from adlog.selftest import InstanceGenerator
+                           KIND_RENAMED, GroundProgram, StandardProgram,
+                           _instantiate, _variables)
+from adlog.selftest import InstanceGenerator, as_ground
 
 from conftest import FIXTURES, load_update_program
 
@@ -167,9 +169,9 @@ class TestGround:
     def test_pruning_keeps_stable_models_on_derivable_atoms(self, fixtures_dir):
         for name in ("zoo_choice_nofact", "zoo_join", "zoo_chain"):
             program = plain(parse_program((fixtures_dir / f"{name}.adl").read_text()))
-            full = stable_family(ground(program, prune=False))
-            pruned = stable_family(ground(program, prune=True))
-            kept = ground(program, prune=True).universe
+            full = stable_family(product_ground(program))
+            pruned = stable_family(ground(program))
+            kept = ground(program).universe
             full_restricted = sorted(
                 frozenset((a, v) for a, v in m.literal_set() if a in kept)
                 | frozenset((a, "?") for a in m.undefined_atoms() if a in kept)
@@ -182,8 +184,8 @@ class TestGround:
 
     def test_unused_constant_changes_nothing_after_pruning(self):
         up, _ = load_update_program("new_hire_worker")
-        base = ground(embed_database(rewrite_st(up), Database()), prune=True)
-        extended = ground(embed_database(rewrite_st(up), Database()), prune=True,
+        base = ground(embed_database(rewrite_st(up), Database()))
+        extended = ground(embed_database(rewrite_st(up), Database()),
                           extra_constants=["zz"])
         base_family = stable_family(base)
         extended_family = stable_family(extended)
@@ -204,6 +206,26 @@ class TestGround:
 
 # --- relevance grounder against the product-plus-pruning oracle -------------
 
+def _ground_all(rules, constants: list[Constant]) -> list[Rule]:
+    """Every instance over the active domain, in product order."""
+    out: list[Rule] = []
+    for rule in rules:
+        variables = _variables(rule)
+        if variables and not constants:
+            continue
+        for combo in itertools.product(constants, repeat=len(variables)):
+            instance = _instantiate(rule, dict(zip(variables, combo)))
+            if instance is not None:
+                out.append(instance)
+    return out
+
+
+def product_ground(program: StandardProgram, extra_constants=()) -> GroundProgram:
+    """Every rule instance over the whole active domain."""
+    constants = [Constant(c) for c in sorted(program.constants() | set(extra_constants))]
+    return as_ground(dict.fromkeys(_ground_all(program.rules, constants)))
+
+
 def _prune_underivable(rules: list[Rule]) -> list[Rule]:
     derivable: set[Atom] = set()
     changed = True
@@ -221,13 +243,11 @@ def _prune_underivable(rules: list[Rule]) -> list[Rule]:
 
 def oracle_ground(program: StandardProgram, extra_constants=()) -> GroundProgram:
     """Every active-domain instance, then the instances with underivable positive atoms dropped."""
-    rules = _prune_underivable(list(ground(program, extra_constants=extra_constants).rules))
-    universe = {r.head for r in rules} | {lit.atom for r in rules for lit in r.body}
-    return GroundProgram(tuple(rules), frozenset(universe), program.provenance)
+    return as_ground(_prune_underivable(list(product_ground(program, extra_constants).rules)))
 
 
 def assert_same_grounding(program: StandardProgram, extra_constants=()) -> None:
-    fast = ground(program, prune=True, extra_constants=extra_constants)
+    fast = ground(program, extra_constants=extra_constants)
     slow = oracle_ground(program, extra_constants)
     assert frozenset(fast.rules) == frozenset(slow.rules)
     assert len(fast.rules) == len(slow.rules)
@@ -271,7 +291,7 @@ class TestRelevanceGrounder:
     def test_update_atoms_are_rejected(self):
         program = plain(parse_program("+p(X) :- q(X).\nq(a)."))
         with pytest.raises(ValidationError):
-            ground(program, prune=True)
+            ground(program)
 
     def test_rule_order_does_not_depend_on_hash_seed(self):
         script = (
@@ -282,7 +302,7 @@ class TestRelevanceGrounder:
             "up = UpdateProgram(parse_delta(base.with_suffix('.adu').read_text()),\n"
             "                   parse_program(base.with_suffix('.adl').read_text()))\n"
             "db = parse_database(base.with_suffix('.adb').read_text())\n"
-            "for rule in ground(embed_database(rewrite_st(up), db), prune=True).rules:\n"
+            "for rule in ground(embed_database(rewrite_st(up), db)).rules:\n"
             "    print(rule)\n")
         src = str(FIXTURES.parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

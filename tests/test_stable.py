@@ -9,8 +9,7 @@ from adlog import (Atom, Constant, Database, Interpretation,
                    immediate_consequence, is_pstable, least_3v_model,
                    max_deterministic, parse_program, rewrite_st,
                    stable_family, well_founded, wf_step)
-from adlog.rewrite import StandardProgram
-from adlog.selftest import brute_force_family, random_ground_program
+from adlog.selftest import as_ground, brute_force_family, random_ground_program
 from adlog.stable import FLAG_L_STABLE, FLAG_M_STABLE, FLAG_T_STABLE
 
 from conftest import load_update_program
@@ -19,7 +18,7 @@ a, b, c, p, q = Atom("a"), Atom("b"), Atom("c"), Atom("p"), Atom("q")
 
 
 def ground_of(text: str):
-    return ground(StandardProgram(parse_program(text).rules, {}))
+    return as_ground(parse_program(text).rules)
 
 
 def interp(universe, true=(), false=()):
@@ -277,7 +276,7 @@ class TestMaxDeterministic:
 
     def test_rewritten_choice_update_program(self):
         up, _ = load_update_program("new_hire_roles")
-        g = ground(embed_database(rewrite_st(up), Database()), prune=True)
+        g = ground(embed_database(rewrite_st(up), Database()))
         md = max_deterministic(g)
         arg = (Constant("a"),)
         assert md.value(Atom("@plus_worker", arg)) is TruthValue.TRUE

@@ -1,11 +1,13 @@
 import pytest
 
+import adlog.update
 from adlog import (Atom, ConsistencyError, Constant, Database, DeltaSet,
-                   Interpretation, PreconditionError, Program, Semantics,
-                   UpdateOutcome, UpdateProgram, apply_delta, apply_updates,
-                   compare, embed_database, extract_updates, ground, info_leq,
-                   is_total_transformation, parse_database, parse_delta,
-                   rename_constants, rewrite_st, run, well_founded)
+                   EngineError, Interpretation, PreconditionError, Program,
+                   Semantics, UpdateOutcome, UpdateProgram, apply_delta,
+                   apply_updates, compare, embed_database, extract_updates,
+                   ground, info_leq, is_total_transformation, parse_database,
+                   parse_delta, rename_constants, rewrite_st, run,
+                   well_founded)
 
 from conftest import load_update_program
 
@@ -218,6 +220,20 @@ class TestCompare:
         ws = result.report_of(Semantics.WS).output_db
         assert atom("proj(p)") not in ws.true_facts | ws.unknown_facts
         assert atom("mgr(x,p,d)") in ws.unknown_facts
+
+    def test_partial_input_becomes_row_errors(self):
+        up, _ = load_update_program("new_hire_worker")
+        result = compare(up, Database.of(unknown=[atom("emp(b)")]))
+        failed = {row.semantics for row in result.rows if row.report is None}
+        assert failed == set(Semantics) - {Semantics.WS, Semantics.MD, Semantics.WS_BM}
+
+    def test_engine_defects_propagate(self, monkeypatch):
+        def broken(model, schema=None):
+            raise EngineError("injected defect")
+        monkeypatch.setattr(adlog.update, "extract_updates", broken)
+        up, db = load_update_program("new_hire_worker")
+        with pytest.raises(EngineError, match="injected defect"):
+            compare(up, db)
 
 
 class TestGenericity:
