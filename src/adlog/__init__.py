@@ -12,18 +12,16 @@ from .model import (AdlogError, Atom, BuiltinLiteral, ConsistencyError,
                     ParseError, Polarity, PreconditionError, Program,
                     ResourceLimitError, Rule, SchemaError, StdLiteral,
                     TruthValue, UniverseError, UpdateAtom, UpdateProgram,
-                    UpdLiteral, ValidationError, Variable, eval_literal,
-                    info_leq, is_model, rename_constants, rule_satisfied,
-                    validate_program, validate_update_program)
+                    UpdLiteral, ValidationError, Variable, info_leq,
+                    rename_constants, validate_program,
+                    validate_update_program)
 from .parse import (parse_database, parse_delta, parse_interpretation,
                     parse_program, render)
 from .rewrite import (GroundProgram, StandardProgram, embed_database, ground,
                       rewrite_bm, rewrite_st)
 from .stable import (DEFAULT_ENUMERATION_CAP, ModelFamily, ModelRecord,
-                     ReductProgram, ReductRule, classify, enumerate_pstable,
-                     gl_reduct, greatest_unfounded, immediate_consequence,
-                     is_pstable, least_3v_model, max_deterministic,
-                     stable_family, well_founded, wf_step)
+                     classify, enumerate_pstable, is_pstable,
+                     max_deterministic, stable_family, well_founded)
 from .update import (CompareResult, RunReport, Semantics, UpdateOutcome,
                      apply_delta, apply_updates, compare, extract_updates,
                      is_total_transformation, run)

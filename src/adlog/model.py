@@ -507,34 +507,6 @@ class Interpretation:
         return " ".join(parts)
 
 
-def eval_literal(lit: Literal, interp: Interpretation) -> TruthValue:
-    """Truth value of a ground literal; negation flips true/false and fixes undefined."""
-    if isinstance(lit, BuiltinLiteral):
-        return TruthValue.TRUE if lit.evaluate() else TruthValue.FALSE
-    if isinstance(lit, StdLiteral):
-        value = interp.value(lit.atom)
-        return value if lit.positive else value.negate()
-    # Update literals read the renamed standard atom they stand for.
-    from .rewrite import renamed_update_atom
-    value = interp.value(renamed_update_atom(lit.uatom))
-    return value if lit.positive else value.negate()
-
-
-def rule_satisfied(rule: Rule, interp: Interpretation) -> bool:
-    """A ground rule holds when the head value is at least the minimum body value."""
-    body = min((eval_literal(lit, interp) for lit in rule.body), default=TruthValue.TRUE)
-    if isinstance(rule.head, UpdateAtom):
-        from .rewrite import renamed_update_atom
-        head = interp.value(renamed_update_atom(rule.head))
-    else:
-        head = interp.value(rule.head)
-    return head >= body
-
-
-def is_model(program: Program, interp: Interpretation) -> bool:
-    return all(rule_satisfied(rule, interp) for rule in program.rules)
-
-
 # ---------------------------------------------------------------------------
 # Knowledge ordering and genericity support
 # ---------------------------------------------------------------------------

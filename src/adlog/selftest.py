@@ -1,10 +1,11 @@
-"""Fixture corpus and randomized property suites.
+"""Fixture corpus, object-level oracles and randomized property suites.
 
 Every fixture pins its expected outcomes as frozen literals.  Outcomes marked
 "oracle" were computed with the exhaustive enumeration in this module (which
-checks stability over every three-valued assignment and never consults the
-fixpoint engine); outcomes marked "hand" were derived by hand from the
-definitions and double-checked against the oracle where feasible.
+checks stability over every three-valued assignment through the object-level
+reduct route and never consults the fixpoint engine); outcomes marked "hand"
+were derived by hand from the definitions and double-checked against the
+oracle where feasible.
 
 The randomized suites check the ordering laws between semantics, the lattice
 laws of deterministic models, agreement between the two independent
@@ -19,15 +20,15 @@ import random
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .model import (Atom, Constant, Database, DeltaSet, Interpretation,
-                    Polarity, Program, Rule, StdLiteral, UpdateAtom,
-                    UpdateProgram, UpdLiteral, Variable, info_leq,
-                    rename_constants)
+from .model import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
+                    Interpretation, Literal, Polarity, Program, Rule,
+                    StdLiteral, TruthValue, UpdateAtom, UpdateProgram,
+                    UpdLiteral, Variable, info_leq, rename_constants)
 from .parse import parse_database, parse_delta, parse_program, render
-from .rewrite import GroundProgram, rewrite_st
+from .rewrite import GroundProgram, renamed_update_atom, rewrite_st
 from .stable import (FLAG_DETERMINISTIC, FLAG_MAX_DETERMINISTIC,
-                     FLAG_WELL_FOUNDED, enumerate_pstable, is_pstable,
-                     stable_family, well_founded)
+                     FLAG_WELL_FOUNDED, enumerate_pstable, stable_family,
+                     well_founded)
 from .update import Semantics, _Session, is_total_transformation
 
 DEFAULT_SEED = 20240
@@ -37,14 +38,97 @@ DETERMINISTIC_SEMANTICS = (Semantics.WS, Semantics.MD, Semantics.TWFS,
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive oracle
+# Object-level oracles: model checks and the reduct route
 # ---------------------------------------------------------------------------
+
+def eval_literal(lit: Literal, interp: Interpretation) -> TruthValue:
+    """Truth value of a ground literal; negation flips true/false and fixes undefined."""
+    if isinstance(lit, BuiltinLiteral):
+        return TruthValue.TRUE if lit.evaluate() else TruthValue.FALSE
+    if isinstance(lit, StdLiteral):
+        value = interp.value(lit.atom)
+        return value if lit.positive else value.negate()
+    # Update literals read the renamed standard atom they stand for.
+    value = interp.value(renamed_update_atom(lit.uatom))
+    return value if lit.positive else value.negate()
+
+
+def rule_satisfied(rule: Rule, interp: Interpretation) -> bool:
+    """A ground rule holds when the head value is at least the minimum body value."""
+    body = min((eval_literal(lit, interp) for lit in rule.body), default=TruthValue.TRUE)
+    if isinstance(rule.head, UpdateAtom):
+        head = interp.value(renamed_update_atom(rule.head))
+    else:
+        head = interp.value(rule.head)
+    return head >= body
+
+
+def is_model(program: Program, interp: Interpretation) -> bool:
+    return all(rule_satisfied(rule, interp) for rule in program.rules)
+
+
+@dataclass(frozen=True)
+class ReductRule:
+    """Positive rule; `floor` folds the truth constants substituted for negated literals."""
+
+    head: Atom
+    positive: tuple[Atom, ...]
+    floor: TruthValue
+
+    def __str__(self) -> str:
+        parts = [str(a) for a in self.positive] + [str(self.floor)]
+        return f"{self.head} :- {', '.join(parts)}."
+
+
+@dataclass(frozen=True)
+class ReductProgram:
+    rules: tuple[ReductRule, ...]
+    universe: frozenset[Atom]
+
+
+def gl_reduct(program: GroundProgram, interp: Interpretation) -> ReductProgram:
+    """Replace each negated body literal with the complement of its value in `interp`."""
+    rules = []
+    for rule in program.rules:
+        positive = tuple(lit.atom for lit in rule.body if lit.positive)
+        floor = TruthValue.TRUE
+        for lit in rule.body:
+            if not lit.positive:
+                floor = min(floor, interp.value(lit.atom).negate())
+        rules.append(ReductRule(rule.head, positive, floor))
+    return ReductProgram(tuple(rules), program.universe)
+
+
+def least_3v_model(reduct: ReductProgram) -> Interpretation:
+    """Least three-valued model of a positive program, by increasing fixpoint from all-false."""
+    atoms = sorted(reduct.universe, key=str)
+    index = {atom: i for i, atom in enumerate(atoms)}
+    true, false = int(TruthValue.TRUE), int(TruthValue.FALSE)
+    vals = [false] * len(atoms)
+    rules = [(index[r.head], tuple(index[a] for a in r.positive), int(r.floor))
+             for r in reduct.rules]
+    changed = True
+    while changed:
+        changed = False
+        for head, pos, floor in rules:
+            v = floor
+            for p in pos:
+                if vals[p] < v:
+                    v = vals[p]
+            if v > vals[head]:
+                vals[head] = v
+                changed = True
+    return Interpretation(frozenset(atoms),
+                          frozenset(a for a, v in zip(atoms, vals) if v == true),
+                          frozenset(a for a, v in zip(atoms, vals) if v == false))
+
 
 def brute_force_family(program) -> list[Interpretation]:
     """All partial stable models, by checking every three-valued assignment.
 
     Deliberately independent of the fixpoint engine: no well-founded
-    computation, no residue restriction.  Exponential; keep the universe small.
+    computation, no residue restriction, and stability is checked through the
+    object-level reduct route.  Exponential; keep the universe small.
     """
     atoms = sorted(program.universe, key=str)
     models = []
@@ -52,7 +136,7 @@ def brute_force_family(program) -> list[Interpretation]:
         true_atoms = frozenset(a for a, v in zip(atoms, combo) if v == 2)
         false_atoms = frozenset(a for a, v in zip(atoms, combo) if v == 0)
         candidate = Interpretation(frozenset(atoms), true_atoms, false_atoms)
-        if is_pstable(program, candidate):
+        if least_3v_model(gl_reduct(program, candidate)) == candidate:
             models.append(candidate)
     models.sort(key=lambda m: m.render_key())
     return models
@@ -299,15 +383,15 @@ class InstanceGenerator:
         self.max_residue = max_residue
         self.extra_db_constants = extra_db_constants
 
-    def instance(self) -> tuple[UpdateProgram, Database]:
+    def instance(self) -> _Session:
+        """The session of an accepted instance; `.up` and `.database` give the pair."""
         while True:
-            up, db = self._candidate()
-            session = _Session(up, db)
+            session = _Session(*self._candidate())
             if session.wf("st").undefined_count > self.max_residue:
                 continue
             if session.wf("bm").undefined_count > self.max_residue:
                 continue
-            return up, db
+            return session
 
     def _candidate(self) -> tuple[UpdateProgram, Database]:
         rng = self.rng
@@ -424,18 +508,16 @@ def suite_ordering(count: int = 200, seed: int = DEFAULT_SEED) -> SuiteResult:
     result = SuiteResult("ordering-laws")
     gen = InstanceGenerator(random.Random(seed))
     for case in range(count):
-        up, db = gen.instance()
-        tag = f"case {case}\n{_describe(up, db)}"
+        session = gen.instance()
+        tag = f"case {case}\n{_describe(session.up, session.database)}"
         try:
-            _check_ordering_case(result, tag, up, db)
+            _check_ordering_case(result, tag, session)
         except Exception as exc:  # noqa: BLE001 - recorded as a failure
             result.check(False, f"{tag}\nraised {exc!r}")
     return result
 
 
-def _check_ordering_case(result: SuiteResult, tag: str,
-                         up: UpdateProgram, db: Database) -> None:
-    session = _Session(up, db)
+def _check_ordering_case(result: SuiteResult, tag: str, session: _Session) -> None:
     reports = {semantics: session.run(semantics) for semantics in Semantics}
     ws = reports[Semantics.WS].output_db
     bm = reports[Semantics.WS_BM].output_db
@@ -466,7 +548,7 @@ def _check_ordering_case(result: SuiteResult, tag: str,
         result.check(not (out.true_facts & out.unknown_facts),
                      f"{tag}\noutput database is ill-formed")
         if report.status == "rejected-unchanged":
-            result.check(out == db, f"{tag}\nrejected run modified the database")
+            result.check(out == session.database, f"{tag}\nrejected run modified the database")
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +586,8 @@ def suite_genericity(count: int = 50, seed: int = DEFAULT_SEED + 2) -> SuiteResu
     rng = random.Random(seed)
     gen = InstanceGenerator(rng, extra_db_constants=2)
     for case in range(count):
-        up, db = gen.instance()
+        original = gen.instance()
+        up, db = original.up, original.database
         fixed = up.program.constants() | up.delta.constants()
         movable = sorted(db.constants() - fixed)
         if rng.random() < 0.5 and movable:
@@ -516,7 +599,6 @@ def suite_genericity(count: int = 50, seed: int = DEFAULT_SEED + 2) -> SuiteResu
             rho = dict(zip(movable, shuffled))
         renamed_db = rename_constants(db, rho)
         tag = f"case {case} rho={rho}\n{_describe(up, db)}"
-        original = _Session(up, db)
         renamed = _Session(up, renamed_db)
         for semantics in DETERMINISTIC_SEMANTICS:
             left = renamed.run(semantics).output_db

@@ -1,10 +1,16 @@
-"""Three-valued model theory: well-founded fixpoint, reducts, stable-model families.
+"""Three-valued model theory: the reduct operator, well-founded model, stable-model families.
 
-The well-founded model is computed as the least fixpoint of the transformation
-W(I) = T(I) + not-U(I), where T is the immediate consequence operator and U the
-greatest unfounded set.  Families of partial stable models are produced by
-exhaustively extending the undefined residue of the well-founded model and
-filtering with the reduct-based stability check.
+Everything rests on the reduct operator Psi (Przymusinski 1990): Psi(I) is the
+least three-valued model of the program in which every negated body literal is
+replaced by the complement of its value in I.  The partial stable models are
+the fixpoints of Psi, and the well-founded model is the least of them in the
+knowledge order, reached by iterating Psi from the all-undefined
+interpretation.  A least model is computed one truth level at a time by
+counter propagation (Dowling & Gallier 1984): an atom reaches a level when
+some rule whose floor, the least complement of its negated atoms, reaches
+that level has every positive body atom at that level.  Families of partial
+stable models are produced by extending the undefined residue of the
+well-founded model in every way and keeping the fixpoints of Psi.
 """
 
 from __future__ import annotations
@@ -35,17 +41,30 @@ _FALSE = int(TruthValue.FALSE)
 
 
 class _Indexed:
-    """Integer-indexed view of a ground program for the fixpoint loops."""
+    """Integer-indexed view of a ground program for the least-model kernel.
+
+    Rule r has head `heads[r]`, `need[r]` positive body literals and negated
+    body atoms `negs[r]`; `occurs[a]` names rule r once for every positive
+    body literal of r on atom a, and `unconditional` lists the rules with no
+    positive body literal.
+    """
 
     def __init__(self, program: GroundProgram, extra_atoms: Iterable[Atom] = ()):
         self.atoms: list[Atom] = sorted(program.universe | set(extra_atoms), key=str)
         self.index = {atom: i for i, atom in enumerate(self.atoms)}
-        self.rules: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-        for rule in program.rules:
-            head = self.index[rule.head]
-            pos = tuple(self.index[lit.atom] for lit in rule.body if lit.positive)
-            neg = tuple(self.index[lit.atom] for lit in rule.body if not lit.positive)
-            self.rules.append((head, pos, neg))
+        self.heads: list[int] = []
+        self.need: list[int] = []
+        self.negs: list[tuple[int, ...]] = []
+        self.occurs: list[list[int]] = [[] for _ in self.atoms]
+        for r, rule in enumerate(program.rules):
+            self.heads.append(self.index[rule.head])
+            pos = [self.index[lit.atom] for lit in rule.body if lit.positive]
+            for p in pos:
+                self.occurs[p].append(r)
+            self.need.append(len(pos))
+            self.negs.append(tuple(self.index[lit.atom] for lit in rule.body
+                                   if not lit.positive))
+        self.unconditional = [r for r, n in enumerate(self.need) if n == 0]
 
     def values_of(self, interp: Interpretation) -> list[int]:
         return [int(interp.value(atom)) for atom in self.atoms]
@@ -56,165 +75,76 @@ class _Indexed:
         return Interpretation(frozenset(self.atoms), true_atoms, false_atoms)
 
 
-def _consequences(idx: _Indexed, vals: list[int]) -> set[int]:
-    out = set()
-    for head, pos, neg in idx.rules:
-        if all(vals[p] == _TRUE for p in pos) and all(vals[n] == _FALSE for n in neg):
-            out.add(head)
-    return out
+def _floors(idx: _Indexed, vals: list[int]) -> list[int]:
+    """Each rule's floor in the reduct by `vals`: the least complement of its negated atoms."""
+    floors = []
+    for neg in idx.negs:
+        floor = _TRUE
+        for n in neg:
+            if _TRUE - vals[n] < floor:
+                floor = _TRUE - vals[n]
+        floors.append(floor)
+    return floors
 
 
-def _unfounded(idx: _Indexed, vals: list[int]) -> set[int]:
-    # Greatest unfounded set, computed by eroding the candidate set: an atom
-    # escapes as soon as some rule for it is neither false in the current
-    # interpretation nor circular through the remaining candidates.
-    in_u = [v != _TRUE for v in vals]
-    changed = True
-    while changed:
-        changed = False
-        for head, pos, neg in idx.rules:
-            if not in_u[head]:
-                continue
-            if any(vals[p] == _FALSE for p in pos) or any(vals[n] == _TRUE for n in neg):
-                continue
-            if all(not in_u[p] for p in pos):
-                in_u[head] = False
-                changed = True
-    return {i for i, flag in enumerate(in_u) if flag}
+def _reach(idx: _Indexed, floors: list[int], level: int) -> list[bool]:
+    """Which atoms are at `level` or above in the least model of the reduct with `floors`."""
+    # A rule fires once its count of positive body literals not yet reached
+    # drops to zero, if its floor is at the level.
+    heads, occurs = idx.heads, idx.occurs
+    need = idx.need[:]
+    reached = [False] * len(idx.atoms)
+    stack = []
+    for r in idx.unconditional:
+        if floors[r] >= level:
+            head = heads[r]
+            if not reached[head]:
+                reached[head] = True
+                stack.append(head)
+    while stack:
+        for r in occurs[stack.pop()]:
+            need[r] -= 1
+            if not need[r] and floors[r] >= level:
+                head = heads[r]
+                if not reached[head]:
+                    reached[head] = True
+                    stack.append(head)
+    return reached
 
 
-def immediate_consequence(program: GroundProgram, interp: Interpretation) -> set[Atom]:
-    """Heads of rules whose entire body is true in the interpretation."""
-    idx = _Indexed(program, interp.universe)
-    vals = idx.values_of(interp)
-    return {idx.atoms[i] for i in _consequences(idx, vals)}
-
-
-def greatest_unfounded(program: GroundProgram, interp: Interpretation) -> set[Atom]:
-    """Largest atom set whose every rule is false in `interp` or circular through the set."""
-    idx = _Indexed(program, interp.universe)
-    vals = idx.values_of(interp)
-    return {idx.atoms[i] for i in _unfounded(idx, vals)}
-
-
-def wf_step(program: GroundProgram, interp: Interpretation) -> Interpretation:
-    idx = _Indexed(program, interp.universe)
-    vals = idx.values_of(interp)
-    true_ids = _consequences(idx, vals)
-    false_ids = _unfounded(idx, vals)
-    if true_ids & false_ids:
-        raise EngineError("well-founded step produced an inconsistent literal set")
-    return Interpretation(frozenset(idx.atoms),
-                          frozenset(idx.atoms[i] for i in true_ids),
-                          frozenset(idx.atoms[i] for i in false_ids))
-
-
-def well_founded(program: GroundProgram) -> Interpretation:
-    """Least fixpoint of the T/unfounded transformation, from the empty interpretation."""
-    idx = _Indexed(program)
-    vals = [_UNDEF] * len(idx.atoms)
-    prev_defined = -1
-    while True:
-        true_ids = _consequences(idx, vals)
-        false_ids = _unfounded(idx, vals)
-        if true_ids & false_ids:
-            raise EngineError("well-founded step produced an inconsistent literal set")
-        new_vals = [_UNDEF] * len(idx.atoms)
-        for i in true_ids:
-            new_vals[i] = _TRUE
-        for i in false_ids:
-            new_vals[i] = _FALSE
-        for old, new in zip(vals, new_vals):
-            if old != _UNDEF and old != new:
-                raise EngineError("well-founded iteration is not inflationary")
-        defined = len(true_ids) + len(false_ids)
-        if defined == prev_defined:
-            return idx.to_interpretation(new_vals)
-        prev_defined = defined
-        vals = new_vals
-
-
-# ---------------------------------------------------------------------------
-# Reducts and stability
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReductRule:
-    """Positive rule; `floor` folds the truth constants substituted for negated literals."""
-
-    head: Atom
-    positive: tuple[Atom, ...]
-    floor: TruthValue
-
-    def __str__(self) -> str:
-        parts = [str(a) for a in self.positive] + [str(self.floor)]
-        return f"{self.head} :- {', '.join(parts)}."
-
-
-@dataclass(frozen=True)
-class ReductProgram:
-    rules: tuple[ReductRule, ...]
-    universe: frozenset[Atom]
-
-
-def gl_reduct(program: GroundProgram, interp: Interpretation) -> ReductProgram:
-    """Replace each negated body literal with the complement of its value in `interp`."""
-    rules = []
-    for rule in program.rules:
-        positive = tuple(lit.atom for lit in rule.body if lit.positive)
-        floor = TruthValue.TRUE
-        for lit in rule.body:
-            if not lit.positive:
-                floor = min(floor, interp.value(lit.atom).negate())
-        rules.append(ReductRule(rule.head, positive, floor))
-    return ReductProgram(tuple(rules), program.universe)
-
-
-def least_3v_model(reduct: ReductProgram) -> Interpretation:
-    """Least three-valued model of a positive program, by increasing fixpoint from all-false."""
-    atoms = sorted(reduct.universe, key=str)
-    index = {atom: i for i, atom in enumerate(atoms)}
-    vals = [_FALSE] * len(atoms)
-    rules = [(index[r.head], tuple(index[a] for a in r.positive), int(r.floor))
-             for r in reduct.rules]
-    changed = True
-    while changed:
-        changed = False
-        for head, pos, floor in rules:
-            v = floor
-            for p in pos:
-                if vals[p] < v:
-                    v = vals[p]
-            if v > vals[head]:
-                vals[head] = v
-                changed = True
-    return Interpretation(frozenset(atoms),
-                          frozenset(a for a, v in zip(atoms, vals) if v == _TRUE),
-                          frozenset(a for a, v in zip(atoms, vals) if v == _FALSE))
+def _psi(idx: _Indexed, vals: list[int]) -> list[int]:
+    """The reduct operator: the least three-valued model of the reduct by `vals`."""
+    floors = _floors(idx, vals)
+    # Atoms at TRUE are also at UNDEFINED, so the two flags add up to the value.
+    return [top + mid for top, mid in zip(_reach(idx, floors, _TRUE),
+                                          _reach(idx, floors, _UNDEF))]
 
 
 def _stable(idx: _Indexed, vals: list[int]) -> bool:
-    floors = []
-    for head, pos, neg in idx.rules:
-        floor = _TRUE
-        for n in neg:
-            complement = 2 - vals[n]
-            if complement < floor:
-                floor = complement
-        floors.append((head, pos, floor))
-    least = [_FALSE] * len(vals)
-    changed = True
-    while changed:
-        changed = False
-        for head, pos, floor in floors:
-            v = floor
-            for p in pos:
-                if least[p] < v:
-                    v = least[p]
-            if v > least[head]:
-                least[head] = v
-                changed = True
-    return least == vals
+    """True when `vals` is a fixpoint of the reduct operator.
+
+    The least model of the reduct is compared with `vals` one level at a
+    time, TRUE first, and the check stops at the first level that differs.
+    """
+    floors = _floors(idx, vals)
+    for level in (_TRUE, _UNDEF):
+        if _reach(idx, floors, level) != [v >= level for v in vals]:
+            return False
+    return True
+
+
+def well_founded(program: GroundProgram) -> Interpretation:
+    """Least fixpoint of the reduct operator, iterated from the all-undefined interpretation."""
+    idx = _Indexed(program)
+    vals = [_UNDEF] * len(idx.atoms)
+    while True:
+        new_vals = _psi(idx, vals)
+        if new_vals == vals:
+            return idx.to_interpretation(vals)
+        for old, new in zip(vals, new_vals):
+            if old != _UNDEF and old != new:
+                raise EngineError("well-founded iteration is not inflationary")
+        vals = new_vals
 
 
 def is_pstable(program: GroundProgram, interp: Interpretation) -> bool:

@@ -198,7 +198,8 @@ class _Session:
     """One pipeline: rewrite, embed, ground, compute models, apply.
 
     Every stage is computed once per rewriting mode ("st" or "bm") and kept
-    on the instance, so several semantics and commands share one grounding.
+    on the instance, or its `ResourceLimitError` is, so several semantics and
+    commands share one grounding and one enumeration.
     """
 
     def __init__(self, up: UpdateProgram, database: Database, *,
@@ -219,8 +220,14 @@ class _Session:
     def _stage(self, name: str, mode: str, compute):
         key = (name, mode)
         if key not in self._stages:
-            self._stages[key] = compute()
-        return self._stages[key]
+            try:
+                self._stages[key] = compute()
+            except ResourceLimitError as exc:
+                self._stages[key] = exc
+        value = self._stages[key]
+        if isinstance(value, ResourceLimitError):
+            raise value
+        return value
 
     @cached_property
     def delta_applied(self) -> Database:

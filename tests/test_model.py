@@ -1,13 +1,17 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlog import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
                    Interpretation, Polarity, Program, Rule, SchemaError,
                    StdLiteral, TruthValue, UniverseError, UpdateAtom,
-                   UpdateProgram, ValidationError, Variable, eval_literal,
-                   info_leq, is_model, rename_constants, rule_satisfied,
-                   validate_program, validate_update_program, parse_program)
+                   UpdateProgram, ValidationError, Variable, enumerate_pstable,
+                   info_leq, rename_constants, validate_program,
+                   validate_update_program, parse_program)
+from adlog.selftest import (eval_literal, is_model, random_ground_program,
+                            rule_satisfied)
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 
@@ -79,6 +83,13 @@ class TestIsModel:
 
     def test_empty_program(self):
         assert is_model(Program(), interp([a, b]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_partial_stable_models_are_models(self, seed):
+        program = random_ground_program(random.Random(seed))
+        for model in enumerate_pstable(program).models():
+            assert is_model(program, model)
 
 
 class TestDatabase:

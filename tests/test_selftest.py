@@ -10,8 +10,8 @@ class TestDeterminism:
     def test_instance_generator_replays_with_same_seed(self):
         def sample(seed):
             gen = InstanceGenerator(random.Random(seed))
-            return [(render(up.program), render(up.delta), render(db))
-                    for up, db in (gen.instance() for _ in range(10))]
+            return [(render(s.up.program), render(s.up.delta), render(s.database))
+                    for s in (gen.instance() for _ in range(10))]
         assert sample(42) == sample(42)
         assert sample(42) != sample(43)
 

@@ -5,14 +5,15 @@ import pytest
 
 from adlog import (Atom, Constant, Database, Interpretation,
                    ResourceLimitError, TruthValue, embed_database,
-                   enumerate_pstable, gl_reduct, greatest_unfounded, ground,
-                   immediate_consequence, is_pstable, least_3v_model,
-                   max_deterministic, parse_program, rewrite_st,
-                   stable_family, well_founded, wf_step)
-from adlog.selftest import as_ground, brute_force_family, random_ground_program
+                   enumerate_pstable, ground, is_pstable, max_deterministic,
+                   parse_program, rewrite_bm, rewrite_st, stable_family,
+                   well_founded)
+from adlog.selftest import (InstanceGenerator, as_ground, brute_force_family,
+                            eval_literal, gl_reduct, least_3v_model,
+                            random_ground_program)
 from adlog.stable import FLAG_L_STABLE, FLAG_M_STABLE, FLAG_T_STABLE
 
-from conftest import load_update_program
+from conftest import FIXTURES, load_update_program
 
 a, b, c, p, q = Atom("a"), Atom("b"), Atom("c"), Atom("p"), Atom("q")
 
@@ -51,6 +52,62 @@ def oracle_unfounded(program, interpretation):
             if is_unfounded(set(combo)):
                 best |= set(combo)
     return best
+
+
+# The well-founded model as the least fixpoint of W(I) = T(I) + not-U(I), on
+# rule and interpretation objects: the oracle for the reduct-operator kernel.
+
+def immediate_consequence(program, interpretation):
+    """Heads of rules whose entire body is true in the interpretation."""
+    return {rule.head for rule in program.rules
+            if all(eval_literal(lit, interpretation) is TruthValue.TRUE for lit in rule.body)}
+
+
+def greatest_unfounded(program, interpretation):
+    """Largest atom set whose every rule is false in `interpretation` or circular through the set.
+
+    Erodes the candidate set: an atom escapes as soon as some rule for it is
+    neither false in the interpretation nor circular through the candidates.
+    """
+    unfounded = {atom for atom in program.universe | interpretation.universe
+                 if interpretation.value(atom) is not TruthValue.TRUE}
+    changed = True
+    while changed:
+        changed = False
+        for rule in program.rules:
+            if rule.head not in unfounded:
+                continue
+            if any(eval_literal(lit, interpretation) is TruthValue.FALSE for lit in rule.body):
+                continue
+            if not any(lit.positive and lit.atom in unfounded for lit in rule.body):
+                unfounded.discard(rule.head)
+                changed = True
+    return unfounded
+
+
+def wf_step(program, interpretation):
+    return Interpretation(program.universe | interpretation.universe,
+                          frozenset(immediate_consequence(program, interpretation)),
+                          frozenset(greatest_unfounded(program, interpretation)))
+
+
+def oracle_well_founded(program):
+    """Iterate the W operator from the empty interpretation to its fixpoint."""
+    current = Interpretation.empty(program.universe)
+    while True:
+        nxt = wf_step(program, current)
+        if nxt == current:
+            return current
+        assert current.issubset(nxt), "W iteration is not inflationary"
+        current = nxt
+
+
+def chain_program(n: int, reverse: bool = False):
+    """The ROADMAP chain family: `a_i :- not a_{i+1}` and `b_i :- b_{i+1}`, n links each."""
+    text = "".join(f"a{i} :- not a{i + 1}.\n" for i in range(n))
+    text += "".join(f"b{i} :- b{i + 1}.\n" for i in range(n)) + f"b{n}.\n"
+    rules = parse_program(text).rules
+    return as_ground(rules[::-1] if reverse else rules)
 
 
 class TestImmediateConsequence:
@@ -137,6 +194,44 @@ class TestWellFounded:
         assert wf.false_atoms == {a, Atom("d"), Atom("e")}
 
 
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.adl"))
+
+
+class TestKernelMatchesWOperator:
+    def test_random_ground_programs(self):
+        for seed in range(300):
+            g = random_ground_program(random.Random(seed))
+            assert well_founded(g) == oracle_well_founded(g), seed
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture(self, name):
+        if name.startswith("zoo_"):
+            programs = [ground_of((FIXTURES / f"{name}.adl").read_text())]
+        else:
+            up, db = load_update_program(name, db=(FIXTURES / f"{name}.adb").exists())
+            programs = [ground(embed_database(rewriting(up), db))
+                        for rewriting in (rewrite_st, rewrite_bm)]
+        for g in programs:
+            assert well_founded(g) == oracle_well_founded(g)
+
+    def test_generated_instances(self):
+        gen = InstanceGenerator(random.Random(31))
+        for case in range(100):
+            session = gen.instance()
+            for mode in ("st", "bm"):
+                g = session.ground(mode)
+                assert well_founded(g) == oracle_well_founded(g), (case, mode)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_chain_family(self, reverse):
+        g = chain_program(50, reverse)
+        wf = well_founded(g)
+        assert wf == oracle_well_founded(g)
+        assert wf.undefined_count == 0
+        assert {str(atom) for atom in wf.true_atoms if atom.predicate.startswith("a")} \
+            == {f"a{i}" for i in range(49, -1, -2)}
+
+
 class TestReduct:
     def test_false_negation_becomes_true_floor(self):
         g = ground_of("a :- not b.")
@@ -190,6 +285,24 @@ class TestIsPstable:
     def test_unstable_assignment(self, fixtures_dir):
         g = ground_of((fixtures_dir / "zoo_join.adl").read_text())
         assert not is_pstable(g, interp(g.universe, true=[a], false=[b]))
+
+    def test_matches_reduct_route(self):
+        rng = random.Random(13)
+        verdicts = set()
+        for _ in range(60):
+            g = random_ground_program(rng)
+            atoms = sorted(g.universe, key=str)
+            candidates = list(enumerate_pstable(g).models())
+            for _ in range(10):
+                values = [rng.choice(list(TruthValue)) for _ in atoms]
+                candidates.append(interp(
+                    atoms, [x for x, v in zip(atoms, values) if v is TruthValue.TRUE],
+                    [x for x, v in zip(atoms, values) if v is TruthValue.FALSE]))
+            for m in candidates:
+                stable = least_3v_model(gl_reduct(g, m)) == m
+                assert is_pstable(g, m) == stable, m.render_key()
+                verdicts.add(stable)
+        assert verdicts == {True, False}
 
     def test_well_founded_is_always_stable(self):
         rng = random.Random(11)

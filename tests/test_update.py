@@ -1,13 +1,14 @@
 import pytest
 
+import adlog.stable
 import adlog.update
 from adlog import (Atom, ConsistencyError, Constant, Database, DeltaSet,
                    EngineError, Interpretation, PreconditionError, Program,
                    Semantics, UpdateOutcome, UpdateProgram, apply_delta,
                    apply_updates, compare, embed_database, extract_updates,
                    ground, info_leq, is_total_transformation, parse_database,
-                   parse_delta, rename_constants, rewrite_st, run,
-                   well_founded)
+                   parse_delta, parse_program, rename_constants, rewrite_st,
+                   run, well_founded)
 
 from conftest import load_update_program
 
@@ -234,6 +235,30 @@ class TestCompare:
         up, db = load_update_program("new_hire_worker")
         with pytest.raises(EngineError, match="injected defect"):
             compare(up, db)
+
+    def test_refused_enumeration_is_computed_once(self, monkeypatch):
+        calls = {"stable_family": 0, "well_founded": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(adlog.update, "stable_family")
+        counting(adlog.update, "well_founded")
+        counting(adlog.stable, "well_founded")
+        up = UpdateProgram(DeltaSet(), parse_program("".join(
+            f"+p({k}) :- not +q({k}).\n+q({k}) :- not +p({k}).\n" for k in "abc")))
+        result = compare(up, Database(), cap=3)
+        refused = {row.semantics for row in result.rows if row.report is None}
+        assert refused == {Semantics.MD, Semantics.TMDS, Semantics.UTS, Semantics.TS,
+                           Semantics.MS, Semantics.MSTT}
+        assert len({row.error for row in result.rows if row.report is None}) == 1
+        # One enumeration; the well-founded model of st (for ws and for the
+        # enumeration) and of bm.
+        assert calls == {"stable_family": 1, "well_founded": 3}
 
 
 class TestGenericity:
