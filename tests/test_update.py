@@ -4,7 +4,7 @@ import adlog.stable
 import adlog.update
 from adlog import (Atom, ConsistencyError, Constant, Database, DeltaSet,
                    EngineError, Interpretation, PreconditionError, Program,
-                   Semantics, UpdateOutcome, UpdateProgram, apply_delta,
+                   Semantics, TruthValue, UpdateOutcome, UpdateProgram, apply_delta,
                    apply_updates, compare, embed_database, extract_updates,
                    ground, info_leq, is_total_transformation, parse_database,
                    parse_delta, parse_program, rename_constants, rewrite_st,
@@ -256,9 +256,27 @@ class TestCompare:
         assert refused == {Semantics.MD, Semantics.TMDS, Semantics.UTS, Semantics.TS,
                            Semantics.MS, Semantics.MSTT}
         assert len({row.error for row in result.rows if row.report is None}) == 1
-        # One enumeration; the well-founded model of st (for ws and for the
-        # enumeration) and of bm.
-        assert calls == {"stable_family": 1, "well_founded": 3}
+        # One enumeration; the well-founded model of st (for ws, and kept for
+        # the enumeration) and of bm.
+        assert calls == {"stable_family": 1, "well_founded": 2}
+
+    def test_family_path_computes_the_well_founded_model_once(self, monkeypatch):
+        started = []
+        original = adlog.stable._psi
+
+        def psi(idx, vals):
+            if all(v == int(TruthValue.UNDEFINED) for v in vals):
+                started.append(len(vals))  # the first round of a well-founded iteration
+            return original(idx, vals)
+
+        monkeypatch.setattr(adlog.stable, "_psi", psi)
+        up = UpdateProgram(DeltaSet(), parse_program(
+            "+p(a) :- not +q(a).\n+q(a) :- not +p(a).\n"))
+        result = compare(up, Database())
+        assert all(row.report is not None for row in result.rows)
+        # One fixpoint per rewriting, shared by ws, the enumeration and the
+        # classification.
+        assert len(started) == 2
 
 
 class TestGenericity:
