@@ -8,6 +8,7 @@ errors, 2 the chosen semantics rejected the update (database unchanged),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -218,8 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call and kept for later ones."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, ParseError, ValidationError, SchemaError, OSError) as exc:

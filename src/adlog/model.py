@@ -295,18 +295,17 @@ def validate_program(program: Program, *, allow_reserved: bool = False) -> None:
     arities: dict[str, int] = {}
     idb = program.idb_predicates()
     for rule in program.rules:
-        where = f" in rule '{rule}'" + (f" ({rule.origin})" if rule.origin else "")
         for atom in Program._all_atoms(rule):
             if not allow_reserved and atom.predicate.startswith(RESERVED_PREFIX):
                 raise ValidationError(
-                    f"reserved predicate name {atom.predicate}{where}")
+                    f"reserved predicate name {atom.predicate}{_where(rule)}")
             _record_arity(arities, atom)
         update_atoms = [rule.head] if rule.is_active else []
         update_atoms += [lit.uatom for lit in rule.body if isinstance(lit, UpdLiteral)]
         for uatom in update_atoms:
             if uatom.atom.predicate in idb:
                 raise ValidationError(
-                    f"update atom {uatom} targets derived predicate{where}")
+                    f"update atom {uatom} targets derived predicate{_where(rule)}")
         positive = set()
         for lit in rule.body:
             if isinstance(lit, StdLiteral) and lit.positive:
@@ -324,7 +323,12 @@ def validate_program(program: Program, *, allow_reserved: bool = False) -> None:
                 name = sorted(v.name for v in loose)[0]
                 raise ValidationError(
                     f"unsafe rule: variable {name} occurs under negation "
-                    f"but in no positive body literal{where}")
+                    f"but in no positive body literal{_where(rule)}")
+
+
+def _where(rule: Rule) -> str:
+    """The rule and its origin, for a validation message."""
+    return f" in rule '{rule}'" + (f" ({rule.origin})" if rule.origin else "")
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +498,27 @@ class Interpretation:
         return not (self.true_atoms & other.false_atoms or self.false_atoms & other.true_atoms)
 
     def render_key(self) -> str:
-        """Deterministic rendering used for canonical model ordering."""
-        parts = []
-        for atom in sorted(self.universe, key=str):
-            v = self.value(atom)
-            if v is TruthValue.TRUE:
-                parts.append(f"{atom}.")
-            elif v is TruthValue.FALSE:
-                parts.append(f"not {atom}.")
-            else:
-                parts.append(f"{atom}?")
-        return " ".join(parts)
+        """Deterministic rendering used for canonical model ordering.
+
+        One `render_token` per atom of the universe, joined by spaces, the
+        atoms in `str` order.  No token is a prefix of another token of the
+        same atom, so two renderings over one universe compare as their
+        tokens do at the first atom on which they differ.
+        """
+        true, false = self.true_atoms, self.false_atoms
+        return " ".join([render_token(text, TruthValue.TRUE if atom in true
+                                      else TruthValue.FALSE if atom in false
+                                      else TruthValue.UNDEFINED)
+                         for text, atom in sorted([(str(a), a) for a in self.universe])])
+
+
+def render_token(text: str, value: TruthValue) -> str:
+    """The `render_key` token of an atom rendered as `text`: `A.`, `not A.` or `A?`."""
+    if value is TruthValue.TRUE:
+        return text + "."
+    if value is TruthValue.FALSE:
+        return "not " + text + "."
+    return text + "?"
 
 
 # ---------------------------------------------------------------------------

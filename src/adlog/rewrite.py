@@ -85,9 +85,6 @@ class StandardProgram:
     def constants(self) -> set[str]:
         return Program(self.rules).constants()
 
-    def as_program(self) -> Program:
-        return Program(self.rules)
-
 
 @dataclass(frozen=True, eq=False)
 class GroundProgram:

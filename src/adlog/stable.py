@@ -14,16 +14,25 @@ residue: the residue splits into components linked by the rules still live
 under the well-founded model (splitting sets; Lifschitz & Turner 1994), each
 component's assignments are tried on their own, and the family is the
 product of the fixpoints of Psi found per component.
+
+The family is kept factorised: `ModelFamily` holds the well-founded model
+and each component's parts, and `classify` flags a part within its
+component.  Components share no atoms, so a model carries a flag exactly when
+each of its parts does (the argument per flag is on `ModelFamily`), counts
+are products of per-component counts, and a model is chosen part by part.
+The product of the parts is listed only when `records` is read.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .model import (Atom, EngineError, Interpretation, ResourceLimitError,
-                    TruthValue)
+                    TruthValue, render_token)
 from .rewrite import GroundProgram
 
 DEFAULT_ENUMERATION_CAP = 20
@@ -191,7 +200,57 @@ class ModelRecord:
 
 @dataclass(frozen=True)
 class ModelFamily:
-    records: tuple[ModelRecord, ...]
+    """The partial stable models of a program, factorised over its residue components.
+
+    `components` holds, for each component of the well-founded model `wf`'s
+    undefined residue (see `_components`), its parts: the partial stable
+    assignments of the component's atoms, each a record whose model ranges
+    over those atoms only, in `render_key` order.  The models of the family
+    are exactly the well-founded model with every component set to one of
+    its parts, any combination (see `enumerate_pstable`).
+
+    `classify` flags each part within its component, and a model carries a
+    flag exactly when every one of its parts carries it.  Components share no
+    atoms, so a model's literal set is the disjoint union of `wf`'s and its
+    parts' literal sets, and every flag factors:
+
+    - well-founded: the family's intersection is `wf`'s literal set exactly
+      when each component's parts have an empty intersection, and then a
+      model equals it exactly when each part is empty;
+    - t-stable: a model is total exactly when each part is;
+    - m-stable: a model below another is below it in some component, and a
+      part below another yields a model below another, so a model is maximal
+      exactly when each part is maximal in its component;
+    - l-stable: the undefined atoms of a model add up over its parts, so the
+      fewest among m-stable models is the sum of each component's fewest
+      among its m-stable parts, and a model reaches it exactly when each part
+      is m-stable and reaches its component's fewest;
+    - deterministic: two models are consistent exactly when their parts are,
+      component by component, and any part combines with any other, so a
+      model is consistent with every model exactly when each part is
+      consistent with every part of its component;
+    - max-deterministic: a deterministic model contains every deterministic
+      model exactly when each part contains every deterministic part of its
+      component, so the maximum is unique exactly when it is per component.
+
+    Every count is therefore the product of per-component counts, and the
+    models with a flag are the product of the parts with it (`parts_with`).
+    The product itself, `records`, is built only when it is read.
+    """
+
+    wf: Interpretation
+    components: tuple[tuple[ModelRecord, ...], ...]
+    classified: bool = False
+
+    @cached_property
+    def records(self) -> tuple[ModelRecord, ...]:
+        """Every model with its flags, in `render_key` order: the product, built on first use."""
+        start = frozenset(ALL_FLAGS) if self.classified else frozenset()
+        records = [ModelRecord(self.model_of(choice),
+                               start.intersection(*(part.flags for part in choice)))
+                   for choice in itertools.product(*self.components)]
+        records.sort(key=lambda r: r.model.render_key())
+        return tuple(records)
 
     def models(self) -> tuple[Interpretation, ...]:
         return tuple(r.model for r in self.records)
@@ -199,11 +258,66 @@ class ModelFamily:
     def with_flag(self, flag: str) -> tuple[ModelRecord, ...]:
         return tuple(r for r in self.records if r.has(flag))
 
+    def parts_with(self, flag: str) -> list[tuple[ModelRecord, ...]]:
+        """Per component, the parts that carry `flag` in a classified family.
+
+        The models that carry `flag` are the product of these parts.
+        """
+        return [tuple(part for part in parts if flag in part.flags)
+                for parts in self.components]
+
     def counts(self) -> dict[str, int]:
-        out = {"models": len(self.records)}
+        out = {"models": math.prod(len(parts) for parts in self.components)}
         for flag in ALL_FLAGS:
-            out[flag.replace("-", "_")] = len(self.with_flag(flag))
+            out[flag.replace("-", "_")] = math.prod(
+                len(parts) for parts in self.parts_with(flag)) if self.classified else 0
         return out
+
+    def model_of(self, parts: Iterable[ModelRecord]) -> Interpretation:
+        """The well-founded model with the components of `parts` set to them.
+
+        The universe is `wf`'s defined atoms plus the atoms of those
+        components: with one part of every component, all of `wf`'s universe.
+        """
+        parts = tuple(part.model for part in parts)
+        wf = self.wf
+        return Interpretation(
+            (wf.true_atoms | wf.false_atoms).union(*(part.universe for part in parts)),
+            wf.true_atoms.union(*(part.true_atoms for part in parts)),
+            wf.false_atoms.union(*(part.false_atoms for part in parts)))
+
+    def nth(self, eligible: Sequence[Sequence[ModelRecord]], index: int) -> Interpretation:
+        """The model at `index` in `render_key` order of the product of `eligible`.
+
+        `eligible` holds some of each component's parts, in any order.  Two
+        renderings compare as their tokens do at the first atom, in `str`
+        order, on which they differ (see `Interpretation.render_key`).  So the
+        index is decoded one residue atom at a time, without listing the
+        product.  The models that agree with the atoms fixed so far are
+        grouped by the atom's token, in token order; a group holds as many
+        models as the product, over the components, of the parts still
+        possible.  The index skips whole groups until it falls into one, and
+        that group fixes the atom.  So the least model of the product sets
+        each component to its least part.
+        """
+        live = [list(parts) for parts in eligible]
+        count = math.prod(len(parts) for parts in live)
+        if not 0 <= index < count:
+            raise IndexError(f"model {index} of a product of {count}")
+        positions = sorted((str(atom), c, atom) for c, parts in enumerate(live)
+                           for atom in parts[0].model.universe)
+        for text, c, atom in positions:
+            rest = count // len(live[c])
+            groups: dict[str, list[ModelRecord]] = {}
+            for part in live[c]:
+                groups.setdefault(render_token(text, part.model.value(atom)), []).append(part)
+            for token in sorted(groups):
+                count = rest * len(groups[token])
+                if index < count:
+                    live[c] = groups[token]
+                    break
+                index -= count
+        return self.model_of(parts[0] for parts in live)
 
 
 def _components(idx: _Indexed, base: list[int]) -> list[list[int]]:
@@ -257,8 +371,9 @@ def enumerate_pstable(program: GroundProgram,
     defines, so Psi(M) on a component C depends only on M's values on C.  M
     is therefore a fixpoint exactly when, for every C, the candidate that
     agrees with M on C and with W elsewhere is one.  Each component's 3^|C|
-    assignments are checked with every other atom at its W value, and the
-    family is the product of the assignments kept per component.
+    assignments are checked with every other atom at its W value; the family
+    keeps the assignments found per component and is their product.  W is
+    in the family exactly when every component keeps its all-undefined part.
     """
     wf = _well_founded(program)
     if wf.undefined_count > cap:
@@ -267,54 +382,49 @@ def enumerate_pstable(program: GroundProgram,
             f"exceeds the enumeration cap of {cap}", cap)
     idx = _Indexed(program)
     base = idx.values_of(wf)
-    parts = []
+    components = []
     for component in _components(idx, base):
-        kept = []
+        atoms = frozenset(idx.atoms[s] for s in component)
+        parts = []
         for combo in itertools.product((_FALSE, _UNDEF, _TRUE), repeat=len(component)):
             vals = list(base)
             for slot, value in zip(component, combo):
                 vals[slot] = value
             if _stable(idx, vals):
-                kept.append((
+                parts.append(Interpretation(
+                    atoms,
                     frozenset(idx.atoms[s] for s, v in zip(component, combo) if v == _TRUE),
                     frozenset(idx.atoms[s] for s, v in zip(component, combo) if v == _FALSE)))
-        parts.append(kept)
-    models = [Interpretation(wf.universe,
-                             wf.true_atoms.union(*(true for true, _ in choice)),
-                             wf.false_atoms.union(*(false for _, false in choice)))
-              for choice in itertools.product(*parts)]
-    models.sort(key=lambda m: m.render_key())
-    if wf not in models:
-        raise EngineError("well-founded model missing from the enumerated family")
-    return ModelFamily(tuple(ModelRecord(m) for m in models))
+        if not any(part.undefined_count == len(atoms) for part in parts):
+            raise EngineError("well-founded model missing from the enumerated family")
+        parts.sort(key=lambda part: part.render_key())
+        components.append(tuple(ModelRecord(part) for part in parts))
+    return ModelFamily(wf, tuple(components))
 
 
-def classify(program: GroundProgram, family: ModelFamily) -> ModelFamily:
-    """Attach the model-class flags to an enumerated family."""
-    models = family.models()
-    if not models:
+def _classify_component(parts: tuple[ModelRecord, ...]) -> tuple[ModelRecord, ...]:
+    """Flag the parts of one residue component within it (see `ModelFamily`)."""
+    if not parts:
         raise EngineError("empty stable model family")
+    models = [part.model for part in parts]
     literal_sets = [m.literal_set() for m in models]
-    intersection = frozenset.intersection(*literal_sets)
-    wf = _well_founded(program)
-    if intersection != wf.literal_set():
+    # The well-founded model defines no atom of the component.
+    if frozenset.intersection(*literal_sets):
         raise EngineError("family intersection disagrees with the well-founded model")
 
     maximal = [not any(ls < other for other in literal_sets) for ls in literal_sets]
-    least_undefined = min((m.undefined_count for m, is_max in zip(models, maximal) if is_max),
-                          default=0)
+    least_undefined = min(m.undefined_count for m, is_max in zip(models, maximal) if is_max)
     deterministic = [all(m.union_consistent(n) for n in models) for m in models]
-
     det_sets = [ls for ls, d in zip(literal_sets, deterministic) if d]
-    max_det_ids = [i for i, (ls, d) in enumerate(zip(literal_sets, deterministic))
-                   if d and all(other <= ls for other in det_sets)]
-    if len(max_det_ids) != 1:
+    max_det = [d and all(other <= ls for other in det_sets)
+               for ls, d in zip(literal_sets, deterministic)]
+    if sum(max_det) != 1:
         raise EngineError("deterministic family has no unique maximum")
 
     records = []
     for i, model in enumerate(models):
         flags = set()
-        if literal_sets[i] == intersection:
+        if not literal_sets[i]:
             flags.add(FLAG_WELL_FOUNDED)
         if model.is_total:
             flags.add(FLAG_T_STABLE)
@@ -324,10 +434,18 @@ def classify(program: GroundProgram, family: ModelFamily) -> ModelFamily:
                 flags.add(FLAG_L_STABLE)
         if deterministic[i]:
             flags.add(FLAG_DETERMINISTIC)
-        if i in max_det_ids:
+        if max_det[i]:
             flags.add(FLAG_MAX_DETERMINISTIC)
         records.append(ModelRecord(model, frozenset(flags)))
-    return ModelFamily(tuple(records))
+    return tuple(records)
+
+
+def classify(program: GroundProgram, family: ModelFamily) -> ModelFamily:
+    """Attach the model-class flags to an enumerated family, one component at a time."""
+    if family.wf != _well_founded(program):
+        raise EngineError("family intersection disagrees with the well-founded model")
+    return ModelFamily(family.wf, tuple(_classify_component(parts)
+                                        for parts in family.components), classified=True)
 
 
 def stable_family(program: GroundProgram,
@@ -340,5 +458,4 @@ def max_deterministic(program: GroundProgram,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> Interpretation:
     """The top of the deterministic-model lattice."""
     family = stable_family(program, cap)
-    (record,) = family.with_flag(FLAG_MAX_DETERMINISTIC)
-    return record.model
+    return family.model_of(parts[0] for parts in family.parts_with(FLAG_MAX_DETERMINISTIC))

@@ -10,6 +10,7 @@ insertions of the same fact.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from collections import namedtuple
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .rewrite import (GroundProgram, StandardProgram, base_atom_of_renamed,
                       embed_database, ground, rewrite_bm, rewrite_st)
 from .stable import (DEFAULT_ENUMERATION_CAP, FLAG_M_STABLE,
                      FLAG_MAX_DETERMINISTIC, FLAG_T_STABLE, ModelFamily,
-                     stable_family, well_founded)
+                     ModelRecord, stable_family, well_founded)
 
 
 class Semantics(enum.Enum):
@@ -265,21 +266,23 @@ class _Session:
         # The input delta is applied first under st; bm folds it into the rules.
         base = self.delta_applied if plan.mode == "st" else self.database
         stats: dict[str, int] | None = None
+        chosen: Interpretation | None = None
         if plan.source is None:
-            candidates = [self.wf(plan.mode)]
+            chosen = self.wf(plan.mode)
         else:
+            # The candidates are the product of per-component parts (ModelFamily).
             family = self.family(plan.mode)
             stats = family.counts()
-            candidates = [r.model for r in family.with_flag(plan.source)]
-
-        chosen: Interpretation | None = None
-        if plan.choose:
-            if plan.total_output:
-                candidates = [m for m in candidates if self.apply_model(m, base).is_total]
-            if candidates:
-                chosen = _select(candidates, policy, seed)
-        elif len(candidates) == 1:
-            chosen = candidates[0]
+            eligible = family.parts_with(plan.source)
+            if plan.choose:
+                if plan.total_output:
+                    # A model transforms totally exactly when each of its parts does.
+                    eligible = [tuple(part for part in parts if self.apply_model(
+                        family.model_of([part]), base).is_total) for parts in eligible]
+                if all(eligible):
+                    chosen = _select(family, eligible, policy, seed)
+            elif all(len(parts) == 1 for parts in eligible):
+                chosen = family.model_of(parts[0] for parts in eligible)
         # A single model that fails the totality test is still reported.
         output = self.apply_model(chosen, base) if chosen is not None else None
         if output is None or plan.total_output and not output.is_total:
@@ -290,12 +293,16 @@ class _Session:
                          policy, seed if policy == "random" else None)
 
 
-def _select(models: list[Interpretation], policy: str, seed: int | None) -> Interpretation:
-    ordered = sorted(models, key=lambda m: m.render_key())
+def _select(family: ModelFamily, eligible: list[tuple[ModelRecord, ...]],
+            policy: str, seed: int | None) -> Interpretation:
+    """The model `policy` picks from the product of `eligible`, in `render_key` order."""
     if policy == "lex":
-        return ordered[0]
+        # Each component's least part makes the least model (ModelFamily.nth).
+        return family.model_of(parts[0] for parts in eligible)
     if policy == "random":
-        return random.Random(seed).choice(ordered)
+        # The index random.Random(seed).choice takes from a sequence this long.
+        count = math.prod(len(parts) for parts in eligible)
+        return family.nth(eligible, random.Random(seed).randrange(count))
     raise ValueError(f"unknown selection policy {policy!r}")
 
 

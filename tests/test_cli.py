@@ -129,6 +129,36 @@ class TestOutputs:
         assert wf.strip() == json.loads(report)["model"]
 
 
+class TestParserReuse:
+    """`main` keeps one parser for the process; no call leaks into the next."""
+
+    def test_calls_with_different_subcommands_and_flags_are_independent(self, capsys):
+        args = fixture_args("new_hire_worker")
+        _, seeded = invoke(capsys, "apply", "--json", "--choose", "random", "--seed", "7",
+                           "--semantics", "ms", *args)
+        _, listing = invoke(capsys, "models", "--json", "--cap", "12", "-p", fx("zoo_join.adl"))
+        _, lex = invoke(capsys, "apply", "--json", "--semantics", "ms", *args)
+        _, text = invoke(capsys, "apply", "--semantics", "ms", *args)
+        assert seeded == (GOLDEN / "apply_new_hire_worker_ms_random7.json").read_text()
+        assert json.loads(listing)["counts"]["models"] == 4
+        doc = json.loads(lex)
+        assert (doc["policy"], doc["seed"]) == ("lex", None)
+        assert text.startswith("semantics: ms\n")
+        fresh = subprocess.run([sys.executable, "-m", "adlog.cli", "apply", "--json",
+                                "--semantics", "ms", *args],
+                               capture_output=True, text=True, check=True).stdout
+        assert lex == fresh
+
+    def test_parser_is_built_on_first_use(self):
+        code = ("import adlog.cli as cli\n"
+                "print(cli._parser.cache_info().currsize)\n"
+                "cli._parser()\n"
+                "print(cli._parser() is cli._parser())")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["0", "True"]
+
+
 class TestByteStability:
     """The same invocation must print identical bytes across processes."""
 

@@ -170,6 +170,18 @@ class TestInterpretation:
         assert interp([a], true=[a]).union_consistent(interp([a], true=[a]))
         assert not interp([a], true=[a]).union_consistent(interp([a], false=[a]))
 
+    def test_render_key_tokens(self):
+        # Quoted constants, an atom named not_x next to x, zero-ary atoms and
+        # one named `not`: one token per atom, atoms in `str` order.
+        quoted = lambda *symbols: tuple(Constant(s) for s in symbols)
+        its, ab = Atom("p", quoted("it's")), Atom("p", quoted("A b"))
+        not_x, x, plus = Atom("not_x"), Atom("x"), Atom("@plus_q", quoted("a", "1"))
+        n, z, not_ = Atom("n"), Atom("z"), Atom("not")
+        m = interp([its, ab, not_x, x, a, z, plus, n, not_],
+                   true=[its, not_x, plus], false=[ab, x, a, not_])
+        assert m.render_key() == ("@plus_q(a,1). not a. n? not not. not_x. "
+                                  "not p('A b'). p('it''s'). not x. z?")
+
 
 class TestValidation:
     def test_unsafe_negative_variable(self):
@@ -193,6 +205,26 @@ class TestValidation:
         delta = DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("s", (Constant("a"),)))])
         with pytest.raises(ValidationError):
             validate_update_program(UpdateProgram(delta, program))
+
+    @pytest.mark.parametrize("text, message", [
+        ("p(X) :- not q(X).",
+         "unsafe rule: variable X occurs under negation but in no positive body "
+         "literal in rule 'p(X) :- not q(X).' (rules.adl:1)"),
+        ("@p(a) :- q(a).",
+         "reserved predicate name @p in rule '@p(a) :- q(a).' (rules.adl:1)"),
+        ("s(X) :- q(X).\n+s(a) :- q(a).",
+         "update atom +s(a) targets derived predicate in rule '+s(a) :- q(a).' (rules.adl:2)"),
+    ])
+    def test_messages_name_the_rule_and_its_origin(self, text, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_program(text, origin="rules.adl")
+        assert str(exc.value) == message
+        # Without an origin the message ends with the rule.
+        rules = tuple(Rule(r.head, r.body) for r in parse_program(
+            text, origin="rules.adl", validate=False).rules)
+        with pytest.raises(ValidationError) as exc:
+            validate_program(Program(rules))
+        assert str(exc.value) == message[:message.rindex(" (")]
 
     def test_head_variable_with_builtin_is_allowed(self):
         program = parse_program("diff(X,D) :- mgr(Y,P,D), Y != X.")

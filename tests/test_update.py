@@ -279,6 +279,28 @@ class TestCompare:
         assert len(started) == 2
 
 
+class TestIndependentPairs:
+    """k = 20 independent pairs: 3^20 models, none of them listed."""
+
+    def test_every_family_semantics_answers_from_the_parts(self):
+        text = "".join(f"p{i} :- not q{i}.\nq{i} :- not p{i}.\n" for i in range(20))
+        session = adlog.update._Session(UpdateProgram(DeltaSet(), parse_program(text)),
+                                        Database(), cap=40)
+        reports = {s: session.run(s) for s in (Semantics.MD, Semantics.TMDS, Semantics.UTS,
+                                               Semantics.TS, Semantics.MS, Semantics.MSTT)}
+        assert {s for s, r in reports.items() if not r.applied} == {Semantics.UTS}
+        assert reports[Semantics.MD].chosen_model == session.wf("st")
+        # `not p0.` sorts before `p0.`, so the least total model makes every q true.
+        assert reports[Semantics.TS].chosen_model.true_atoms == {atom(f"q{i}") for i in range(20)}
+        drawn = session.run(Semantics.MS, policy="random", seed=5).chosen_model
+        assert drawn.is_total and drawn != reports[Semantics.MS].chosen_model
+        family = session.family("st")
+        assert family.counts() == {"models": 3 ** 20, "well_founded": 1, "t_stable": 2 ** 20,
+                                   "m_stable": 2 ** 20, "l_stable": 2 ** 20,
+                                   "deterministic": 1, "max_deterministic": 1}
+        assert "records" not in vars(family)
+
+
 class TestGenericity:
     def test_renaming_commutes_on_cascade(self):
         up, db = load_update_program("project_cascade", db=True)
