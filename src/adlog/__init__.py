@@ -17,8 +17,7 @@ from .model import (AdlogError, Atom, BuiltinLiteral, ConsistencyError,
                     validate_update_program)
 from .parse import (parse_database, parse_delta, parse_interpretation,
                     parse_program, render)
-from .rewrite import (GroundProgram, StandardProgram, embed_database, ground,
-                      rewrite_bm, rewrite_st)
+from .rewrite import GroundProgram, embed_database, ground, rewrite_bm, rewrite_st
 from .stable import (DEFAULT_ENUMERATION_CAP, ModelFamily, ModelRecord,
                      classify, enumerate_pstable, is_pstable,
                      max_deterministic, stable_family, well_founded)

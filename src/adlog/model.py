@@ -284,7 +284,7 @@ def _record_arity(arities: dict[str, int], atom: Atom) -> None:
             f"predicate {atom.predicate} used with arity {atom.arity} and {seen}")
 
 
-def validate_program(program: Program, *, allow_reserved: bool = False) -> None:
+def validate_program(program: Program) -> None:
     """Check arity consistency, the reserved namespace, update-atom targets and safety.
 
     Safety here means safe negation: a variable occurring in a negative literal
@@ -296,7 +296,7 @@ def validate_program(program: Program, *, allow_reserved: bool = False) -> None:
     idb = program.idb_predicates()
     for rule in program.rules:
         for atom in Program._all_atoms(rule):
-            if not allow_reserved and atom.predicate.startswith(RESERVED_PREFIX):
+            if atom.predicate.startswith(RESERVED_PREFIX):
                 raise ValidationError(
                     f"reserved predicate name {atom.predicate}{_where(rule)}")
             _record_arity(arities, atom)
@@ -527,13 +527,19 @@ def render_token(text: str, value: TruthValue) -> str:
 
 def info_leq(first: Database, second: Database) -> bool:
     """True when `second` is at least as informative: its unknown set is contained."""
-    merged: dict[str, int] = {}
-    for atom in first.true_facts | first.unknown_facts | second.true_facts | second.unknown_facts:
-        try:
-            _record_arity(merged, atom)
-        except ValidationError as exc:
-            raise SchemaError(str(exc)) from exc
+    check_same_schema([first, second])
     return second.unknown_facts <= first.unknown_facts
+
+
+def check_same_schema(databases: Iterable[Database]) -> None:
+    """Raise SchemaError when the databases use one predicate with two arities."""
+    merged: dict[str, int] = {}
+    for database in databases:
+        for atom in database.true_facts | database.unknown_facts:
+            try:
+                _record_arity(merged, atom)
+            except ValidationError as exc:
+                raise SchemaError(str(exc)) from exc
 
 
 def check_renaming(rho: Mapping[str, str], vocabulary: Iterable[str]) -> None:

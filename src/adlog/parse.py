@@ -288,10 +288,8 @@ def parse_interpretation(text: str, origin: str = "<string>") -> Interpretation:
 
 def render(obj) -> str:
     """Canonical text for a Program, Database, DeltaSet or Interpretation."""
-    from .rewrite import GroundProgram, StandardProgram
-    if isinstance(obj, (StandardProgram, GroundProgram)):
-        return render_rules(obj.rules)
-    if isinstance(obj, Program):
+    from .rewrite import GroundProgram
+    if isinstance(obj, (Program, GroundProgram)):
         return render_rules(obj.rules)
     if isinstance(obj, Database):
         lines = [f"{atom}." for atom in sorted(obj.true_facts, key=str)]

@@ -7,7 +7,8 @@ visible whether it was derived by a rule or requested in the input delta.
 The rival one (`rewrite_bm`) guards each action with the complementary
 update only and turns input updates into guarded rules.
 
-All generated predicates live in the reserved '@' namespace:
+All generated predicates live in the reserved '@' namespace, and the prefix
+of each defines its kind; every other predicate is the user's:
 
     @ck_a     consistency guard for action predicate a
     @ins_p    input-delta insertion marker (fact per +p(t) in the delta)
@@ -23,19 +24,11 @@ from __future__ import annotations
 import itertools
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .model import (Atom, BuiltinLiteral, Constant, Database, Literal,
                     Polarity, Program, Rule, StdLiteral, UpdateAtom,
                     UpdateProgram, UpdLiteral, ValidationError, Variable)
-
-KIND_USER = "user"
-KIND_GUARD = "guard"
-KIND_DELTA_INSERT = "delta-insert"
-KIND_DELTA_DELETE = "delta-delete"
-KIND_BRIDGE_INSERT = "bridge-insert"
-KIND_BRIDGE_DELETE = "bridge-delete"
-KIND_RENAMED = "renamed-update"
 
 
 def guard_predicate(action: str) -> str:
@@ -68,56 +61,38 @@ def base_atom_of_renamed(atom: Atom) -> tuple[Polarity, Atom] | None:
 
 
 @dataclass(frozen=True, eq=False)
-class StandardProgram:
-    """Datalog program over standard atoms only, with generated-predicate provenance."""
+class GroundProgram:
+    """Variable-free, builtin-free rules plus the slice of the Herbrand base they mention."""
 
     rules: tuple[Rule, ...]
-    provenance: Mapping[str, str]
+    universe: frozenset[Atom] = field(init=False)
+    # What the solver derives from the rules, kept with them (see stable._well_founded).
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "universe", frozenset(
+            [r.head for r in self.rules] + [lit.atom for r in self.rules for lit in r.body]))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StandardProgram):
+        if not isinstance(other, GroundProgram):
             return NotImplemented
         return frozenset(self.rules) == frozenset(other.rules)
 
     def __hash__(self) -> int:
         return hash(frozenset(self.rules))
 
-    def constants(self) -> set[str]:
-        return Program(self.rules).constants()
-
-
-@dataclass(frozen=True, eq=False)
-class GroundProgram:
-    """Variable-free, builtin-free rules plus the slice of the Herbrand base they mention."""
-
-    rules: tuple[Rule, ...]
-    universe: frozenset[Atom]
-    provenance: Mapping[str, str]
-    # What the solver derives from the rules, kept with them (see stable._well_founded).
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroundProgram):
-            return NotImplemented
-        return frozenset(self.rules) == frozenset(other.rules) and self.universe == other.universe
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self.rules), self.universe))
-
 
 # ---------------------------------------------------------------------------
 # Database embedding
 # ---------------------------------------------------------------------------
 
-def embed_database(program, database: Database):
+def embed_database(program: Program, database: Database) -> Program:
     """Add one fact per true tuple and one rule `p(t) :- not p(t).` per unknown tuple."""
     extra: list[Rule] = []
     for atom in sorted(database.true_facts, key=str):
         extra.append(Rule(atom, ()))
     for atom in sorted(database.unknown_facts, key=str):
         extra.append(Rule(atom, (StdLiteral(atom, positive=False),)))
-    if isinstance(program, StandardProgram):
-        return StandardProgram(program.rules + tuple(extra), program.provenance)
     return Program(program.rules + tuple(extra))
 
 
@@ -144,9 +119,8 @@ def _generic_args(arity: int) -> tuple[Variable, ...]:
     return tuple(Variable(f"X{i + 1}") for i in range(arity))
 
 
-def rewrite_st(up: UpdateProgram) -> StandardProgram:
+def rewrite_st(up: UpdateProgram) -> Program:
     """Guarded rewriting with delta markers and bridge predicates."""
-    provenance: dict[str, str] = {}
     rules: list[Rule] = []
     actions = up.program.action_predicates()
 
@@ -154,40 +128,27 @@ def rewrite_st(up: UpdateProgram) -> StandardProgram:
         body: list[Literal] = []
         for lit in rule.body:
             if isinstance(lit, UpdLiteral):
-                bridged = _bridge_body_literal(lit)
-                kind = (KIND_BRIDGE_INSERT if lit.uatom.polarity is Polarity.INSERT
-                        else KIND_BRIDGE_DELETE)
-                provenance[bridged.atom.predicate] = kind
-                body.append(bridged)
+                body.append(_bridge_body_literal(lit))
             else:
                 body.append(lit)
         if rule.is_active:
             head_atom = renamed_update_atom(rule.head)
-            provenance[head_atom.predicate] = KIND_RENAMED
             guard = Atom(guard_predicate(rule.head.atom.predicate), rule.head.atom.args)
             body.append(StdLiteral(guard, positive=False))
             rules.append(Rule(head_atom, tuple(body), rule.origin))
         else:
             rules.append(Rule(rule.head, tuple(body), rule.origin))
-        for atom in _user_atoms(rule):
-            provenance.setdefault(atom.predicate, KIND_USER)
 
     for action in sorted(actions):
         args = _generic_args(actions[action])
         head = Atom(guard_predicate(action), args)
-        provenance[head.predicate] = KIND_GUARD
         plus = Atom(renamed_update_predicate(Polarity.INSERT, action), args)
         minus = Atom(renamed_update_predicate(Polarity.DELETE, action), args)
-        provenance.setdefault(plus.predicate, KIND_RENAMED)
-        provenance.setdefault(minus.predicate, KIND_RENAMED)
         rules.append(Rule(head, (StdLiteral(plus), StdLiteral(minus))))
 
     for uatom in sorted(up.delta.updates, key=str):
         marker = Atom(delta_marker_predicate(uatom.polarity, uatom.atom.predicate),
                       uatom.atom.args)
-        provenance[marker.predicate] = (KIND_DELTA_INSERT if uatom.polarity is Polarity.INSERT
-                                        else KIND_DELTA_DELETE)
-        provenance.setdefault(uatom.atom.predicate, KIND_USER)
         rules.append(Rule(marker, ()))
 
     for polarity, predicate, arity in sorted(_body_update_pairs(up.program),
@@ -196,30 +157,17 @@ def rewrite_st(up: UpdateProgram) -> StandardProgram:
         bridge = Atom(bridge_predicate(polarity, predicate), args)
         renamed = Atom(renamed_update_predicate(polarity, predicate), args)
         marker = Atom(delta_marker_predicate(polarity, predicate), args)
-        provenance.setdefault(renamed.predicate, KIND_RENAMED)
-        provenance.setdefault(marker.predicate,
-                              KIND_DELTA_INSERT if polarity is Polarity.INSERT
-                              else KIND_DELTA_DELETE)
         rules.append(Rule(bridge, (StdLiteral(renamed),)))
         rules.append(Rule(bridge, (StdLiteral(marker),)))
 
-    return StandardProgram(tuple(rules), provenance)
-
-
-def _user_atoms(rule: Rule):
-    yield rule.head_atom()
-    for lit in rule.body:
-        if isinstance(lit, StdLiteral):
-            yield lit.atom
-        elif isinstance(lit, UpdLiteral):
-            yield lit.uatom.atom
+    return Program(tuple(rules))
 
 
 # ---------------------------------------------------------------------------
 # Rival rewriting
 # ---------------------------------------------------------------------------
 
-def rewrite_bm(up: UpdateProgram) -> StandardProgram:
+def rewrite_bm(up: UpdateProgram) -> Program:
     """Complement-guarded rewriting: no delta markers, no bridges.
 
     Each action rule gets the complementary update as an extra negative guard,
@@ -230,7 +178,6 @@ def rewrite_bm(up: UpdateProgram) -> StandardProgram:
     other through the rules, instead of resolving the race in favour of one
     side.
     """
-    provenance: dict[str, str] = {}
     rules: list[Rule] = []
     insertable: dict[str, int] = {}
 
@@ -238,20 +185,16 @@ def rewrite_bm(up: UpdateProgram) -> StandardProgram:
         body: list[Literal] = []
         for lit in rule.body:
             if isinstance(lit, UpdLiteral):
-                renamed = StdLiteral(renamed_update_atom(lit.uatom), lit.positive)
-                provenance[renamed.atom.predicate] = KIND_RENAMED
-                body.append(renamed)
+                body.append(StdLiteral(renamed_update_atom(lit.uatom), lit.positive))
             else:
                 body.append(lit)
         if rule.is_active:
             head_atom = renamed_update_atom(rule.head)
-            provenance[head_atom.predicate] = KIND_RENAMED
             complement = Polarity.DELETE if rule.head.polarity is Polarity.INSERT \
                 else Polarity.INSERT
             guard = StdLiteral(Atom(renamed_update_predicate(complement,
                                                              rule.head.atom.predicate),
                                     rule.head.atom.args), positive=False)
-            provenance.setdefault(guard.atom.predicate, KIND_RENAMED)
             if guard not in body:
                 body.append(guard)
             if rule.head.polarity is Polarity.INSERT:
@@ -259,17 +202,12 @@ def rewrite_bm(up: UpdateProgram) -> StandardProgram:
             rules.append(Rule(head_atom, tuple(body), rule.origin))
         else:
             rules.append(Rule(rule.head, tuple(body), rule.origin))
-        for atom in _user_atoms(rule):
-            provenance.setdefault(atom.predicate, KIND_USER)
 
     for uatom in sorted(up.delta.updates, key=str):
         head = renamed_update_atom(uatom)
         complement = Polarity.DELETE if uatom.polarity is Polarity.INSERT else Polarity.INSERT
         guard_atom = Atom(renamed_update_predicate(complement, uatom.atom.predicate),
                           uatom.atom.args)
-        provenance[head.predicate] = KIND_RENAMED
-        provenance.setdefault(guard_atom.predicate, KIND_RENAMED)
-        provenance.setdefault(uatom.atom.predicate, KIND_USER)
         rules.append(Rule(head, (StdLiteral(guard_atom, positive=False),)))
         if uatom.polarity is Polarity.INSERT:
             insertable[uatom.atom.predicate] = uatom.atom.arity
@@ -279,15 +217,14 @@ def rewrite_bm(up: UpdateProgram) -> StandardProgram:
         plus = Atom(renamed_update_predicate(Polarity.INSERT, predicate), args)
         rules.append(Rule(Atom(predicate, args), (StdLiteral(plus),)))
 
-    return StandardProgram(tuple(rules), provenance)
+    return Program(tuple(rules))
 
 
 # ---------------------------------------------------------------------------
 # Grounding
 # ---------------------------------------------------------------------------
 
-def ground(program: StandardProgram, *,
-           extra_constants: Iterable[str] = ()) -> GroundProgram:
+def ground(program: Program) -> GroundProgram:
     """Instantiate the rule instances whose positive body atoms are derivable.
 
     Positive body literals are joined bottom-up against the atoms derived so
@@ -301,15 +238,8 @@ def ground(program: StandardProgram, *,
         if isinstance(rule.head, UpdateAtom) or any(isinstance(lit, UpdLiteral)
                                                     for lit in rule.body):
             raise ValidationError(f"rule {rule} still contains update atoms")
-    constants = [Constant(c) for c in sorted(program.constants() | set(extra_constants))]
-    ground_rules = _ground_derivable(program.rules, constants)
-    universe: set[Atom] = set()
-    for rule in ground_rules:
-        universe.add(rule.head)
-        for lit in rule.body:
-            universe.add(lit.atom)
-    return GroundProgram(tuple(dict.fromkeys(ground_rules)), frozenset(universe),
-                         program.provenance)
+    constants = [Constant(c) for c in sorted(program.constants())]
+    return GroundProgram(tuple(dict.fromkeys(_ground_derivable(program.rules, constants))))
 
 
 def _variables(rule: Rule) -> list[Variable]:

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .model import (Atom, ConsistencyError, Database, DeltaSet, EngineError,
-                    Interpretation, Polarity, PreconditionError,
+                    Interpretation, Polarity, PreconditionError, Program,
                     ResourceLimitError, TruthValue, UpdateProgram,
-                    _record_arity, info_leq, validate_update_program)
-from .rewrite import (GroundProgram, StandardProgram, base_atom_of_renamed,
-                      embed_database, ground, rewrite_bm, rewrite_st)
+                    _record_arity, check_same_schema, validate_update_program)
+from .rewrite import (GroundProgram, base_atom_of_renamed, embed_database,
+                      ground, rewrite_bm, rewrite_st)
 from .stable import (DEFAULT_ENUMERATION_CAP, FLAG_M_STABLE,
                      FLAG_MAX_DETERMINISTIC, FLAG_T_STABLE, ModelFamily,
                      ModelRecord, stable_family, well_founded)
@@ -234,7 +234,7 @@ class _Session:
     def delta_applied(self) -> Database:
         return apply_delta(self.up.delta, self.database)
 
-    def rewritten(self, mode: str) -> StandardProgram:
+    def rewritten(self, mode: str) -> Program:
         return self._stage("rewritten", mode, lambda: (
             rewrite_bm(self.up) if mode == "bm" else rewrite_st(self.up)))
 
@@ -263,8 +263,11 @@ class _Session:
                 f"{semantics.value} semantics requires a total input database")
         if policy == "random" and seed is None:
             seed = random.randrange(2 ** 32)  # recorded below, for replay
-        # The input delta is applied first under st; bm folds it into the rules.
-        base = self.delta_applied if plan.mode == "st" else self.database
+        # The input delta is applied first under both rewritings.  bm turns each
+        # input update into a rule guarded only by its complement, so the model
+        # makes the update true, or its complement true, or leaves both
+        # undefined; each case gives the same output with the delta applied first.
+        base = self.delta_applied
         stats: dict[str, int] | None = None
         chosen: Interpretation | None = None
         if plan.source is None:
@@ -331,13 +334,12 @@ class CompareResult:
         return None
 
     def info_matrix(self) -> dict[tuple[Semantics, Semantics], bool]:
-        out = {}
+        """`info_leq` for every pair of row outputs, with one schema check for all."""
         good = [(row.semantics, row.report.output_db)
                 for row in self.rows if row.report is not None]
-        for s1, d1 in good:
-            for s2, d2 in good:
-                out[(s1, s2)] = info_leq(d1, d2)
-        return out
+        check_same_schema(db for _, db in good)
+        return {(s1, s2): d2.unknown_facts <= d1.unknown_facts
+                for s1, d1 in good for s2, d2 in good}
 
 
 def compare(up: UpdateProgram, database: Database,

@@ -1,25 +1,29 @@
 import itertools
 import os
+import pathlib
 import random
 import subprocess
 import sys
 
 import pytest
 
-from adlog import (Atom, Constant, Database, DeltaSet, Program, Rule,
-                   StdLiteral, UpdateProgram, ValidationError, embed_database,
-                   ground, parse_database, parse_program, render, rewrite_bm,
-                   rewrite_st, stable_family)
-from adlog.rewrite import (KIND_BRIDGE_DELETE, KIND_BRIDGE_INSERT, KIND_GUARD,
-                           KIND_RENAMED, GroundProgram, StandardProgram,
-                           _instantiate, _variables)
-from adlog.selftest import InstanceGenerator, as_ground
+from adlog import (Atom, Constant, Database, DeltaSet, GroundProgram,
+                   Polarity, Program, Rule, StdLiteral, UpdateProgram,
+                   ValidationError, embed_database, ground, parse_database,
+                   parse_program, render, rewrite_bm, rewrite_st,
+                   stable_family)
+from adlog.rewrite import (_instantiate, _variables, bridge_predicate,
+                           delta_marker_predicate, guard_predicate,
+                           renamed_update_predicate)
+from adlog.selftest import InstanceGenerator
 
 from conftest import FIXTURES, load_update_program
 
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
-def plain(program: Program) -> StandardProgram:
-    return StandardProgram(program.rules, {})
+# Embedding this fact brings the constant zz, used nowhere else, into the
+# active domain.
+PAD = parse_database("pad(zz).")
 
 
 class TestEmbedDatabase:
@@ -51,7 +55,7 @@ class TestRewriteSt:
         up, _ = load_update_program("project_cascade")
         std = rewrite_st(up)
         for rule in std.rules:
-            if std.provenance.get(rule.head.predicate) == KIND_RENAMED:
+            if rule.head.predicate.startswith(("@plus_", "@minus_")):
                 guards = [lit for lit in rule.body
                           if lit.atom.predicate.startswith("@ck_")]
                 assert len(guards) == 1
@@ -72,12 +76,11 @@ class TestRewriteSt:
             up, _ = load_update_program(name)
             std = rewrite_st(up)
             for rule in std.rules:
-                head_kind = std.provenance.get(rule.head.predicate)
                 for lit in rule.body:
                     if isinstance(lit, StdLiteral) and \
                             lit.atom.predicate.startswith(("@plus_", "@minus_")):
-                        assert head_kind in (KIND_GUARD, KIND_BRIDGE_INSERT,
-                                             KIND_BRIDGE_DELETE), str(rule)
+                        assert rule.head.predicate.startswith(
+                            ("@ck_", "@insb_", "@delb_")), str(rule)
 
     def test_bridging_applies_under_negation(self):
         up, _ = load_update_program("confirm_manager")
@@ -98,16 +101,27 @@ class TestRewriteSt:
         assert predicates == {"@plus_p", "r", "@ck_p"}
 
     def test_provenance_kinds(self):
+        # A generated predicate's kind is its reserved prefix; the naming
+        # functions define the prefixes, and the other predicates are the user's.
         up, _ = load_update_program("project_cascade")
-        std = rewrite_st(up)
-        assert std.provenance["@ck_mgr"] == "guard"
-        assert std.provenance["@del_proj"] == "delta-delete"
-        assert std.provenance["@delb_proj"] == "bridge-delete"
-        assert std.provenance["@plus_mgr"] == "renamed-update"
-        assert std.provenance["diff_mgr"] == "user"
+        predicates = rewrite_st(up).predicate_arities()
+        assert guard_predicate("mgr") == "@ck_mgr" and "@ck_mgr" in predicates
+        assert delta_marker_predicate(Polarity.DELETE, "proj") == "@del_proj"
+        assert "@del_proj" in predicates
+        assert bridge_predicate(Polarity.DELETE, "proj") == "@delb_proj"
+        assert "@delb_proj" in predicates
+        assert renamed_update_predicate(Polarity.INSERT, "mgr") == "@plus_mgr"
+        assert "@plus_mgr" in predicates
+        user = {p for p in predicates if not p.startswith("@")}
+        assert user == set(up.program.predicate_arities()) == {"diff_mgr", "mgr", "proj"}
 
 
 class TestRewriteBm:
+    @pytest.mark.parametrize("name", ["project_cascade", "confirm_manager"])
+    def test_matches_golden(self, name):
+        up, _ = load_update_program(name)
+        assert render(rewrite_bm(up)) == (GOLDEN / f"rewrite_bm_{name}.adl").read_text()
+
     def test_confirm_manager_core_rules(self):
         up, _ = load_update_program("confirm_manager")
         text = render(rewrite_bm(up))
@@ -136,39 +150,38 @@ class TestRewriteBm:
 
     def test_pure_deductive_program_is_unchanged(self):
         program = parse_program("q(X) :- p(X), not r(X).")
-        std = rewrite_bm(UpdateProgram(DeltaSet(), program))
-        assert Program(std.rules) == program
+        assert rewrite_bm(UpdateProgram(DeltaSet(), program)) == program
 
 
 class TestGround:
     def test_false_neq_instances_are_dropped(self):
-        program = plain(parse_program("diff(X,D) :- mgr(Y,P,D), Y != X."))
-        db_rules = plain(parse_program("mgr(x,p,d).", validate=False))
-        merged = StandardProgram(program.rules + db_rules.rules, {})
+        program = parse_program("diff(X,D) :- mgr(Y,P,D), Y != X.")
+        db_rules = parse_program("mgr(x,p,d).", validate=False)
+        merged = Program(program.rules + db_rules.rules)
         rules = {str(r) for r in ground(merged).rules}
         assert "diff(x,d) :- mgr(x,p,d)." not in rules  # x != x is false
         assert "diff(p,d) :- mgr(x,p,d)." in rules
 
     def test_propositional_program_grounds_to_itself(self, fixtures_dir):
-        program = plain(parse_program((fixtures_dir / "zoo_join.adl").read_text()))
+        program = parse_program((fixtures_dir / "zoo_join.adl").read_text())
         g = ground(program)
         assert frozenset(g.rules) == frozenset(program.rules)
 
     def test_two_instances_for_two_constants(self):
-        program = plain(parse_program("p(X) :- q(X).\nq(a).\nq(b)."))
+        program = parse_program("p(X) :- q(X).\nq(a).\nq(b).")
         g = ground(program)
         p_rules = [r for r in g.rules if r.head.predicate == "p"]
         assert len(p_rules) == 2
 
     def test_builtin_literals_are_eliminated(self):
-        program = plain(parse_program("p(X) :- q(X), X != a.\nq(a).\nq(b)."))
+        program = parse_program("p(X) :- q(X), X != a.\nq(a).\nq(b).")
         g = ground(program)
         (p_rule,) = [r for r in g.rules if r.head.predicate == "p"]
         assert str(p_rule) == "p(b) :- q(b)."
 
     def test_pruning_keeps_stable_models_on_derivable_atoms(self, fixtures_dir):
         for name in ("zoo_choice_nofact", "zoo_join", "zoo_chain"):
-            program = plain(parse_program((fixtures_dir / f"{name}.adl").read_text()))
+            program = parse_program((fixtures_dir / f"{name}.adl").read_text())
             full = stable_family(product_ground(program))
             pruned = stable_family(ground(program))
             kept = ground(program).universe
@@ -185,8 +198,7 @@ class TestGround:
     def test_unused_constant_changes_nothing_after_pruning(self):
         up, _ = load_update_program("new_hire_worker")
         base = ground(embed_database(rewrite_st(up), Database()))
-        extended = ground(embed_database(rewrite_st(up), Database()),
-                          extra_constants=["zz"])
+        extended = ground(embed_database(rewrite_st(up), PAD))
         base_family = stable_family(base)
         extended_family = stable_family(extended)
         original = base.universe
@@ -220,10 +232,10 @@ def _ground_all(rules, constants: list[Constant]) -> list[Rule]:
     return out
 
 
-def product_ground(program: StandardProgram, extra_constants=()) -> GroundProgram:
+def product_ground(program: Program) -> GroundProgram:
     """Every rule instance over the whole active domain."""
-    constants = [Constant(c) for c in sorted(program.constants() | set(extra_constants))]
-    return as_ground(dict.fromkeys(_ground_all(program.rules, constants)))
+    constants = [Constant(c) for c in sorted(program.constants())]
+    return GroundProgram(tuple(dict.fromkeys(_ground_all(program.rules, constants))))
 
 
 def _prune_underivable(rules: list[Rule]) -> list[Rule]:
@@ -241,14 +253,14 @@ def _prune_underivable(rules: list[Rule]) -> list[Rule]:
             if all(lit.atom in derivable for lit in r.body if lit.positive)]
 
 
-def oracle_ground(program: StandardProgram, extra_constants=()) -> GroundProgram:
+def oracle_ground(program: Program) -> GroundProgram:
     """Every active-domain instance, then the instances with underivable positive atoms dropped."""
-    return as_ground(_prune_underivable(list(product_ground(program, extra_constants).rules)))
+    return GroundProgram(tuple(_prune_underivable(list(product_ground(program).rules))))
 
 
-def assert_same_grounding(program: StandardProgram, extra_constants=()) -> None:
-    fast = ground(program, extra_constants=extra_constants)
-    slow = oracle_ground(program, extra_constants)
+def assert_same_grounding(program: Program) -> None:
+    fast = ground(program)
+    slow = oracle_ground(program)
     assert frozenset(fast.rules) == frozenset(slow.rules)
     assert len(fast.rules) == len(slow.rules)
     assert fast.universe == slow.universe
@@ -260,11 +272,11 @@ FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.adl"))
 class TestRelevanceGrounder:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     @pytest.mark.parametrize("rewriting", [rewrite_st, rewrite_bm])
-    @pytest.mark.parametrize("extra", [(), ("zz",)])
+    @pytest.mark.parametrize("extra", [Database(), PAD])
     def test_fixture_matches_oracle(self, name, rewriting, extra):
         up, db = load_update_program(name, db=(FIXTURES / f"{name}.adb").exists(),
                                      delta=(FIXTURES / f"{name}.adu").exists())
-        assert_same_grounding(embed_database(rewriting(up), db), extra)
+        assert_same_grounding(embed_database(embed_database(rewriting(up), db), extra))
 
     def test_random_candidates_match_oracle(self):
         gen = InstanceGenerator(random.Random(2024))
@@ -284,12 +296,12 @@ class TestRelevanceGrounder:
         "s(X,Z) :- e(X,Y), e(Y,Z), X != Z.\ne(a,b).\ne(b,c).\ne(c,a).",  # recursion, self-join
     ])
     def test_edge_case_matches_oracle(self, text):
-        program = plain(parse_program(text, validate=False))
+        program = parse_program(text, validate=False)
         assert_same_grounding(program)
-        assert_same_grounding(program, ("zz",))
+        assert_same_grounding(embed_database(program, PAD))
 
     def test_update_atoms_are_rejected(self):
-        program = plain(parse_program("+p(X) :- q(X).\nq(a)."))
+        program = parse_program("+p(X) :- q(X).\nq(a).")
         with pytest.raises(ValidationError):
             ground(program)
 

@@ -2,15 +2,19 @@ import pytest
 
 import adlog.stable
 import adlog.update
-from adlog import (Atom, ConsistencyError, Constant, Database, DeltaSet,
-                   EngineError, Interpretation, PreconditionError, Program,
-                   Semantics, TruthValue, UpdateOutcome, UpdateProgram, apply_delta,
-                   apply_updates, compare, embed_database, extract_updates,
-                   ground, info_leq, is_total_transformation, parse_database,
-                   parse_delta, parse_program, rename_constants, rewrite_st,
-                   run, well_founded)
+from adlog import (Atom, CompareResult, ConsistencyError, Constant, Database,
+                   DeltaSet, EngineError, Interpretation, PreconditionError,
+                   Program, RunReport, SchemaError, Semantics, TruthValue,
+                   UpdateOutcome, UpdateProgram, apply_delta, apply_updates,
+                   compare, embed_database, extract_updates, ground, info_leq,
+                   is_total_transformation, parse_database, parse_delta,
+                   parse_program, rename_constants, rewrite_st, run,
+                   well_founded)
+from adlog.update import CompareRow
 
-from conftest import load_update_program
+from conftest import FIXTURES, load_update_program
+
+UPDATE_FIXTURES = sorted(path.stem for path in FIXTURES.glob("*.adu"))
 
 
 def atom(text: str) -> Atom:
@@ -221,6 +225,26 @@ class TestCompare:
         ws = result.report_of(Semantics.WS).output_db
         assert atom("proj(p)") not in ws.true_facts | ws.unknown_facts
         assert atom("mgr(x,p,d)") in ws.unknown_facts
+
+    def test_info_matrix_rejects_outputs_that_disagree_on_an_arity(self):
+        def row(semantics: Semantics, output: str) -> CompareRow:
+            report = RunReport(semantics, Database(), parse_database(output),
+                               "applied", None, None, "lex", None)
+            return CompareRow(semantics, report, None)
+        result = CompareResult((row(Semantics.WS, "p(a)."), row(Semantics.MD, "q(b)?"),
+                                CompareRow(Semantics.TS, None, "refused"),
+                                row(Semantics.WS_BM, "p(a,b).")))
+        with pytest.raises(SchemaError):
+            result.info_matrix()
+
+    @pytest.mark.parametrize("name", UPDATE_FIXTURES)
+    def test_info_matrix_is_pairwise_info_leq(self, name):
+        up, db = load_update_program(name, db=(FIXTURES / f"{name}.adb").exists())
+        result = compare(up, db)
+        outputs = [(row.semantics, row.report.output_db)
+                   for row in result.rows if row.report is not None]
+        assert result.info_matrix() == {(s1, s2): info_leq(d1, d2)
+                                        for s1, d1 in outputs for s2, d2 in outputs}
 
     def test_partial_input_becomes_row_errors(self):
         up, _ = load_update_program("new_hire_worker")
