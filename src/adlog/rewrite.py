@@ -371,53 +371,87 @@ def _ground_derivable(rules: Iterable[Rule], constants: list[Constant]) -> list[
     """Semi-naive bottom-up instantiation of the rules with derivable positive bodies.
 
     A worklist holds atoms derived but not yet joined.  Each is joined into
-    every positive body literal it matches, with the other positive literals
-    read from the atoms joined before it; a literal left of the pivot with the
-    pivot's predicate skips the new atom itself, so each instance is built
-    once.  Instances come out in derivation order.
+    every positive body literal of a rule with variables that it matches, with
+    the other positive literals read from the atoms joined before it; a
+    literal left of the pivot with the pivot's predicate skips the new atom
+    itself, so each instance is built once.  A variable-free rule is its own
+    only instance: its builtins are evaluated once, and it comes out when the
+    last of its distinct positive body atoms leaves the worklist.  Instances
+    come out in derivation order, and the rules that one atom completes in
+    rule order.
     """
     seeds: list[tuple[Rule, list[Variable]]] = []
     triggers: list[_Trigger] = []
+    by_predicate: dict[str, list[_Trigger]] = {}
+    # A ground pivot's triggers, and the index in `counted` of each
+    # variable-free rule with the atom in its positive body.
+    by_atom: dict[Atom, list[_Trigger | int]] = {}
+    # Per variable-free rule with a positive body, the number of its distinct
+    # positive body atoms that have not left the worklist.
+    counted: list[Rule] = []
+    missing: list[int] = []
     for rule in rules:
         variables = _variables(rule)
-        if variables and not constants:
+        if not variables:
+            if any(isinstance(lit, BuiltinLiteral) for lit in rule.body):
+                rule = _instantiate(rule, {})
+                if rule is None:
+                    continue
+            body = dict.fromkeys(lit.atom for lit in rule.body if lit.positive)
+            if body:
+                for atom in body:
+                    by_atom.setdefault(atom, []).append(len(counted))
+                counted.append(rule)
+                missing.append(len(body))
+            else:
+                seeds.append((rule, variables))
+            continue
+        if not constants:
             continue
         rule_triggers = _triggers(rule, variables)
         if not rule_triggers:
             seeds.append((rule, variables))
+        for trigger in rule_triggers:
+            pivot = trigger.pivot
+            if pivot.unbound:
+                by_predicate.setdefault(pivot.predicate, []).append(trigger)
+            else:
+                by_atom.setdefault(Atom(pivot.predicate, pivot.key), []).append(trigger)
         triggers += rule_triggers
-    by_predicate: dict[str, list[_Trigger]] = {}
-    by_atom: dict[Atom, list[_Trigger]] = {}
-    for trigger in triggers:
-        pivot = trigger.pivot
-        if pivot.unbound:
-            by_predicate.setdefault(pivot.predicate, []).append(trigger)
-        else:
-            by_atom.setdefault(Atom(pivot.predicate, pivot.key), []).append(trigger)
 
     out: list[Rule] = []
     seen: set[Atom] = set()
     queue: deque[Atom] = deque()
+
+    def add(instance: Rule) -> None:
+        out.append(instance)
+        if instance.head not in seen:
+            seen.add(instance.head)
+            queue.append(instance.head)
 
     def emit(rule: Rule, variables, binding: list, free) -> None:
         for values in itertools.product(constants, repeat=len(free)):
             for slot, value in zip(free, values):
                 binding[slot] = value
             instance = _instantiate(rule, dict(zip(variables, binding)))
-            if instance is None:
-                continue
-            out.append(instance)
-            if instance.head not in seen:
-                seen.add(instance.head)
-                queue.append(instance.head)
+            if instance is not None:
+                add(instance)
 
     for rule, variables in seeds:
-        emit(rule, variables, [None] * len(variables), range(len(variables)))
+        if variables:
+            emit(rule, variables, [None] * len(variables), range(len(variables)))
+        else:
+            add(rule)
     derivable = _Derivable(triggers)
     while queue:
         atom = queue.popleft()
         derivable.add(atom)
         for trigger in by_predicate.get(atom.predicate, []) + by_atom.get(atom, []):
+            if isinstance(trigger, int):
+                missing[trigger] -= 1
+                if not missing[trigger]:
+                    add(counted[trigger])
+                continue
             pivot = trigger.pivot
             if any(atom.args[i] != c for i, c in zip(pivot.positions, pivot.key)):
                 continue

@@ -5,15 +5,20 @@ least three-valued model of the program in which every negated body literal is
 replaced by the complement of its value in I.  The partial stable models are
 the fixpoints of Psi, and the well-founded model is the least of them in the
 knowledge order, reached by iterating Psi from the all-undefined
-interpretation.  A least model is computed one truth level at a time by
-counter propagation (Dowling & Gallier 1984): an atom reaches a level when
-some rule whose floor, the least complement of its negated atoms, reaches
-that level has every positive body atom at that level.  Every partial stable
-model extends the well-founded model, so a family is built on its undefined
-residue: the residue splits into components linked by the rules still live
-under the well-founded model (splitting sets; Lifschitz & Turner 1994), each
-component's assignments are tried on their own, and the family is the
-product of the fixpoints of Psi found per component.
+interpretation.  That iteration is run one strongly connected component of the
+atom dependency graph at a time, lower components first (Van Gelder, Ross &
+Schlipf 1991): a component reads only atoms of its own and of lower
+components, which already hold their final values, so each rule is propagated
+in its own component only, and a component that negates none of its own atoms
+is settled in one pass.  A least model is computed one truth level at a time
+by counter propagation (Dowling & Gallier 1984): an atom reaches a level when
+some rule whose floor, the least complement of its negated atoms, reaches that
+level has every positive body atom at that level.  Every partial stable model
+extends the well-founded model, so a family is built on its undefined residue:
+the residue splits into components linked by the rules still live under the
+well-founded model (splitting sets; Lifschitz & Turner 1994), each component's
+assignments are tried on their own, against that component's live rules only,
+and the family is the product of the fixpoints of Psi found per component.
 
 The family is kept factorised: `ModelFamily` holds the well-founded model
 and each component's parts, and `classify` flags a part within its
@@ -29,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import (Atom, EngineError, Interpretation, ResourceLimitError,
                     TruthValue, render_token)
@@ -52,31 +57,56 @@ _UNDEF = int(TruthValue.UNDEFINED)
 _FALSE = int(TruthValue.FALSE)
 
 
-class _Indexed:
-    """Integer-indexed view of a ground program for the least-model kernel.
+class _Rules:
+    """Rules over the atoms 0 .. size - 1, in the form the least-model kernel reads.
 
     Rule r has head `heads[r]`, `need[r]` positive body literals and negated
-    body atoms `negs[r]`; `occurs[a]` names rule r once for every positive
-    body literal of r on atom a, and `unconditional` lists the rules with no
-    positive body literal.
+    body atoms `negs[r]`, and its floor cannot rise above `base[r]`;
+    `occurs[a]` names rule r once for every positive body literal of r on
+    atom a, and `unconditional` lists the rules with no positive body literal.
+    """
+
+    def __init__(self, size: int, heads: list[int], pos: Sequence[Sequence[int]],
+                 negs: Sequence[Sequence[int]], base: list[int] | None = None):
+        self.size = size
+        self.heads = heads
+        self.negs = negs
+        self.base = base if base is not None else [_TRUE] * len(heads)
+        self.need = [len(p) for p in pos]
+        self.occurs: list[list[int]] = [[] for _ in range(size)]
+        for r, body in enumerate(pos):
+            for p in body:
+                self.occurs[p].append(r)
+        self.unconditional = [r for r, n in enumerate(self.need) if n == 0]
+
+
+class _Indexed(_Rules):
+    """Integer-indexed view of a ground program.
+
+    Atoms are numbered in order of first appearance in the rules, then
+    `extra_atoms`.  Beside the kernel's view it keeps each rule's positive
+    body atoms `pos[r]` and, per atom, the rules `defs[a]` with head a: the
+    atom dependency graph, with an edge from each head to every body atom.
     """
 
     def __init__(self, program: GroundProgram, extra_atoms: Iterable[Atom] = ()):
-        self.atoms: list[Atom] = sorted(program.universe | set(extra_atoms), key=str)
-        self.index = {atom: i for i, atom in enumerate(self.atoms)}
-        self.heads: list[int] = []
-        self.need: list[int] = []
-        self.negs: list[tuple[int, ...]] = []
-        self.occurs: list[list[int]] = [[] for _ in self.atoms]
-        for r, rule in enumerate(program.rules):
-            self.heads.append(self.index[rule.head])
-            pos = [self.index[lit.atom] for lit in rule.body if lit.positive]
-            for p in pos:
-                self.occurs[p].append(r)
-            self.need.append(len(pos))
-            self.negs.append(tuple(self.index[lit.atom] for lit in rule.body
-                                   if not lit.positive))
-        self.unconditional = [r for r, n in enumerate(self.need) if n == 0]
+        self.index: dict[Atom, int] = {}
+        index = self.index
+        heads, self.pos, negs = [], [], []
+        for rule in program.rules:
+            heads.append(index.setdefault(rule.head, len(index)))
+            pos, neg = [], []
+            for lit in rule.body:
+                (pos if lit.positive else neg).append(index.setdefault(lit.atom, len(index)))
+            self.pos.append(pos)
+            negs.append(neg)
+        for atom in extra_atoms:
+            index.setdefault(atom, len(index))
+        self.atoms: list[Atom] = list(index)
+        self.defs: list[list[int]] = [[] for _ in self.atoms]
+        for r, head in enumerate(heads):
+            self.defs[head].append(r)
+        super().__init__(len(self.atoms), heads, self.pos, negs)
 
     def values_of(self, interp: Interpretation) -> list[int]:
         return [int(interp.value(atom)) for atom in self.atoms]
@@ -87,11 +117,10 @@ class _Indexed:
         return Interpretation(frozenset(self.atoms), true_atoms, false_atoms)
 
 
-def _floors(idx: _Indexed, vals: list[int]) -> list[int]:
+def _floors(rules: _Rules, vals: list[int]) -> list[int]:
     """Each rule's floor in the reduct by `vals`: the least complement of its negated atoms."""
     floors = []
-    for neg in idx.negs:
-        floor = _TRUE
+    for floor, neg in zip(rules.base, rules.negs):
         for n in neg:
             if _TRUE - vals[n] < floor:
                 floor = _TRUE - vals[n]
@@ -99,15 +128,15 @@ def _floors(idx: _Indexed, vals: list[int]) -> list[int]:
     return floors
 
 
-def _reach(idx: _Indexed, floors: list[int], level: int) -> list[bool]:
+def _reach(rules: _Rules, floors: list[int], level: int) -> list[bool]:
     """Which atoms are at `level` or above in the least model of the reduct with `floors`."""
     # A rule fires once its count of positive body literals not yet reached
     # drops to zero, if its floor is at the level.
-    heads, occurs = idx.heads, idx.occurs
-    need = idx.need[:]
-    reached = [False] * len(idx.atoms)
+    heads, occurs = rules.heads, rules.occurs
+    need = rules.need[:]
+    reached = [False] * rules.size
     stack = []
-    for r in idx.unconditional:
+    for r in rules.unconditional:
         if floors[r] >= level:
             head = heads[r]
             if not reached[head]:
@@ -124,54 +153,169 @@ def _reach(idx: _Indexed, floors: list[int], level: int) -> list[bool]:
     return reached
 
 
-def _psi(idx: _Indexed, vals: list[int]) -> list[int]:
+def _psi(rules: _Rules, vals: list[int]) -> list[int]:
     """The reduct operator: the least three-valued model of the reduct by `vals`."""
-    floors = _floors(idx, vals)
+    floors = _floors(rules, vals)
     # Atoms at TRUE are also at UNDEFINED, so the two flags add up to the value.
-    return [top + mid for top, mid in zip(_reach(idx, floors, _TRUE),
-                                          _reach(idx, floors, _UNDEF))]
+    return [top + mid for top, mid in zip(_reach(rules, floors, _TRUE),
+                                          _reach(rules, floors, _UNDEF))]
 
 
-def _stable(idx: _Indexed, vals: list[int]) -> bool:
+def _stable(rules: _Rules, vals: Sequence[int]) -> bool:
     """True when `vals` is a fixpoint of the reduct operator.
 
     The least model of the reduct is compared with `vals` one level at a
     time, TRUE first, and the check stops at the first level that differs.
     """
-    floors = _floors(idx, vals)
+    floors = _floors(rules, vals)
     for level in (_TRUE, _UNDEF):
-        if _reach(idx, floors, level) != [v >= level for v in vals]:
+        if _reach(rules, floors, level) != [v >= level for v in vals]:
             return False
     return True
+
+
+def _restrict(idx: _Indexed, atoms: list[int], vals: list[int]) -> _Rules:
+    """The rules for `atoms`, over those atoms only, every other atom fixed by `vals`.
+
+    Atom `atoms[i]` becomes atom i.  A body atom outside `atoms` is read from
+    `vals` and folded into its rule's floor: a positive one at its value, a
+    negated one at its complement.  A rule whose floor falls to FALSE can
+    derive nothing and is left out.
+    """
+    slot = {a: i for i, a in enumerate(atoms)}
+    heads, pos, negs, base = [], [], [], []
+    for i, a in enumerate(atoms):
+        for r in idx.defs[a]:
+            floor, inner_pos, inner_neg = _TRUE, [], []
+            for p in idx.pos[r]:
+                if p in slot:
+                    inner_pos.append(slot[p])
+                elif vals[p] < floor:
+                    floor = vals[p]
+            for n in idx.negs[r]:
+                if n in slot:
+                    inner_neg.append(slot[n])
+                elif _TRUE - vals[n] < floor:
+                    floor = _TRUE - vals[n]
+            if floor != _FALSE:
+                heads.append(i)
+                pos.append(inner_pos)
+                negs.append(inner_neg)
+                base.append(floor)
+    return _Rules(len(atoms), heads, pos, negs, base)
+
+
+def _sccs(idx: _Indexed) -> Iterator[list[int]]:
+    """The strongly connected components of the atom dependency graph, dependencies first.
+
+    Tarjan's algorithm (1972), with an explicit stack so that a long chain
+    of rules does not exhaust Python's recursion limit.  A component is
+    yielded only after every component it reaches, and the search starts
+    from the atoms in index order, so the order is deterministic.
+    """
+    defs, pos, negs = idx.defs, idx.pos, idx.negs
+
+    def successors(a: int) -> Iterator[int]:
+        return iter([b for r in defs[a] for b in (*pos[r], *negs[r])])
+
+    order = [0] * idx.size          # visit number, from 1; 0 while unvisited
+    low = [0] * idx.size
+    done = idx.size + 1             # the order of an atom already yielded: above any low
+    stack: list[int] = []
+    visited = 0
+    for root in range(idx.size):
+        if order[root]:
+            continue
+        visited += 1
+        order[root] = low[root] = visited
+        stack.append(root)
+        work = [(root, successors(root))]
+        while work:
+            v, rest = work[-1]
+            for w in rest:
+                if not order[w]:
+                    visited += 1
+                    order[w] = low[w] = visited
+                    stack.append(w)
+                    work.append((w, successors(w)))
+                    break
+                if order[w] < low[v]:     # w is on the stack
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    for w in component:
+                        order[w] = done
+                    yield component
 
 
 def _well_founded(program: GroundProgram) -> Interpretation:
     """The well-founded model of `program`, computed once and kept in its cache.
 
+    The model is computed one strongly connected component of the atom
+    dependency graph at a time, in the order `_sccs` yields them (Van Gelder,
+    Ross & Schlipf 1991).  The well-founded value of an atom depends only on
+    the rules of the atoms it reaches, and the atoms a component reaches lie
+    in it or in components yielded before it.  A lower component reaches no
+    atom of a higher one, so its values are final once computed, and each
+    component is the least fixpoint of Psi over its own rules with the lower
+    values fixed (`_restrict`).  A component whose rules negate none of its
+    atoms reaches that fixpoint in one application of Psi, and a single atom
+    that no rule of its own reads takes its best rule's floor; any other
+    component iterates Psi from all-undefined.
+
     `well_founded`, `enumerate_pstable` and `classify` on one program share
-    it.  The last two call this function rather than `well_founded`, so a
-    tracer that wraps the public name (perfbench) counts only the requests
-    made from outside this module.  Threads that race on an empty cache each
-    compute the same model, and either is kept.
+    the model.  The last two call this function rather than `well_founded`,
+    so a tracer that wraps the public name (perfbench) counts only the
+    requests made from outside this module.  Threads that race on an empty
+    cache each compute the same model, and either is kept.
     """
     wf = program.cache.get("well-founded")
     if wf is None:
         idx = _Indexed(program)
-        vals = [_UNDEF] * len(idx.atoms)
-        while True:
-            new_vals = _psi(idx, vals)
-            if new_vals == vals:
-                break
-            for old, new in zip(vals, new_vals):
-                if old != _UNDEF and old != new:
-                    raise EngineError("well-founded iteration is not inflationary")
-            vals = new_vals
+        defs, pos, negs = idx.defs, idx.pos, idx.negs
+        vals = [_UNDEF] * idx.size
+        for component in _sccs(idx):
+            if len(component) == 1:
+                a = component[0]
+                value = _FALSE
+                for r in defs[a]:
+                    if a in pos[r] or a in negs[r]:
+                        break
+                    floor = _TRUE
+                    for p in pos[r]:
+                        if vals[p] < floor:
+                            floor = vals[p]
+                    for n in negs[r]:
+                        if _TRUE - vals[n] < floor:
+                            floor = _TRUE - vals[n]
+                    if floor > value:
+                        value = floor
+                else:
+                    vals[a] = value
+                    continue
+            rules = _restrict(idx, component, vals)
+            negates_itself = any(rules.negs)
+            sub = [_UNDEF] * len(component)
+            new_sub = _psi(rules, sub)
+            while negates_itself and new_sub != sub:
+                for old, new in zip(sub, new_sub):
+                    if old != _UNDEF and old != new:
+                        raise EngineError("well-founded iteration is not inflationary")
+                sub, new_sub = new_sub, _psi(rules, new_sub)
+            for a, v in zip(component, new_sub):
+                vals[a] = v
         wf = program.cache["well-founded"] = idx.to_interpretation(vals)
     return wf
 
 
 def well_founded(program: GroundProgram) -> Interpretation:
-    """Least fixpoint of the reduct operator, iterated from the all-undefined interpretation."""
+    """Least fixpoint of the reduct operator, computed one dependency component at a time."""
     return _well_founded(program)
 
 
@@ -326,7 +470,7 @@ def _components(idx: _Indexed, base: list[int]) -> list[list[int]]:
     A rule is live when its head is undefined, no positive body atom is false
     and no negated body atom is true; it links its head with every undefined
     atom of its body, positive or negated.  Components are ordered by their
-    first atom, and the atoms of each in index order.
+    least atom in `str` order, and the atoms of each in `str` order.
     """
     parent = {a: a for a, v in enumerate(base) if v == _UNDEF}
 
@@ -352,7 +496,7 @@ def _components(idx: _Indexed, base: list[int]) -> list[list[int]]:
             if live[r]:
                 parent[root(a)] = root(idx.heads[r])
     components: dict[int, list[int]] = {}
-    for a in parent:
+    for a in sorted(parent, key=lambda a: str(idx.atoms[a])):
         components.setdefault(root(a), []).append(a)
     return list(components.values())
 
@@ -370,10 +514,14 @@ def enumerate_pstable(program: GroundProgram,
     and a live rule reads only atoms of its head's component and atoms W
     defines, so Psi(M) on a component C depends only on M's values on C.  M
     is therefore a fixpoint exactly when, for every C, the candidate that
-    agrees with M on C and with W elsewhere is one.  Each component's 3^|C|
-    assignments are checked with every other atom at its W value; the family
-    keeps the assignments found per component and is their product.  W is
-    in the family exactly when every component keeps its all-undefined part.
+    agrees with M on C and with W elsewhere is one.  That candidate already
+    agrees with Psi of it outside C, so each of C's 3^|C| assignments is
+    checked on C alone, against C's rules restricted by W (`_restrict`): a
+    rule that is not live falls to a floor of FALSE and is left out, and the
+    body atoms of a live rule outside C are defined by W and fold into its
+    floor.  The family keeps the assignments found per component and is their
+    product.  W is in the family exactly when every component keeps its
+    all-undefined part.
     """
     wf = _well_founded(program)
     if wf.undefined_count > cap:
@@ -384,13 +532,11 @@ def enumerate_pstable(program: GroundProgram,
     base = idx.values_of(wf)
     components = []
     for component in _components(idx, base):
+        rules = _restrict(idx, component, base)
         atoms = frozenset(idx.atoms[s] for s in component)
         parts = []
         for combo in itertools.product((_FALSE, _UNDEF, _TRUE), repeat=len(component)):
-            vals = list(base)
-            for slot, value in zip(component, combo):
-                vals[slot] = value
-            if _stable(idx, vals):
+            if _stable(rules, combo):
                 parts.append(Interpretation(
                     atoms,
                     frozenset(idx.atoms[s] for s, v in zip(component, combo) if v == _TRUE),

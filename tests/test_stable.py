@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from adlog import (Atom, Constant, Database, GroundProgram, Interpretation,
-                   ResourceLimitError, TruthValue, embed_database,
+from adlog import (Atom, Constant, Database, EngineError, GroundProgram,
+                   Interpretation, ResourceLimitError, TruthValue, embed_database,
                    enumerate_pstable, ground, is_pstable, max_deterministic,
                    parse_program, rewrite_bm, rewrite_st, stable_family,
                    well_founded)
@@ -13,7 +13,7 @@ from adlog.selftest import (InstanceGenerator, brute_force_family,
                             random_ground_program)
 import adlog.stable
 from adlog.stable import (FLAG_L_STABLE, FLAG_M_STABLE, FLAG_T_STABLE,
-                          _Indexed, _stable)
+                          _Indexed, _psi, _stable)
 
 from conftest import FIXTURES, load_update_program
 
@@ -104,6 +104,23 @@ def oracle_well_founded(program):
             return current
         assert current.issubset(nxt), "W iteration is not inflationary"
         current = nxt
+
+
+def oracle_psi_iteration(program):
+    """Iterate the reduct operator over the whole program from all-undefined to its fixpoint.
+
+    No dependency components: one whole-program round per link of a chain,
+    so it is quadratic on the chain family.
+    """
+    idx = _Indexed(program)
+    vals = [int(TruthValue.UNDEFINED)] * len(idx.atoms)
+    while True:
+        nxt = _psi(idx, vals)
+        if nxt == vals:
+            return idx.to_interpretation(vals)
+        assert all(old == int(TruthValue.UNDEFINED) or old == new
+                   for old, new in zip(vals, nxt)), "Psi iteration is not inflationary"
+        vals = nxt
 
 
 def oracle_enumerate(program):
@@ -231,33 +248,85 @@ def fixture_programs(name: str):
     return [ground(embed_database(rewriting(up), db)) for rewriting in (rewrite_st, rewrite_bm)]
 
 
+def ring_program(n: int) -> str:
+    """`a_i :- not a_{(i+1) mod n}.`: one strongly connected component through negation."""
+    return "".join(f"a{i} :- not a{(i + 1) % n}.\n" for i in range(n))
+
+
+def assert_matches_oracles(g, tag=None):
+    wf = well_founded(g)
+    assert wf == oracle_well_founded(g), tag
+    assert wf == oracle_psi_iteration(g), tag
+    return wf
+
+
 class TestKernelMatchesWOperator:
+    """The component-by-component model against the W operator and whole-program Psi."""
+
     def test_random_ground_programs(self):
         for seed in range(300):
-            g = random_ground_program(random.Random(seed))
-            assert well_founded(g) == oracle_well_founded(g), seed
+            assert_matches_oracles(random_ground_program(random.Random(seed)), seed)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixture(self, name):
         for g in fixture_programs(name):
-            assert well_founded(g) == oracle_well_founded(g)
+            assert_matches_oracles(g, name)
 
     def test_generated_instances(self):
         gen = InstanceGenerator(random.Random(31))
         for case in range(100):
             session = gen.instance()
             for mode in ("st", "bm"):
-                g = session.ground(mode)
-                assert well_founded(g) == oracle_well_founded(g), (case, mode)
+                assert_matches_oracles(session.ground(mode), (case, mode))
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_chain_family(self, reverse):
-        g = chain_program(50, reverse)
-        wf = well_founded(g)
-        assert wf == oracle_well_founded(g)
+        wf = assert_matches_oracles(chain_program(50, reverse))
         assert wf.undefined_count == 0
         assert {str(atom) for atom in wf.true_atoms if atom.predicate.startswith("a")} \
             == {f"a{i}" for i in range(49, -1, -2)}
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_long_chain_family(self, reverse):
+        # The W oracle is cubic on the chain (over a minute at n = 400), so
+        # only the whole-program Psi iteration checks this size.
+        g = chain_program(400, reverse)
+        wf = well_founded(g)
+        assert wf == oracle_psi_iteration(g)
+        assert wf.false_atoms == {Atom(f"a{i}") for i in range(400, -1, -2)}
+
+    @pytest.mark.parametrize("text, expected", [
+        # A positive loop is unfounded.
+        ("a :- b.\nb :- a.\n", "not a. not b."),
+        ("a :- a.\nb :- not a.\n", "not a. b."),
+        ("a :- not a.\n", "a?"),
+        # A choice pair feeding a consequence through both of its atoms.
+        ("p :- not q.\nq :- not p.\nr :- p.\nr :- q.\n", "p? q? r?"),
+        # Negated edges from higher components into an undefined lower one.
+        ("u :- not u.\nh :- not u.\n", "h? u?"),
+        ("u :- not u.\nh :- not u, not g.\ng :- not h.\nk :- h, not u.\nt :- not k, u.\n",
+         "g? h? k? t? u?"),
+        # Facts settle a lower component, which then decides a higher cycle.
+        ("f.\np :- not q, f.\nq :- not p, not f.\n", "f. p. not q."),
+    ] + [(ring_program(n), " ".join(f"a{i}?" for i in sorted(range(n), key=str)))
+         for n in range(2, 7)])
+    def test_hand_built_components(self, text, expected):
+        assert assert_matches_oracles(ground_of(text)).render_key() == expected
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # 6,400 links: the component search keeps its own stack.
+        wf = well_founded(chain_program(6400))
+        assert wf.undefined_count == 0
+        assert Atom("a6399") in wf.true_atoms and Atom("a6398") in wf.false_atoms
+
+    def test_iteration_that_is_not_inflationary_is_an_engine_error(self, monkeypatch):
+        # A kernel that derives everything in one round and nothing in the
+        # next moves a defined atom, which the fixpoint loop must refuse.
+        calls = itertools.count()
+        monkeypatch.setattr(adlog.stable, "_reach",
+                            lambda rules, floors, level: [next(calls) < 2] * rules.size)
+        with pytest.raises(EngineError, match="not inflationary"):
+            well_founded(ground_of("a :- not a.\n"))
 
 
 class TestReduct:
