@@ -232,6 +232,8 @@ class Program:
     """A set of rules; insertion order is kept only for iteration."""
 
     rules: tuple[Rule, ...] = ()
+    # What a successful validate_program found: predicate arities and the IDB.
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Program):
@@ -290,40 +292,50 @@ def validate_program(program: Program) -> None:
     Safety here means safe negation: a variable occurring in a negative literal
     must also occur in a positive non-builtin body literal.  Variables occurring
     only in the head or in builtins are allowed and range over the active domain
-    when the rule is grounded.
+    when the rule is grounded.  A program that passed is not checked again;
+    its arities and IDB predicates stay in `program.cache`.
     """
+    if "arities" in program.cache:
+        return
     arities: dict[str, int] = {}
     idb = program.idb_predicates()
     for rule in program.rules:
-        for atom in Program._all_atoms(rule):
+        head = rule.head
+        update_atoms = [head] if isinstance(head, UpdateAtom) else []
+        atoms = [rule.head_atom()]
+        positive: set[Variable] = set()
+        negative = []
+        for lit in rule.body:
+            if isinstance(lit, UpdLiteral):
+                update_atoms.append(lit.uatom)
+                atom = lit.uatom.atom
+            elif isinstance(lit, StdLiteral):
+                atom = lit.atom
+            else:
+                continue
+            atoms.append(atom)
+            if lit.positive:
+                positive |= atom.variables()
+            else:
+                negative.append(atom)
+        for atom in atoms:
             if atom.predicate.startswith(RESERVED_PREFIX):
                 raise ValidationError(
                     f"reserved predicate name {atom.predicate}{_where(rule)}")
-            _record_arity(arities, atom)
-        update_atoms = [rule.head] if rule.is_active else []
-        update_atoms += [lit.uatom for lit in rule.body if isinstance(lit, UpdLiteral)]
+            if arities.setdefault(atom.predicate, len(atom.args)) != len(atom.args):
+                _record_arity(arities, atom)  # raises the arity mismatch
         for uatom in update_atoms:
             if uatom.atom.predicate in idb:
                 raise ValidationError(
                     f"update atom {uatom} targets derived predicate{_where(rule)}")
-        positive = set()
-        for lit in rule.body:
-            if isinstance(lit, StdLiteral) and lit.positive:
-                positive |= lit.atom.variables()
-            elif isinstance(lit, UpdLiteral) and lit.positive:
-                positive |= lit.uatom.atom.variables()
-        for lit in rule.body:
-            if isinstance(lit, StdLiteral) and not lit.positive:
-                loose = lit.atom.variables() - positive
-            elif isinstance(lit, UpdLiteral) and not lit.positive:
-                loose = lit.uatom.atom.variables() - positive
-            else:
-                continue
+        for atom in negative:
+            loose = atom.variables() - positive
             if loose:
                 name = sorted(v.name for v in loose)[0]
                 raise ValidationError(
                     f"unsafe rule: variable {name} occurs under negation "
                     f"but in no positive body literal{_where(rule)}")
+    program.cache.update(arities=arities, idb=frozenset(idb))
 
 
 def _where(rule: Rule) -> str:
@@ -422,8 +434,8 @@ class UpdateProgram:
 def validate_update_program(up: UpdateProgram) -> None:
     """Validate the program plus cross-checks between delta and program."""
     validate_program(up.program)
-    arities = up.program.predicate_arities()
-    idb = up.program.idb_predicates()
+    arities = dict(up.program.cache["arities"])
+    idb = up.program.cache["idb"]
     for u in up.delta.updates:
         if u.atom.predicate.startswith(RESERVED_PREFIX):
             raise ValidationError(f"reserved predicate name in update {u}")

@@ -206,12 +206,12 @@ class _Session:
     def __init__(self, up: UpdateProgram, database: Database, *,
                  cap: int = DEFAULT_ENUMERATION_CAP):
         validate_update_program(up)
-        arities = up.program.predicate_arities()
+        arities = dict(up.program.cache["arities"])
         for uatom in up.delta.updates:
             _record_arity(arities, uatom.atom)
         for atom in database.true_facts | database.unknown_facts:
             _record_arity(arities, atom)
-        idb = up.program.idb_predicates()
+        idb = up.program.cache["idb"]
         self.schema = frozenset(p for p in arities if p not in idb and not p.startswith("@"))
         self.up = up
         self.database = database

@@ -230,6 +230,27 @@ class TestValidation:
         program = parse_program("diff(X,D) :- mgr(Y,P,D), Y != X.")
         validate_program(program)
 
+    def test_a_program_is_validated_once(self, monkeypatch):
+        program = parse_program("p(a) :- q(a, b), not +r(b).\ns(X) :- q(X, X).",
+                                validate=False)
+        seen = []
+        head_atom = Rule.head_atom
+        monkeypatch.setattr(Rule, "head_atom", lambda rule: seen.append(rule) or head_atom(rule))
+        validate_program(program)
+        assert len(seen) == 2
+        assert program.cache == {"arities": {"p": 1, "q": 2, "r": 1, "s": 1},
+                                 "idb": frozenset({"p", "s"})}
+        validate_program(program)
+        validate_update_program(UpdateProgram(DeltaSet(), program))
+        assert len(seen) == 2
+
+    def test_a_failed_validation_is_not_kept(self):
+        program = parse_program("p(X) :- not q(X).", validate=False)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="unsafe"):
+                validate_program(program)
+        assert program.cache == {}
+
 
 class TestRenameConstants:
     def test_identity(self):

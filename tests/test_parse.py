@@ -1,12 +1,16 @@
+import random
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adlog import (Atom, Constant, Database, DeltaSet, Interpretation,
-                   ParseError, Polarity, Program, Rule, StdLiteral,
-                   UpdateAtom, UpdLiteral, ValidationError, Variable,
-                   parse_database, parse_delta, parse_interpretation,
-                   parse_program, render)
+from adlog import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
+                   Interpretation, ParseError, Polarity, Program, Rule,
+                   StdLiteral, UpdateAtom, UpdLiteral, ValidationError,
+                   Variable, parse_database, parse_delta,
+                   parse_interpretation, parse_program, render)
+from adlog.selftest import InstanceGenerator
 
 
 class TestParseProgram:
@@ -195,3 +199,345 @@ def test_database_round_trip(parts):
 def test_delta_round_trip(mapping):
     delta = DeltaSet.of(UpdateAtom(pol, atom) for atom, pol in mapping.items())
     assert parse_delta(render(delta)) == delta
+
+
+# --- error locations -------------------------------------------------------
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_program, "p(a).\nq(b) :- #.", "<string>:2:9: unexpected character '#'"),
+    (parse_program, "p(a).\n  q('b).", "<string>:2:5: unterminated quoted constant"),
+    (parse_program, "p(a)\nq(b).", "<string>:2:1: expected '.', found 'q'"),
+    (parse_program, "p(a) :-\n  q(b, .", "<string>:2:8: expected a term, found '.'"),
+    (parse_program, "p(a) :- q(b c).", "<string>:1:13: expected ')', found 'c'"),
+    (parse_program, "p(a) :- X q.", "<string>:1:11: expected '=' or '!=', found 'q'"),
+    (parse_program, "p(a) :- Q(b).", "<string>:1:10: expected '=' or '!=', found '('"),
+    (parse_program, "p(a) :- 'Q'(b).", "<string>:1:12: expected '=' or '!=', found '('"),
+    (parse_program, "p(a).\nQ :- p.", "<string>:2:1: expected 'ident', found 'Q'"),
+    (parse_program, "p(X) :- q(X),\n  not X = a.",
+     "<string>:2:12: builtins cannot be negated; use the dual operator"),
+    (parse_program, "p :- not 'a' = b.",
+     "<string>:1:17: builtins cannot be negated; use the dual operator"),
+    (parse_program, "p(a) % no full stop", "<string>:1:6: expected '.', found ''"),
+    (parse_program, "p(a)  ", "<string>:1:7: expected '.', found ''"),
+    (parse_database, "p(a).\n q(X).", "<string>:2:2: database fact q(X) is not ground"),
+    (parse_database, "p(a).\np(a)?", "<string>:2:1: fact p(a) listed as both true and unknown"),
+    (parse_database, "p(a)? p(a).", "<string>:1:7: fact p(a) listed as both true and unknown"),
+    (parse_database, "p(a)!", "<string>:1:5: unexpected character '!'"),
+    (parse_database, "p(a) q.", "<string>:1:6: expected '.' or '?', found 'q'"),
+    (parse_delta, "+p(a).\n-q(X).", "<string>:2:1: update on non-ground atom q(X)"),
+    (parse_delta, "+p(a).\np(b).", "<string>:2:1: expected '+' or '-', found 'p'"),
+    (parse_interpretation, "a. not b?", "<string>:1:9: malformed interpretation entry"),
+])
+def test_error_location(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_malformed_token_reported_before_an_earlier_syntax_error():
+    with pytest.raises(ParseError) as exc:
+        parse_program("p q.\nr. ½")
+    assert str(exc.value) == "<string>:2:4: unexpected character '½'"
+
+
+def test_lines_count_newlines_inside_quoted_constants():
+    with pytest.raises(ParseError) as exc:
+        parse_program("p('a\nb').\nq(a)\nr(b).")
+    assert str(exc.value) == "<string>:4:1: expected '.', found 'r'"
+    with pytest.raises(ParseError) as exc:
+        parse_program("p('a\nb') q.")
+    assert str(exc.value) == "<string>:2:5: expected '.', found 'q'"
+    program = parse_program("p('a\n\nb').\nq(a).", origin="f.adl")
+    assert [rule.origin for rule in program.rules] == ["f.adl:1", "f.adl:4"]
+    assert program.rules[0].head.args == (Constant("a\n\nb"),)
+
+
+# --- the per-character tokenizer and parser, kept as an oracle ----------------
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'ident' | 'var' | 'quoted' | punctuation literal | 'eof'
+    text: str
+    line: int
+    column: int
+
+
+def oracle_tokenize(text: str, origin: str) -> list[_Token]:
+    """One loop iteration per character.
+
+    Unlike the tokenizer this was taken from, newlines inside a quoted
+    constant count towards the line and column of what follows it.
+    """
+    tokens: list[_Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == "'":
+            # A quote inside a quoted constant is written twice.
+            j = text.find("'", i + 1)
+            while 0 <= j < n - 1 and text[j + 1] == "'":
+                j = text.find("'", j + 2)
+            if j < 0:
+                raise ParseError("unterminated quoted constant", origin, line, col)
+            tokens.append(_Token("quoted", text[i + 1:j].replace("''", "'"), line, col))
+            if "\n" in text[i:j]:
+                line += text.count("\n", i, j)
+                col = j + 1 - text.rfind("\n", i, j)
+            else:
+                col += j - i + 1
+            i = j + 1
+            continue
+        two = text[i:i + 2]
+        if two in (":-", "!="):
+            tokens.append(_Token(two, two, line, col))
+            i += 2
+            col += 2
+            continue
+        if c in "(),.?+-=":
+            tokens.append(_Token(c, c, line, col))
+            i += 1
+            col += 1
+            continue
+        if c.isalpha() or c.isdigit() or c == "_" or c == "@":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_" or (j == i and text[j] == "@")):
+                j += 1
+            word = text[i:j]
+            kind = "var" if word[0].isupper() else "ident"
+            tokens.append(_Token(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", origin, line, col)
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+class _OracleParser:
+    """Recursive descent with one method call per token."""
+
+    def __init__(self, text: str, origin: str):
+        self.tokens = oracle_tokenize(text, origin)
+        self.origin = origin
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.next()
+        if tok.kind != kind:
+            raise self.error(f"expected {kind!r}, found {tok.text!r}", tok)
+        return tok
+
+    def error(self, message: str, tok: _Token | None = None) -> ParseError:
+        tok = tok or self.peek()
+        return ParseError(message, self.origin, tok.line, tok.column)
+
+    def at_end(self) -> bool:
+        return self.peek().kind == "eof"
+
+    def term(self):
+        tok = self.next()
+        if tok.kind == "var":
+            return Variable(tok.text)
+        if tok.kind in ("ident", "quoted"):
+            return Constant(tok.text)
+        raise self.error(f"expected a term, found {tok.text!r}", tok)
+
+    def atom(self) -> Atom:
+        tok = self.expect("ident")
+        if self.peek().kind != "(":
+            return Atom(tok.text)
+        self.next()
+        args = [self.term()]
+        while self.peek().kind == ",":
+            self.next()
+            args.append(self.term())
+        self.expect(")")
+        return Atom(tok.text, tuple(args))
+
+    def head(self):
+        if self.peek().kind in ("+", "-"):
+            polarity = Polarity.INSERT if self.next().kind == "+" else Polarity.DELETE
+            return UpdateAtom(polarity, self.atom())
+        return self.atom()
+
+    def literal(self):
+        positive = True
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text == "not":
+            following = self.tokens[self.pos + 1]
+            if following.kind in ("+", "-", "ident", "var", "quoted"):
+                self.next()
+                positive = False
+        if self.peek().kind in ("+", "-"):
+            polarity = Polarity.INSERT if self.next().kind == "+" else Polarity.DELETE
+            return UpdLiteral(UpdateAtom(polarity, self.atom()), positive)
+        tok = self.peek()
+        if tok.kind in ("var", "quoted") or (
+                tok.kind == "ident" and self.tokens[self.pos + 1].kind in ("=", "!=")):
+            left = self.term()
+            op_tok = self.next()
+            if op_tok.kind not in ("=", "!="):
+                raise self.error(f"expected '=' or '!=', found {op_tok.text!r}", op_tok)
+            right = self.term()
+            if not positive:
+                raise self.error("builtins cannot be negated; use the dual operator")
+            return BuiltinLiteral(op_tok.kind, left, right)
+        return StdLiteral(self.atom(), positive)
+
+    def rule(self) -> Rule:
+        start = self.peek()
+        head = self.head()
+        body = []
+        if self.peek().kind == ":-":
+            self.next()
+            body.append(self.literal())
+            while self.peek().kind == ",":
+                self.next()
+                body.append(self.literal())
+        self.expect(".")
+        return Rule(head, tuple(body), origin=f"{self.origin}:{start.line}")
+
+    def program(self) -> Program:
+        rules = []
+        while not self.at_end():
+            rules.append(self.rule())
+        return Program(tuple(rules))
+
+    def database(self) -> Database:
+        true_facts, unknown_facts = set(), set()
+        while not self.at_end():
+            tok = self.peek()
+            atom = self.atom()
+            if not atom.is_ground():
+                raise self.error(f"database fact {atom} is not ground", tok)
+            status = self.next()
+            if status.kind == ".":
+                if atom in unknown_facts:
+                    raise self.error(f"fact {atom} listed as both true and unknown", tok)
+                true_facts.add(atom)
+            elif status.kind == "?":
+                if atom in true_facts:
+                    raise self.error(f"fact {atom} listed as both true and unknown", tok)
+                unknown_facts.add(atom)
+            else:
+                raise self.error(f"expected '.' or '?', found {status.text!r}", status)
+        try:
+            return Database.of(true_facts, unknown_facts)
+        except ValidationError as exc:
+            raise ParseError(str(exc), self.origin) from exc
+
+    def delta(self) -> DeltaSet:
+        updates = set()
+        while not self.at_end():
+            tok = self.next()
+            if tok.kind not in ("+", "-"):
+                raise self.error(f"expected '+' or '-', found {tok.text!r}", tok)
+            polarity = Polarity.INSERT if tok.kind == "+" else Polarity.DELETE
+            atom = self.atom()
+            if not atom.is_ground():
+                raise self.error(f"update on non-ground atom {atom}", tok)
+            self.expect(".")
+            updates.add(UpdateAtom(polarity, atom))
+        try:
+            return DeltaSet.of(updates)
+        except ValidationError as exc:
+            raise ParseError(str(exc), self.origin) from exc
+
+    def interpretation(self) -> Interpretation:
+        true_atoms, false_atoms, universe = set(), set(), set()
+        while not self.at_end():
+            negated = False
+            if self.peek().kind == "ident" and self.peek().text == "not":
+                self.next()
+                negated = True
+            atom = self.atom()
+            status = self.next()
+            universe.add(atom)
+            if status.kind == "." and negated:
+                false_atoms.add(atom)
+            elif status.kind == ".":
+                true_atoms.add(atom)
+            elif status.kind == "?" and not negated:
+                pass
+            else:
+                raise self.error("malformed interpretation entry", status)
+        return Interpretation(frozenset(universe), frozenset(true_atoms),
+                              frozenset(false_atoms))
+
+
+PARSERS = {
+    "program": lambda text: parse_program(text, "f.adl", validate=False),
+    "database": lambda text: parse_database(text, "f.adb"),
+    "delta": lambda text: parse_delta(text, "f.adu"),
+    "interpretation": lambda text: parse_interpretation(text, "f"),
+}
+ORIGINS = {"program": "f.adl", "database": "f.adb", "delta": "f.adu", "interpretation": "f"}
+
+
+def outcome(parse, text: str):
+    """What parsing `text` gives: the value, with rule origins, or the error."""
+    try:
+        value = parse(text)
+    except Exception as exc:  # the two sides must fail alike, whatever the error
+        return type(exc).__name__, str(exc)
+    if isinstance(value, Program):
+        return [(rule, rule.origin) for rule in value.rules]
+    return value
+
+
+def assert_agrees_with_oracle(text: str) -> None:
+    for kind, parse in PARSERS.items():
+        oracle = lambda t: getattr(_OracleParser(t, ORIGINS[kind]), kind)()
+        assert outcome(parse, text) == outcome(oracle, text), (kind, text)
+
+
+def test_oracle_agrees_on_fixture_files(fixtures_dir):
+    paths = sorted(path for path in fixtures_dir.rglob("*") if path.is_file())
+    assert len(paths) > 20
+    for path in paths:
+        assert_agrees_with_oracle(path.read_text(encoding="utf-8"))
+
+
+def test_oracle_agrees_on_generated_instances():
+    gen = InstanceGenerator(random.Random(4099))
+    for _ in range(300):
+        session = gen.instance()
+        for obj in (session.up.program, session.database, session.up.delta,
+                    session.rewritten("st"), session.wf("st")):
+            assert_agrees_with_oracle(render(obj))
+
+
+SOUP = ["p", "q", "a", "b1", "X", "Yz", "É", "é", "_", "_x", "@", "@r", "7", "٣", "½", "a½",
+        "not", "not ", "(", ")", ",", ".", "?", "+", "-", "=", "!=", ":-", ":", "!", "#",
+        "'", "''", "'a b'", "'it''s'", "'x\ny'", "%", "% c", "\n", "\r", "\t", " ", " ",
+        "\u00a0", "\u2028", "p(a).", "p(a)?", "+q(X) :- p(X), not -r(X).", "X != Y",
+        "not p(a).", "'Q' = a", "-p(b).", "not X = a", "not 'Q' != b", "p(a)? p(a).",
+        "q(X, 'Q')"]
+
+
+def test_oracle_agrees_on_token_soups():
+    rng = random.Random(7)
+    for _ in range(2000):
+        assert_agrees_with_oracle("".join(rng.choices(SOUP, k=rng.randint(1, 14))))
