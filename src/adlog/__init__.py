@@ -19,8 +19,8 @@ from .parse import (parse_database, parse_delta, parse_interpretation,
                     parse_program, render)
 from .rewrite import GroundProgram, embed_database, ground, rewrite_bm, rewrite_st
 from .stable import (DEFAULT_ENUMERATION_CAP, ModelFamily, ModelRecord,
-                     classify, enumerate_pstable, is_pstable,
-                     max_deterministic, stable_family, well_founded)
+                     enumerate_pstable, is_pstable, max_deterministic,
+                     well_founded)
 from .update import (CompareResult, RunReport, Semantics, UpdateOutcome,
                      apply_delta, apply_updates, compare, extract_updates,
                      is_total_transformation, run)

@@ -31,10 +31,6 @@ from .model import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
                     StdLiteral, UpdateAtom, UpdLiteral, ValidationError,
                     Variable, validate_program)
 
-PROGRAM_SUFFIX = ".adl"
-DATABASE_SUFFIX = ".adb"
-DELTA_SUFFIX = ".adu"
-
 
 # ---------------------------------------------------------------------------
 # Tokens

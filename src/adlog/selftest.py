@@ -27,8 +27,7 @@ from .model import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
 from .parse import parse_database, parse_delta, parse_program, render
 from .rewrite import GroundProgram, renamed_update_atom, rewrite_st
 from .stable import (FLAG_DETERMINISTIC, FLAG_MAX_DETERMINISTIC,
-                     FLAG_WELL_FOUNDED, enumerate_pstable, stable_family,
-                     well_founded)
+                     FLAG_WELL_FOUNDED, enumerate_pstable, well_founded)
 from .update import Semantics, _Session, is_total_transformation
 
 DEFAULT_SEED = 20240
@@ -339,7 +338,7 @@ def suite_fixtures() -> SuiteResult:
             # Taken as written: grounding would drop the rules whose positive
             # body atoms are underivable, and atoms the pinned families mention.
             g = GroundProgram(up.program.rules)
-            family = stable_family(g)
+            family = enumerate_pstable(g)
             result.check(len(family.records) == fixture.model_count,
                          f"{fixture.name}: expected {fixture.model_count} models, "
                          f"got {len(family.records)}")

@@ -19,13 +19,16 @@ the residue splits into components linked by the rules still live under the
 well-founded model (splitting sets; Lifschitz & Turner 1994), each component's
 assignments are tried on their own, against that component's live rules only,
 and the family is the product of the fixpoints of Psi found per component.
+Both rest on one integer index of the program, its atom dependency graph,
+built once and kept with the well-founded model in the program's cache.
 
 The family is kept factorised: `ModelFamily` holds the well-founded model
-and each component's parts, and `classify` flags a part within its
-component.  Components share no atoms, so a model carries a flag exactly when
-each of its parts does (the argument per flag is on `ModelFamily`), counts
-are products of per-component counts, and a model is chosen part by part.
-The product of the parts is listed only when `records` is read.
+and each component's parts, each flagged within its component as the
+component is enumerated.  Components share no atoms, so a model carries a
+flag exactly when each of its parts does (the argument per flag is on
+`ModelFamily`), counts are products of per-component counts, and a model is
+chosen part by part.  The product of the parts is listed only when `records`
+is read.
 """
 
 from __future__ import annotations
@@ -64,14 +67,15 @@ class _Rules:
     body atoms `negs[r]`, and its floor cannot rise above `base[r]`;
     `occurs[a]` names rule r once for every positive body literal of r on
     atom a, and `unconditional` lists the rules with no positive body literal.
+    `_restrict` builds it.
     """
 
     def __init__(self, size: int, heads: list[int], pos: Sequence[Sequence[int]],
-                 negs: Sequence[Sequence[int]], base: list[int] | None = None):
+                 negs: Sequence[Sequence[int]], base: list[int]):
         self.size = size
         self.heads = heads
         self.negs = negs
-        self.base = base if base is not None else [_TRUE] * len(heads)
+        self.base = base
         self.need = [len(p) for p in pos]
         self.occurs: list[list[int]] = [[] for _ in range(size)]
         for r, body in enumerate(pos):
@@ -80,18 +84,17 @@ class _Rules:
         self.unconditional = [r for r, n in enumerate(self.need) if n == 0]
 
 
-class _Indexed(_Rules):
-    """Integer-indexed view of a ground program.
+class _Indexed:
+    """Integer-indexed view of a ground program: its atom dependency graph.
 
     Atoms are numbered in order of first appearance in the rules, then
-    `extra_atoms`.  Beside the kernel's view it keeps each rule's positive
-    body atoms `pos[r]` and, per atom, the rules `defs[a]` with head a: the
-    atom dependency graph, with an edge from each head to every body atom.
+    `extra_atoms`.  Rule r has head `heads[r]`, positive body atoms `pos[r]`
+    and negated body atoms `negs[r]`, and `defs[a]` lists the rules with head
+    a.  The graph has an edge from each head to every body atom.
     """
 
     def __init__(self, program: GroundProgram, extra_atoms: Iterable[Atom] = ()):
-        self.index: dict[Atom, int] = {}
-        index = self.index
+        index: dict[Atom, int] = {}
         heads, self.pos, negs = [], [], []
         for rule in program.rules:
             heads.append(index.setdefault(rule.head, len(index)))
@@ -102,14 +105,11 @@ class _Indexed(_Rules):
             negs.append(neg)
         for atom in extra_atoms:
             index.setdefault(atom, len(index))
+        self.heads, self.negs = heads, negs
         self.atoms: list[Atom] = list(index)
         self.defs: list[list[int]] = [[] for _ in self.atoms]
         for r, head in enumerate(heads):
             self.defs[head].append(r)
-        super().__init__(len(self.atoms), heads, self.pos, negs)
-
-    def values_of(self, interp: Interpretation) -> list[int]:
-        return [int(interp.value(atom)) for atom in self.atoms]
 
     def to_interpretation(self, vals: list[int]) -> Interpretation:
         true_atoms = frozenset(a for a, v in zip(self.atoms, vals) if v == _TRUE)
@@ -174,7 +174,7 @@ def _stable(rules: _Rules, vals: Sequence[int]) -> bool:
     return True
 
 
-def _restrict(idx: _Indexed, atoms: list[int], vals: list[int]) -> _Rules:
+def _restrict(idx: _Indexed, atoms: Sequence[int], vals: Sequence[int]) -> _Rules:
     """The rules for `atoms`, over those atoms only, every other atom fixed by `vals`.
 
     Atom `atoms[i]` becomes atom i.  A body atom outside `atoms` is read from
@@ -218,12 +218,13 @@ def _sccs(idx: _Indexed) -> Iterator[list[int]]:
     def successors(a: int) -> Iterator[int]:
         return iter([b for r in defs[a] for b in (*pos[r], *negs[r])])
 
-    order = [0] * idx.size          # visit number, from 1; 0 while unvisited
-    low = [0] * idx.size
-    done = idx.size + 1             # the order of an atom already yielded: above any low
+    size = len(idx.atoms)
+    order = [0] * size              # visit number, from 1; 0 while unvisited
+    low = [0] * size
+    done = size + 1                 # the order of an atom already yielded: above any low
     stack: list[int] = []
     visited = 0
-    for root in range(idx.size):
+    for root in range(size):
         if order[root]:
             continue
         visited += 1
@@ -254,8 +255,8 @@ def _sccs(idx: _Indexed) -> Iterator[list[int]]:
                     yield component
 
 
-def _well_founded(program: GroundProgram) -> Interpretation:
-    """The well-founded model of `program`, computed once and kept in its cache.
+def _well_founded(program: GroundProgram) -> tuple[_Indexed, list[int], Interpretation]:
+    """The index of `program`, its well-founded values and model, computed once and cached.
 
     The model is computed one strongly connected component of the atom
     dependency graph at a time, in the order `_sccs` yields them (Van Gelder,
@@ -269,17 +270,18 @@ def _well_founded(program: GroundProgram) -> Interpretation:
     that no rule of its own reads takes its best rule's floor; any other
     component iterates Psi from all-undefined.
 
-    `well_founded`, `enumerate_pstable` and `classify` on one program share
-    the model.  The last two call this function rather than `well_founded`,
-    so a tracer that wraps the public name (perfbench) counts only the
-    requests made from outside this module.  Threads that race on an empty
-    cache each compute the same model, and either is kept.
+    `well_founded` and `enumerate_pstable` on one program share the model,
+    and the enumeration reads the residue off the same index and values.
+    `enumerate_pstable` calls this function rather than `well_founded`, so
+    a tracer that wraps the public name (perfbench) counts only the requests
+    made from outside this module.  Threads that race on an empty cache each
+    compute the same model, and either is kept.
     """
-    wf = program.cache.get("well-founded")
-    if wf is None:
+    cached = program.cache.get("well-founded")
+    if cached is None:
         idx = _Indexed(program)
         defs, pos, negs = idx.defs, idx.pos, idx.negs
-        vals = [_UNDEF] * idx.size
+        vals = [_UNDEF] * len(idx.atoms)
         for component in _sccs(idx):
             if len(component) == 1:
                 a = component[0]
@@ -310,19 +312,20 @@ def _well_founded(program: GroundProgram) -> Interpretation:
                 sub, new_sub = new_sub, _psi(rules, new_sub)
             for a, v in zip(component, new_sub):
                 vals[a] = v
-        wf = program.cache["well-founded"] = idx.to_interpretation(vals)
-    return wf
+        cached = program.cache["well-founded"] = (idx, vals, idx.to_interpretation(vals))
+    return cached
 
 
 def well_founded(program: GroundProgram) -> Interpretation:
     """Least fixpoint of the reduct operator, computed one dependency component at a time."""
-    return _well_founded(program)
+    return _well_founded(program)[2]
 
 
 def is_pstable(program: GroundProgram, interp: Interpretation) -> bool:
     """True when `interp` equals the least model of its own reduct."""
     idx = _Indexed(program, interp.universe)
-    return _stable(idx, idx.values_of(interp))
+    vals = [int(interp.value(atom)) for atom in idx.atoms]
+    return _stable(_restrict(idx, range(len(vals)), vals), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +356,11 @@ class ModelFamily:
     are exactly the well-founded model with every component set to one of
     its parts, any combination (see `enumerate_pstable`).
 
-    `classify` flags each part within its component, and a model carries a
-    flag exactly when every one of its parts carries it.  Components share no
-    atoms, so a model's literal set is the disjoint union of `wf`'s and its
-    parts' literal sets, and every flag factors:
+    `enumerate_pstable` flags each part within its component as it finds the
+    component's parts, and a model carries a flag exactly when every one of
+    its parts carries it.  Components share no atoms, so a model's literal
+    set is the disjoint union of `wf`'s and its parts' literal sets, and
+    every flag factors:
 
     - well-founded: the family's intersection is `wf`'s literal set exactly
       when each component's parts have an empty intersection, and then a
@@ -384,12 +388,11 @@ class ModelFamily:
 
     wf: Interpretation
     components: tuple[tuple[ModelRecord, ...], ...]
-    classified: bool = False
 
     @cached_property
     def records(self) -> tuple[ModelRecord, ...]:
         """Every model with its flags, in `render_key` order: the product, built on first use."""
-        start = frozenset(ALL_FLAGS) if self.classified else frozenset()
+        start = frozenset(ALL_FLAGS)
         records = [ModelRecord(self.model_of(choice),
                                start.intersection(*(part.flags for part in choice)))
                    for choice in itertools.product(*self.components)]
@@ -403,7 +406,7 @@ class ModelFamily:
         return tuple(r for r in self.records if r.has(flag))
 
     def parts_with(self, flag: str) -> list[tuple[ModelRecord, ...]]:
-        """Per component, the parts that carry `flag` in a classified family.
+        """Per component, the parts that carry `flag`.
 
         The models that carry `flag` are the product of these parts.
         """
@@ -414,7 +417,7 @@ class ModelFamily:
         out = {"models": math.prod(len(parts) for parts in self.components)}
         for flag in ALL_FLAGS:
             out[flag.replace("-", "_")] = math.prod(
-                len(parts) for parts in self.parts_with(flag)) if self.classified else 0
+                len(parts) for parts in self.parts_with(flag))
         return out
 
     def model_of(self, parts: Iterable[ModelRecord]) -> Interpretation:
@@ -464,46 +467,39 @@ class ModelFamily:
         return self.model_of(parts[0] for parts in live)
 
 
-def _components(idx: _Indexed, base: list[int]) -> list[list[int]]:
-    """The undefined atoms of `base`, split into the components its live rules link.
+def _components(idx: _Indexed, vals: list[int]) -> list[list[int]]:
+    """The undefined atoms of `vals`, split into the components their live rules link.
 
-    A rule is live when its head is undefined, no positive body atom is false
-    and no negated body atom is true; it links its head with every undefined
-    atom of its body, positive or negated.  Components are ordered by their
-    least atom in `str` order, and the atoms of each in `str` order.
+    The live rules are the residue's rules restricted by `vals`
+    (`_restrict`); each links its head with every body atom it keeps,
+    positive or negated.  Components are ordered by their least atom in
+    `str` order, and the atoms of each in `str` order.
     """
-    parent = {a: a for a, v in enumerate(base) if v == _UNDEF}
+    residue = sorted((a for a, v in enumerate(vals) if v == _UNDEF),
+                     key=lambda a: str(idx.atoms[a]))
+    rules = _restrict(idx, residue, vals)
+    parent = list(range(len(residue)))
 
-    def root(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
+    def root(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        return s
 
-    live = [base[head] == _UNDEF and all(base[n] != _TRUE for n in neg)
-            for head, neg in zip(idx.heads, idx.negs)]
-    for a, v in enumerate(base):
-        if v == _FALSE:
-            for r in idx.occurs[a]:
-                live[r] = False
-    for r, neg in enumerate(idx.negs):
-        if live[r]:
-            for n in neg:
-                if base[n] == _UNDEF:
-                    parent[root(n)] = root(idx.heads[r])
-    # The index reaches positive body atoms only through `occurs`.
-    for a in parent:
-        for r in idx.occurs[a]:
-            if live[r]:
-                parent[root(a)] = root(idx.heads[r])
+    for head, neg in zip(rules.heads, rules.negs):
+        for n in neg:
+            parent[root(n)] = root(head)
+    for s, occurs in enumerate(rules.occurs):
+        for r in occurs:
+            parent[root(s)] = root(rules.heads[r])
     components: dict[int, list[int]] = {}
-    for a in sorted(parent, key=lambda a: str(idx.atoms[a])):
-        components.setdefault(root(a), []).append(a)
+    for s, a in enumerate(residue):
+        components.setdefault(root(s), []).append(a)
     return list(components.values())
 
 
 def enumerate_pstable(program: GroundProgram,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> ModelFamily:
-    """All partial stable models, as extensions of the well-founded model.
+    """All partial stable models, as extensions of the well-founded model, with their flags.
 
     The well-founded model W is the least fixpoint of Psi in the knowledge
     order, so every partial stable model keeps W's defined atoms and only the
@@ -519,20 +515,18 @@ def enumerate_pstable(program: GroundProgram,
     checked on C alone, against C's rules restricted by W (`_restrict`): a
     rule that is not live falls to a floor of FALSE and is left out, and the
     body atoms of a live rule outside C are defined by W and fold into its
-    floor.  The family keeps the assignments found per component and is their
-    product.  W is in the family exactly when every component keeps its
-    all-undefined part.
+    floor.  The family keeps the assignments found per component, flagged
+    within it (`_classify`), and is their product.  W is in the family
+    exactly when every component keeps its all-undefined part.
     """
-    wf = _well_founded(program)
+    idx, vals, wf = _well_founded(program)
     if wf.undefined_count > cap:
         raise ResourceLimitError(
             f"{wf.undefined_count} atoms undefined in the well-founded model "
             f"exceeds the enumeration cap of {cap}", cap)
-    idx = _Indexed(program)
-    base = idx.values_of(wf)
     components = []
-    for component in _components(idx, base):
-        rules = _restrict(idx, component, base)
+    for component in _components(idx, vals):
+        rules = _restrict(idx, component, vals)
         atoms = frozenset(idx.atoms[s] for s in component)
         parts = []
         for combo in itertools.product((_FALSE, _UNDEF, _TRUE), repeat=len(component)):
@@ -544,15 +538,14 @@ def enumerate_pstable(program: GroundProgram,
         if not any(part.undefined_count == len(atoms) for part in parts):
             raise EngineError("well-founded model missing from the enumerated family")
         parts.sort(key=lambda part: part.render_key())
-        components.append(tuple(ModelRecord(part) for part in parts))
+        components.append(_classify(parts))
     return ModelFamily(wf, tuple(components))
 
 
-def _classify_component(parts: tuple[ModelRecord, ...]) -> tuple[ModelRecord, ...]:
+def _classify(models: list[Interpretation]) -> tuple[ModelRecord, ...]:
     """Flag the parts of one residue component within it (see `ModelFamily`)."""
-    if not parts:
+    if not models:
         raise EngineError("empty stable model family")
-    models = [part.model for part in parts]
     literal_sets = [m.literal_set() for m in models]
     # The well-founded model defines no atom of the component.
     if frozenset.intersection(*literal_sets):
@@ -586,22 +579,8 @@ def _classify_component(parts: tuple[ModelRecord, ...]) -> tuple[ModelRecord, ..
     return tuple(records)
 
 
-def classify(program: GroundProgram, family: ModelFamily) -> ModelFamily:
-    """Attach the model-class flags to an enumerated family, one component at a time."""
-    if family.wf != _well_founded(program):
-        raise EngineError("family intersection disagrees with the well-founded model")
-    return ModelFamily(family.wf, tuple(_classify_component(parts)
-                                        for parts in family.components), classified=True)
-
-
-def stable_family(program: GroundProgram,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> ModelFamily:
-    """Enumerate and classify in one step."""
-    return classify(program, enumerate_pstable(program, cap))
-
-
 def max_deterministic(program: GroundProgram,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> Interpretation:
     """The top of the deterministic-model lattice."""
-    family = stable_family(program, cap)
+    family = enumerate_pstable(program, cap)
     return family.model_of(parts[0] for parts in family.parts_with(FLAG_MAX_DETERMINISTIC))

@@ -24,7 +24,7 @@ from .rewrite import (GroundProgram, base_atom_of_renamed, embed_database,
                       ground, rewrite_bm, rewrite_st)
 from .stable import (DEFAULT_ENUMERATION_CAP, FLAG_M_STABLE,
                      FLAG_MAX_DETERMINISTIC, FLAG_T_STABLE, ModelFamily,
-                     ModelRecord, stable_family, well_founded)
+                     ModelRecord, enumerate_pstable, well_founded)
 
 
 class Semantics(enum.Enum):
@@ -98,9 +98,6 @@ class UpdateOutcome:
     def is_empty(self) -> bool:
         return not (self.certain_insert or self.certain_delete
                     or self.undef_insert or self.undef_delete)
-
-    def atoms(self) -> frozenset[Atom]:
-        return self.certain_insert | self.certain_delete | self.undef_insert | self.undef_delete
 
 
 def extract_updates(model: Interpretation, schema: frozenset[str] | None = None) -> UpdateOutcome:
@@ -246,7 +243,8 @@ class _Session:
         return self._stage("wf", mode, lambda: well_founded(self.ground(mode)))
 
     def family(self, mode: str) -> ModelFamily:
-        return self._stage("family", mode, lambda: stable_family(self.ground(mode), self.cap))
+        return self._stage("family", mode,
+                           lambda: enumerate_pstable(self.ground(mode), self.cap))
 
     def apply_model(self, model: Interpretation, base: Database) -> Database:
         outcome = extract_updates(model, self.schema)
@@ -257,6 +255,8 @@ class _Session:
 
     def run(self, semantics: Semantics, policy: str = "lex",
             seed: int | None = None) -> RunReport:
+        if policy not in ("lex", "random"):
+            raise ValueError(f"unknown selection policy {policy!r}")
         plan = PLANS[semantics]
         if plan.total_input and not self.database.is_total:
             raise PreconditionError(
@@ -302,11 +302,9 @@ def _select(family: ModelFamily, eligible: list[tuple[ModelRecord, ...]],
     if policy == "lex":
         # Each component's least part makes the least model (ModelFamily.nth).
         return family.model_of(parts[0] for parts in eligible)
-    if policy == "random":
-        # The index random.Random(seed).choice takes from a sequence this long.
-        count = math.prod(len(parts) for parts in eligible)
-        return family.nth(eligible, random.Random(seed).randrange(count))
-    raise ValueError(f"unknown selection policy {policy!r}")
+    # The index random.Random(seed).choice takes from a sequence this long.
+    count = math.prod(len(parts) for parts in eligible)
+    return family.nth(eligible, random.Random(seed).randrange(count))
 
 
 def run(up: UpdateProgram, database: Database, semantics: Semantics,

@@ -6,8 +6,8 @@ as a checklist.  All assertions are exact; there are no tolerances to tune.
 
 import time
 
-from adlog import (Atom, Constant, GroundProgram, Semantics, info_leq,
-                   parse_program, run, stable_family)
+from adlog import (Atom, Constant, GroundProgram, Semantics,
+                   enumerate_pstable, info_leq, parse_program, run)
 from adlog.selftest import (suite_genericity, suite_oracle, suite_ordering,
                             suite_roundtrip)
 from adlog.stable import (FLAG_L_STABLE, FLAG_M_STABLE,
@@ -28,7 +28,7 @@ def family_of(name: str):
     program = parse_program(fixture_text(f"{name}.adl"))
     # Taken as written, like the selftest fixture corpus: grounding would drop
     # atoms the pinned families mention.
-    return stable_family(GroundProgram(program.rules))
+    return enumerate_pstable(GroundProgram(program.rules))
 
 
 def keys(records) -> set[str]:

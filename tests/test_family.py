@@ -14,8 +14,7 @@ import pytest
 
 from adlog import (Database, DeltaSet, EngineError, PreconditionError,
                    ResourceLimitError, UpdateProgram, enumerate_pstable,
-                   parse_database, parse_delta, parse_program, render,
-                   stable_family)
+                   parse_database, parse_delta, parse_program, render)
 from adlog.selftest import InstanceGenerator, random_ground_program
 from adlog.stable import (ALL_FLAGS, FLAG_DETERMINISTIC, FLAG_L_STABLE,
                           FLAG_M_STABLE, FLAG_MAX_DETERMINISTIC,
@@ -82,7 +81,7 @@ def indices(count: int, rng: random.Random) -> list[int]:
 
 def check_family(g, tag=None) -> int:
     """The factorised family of `g` against the product oracle; returns the model count."""
-    family = stable_family(g)
+    family = enumerate_pstable(g)
     expected = oracle_classify(g, oracle_enumerate(g))
     assert family.counts() == oracle_counts(expected), tag
     assert family.records == expected, tag
@@ -132,7 +131,7 @@ class TestFamilyMatchesProductOracle:
     @pytest.mark.parametrize("text", MULTI_COMPONENT)
     def test_multi_component_programs(self, text):
         g = ground_of(text)
-        assert len(stable_family(g).components) >= 2
+        assert len(enumerate_pstable(g).components) >= 2
         assert check_family(g, text) > 1
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -150,16 +149,16 @@ class TestFamilyMatchesProductOracle:
             g = ground_of(first + re.sub(r"\b([a-h])\b", r"\1\1", second))
             if well_founded(g).undefined_count <= 8:
                 check_family(g, seed)
-                several += len(stable_family(g).components) > 1
+                several += len(enumerate_pstable(g).components) > 1
         assert several > 15
 
     def test_product_is_built_only_when_read(self):
-        family = stable_family(ground_of(pairs_program(12)), cap=24)
+        family = enumerate_pstable(ground_of(pairs_program(12)), cap=24)
         assert family.counts()["models"] == 3 ** 12
         assert "records" not in vars(family)
 
     def test_nth_rejects_an_index_outside_the_product(self):
-        family = stable_family(ground_of(pairs_program(2)))
+        family = enumerate_pstable(ground_of(pairs_program(2)))
         eligible = family.parts_with(FLAG_T_STABLE)
         with pytest.raises(IndexError):
             family.nth(eligible, 4)

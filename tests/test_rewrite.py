@@ -9,9 +9,9 @@ import pytest
 
 from adlog import (Atom, Constant, Database, DeltaSet, GroundProgram,
                    Polarity, Program, Rule, StdLiteral, UpdateProgram,
-                   ValidationError, embed_database, ground, parse_database,
-                   parse_program, render, rewrite_bm, rewrite_st,
-                   stable_family)
+                   ValidationError, embed_database, enumerate_pstable, ground,
+                   parse_database, parse_program, render, rewrite_bm,
+                   rewrite_st)
 from adlog.rewrite import (_instantiate, _variables, bridge_predicate,
                            delta_marker_predicate, guard_predicate,
                            renamed_update_predicate)
@@ -182,8 +182,8 @@ class TestGround:
     def test_pruning_keeps_stable_models_on_derivable_atoms(self, fixtures_dir):
         for name in ("zoo_choice_nofact", "zoo_join", "zoo_chain"):
             program = parse_program((fixtures_dir / f"{name}.adl").read_text())
-            full = stable_family(product_ground(program))
-            pruned = stable_family(ground(program))
+            full = enumerate_pstable(product_ground(program))
+            pruned = enumerate_pstable(ground(program))
             kept = ground(program).universe
             full_restricted = sorted(
                 frozenset((a, v) for a, v in m.literal_set() if a in kept)
@@ -199,8 +199,8 @@ class TestGround:
         up, _ = load_update_program("new_hire_worker")
         base = ground(embed_database(rewrite_st(up), Database()))
         extended = ground(embed_database(rewrite_st(up), PAD))
-        base_family = stable_family(base)
-        extended_family = stable_family(extended)
+        base_family = enumerate_pstable(base)
+        extended_family = enumerate_pstable(extended)
         original = base.universe
         restricted = sorted(
             frozenset((a, v) for a, v in m.literal_set() if a in original)

@@ -6,14 +6,14 @@ import pytest
 from adlog import (Atom, Constant, Database, EngineError, GroundProgram,
                    Interpretation, ResourceLimitError, TruthValue, embed_database,
                    enumerate_pstable, ground, is_pstable, max_deterministic,
-                   parse_program, rewrite_bm, rewrite_st, stable_family,
-                   well_founded)
+                   parse_program, rewrite_bm, rewrite_st, well_founded)
 from adlog.selftest import (InstanceGenerator, brute_force_family,
                             eval_literal, gl_reduct, least_3v_model,
                             random_ground_program)
 import adlog.stable
 from adlog.stable import (FLAG_L_STABLE, FLAG_M_STABLE, FLAG_T_STABLE,
-                          _Indexed, _psi, _stable)
+                          _components, _Indexed, _psi, _Rules, _stable,
+                          _well_founded)
 
 from conftest import FIXTURES, load_update_program
 
@@ -106,6 +106,12 @@ def oracle_well_founded(program):
         current = nxt
 
 
+def whole_program_rules(idx):
+    """The kernel's view of every rule of the index, built without `_restrict`."""
+    return _Rules(len(idx.atoms), idx.heads, idx.pos, idx.negs,
+                  [int(TruthValue.TRUE)] * len(idx.heads))
+
+
 def oracle_psi_iteration(program):
     """Iterate the reduct operator over the whole program from all-undefined to its fixpoint.
 
@@ -113,9 +119,10 @@ def oracle_psi_iteration(program):
     so it is quadratic on the chain family.
     """
     idx = _Indexed(program)
+    rules = whole_program_rules(idx)
     vals = [int(TruthValue.UNDEFINED)] * len(idx.atoms)
     while True:
-        nxt = _psi(idx, vals)
+        nxt = _psi(rules, vals)
         if nxt == vals:
             return idx.to_interpretation(vals)
         assert all(old == int(TruthValue.UNDEFINED) or old == new
@@ -127,17 +134,48 @@ def oracle_enumerate(program):
     """The family by trying all 3^k assignments of the whole well-founded residue."""
     wf = well_founded(program)
     idx = _Indexed(program)
-    base = idx.values_of(wf)
-    slots = [idx.index[atom] for atom in sorted(wf.undefined_atoms(), key=str)]
+    rules = whole_program_rules(idx)
+    base = [int(wf.value(atom)) for atom in idx.atoms]
+    index = {atom: slot for slot, atom in enumerate(idx.atoms)}
+    slots = [index[atom] for atom in sorted(wf.undefined_atoms(), key=str)]
     models = []
     for combo in itertools.product((0, 1, 2), repeat=len(slots)):
         vals = list(base)
         for slot, value in zip(slots, combo):
             vals[slot] = value
-        if _stable(idx, vals):
+        if _stable(rules, vals):
             models.append(idx.to_interpretation(vals))
     models.sort(key=lambda m: m.render_key())
     return models
+
+
+def oracle_components(idx, base):
+    """The undefined atoms of `base`, split by a liveness test and union-find of their own.
+
+    A rule is live when its head is undefined, no positive body atom is false
+    and no negated body atom is true; it links its head with every undefined
+    atom of its body.  Ordered as `_components` orders them: components by
+    their least atom in `str` order, and the atoms of each in `str` order.
+    """
+    undefined, true, false = (int(v) for v in (TruthValue.UNDEFINED, TruthValue.TRUE,
+                                               TruthValue.FALSE))
+    parent = {a: a for a, v in enumerate(base) if v == undefined}
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for head, pos, neg in zip(idx.heads, idx.pos, idx.negs):
+        if base[head] == undefined and all(base[b] != false for b in pos) \
+                and all(base[n] != true for n in neg):
+            for b in (*pos, *neg):
+                if base[b] == undefined:
+                    parent[root(b)] = root(head)
+    components = {}
+    for a in sorted(parent, key=lambda a: str(idx.atoms[a])):
+        components.setdefault(root(a), []).append(a)
+    return list(components.values())
 
 
 def pairs_program(k: int) -> str:
@@ -501,11 +539,29 @@ class TestComponents:
         assert count_stable_checks(monkeypatch, text) == (9, 3)
 
 
+class TestComponentsMatchOracle:
+    """`_components`, on the live rules `_restrict` keeps, against its own liveness test."""
+
+    @staticmethod
+    def check(g, tag=None):
+        idx, vals, _ = _well_founded(g)
+        assert _components(idx, vals) == oracle_components(idx, vals), tag
+
+    def test_random_ground_programs(self):
+        for seed in range(2000):
+            self.check(random_ground_program(random.Random(seed)), seed)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture(self, name):
+        for g in fixture_programs(name):
+            self.check(g, name)
+
+
 class TestClassify:
     def test_well_founded_is_intersection_and_subset_of_all(self, fixtures_dir):
         for name in ("zoo_choice", "zoo_join", "zoo_choice_nofact"):
             g = ground_of((fixtures_dir / f"{name}.adl").read_text())
-            family = stable_family(g)
+            family = enumerate_pstable(g)
             wf = well_founded(g)
             for record in family.records:
                 assert wf.issubset(record.model)
@@ -514,7 +570,7 @@ class TestClassify:
 
     def test_t_stable_models_are_total_and_their_reducts_two_valued(self, fixtures_dir):
         g = ground_of((fixtures_dir / "zoo_join.adl").read_text())
-        for record in stable_family(g).with_flag(FLAG_T_STABLE):
+        for record in enumerate_pstable(g).with_flag(FLAG_T_STABLE):
             assert record.model.is_total
             least = least_3v_model(gl_reduct(g, record.model))
             assert least.undefined_count == 0
@@ -524,7 +580,7 @@ class TestClassify:
         checked = 0
         for _ in range(40):
             g = random_ground_program(rng)
-            family = stable_family(g)
+            family = enumerate_pstable(g)
             totals = family.with_flag(FLAG_T_STABLE)
             if totals:
                 checked += 1
@@ -533,7 +589,7 @@ class TestClassify:
 
     def test_m_stable_maximality(self, fixtures_dir):
         g = ground_of((fixtures_dir / "zoo_choice.adl").read_text())
-        family = stable_family(g)
+        family = enumerate_pstable(g)
         maximal = {r.model.render_key() for r in family.with_flag(FLAG_M_STABLE)}
         assert maximal == {
             "a. b. not c. d? e? p? q?",

@@ -179,6 +179,13 @@ class TestRun:
         replay = run(up, db, Semantics.MS, policy="random", seed=first.seed)
         assert replay.output_db == first.output_db
 
+    @pytest.mark.parametrize("semantics", list(Semantics))
+    def test_unknown_policy_is_rejected_under_every_semantics(self, semantics):
+        # No total model, so ts has no candidate to choose among.
+        up = UpdateProgram(DeltaSet(), parse_program("+p(a) :- not +p(a).\n"))
+        with pytest.raises(ValueError, match="unknown selection policy 'bogus'"):
+            run(up, Database(), semantics, policy="bogus")
+
     def test_total_only_semantics_reject_partial_input(self):
         up, _ = load_update_program("new_hire_worker")
         partial = Database.of(unknown=[atom("emp(b)")])
@@ -261,7 +268,7 @@ class TestCompare:
             compare(up, db)
 
     def test_refused_enumeration_is_computed_once(self, monkeypatch):
-        calls = {"stable_family": 0, "well_founded": 0}
+        calls = {"enumerate_pstable": 0, "well_founded": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -270,7 +277,7 @@ class TestCompare:
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(adlog.update, "stable_family")
+        counting(adlog.update, "enumerate_pstable")
         counting(adlog.update, "well_founded")
         counting(adlog.stable, "well_founded")
         up = UpdateProgram(DeltaSet(), parse_program("".join(
@@ -282,7 +289,7 @@ class TestCompare:
         assert len({row.error for row in result.rows if row.report is None}) == 1
         # One enumeration; the well-founded model of st (for ws, and kept for
         # the enumeration) and of bm.
-        assert calls == {"stable_family": 1, "well_founded": 2}
+        assert calls == {"enumerate_pstable": 1, "well_founded": 2}
 
     def test_family_path_computes_the_well_founded_model_once(self, monkeypatch):
         computed = []
@@ -297,9 +304,23 @@ class TestCompare:
             "+p(a) :- not +q(a).\n+q(a) :- not +p(a).\n"))
         result = compare(up, Database())
         assert all(row.report is not None for row in result.rows)
-        # One fixpoint per rewriting, shared by ws, the enumeration and the
-        # classification.
+        # One fixpoint per rewriting, shared by ws and the enumeration.
         assert len(computed) == len(set(computed)) == 2
+
+    def test_one_index_per_rewriting(self, monkeypatch):
+        built = []
+        original = adlog.stable._Indexed
+
+        def indexed(program, *args):
+            built.append(program)
+            return original(program, *args)
+
+        monkeypatch.setattr(adlog.stable, "_Indexed", indexed)
+        up = UpdateProgram(DeltaSet(), parse_program(
+            "+p(a) :- not +q(a).\n+q(a) :- not +p(a).\n"))
+        compare(up, Database())
+        # The well-founded model and the enumeration read the same index.
+        assert len(built) == len({id(program) for program in built}) == 2
 
 
 class TestIndependentPairs:
