@@ -15,8 +15,7 @@ from .model import (AdlogError, Atom, BuiltinLiteral, ConsistencyError,
                     UpdLiteral, ValidationError, Variable, info_leq,
                     rename_constants, validate_program,
                     validate_update_program)
-from .parse import (parse_database, parse_delta, parse_interpretation,
-                    parse_program, render)
+from .parse import parse_database, parse_delta, parse_program, render
 from .rewrite import GroundProgram, embed_database, ground, rewrite_bm, rewrite_st
 from .stable import (DEFAULT_ENUMERATION_CAP, ModelFamily, ModelRecord,
                      enumerate_pstable, is_pstable, max_deterministic,

@@ -474,10 +474,6 @@ class Interpretation:
         if not (self.true_atoms <= self.universe and self.false_atoms <= self.universe):
             raise UniverseError("literal set mentions atoms outside the universe")
 
-    @staticmethod
-    def empty(universe: Iterable[Atom]) -> "Interpretation":
-        return Interpretation(frozenset(universe))
-
     def value(self, atom: Atom) -> TruthValue:
         if atom in self.true_atoms:
             return TruthValue.TRUE

@@ -240,20 +240,6 @@ def _delta(tokens: list[str], lines: list[int], origin: str, terms: dict) -> Del
     return DeltaSet.of(updates)
 
 
-def _interpretation(tokens: list[str], lines: list[int], origin: str, terms: dict):
-    true_atoms, false_atoms, universe, i = set(), set(), set(), 0
-    while i < len(lines):
-        negated = tokens[i] == "not"
-        atom, i = _atom(tokens, i + negated, terms)
-        universe.add(atom)
-        if tokens[i] == ".":
-            (false_atoms if negated else true_atoms).add(atom)
-        elif tokens[i] != "?" or negated:
-            raise _Syntax("malformed interpretation entry", i)
-        i += 1
-    return Interpretation(frozenset(universe), frozenset(true_atoms), frozenset(false_atoms))
-
-
 # ---------------------------------------------------------------------------
 # Public parsing entry points
 # ---------------------------------------------------------------------------
@@ -271,11 +257,6 @@ def parse_database(text: str, origin: str = "<string>") -> Database:
 
 def parse_delta(text: str, origin: str = "<string>") -> DeltaSet:
     return _parsed(_delta, text, origin)
-
-
-def parse_interpretation(text: str, origin: str = "<string>") -> Interpretation:
-    """Inverse of render() for interpretations; entries are `a.`, `not a.` or `a?`."""
-    return _parsed(_interpretation, text, origin)
 
 
 # ---------------------------------------------------------------------------

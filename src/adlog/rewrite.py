@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .model import (Atom, BuiltinLiteral, Constant, Database, Literal,
@@ -62,16 +63,58 @@ def base_atom_of_renamed(atom: Atom) -> tuple[Polarity, Atom] | None:
 
 @dataclass(frozen=True, eq=False)
 class GroundProgram:
-    """Variable-free, builtin-free rules plus the slice of the Herbrand base they mention."""
+    """Variable-free, builtin-free rules with their atoms numbered once: the solver's atom table.
+
+    The constructor reads the rules once.  It numbers each atom at its first
+    appearance (atom i is `atoms[i]`) and drops a rule equal to an earlier
+    one.  Rule r of `rules` has head `heads[r]`, positive body atoms `pos[r]`
+    and negated body atoms `negs[r]`, and `defs[a]` lists the rules with head
+    a: the atom dependency graph the solver reads (see stable._well_founded).
+    A variable, an update atom or a builtin is a `ValidationError`.  The
+    lists are read, never changed.
+    """
 
     rules: tuple[Rule, ...]
-    universe: frozenset[Atom] = field(init=False)
+    atoms: tuple[Atom, ...] = field(init=False, repr=False)
+    heads: list[int] = field(init=False, repr=False)
+    pos: list[list[int]] = field(init=False, repr=False)
+    negs: list[list[int]] = field(init=False, repr=False)
+    defs: list[list[int]] = field(init=False, repr=False)
     # What the solver derives from the rules, kept with them (see stable._well_founded).
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "universe", frozenset(
-            [r.head for r in self.rules] + [lit.atom for r in self.rules for lit in r.body]))
+        index: dict[Atom, int] = {}
+        # Each rule as numbers: its head, then each body atom a, as ~a if negated.
+        # Equal rules give equal keys, so the first of them is the one kept.
+        kept: dict[tuple[int, ...], Rule] = {}
+        for rule in self.rules:
+            key = [index.setdefault(rule.head, len(index))]
+            for lit in rule.body:
+                try:
+                    a = index.setdefault(lit.atom, len(index))
+                except AttributeError:      # only a standard literal has an atom
+                    raise ValidationError(
+                        f"body literal {lit} of rule '{rule}' is not an atom") from None
+                key.append(a if lit.positive else ~a)
+            kept.setdefault(tuple(key), rule)
+        for atom in index:
+            if not (isinstance(atom, Atom) and atom.is_ground()):
+                raise ValidationError(f"{atom} in a ground program is not a ground atom")
+        heads = [key[0] for key in kept]
+        defs: list[list[int]] = [[] for _ in index]
+        for r, head in enumerate(heads):
+            defs[head].append(r)
+        for name, value in (("rules", tuple(kept.values())), ("atoms", tuple(index)),
+                            ("heads", heads), ("defs", defs),
+                            ("pos", [[a for a in key[1:] if a >= 0] for key in kept]),
+                            ("negs", [[~a for a in key[1:] if a < 0] for key in kept])):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def universe(self) -> frozenset[Atom]:
+        """The slice of the Herbrand base the rules mention."""
+        return frozenset(self.atoms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroundProgram):
@@ -239,7 +282,7 @@ def ground(program: Program) -> GroundProgram:
                                                     for lit in rule.body):
             raise ValidationError(f"rule {rule} still contains update atoms")
     constants = [Constant(c) for c in sorted(program.constants())]
-    return GroundProgram(tuple(dict.fromkeys(_ground_derivable(program.rules, constants))))
+    return GroundProgram(tuple(_ground_derivable(program.rules, constants)))
 
 
 def _variables(rule: Rule) -> list[Variable]:

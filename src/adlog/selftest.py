@@ -487,7 +487,7 @@ def random_ground_program(rng: random.Random):
         body = tuple(StdLiteral(rng.choice(atoms), positive=rng.random() < 0.55)
                      for _ in range(rng.randint(0, 3)))
         rules.append(Rule(head, body))
-    return GroundProgram(tuple(dict.fromkeys(rules)))
+    return GroundProgram(tuple(rules))
 
 
 # ---------------------------------------------------------------------------

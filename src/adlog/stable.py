@@ -19,8 +19,10 @@ the residue splits into components linked by the rules still live under the
 well-founded model (splitting sets; Lifschitz & Turner 1994), each component's
 assignments are tried on their own, against that component's live rules only,
 and the family is the product of the fixpoints of Psi found per component.
-Both rest on one integer index of the program, its atom dependency graph,
-built once and kept with the well-founded model in the program's cache.
+Both read one atom table: `GroundProgram` numbers its atoms once, when it is
+built, keeps each rule by those numbers (its atom dependency graph) and
+rejects rules that are not ground, and the program's cache keeps the
+well-founded values and model computed from it.
 
 The family is kept factorised: `ModelFamily` holds the well-founded model
 and each component's parts, each flagged within its component as the
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .model import (Atom, EngineError, Interpretation, ResourceLimitError,
-                    TruthValue, render_token)
+from .model import (EngineError, Interpretation, ResourceLimitError, TruthValue,
+                    render_token)
 from .rewrite import GroundProgram
 
 DEFAULT_ENUMERATION_CAP = 20
@@ -82,39 +84,6 @@ class _Rules:
             for p in body:
                 self.occurs[p].append(r)
         self.unconditional = [r for r, n in enumerate(self.need) if n == 0]
-
-
-class _Indexed:
-    """Integer-indexed view of a ground program: its atom dependency graph.
-
-    Atoms are numbered in order of first appearance in the rules, then
-    `extra_atoms`.  Rule r has head `heads[r]`, positive body atoms `pos[r]`
-    and negated body atoms `negs[r]`, and `defs[a]` lists the rules with head
-    a.  The graph has an edge from each head to every body atom.
-    """
-
-    def __init__(self, program: GroundProgram, extra_atoms: Iterable[Atom] = ()):
-        index: dict[Atom, int] = {}
-        heads, self.pos, negs = [], [], []
-        for rule in program.rules:
-            heads.append(index.setdefault(rule.head, len(index)))
-            pos, neg = [], []
-            for lit in rule.body:
-                (pos if lit.positive else neg).append(index.setdefault(lit.atom, len(index)))
-            self.pos.append(pos)
-            negs.append(neg)
-        for atom in extra_atoms:
-            index.setdefault(atom, len(index))
-        self.heads, self.negs = heads, negs
-        self.atoms: list[Atom] = list(index)
-        self.defs: list[list[int]] = [[] for _ in self.atoms]
-        for r, head in enumerate(heads):
-            self.defs[head].append(r)
-
-    def to_interpretation(self, vals: list[int]) -> Interpretation:
-        true_atoms = frozenset(a for a, v in zip(self.atoms, vals) if v == _TRUE)
-        false_atoms = frozenset(a for a, v in zip(self.atoms, vals) if v == _FALSE)
-        return Interpretation(frozenset(self.atoms), true_atoms, false_atoms)
 
 
 def _floors(rules: _Rules, vals: list[int]) -> list[int]:
@@ -174,7 +143,7 @@ def _stable(rules: _Rules, vals: Sequence[int]) -> bool:
     return True
 
 
-def _restrict(idx: _Indexed, atoms: Sequence[int], vals: Sequence[int]) -> _Rules:
+def _restrict(program: GroundProgram, atoms: Sequence[int], vals: Sequence[int]) -> _Rules:
     """The rules for `atoms`, over those atoms only, every other atom fixed by `vals`.
 
     Atom `atoms[i]` becomes atom i.  A body atom outside `atoms` is read from
@@ -185,14 +154,14 @@ def _restrict(idx: _Indexed, atoms: Sequence[int], vals: Sequence[int]) -> _Rule
     slot = {a: i for i, a in enumerate(atoms)}
     heads, pos, negs, base = [], [], [], []
     for i, a in enumerate(atoms):
-        for r in idx.defs[a]:
+        for r in program.defs[a]:
             floor, inner_pos, inner_neg = _TRUE, [], []
-            for p in idx.pos[r]:
+            for p in program.pos[r]:
                 if p in slot:
                     inner_pos.append(slot[p])
                 elif vals[p] < floor:
                     floor = vals[p]
-            for n in idx.negs[r]:
+            for n in program.negs[r]:
                 if n in slot:
                     inner_neg.append(slot[n])
                 elif _TRUE - vals[n] < floor:
@@ -205,20 +174,20 @@ def _restrict(idx: _Indexed, atoms: Sequence[int], vals: Sequence[int]) -> _Rule
     return _Rules(len(atoms), heads, pos, negs, base)
 
 
-def _sccs(idx: _Indexed) -> Iterator[list[int]]:
+def _sccs(program: GroundProgram) -> Iterator[list[int]]:
     """The strongly connected components of the atom dependency graph, dependencies first.
 
     Tarjan's algorithm (1972), with an explicit stack so that a long chain
     of rules does not exhaust Python's recursion limit.  A component is
     yielded only after every component it reaches, and the search starts
-    from the atoms in index order, so the order is deterministic.
+    from the atoms in table order, so the order is deterministic.
     """
-    defs, pos, negs = idx.defs, idx.pos, idx.negs
+    defs, pos, negs = program.defs, program.pos, program.negs
 
     def successors(a: int) -> Iterator[int]:
         return iter([b for r in defs[a] for b in (*pos[r], *negs[r])])
 
-    size = len(idx.atoms)
+    size = len(program.atoms)
     order = [0] * size              # visit number, from 1; 0 while unvisited
     low = [0] * size
     done = size + 1                 # the order of an atom already yielded: above any low
@@ -255,8 +224,8 @@ def _sccs(idx: _Indexed) -> Iterator[list[int]]:
                     yield component
 
 
-def _well_founded(program: GroundProgram) -> tuple[_Indexed, list[int], Interpretation]:
-    """The index of `program`, its well-founded values and model, computed once and cached.
+def _well_founded(program: GroundProgram) -> tuple[list[int], Interpretation]:
+    """The well-founded values of `program`'s atoms and its model, computed once and cached.
 
     The model is computed one strongly connected component of the atom
     dependency graph at a time, in the order `_sccs` yields them (Van Gelder,
@@ -270,8 +239,11 @@ def _well_founded(program: GroundProgram) -> tuple[_Indexed, list[int], Interpre
     that no rule of its own reads takes its best rule's floor; any other
     component iterates Psi from all-undefined.
 
-    `well_founded` and `enumerate_pstable` on one program share the model,
-    and the enumeration reads the residue off the same index and values.
+    The values are indexed by the program's one atom table (`atoms`), built
+    by the `GroundProgram` constructor, which rejects rules that are not
+    ground; the model reuses the program's `universe`.  `well_founded`
+    and `enumerate_pstable` on one program share the model, and the
+    enumeration reads the residue off the same values.
     `enumerate_pstable` calls this function rather than `well_founded`, so
     a tracer that wraps the public name (perfbench) counts only the requests
     made from outside this module.  Threads that race on an empty cache each
@@ -279,10 +251,9 @@ def _well_founded(program: GroundProgram) -> tuple[_Indexed, list[int], Interpre
     """
     cached = program.cache.get("well-founded")
     if cached is None:
-        idx = _Indexed(program)
-        defs, pos, negs = idx.defs, idx.pos, idx.negs
-        vals = [_UNDEF] * len(idx.atoms)
-        for component in _sccs(idx):
+        defs, pos, negs = program.defs, program.pos, program.negs
+        vals = [_UNDEF] * len(program.atoms)
+        for component in _sccs(program):
             if len(component) == 1:
                 a = component[0]
                 value = _FALSE
@@ -301,7 +272,7 @@ def _well_founded(program: GroundProgram) -> tuple[_Indexed, list[int], Interpre
                 else:
                     vals[a] = value
                     continue
-            rules = _restrict(idx, component, vals)
+            rules = _restrict(program, component, vals)
             negates_itself = any(rules.negs)
             sub = [_UNDEF] * len(component)
             new_sub = _psi(rules, sub)
@@ -312,20 +283,28 @@ def _well_founded(program: GroundProgram) -> tuple[_Indexed, list[int], Interpre
                 sub, new_sub = new_sub, _psi(rules, new_sub)
             for a, v in zip(component, new_sub):
                 vals[a] = v
-        cached = program.cache["well-founded"] = (idx, vals, idx.to_interpretation(vals))
+        atoms = program.atoms
+        model = Interpretation(program.universe,
+                               frozenset(a for a, v in zip(atoms, vals) if v == _TRUE),
+                               frozenset(a for a, v in zip(atoms, vals) if v == _FALSE))
+        cached = program.cache["well-founded"] = (vals, model)
     return cached
 
 
 def well_founded(program: GroundProgram) -> Interpretation:
     """Least fixpoint of the reduct operator, computed one dependency component at a time."""
-    return _well_founded(program)[2]
+    return _well_founded(program)[1]
 
 
 def is_pstable(program: GroundProgram, interp: Interpretation) -> bool:
-    """True when `interp` equals the least model of its own reduct."""
-    idx = _Indexed(program, interp.universe)
-    vals = [int(interp.value(atom)) for atom in idx.atoms]
-    return _stable(_restrict(idx, range(len(vals)), vals), vals)
+    """True when `interp` equals the least model of its own reduct.
+
+    An atom of `interp`'s universe that the program does not mention has no
+    rule, so the least model makes it false.
+    """
+    vals = [int(interp.value(atom)) for atom in program.atoms]
+    return (interp.universe - interp.false_atoms <= program.universe
+            and _stable(_restrict(program, range(len(vals)), vals), vals))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +446,7 @@ class ModelFamily:
         return self.model_of(parts[0] for parts in live)
 
 
-def _components(idx: _Indexed, vals: list[int]) -> list[list[int]]:
+def _components(program: GroundProgram, vals: list[int]) -> list[list[int]]:
     """The undefined atoms of `vals`, split into the components their live rules link.
 
     The live rules are the residue's rules restricted by `vals`
@@ -476,8 +455,8 @@ def _components(idx: _Indexed, vals: list[int]) -> list[list[int]]:
     `str` order, and the atoms of each in `str` order.
     """
     residue = sorted((a for a, v in enumerate(vals) if v == _UNDEF),
-                     key=lambda a: str(idx.atoms[a]))
-    rules = _restrict(idx, residue, vals)
+                     key=lambda a: str(program.atoms[a]))
+    rules = _restrict(program, residue, vals)
     parent = list(range(len(residue)))
 
     def root(s: int) -> int:
@@ -519,22 +498,22 @@ def enumerate_pstable(program: GroundProgram,
     within it (`_classify`), and is their product.  W is in the family
     exactly when every component keeps its all-undefined part.
     """
-    idx, vals, wf = _well_founded(program)
+    vals, wf = _well_founded(program)
     if wf.undefined_count > cap:
         raise ResourceLimitError(
             f"{wf.undefined_count} atoms undefined in the well-founded model "
             f"exceeds the enumeration cap of {cap}", cap)
     components = []
-    for component in _components(idx, vals):
-        rules = _restrict(idx, component, vals)
-        atoms = frozenset(idx.atoms[s] for s in component)
+    for component in _components(program, vals):
+        rules = _restrict(program, component, vals)
+        atoms = frozenset(program.atoms[s] for s in component)
         parts = []
         for combo in itertools.product((_FALSE, _UNDEF, _TRUE), repeat=len(component)):
             if _stable(rules, combo):
                 parts.append(Interpretation(
                     atoms,
-                    frozenset(idx.atoms[s] for s, v in zip(component, combo) if v == _TRUE),
-                    frozenset(idx.atoms[s] for s, v in zip(component, combo) if v == _FALSE)))
+                    frozenset(program.atoms[s] for s, v in zip(component, combo) if v == _TRUE),
+                    frozenset(program.atoms[s] for s, v in zip(component, combo) if v == _FALSE)))
         if not any(part.undefined_count == len(atoms) for part in parts):
             raise EngineError("well-founded model missing from the enumerated family")
         parts.sort(key=lambda part: part.render_key())

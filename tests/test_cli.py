@@ -179,10 +179,12 @@ class TestByteStability:
 
 UPDATE_FIXTURES = ("confirm_manager", "new_hire_mixed", "new_hire_roles", "new_hire_unique",
                    "new_hire_worker", "project_cascade", "promotion")
+ALL_FIXTURES = sorted(path.stem for path in FIXTURES.glob("*.adl"))
 
 
 class TestGoldenReports:
-    """Run reports pinned byte for byte: models, family counts, seeds, rejections."""
+    """Output pinned byte for byte: run reports (models, family counts, seeds,
+    rejections), and the ground program and well-founded model of every fixture."""
 
     @pytest.mark.parametrize("name", UPDATE_FIXTURES)
     def test_compare_json(self, name, capsys):
@@ -196,6 +198,14 @@ class TestGoldenReports:
                         "--semantics", semantics, *fixture_args("new_hire_worker"))
         golden = GOLDEN / f"apply_new_hire_worker_{semantics}_random7.json"
         assert out == golden.read_text()
+
+    @pytest.mark.parametrize("mode", ["st", "bm"])
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    @pytest.mark.parametrize("command, suffix", [("ground", "adl"), ("wf", "txt")])
+    def test_ground_and_wf(self, command, suffix, name, mode, capsys):
+        code, out = invoke(capsys, command, "--mode", mode, *fixture_args(name))
+        assert code == 0
+        assert out == (GOLDEN / f"{command}_{mode}_{name}.{suffix}").read_text()
 
 
 class TestSelftestCommand:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from adlog import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
                    Interpretation, ParseError, Polarity, Program, Rule,
                    StdLiteral, UpdateAtom, UpdLiteral, ValidationError,
-                   Variable, parse_database, parse_delta,
-                   parse_interpretation, parse_program, render)
+                   Variable, parse_database, parse_delta, parse_program,
+                   render)
 from adlog.selftest import InstanceGenerator
 
 
@@ -118,11 +118,6 @@ class TestRender:
                            frozenset({Atom("a")}), frozenset({Atom("b")}))
         assert render(m) == "a. not b. c?"
 
-    def test_interpretation_round_trip(self):
-        m = Interpretation(frozenset({Atom("a"), Atom("b"), Atom("c")}),
-                           frozenset({Atom("a")}), frozenset({Atom("b")}))
-        assert parse_interpretation(render(m)) == m
-
     def test_corpus_round_trip(self, fixtures_dir):
         for path in sorted(fixtures_dir.iterdir()):
             if path.suffix == ".adl":
@@ -226,7 +221,6 @@ def test_delta_round_trip(mapping):
     (parse_database, "p(a) q.", "<string>:1:6: expected '.' or '?', found 'q'"),
     (parse_delta, "+p(a).\n-q(X).", "<string>:2:1: update on non-ground atom q(X)"),
     (parse_delta, "+p(a).\np(b).", "<string>:2:1: expected '+' or '-', found 'p'"),
-    (parse_interpretation, "a. not b?", "<string>:1:9: malformed interpretation entry"),
 ])
 def test_error_location(parse, text, message):
     with pytest.raises(ParseError) as exc:
@@ -465,35 +459,13 @@ class _OracleParser:
         except ValidationError as exc:
             raise ParseError(str(exc), self.origin) from exc
 
-    def interpretation(self) -> Interpretation:
-        true_atoms, false_atoms, universe = set(), set(), set()
-        while not self.at_end():
-            negated = False
-            if self.peek().kind == "ident" and self.peek().text == "not":
-                self.next()
-                negated = True
-            atom = self.atom()
-            status = self.next()
-            universe.add(atom)
-            if status.kind == "." and negated:
-                false_atoms.add(atom)
-            elif status.kind == ".":
-                true_atoms.add(atom)
-            elif status.kind == "?" and not negated:
-                pass
-            else:
-                raise self.error("malformed interpretation entry", status)
-        return Interpretation(frozenset(universe), frozenset(true_atoms),
-                              frozenset(false_atoms))
-
 
 PARSERS = {
     "program": lambda text: parse_program(text, "f.adl", validate=False),
     "database": lambda text: parse_database(text, "f.adb"),
     "delta": lambda text: parse_delta(text, "f.adu"),
-    "interpretation": lambda text: parse_interpretation(text, "f"),
 }
-ORIGINS = {"program": "f.adl", "database": "f.adb", "delta": "f.adu", "interpretation": "f"}
+ORIGINS = {"program": "f.adl", "database": "f.adb", "delta": "f.adu"}
 
 
 def outcome(parse, text: str):

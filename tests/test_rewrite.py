@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from adlog import (Atom, Constant, Database, DeltaSet, GroundProgram,
-                   Polarity, Program, Rule, StdLiteral, UpdateProgram,
-                   ValidationError, embed_database, enumerate_pstable, ground,
+from adlog import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
+                   GroundProgram, Polarity, Program, Rule, StdLiteral,
+                   UpdateAtom, UpdateProgram, UpdLiteral, ValidationError,
+                   embed_database, enumerate_pstable, ground,
                    parse_database, parse_program, render, rewrite_bm,
                    rewrite_st)
 from adlog.rewrite import (_instantiate, _variables, bridge_predicate,
@@ -214,6 +215,41 @@ class TestGround:
                                   parse_database("proj(p). mgr(x,p,d).")))
         for rule in g.rules:
             assert rule.is_ground()
+
+
+class TestGroundProgram:
+    def test_atoms_are_numbered_by_first_appearance(self):
+        g = GroundProgram(parse_program("p :- q, not r.\nq.\nr :- not p.").rules)
+        assert [str(atom) for atom in g.atoms] == ["p", "q", "r"]
+        assert g.heads == [0, 1, 2]
+        assert g.pos == [[1], [], []] and g.negs == [[2], [], [0]]
+        assert g.defs == [[0], [1], [2]]
+        assert g.universe == frozenset(g.atoms)
+
+    def test_a_rule_equal_to_an_earlier_one_is_dropped(self):
+        text = "p :- q, not r.\nq.\np :- q, not r.\np :- not r, q.\nq.\n"
+        g = GroundProgram(parse_program(text, validate=False).rules)
+        assert [str(rule) for rule in g.rules] == ["p :- q, not r.", "q.", "p :- not r, q."]
+        assert g.heads == [0, 1, 0] and g.defs == [[0, 2], [1], []]
+
+    def test_non_ground_atom_is_rejected(self):
+        with pytest.raises(ValidationError, match=r"p\(X\) .* not a ground atom"):
+            GroundProgram(parse_program("p(X) :- q(X).").rules)
+
+    def test_update_head_is_rejected(self):
+        head = UpdateAtom(Polarity.INSERT, Atom("p", (Constant("a"),)))
+        with pytest.raises(ValidationError, match=r"\+p\(a\) .* not a ground atom"):
+            GroundProgram((Rule(head, ()),))
+
+    def test_builtin_body_literal_is_rejected(self):
+        rule = Rule(Atom("p"), (BuiltinLiteral("=", Constant("a"), Constant("a")),))
+        with pytest.raises(ValidationError, match="not an atom"):
+            GroundProgram((rule,))
+
+    def test_update_body_literal_is_rejected(self):
+        rule = Rule(Atom("p"), (UpdLiteral(UpdateAtom(Polarity.DELETE, Atom("q"))),))
+        with pytest.raises(ValidationError, match="not an atom"):
+            GroundProgram((rule,))
 
 
 # --- relevance grounder against the product-plus-pruning oracle -------------

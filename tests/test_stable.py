@@ -12,8 +12,7 @@ from adlog.selftest import (InstanceGenerator, brute_force_family,
                             random_ground_program)
 import adlog.stable
 from adlog.stable import (FLAG_L_STABLE, FLAG_M_STABLE, FLAG_T_STABLE,
-                          _components, _Indexed, _psi, _Rules, _stable,
-                          _well_founded)
+                          _components, _psi, _Rules, _stable, _well_founded)
 
 from conftest import FIXTURES, load_update_program
 
@@ -97,7 +96,7 @@ def wf_step(program, interpretation):
 
 def oracle_well_founded(program):
     """Iterate the W operator from the empty interpretation to its fixpoint."""
-    current = Interpretation.empty(program.universe)
+    current = Interpretation(program.universe)
     while True:
         nxt = wf_step(program, current)
         if nxt == current:
@@ -106,10 +105,18 @@ def oracle_well_founded(program):
         current = nxt
 
 
-def whole_program_rules(idx):
-    """The kernel's view of every rule of the index, built without `_restrict`."""
-    return _Rules(len(idx.atoms), idx.heads, idx.pos, idx.negs,
-                  [int(TruthValue.TRUE)] * len(idx.heads))
+def whole_program_rules(program):
+    """The kernel's view of every rule of the program, built without `_restrict`."""
+    return _Rules(len(program.atoms), program.heads, program.pos, program.negs,
+                  [int(TruthValue.TRUE)] * len(program.heads))
+
+
+def interpretation_of(program, vals):
+    """The interpretation giving atom i of the program's table the value `vals[i]`."""
+    return Interpretation(
+        program.universe,
+        frozenset(atom for atom, v in zip(program.atoms, vals) if v == int(TruthValue.TRUE)),
+        frozenset(atom for atom, v in zip(program.atoms, vals) if v == int(TruthValue.FALSE)))
 
 
 def oracle_psi_iteration(program):
@@ -118,13 +125,12 @@ def oracle_psi_iteration(program):
     No dependency components: one whole-program round per link of a chain,
     so it is quadratic on the chain family.
     """
-    idx = _Indexed(program)
-    rules = whole_program_rules(idx)
-    vals = [int(TruthValue.UNDEFINED)] * len(idx.atoms)
+    rules = whole_program_rules(program)
+    vals = [int(TruthValue.UNDEFINED)] * len(program.atoms)
     while True:
         nxt = _psi(rules, vals)
         if nxt == vals:
-            return idx.to_interpretation(vals)
+            return interpretation_of(program, vals)
         assert all(old == int(TruthValue.UNDEFINED) or old == new
                    for old, new in zip(vals, nxt)), "Psi iteration is not inflationary"
         vals = nxt
@@ -133,10 +139,9 @@ def oracle_psi_iteration(program):
 def oracle_enumerate(program):
     """The family by trying all 3^k assignments of the whole well-founded residue."""
     wf = well_founded(program)
-    idx = _Indexed(program)
-    rules = whole_program_rules(idx)
-    base = [int(wf.value(atom)) for atom in idx.atoms]
-    index = {atom: slot for slot, atom in enumerate(idx.atoms)}
+    rules = whole_program_rules(program)
+    base = [int(wf.value(atom)) for atom in program.atoms]
+    index = {atom: slot for slot, atom in enumerate(program.atoms)}
     slots = [index[atom] for atom in sorted(wf.undefined_atoms(), key=str)]
     models = []
     for combo in itertools.product((0, 1, 2), repeat=len(slots)):
@@ -144,12 +149,12 @@ def oracle_enumerate(program):
         for slot, value in zip(slots, combo):
             vals[slot] = value
         if _stable(rules, vals):
-            models.append(idx.to_interpretation(vals))
+            models.append(interpretation_of(program, vals))
     models.sort(key=lambda m: m.render_key())
     return models
 
 
-def oracle_components(idx, base):
+def oracle_components(program, base):
     """The undefined atoms of `base`, split by a liveness test and union-find of their own.
 
     A rule is live when its head is undefined, no positive body atom is false
@@ -166,14 +171,14 @@ def oracle_components(idx, base):
             parent[a] = a = parent[parent[a]]
         return a
 
-    for head, pos, neg in zip(idx.heads, idx.pos, idx.negs):
+    for head, pos, neg in zip(program.heads, program.pos, program.negs):
         if base[head] == undefined and all(base[b] != false for b in pos) \
                 and all(base[n] != true for n in neg):
             for b in (*pos, *neg):
                 if base[b] == undefined:
                     parent[root(b)] = root(head)
     components = {}
-    for a in sorted(parent, key=lambda a: str(idx.atoms[a])):
+    for a in sorted(parent, key=lambda a: str(program.atoms[a])):
         components.setdefault(root(a), []).append(a)
     return list(components.values())
 
@@ -202,21 +207,21 @@ class TestImmediateConsequence:
 
     def test_factless_program_from_empty(self, fixtures_dir):
         g = ground_of((fixtures_dir / "zoo_join.adl").read_text())
-        assert immediate_consequence(g, Interpretation.empty(g.universe)) == set()
+        assert immediate_consequence(g, Interpretation(g.universe)) == set()
 
 
 class TestGreatestUnfounded:
     def test_ruleless_atom_is_unfounded(self):
         g = ground_of("a :- not q.")
-        assert q in greatest_unfounded(g, Interpretation.empty(g.universe))
+        assert q in greatest_unfounded(g, Interpretation(g.universe))
 
     def test_self_supporting_loop(self):
         g = ground_of("p :- p.")
-        assert greatest_unfounded(g, Interpretation.empty(g.universe)) == {p}
+        assert greatest_unfounded(g, Interpretation(g.universe)) == {p}
 
     def test_matches_subset_oracle_on_choice_program(self, fixtures_dir):
         g = ground_of((fixtures_dir / "zoo_choice.adl").read_text())
-        empty = Interpretation.empty(g.universe)
+        empty = Interpretation(g.universe)
         assert greatest_unfounded(g, empty) == oracle_unfounded(g, empty) == set()
 
     def test_matches_subset_oracle_on_random_programs(self):
@@ -225,7 +230,7 @@ class TestGreatestUnfounded:
             g = random_ground_program(rng)
             if len(g.universe) > 6:
                 continue
-            empty = Interpretation.empty(g.universe)
+            empty = Interpretation(g.universe)
             assert greatest_unfounded(g, empty) == oracle_unfounded(g, empty)
             wf = well_founded(g)
             assert greatest_unfounded(g, wf) == oracle_unfounded(g, wf)
@@ -239,13 +244,13 @@ class TestWfStep:
 
     def test_single_fact(self):
         g = ground_of("a.")
-        step = wf_step(g, Interpretation.empty(g.universe | {b}))
+        step = wf_step(g, Interpretation(g.universe | {b}))
         assert step.true_atoms == {a}
         assert step.false_atoms == {b}
 
     def test_choice_program_first_step_derives_the_fact(self, fixtures_dir):
         g = ground_of((fixtures_dir / "zoo_choice.adl").read_text())
-        current = Interpretation.empty(g.universe)
+        current = Interpretation(g.universe)
         seen = []
         for _ in range(6):
             nxt = wf_step(g, current)
@@ -439,6 +444,13 @@ class TestIsPstable:
                 verdicts.add(stable)
         assert verdicts == {True, False}
 
+    def test_atom_without_rules_must_be_false(self):
+        g = ground_of("a :- not b.\nb :- not a.")
+        universe = g.universe | {c}
+        assert is_pstable(g, interp(universe, true=[a], false=[b, c]))
+        assert not is_pstable(g, interp(universe, true=[a, c], false=[b]))
+        assert not is_pstable(g, interp(universe, true=[a], false=[b]))
+
     def test_well_founded_is_always_stable(self):
         rng = random.Random(11)
         for _ in range(20):
@@ -512,7 +524,7 @@ def count_stable_checks(monkeypatch, text: str) -> tuple[int, int]:
     """The number of `_stable` calls and of models when enumerating `text`."""
     calls = []
     monkeypatch.setattr(adlog.stable, "_stable",
-                        lambda idx, vals: calls.append(vals) or _stable(idx, vals))
+                        lambda rules, vals: calls.append(vals) or _stable(rules, vals))
     family = enumerate_pstable(ground_of(text))
     return len(calls), len(family.records)
 
@@ -544,8 +556,8 @@ class TestComponentsMatchOracle:
 
     @staticmethod
     def check(g, tag=None):
-        idx, vals, _ = _well_founded(g)
-        assert _components(idx, vals) == oracle_components(idx, vals), tag
+        vals, _ = _well_founded(g)
+        assert _components(g, vals) == oracle_components(g, vals), tag
 
     def test_random_ground_programs(self):
         for seed in range(2000):

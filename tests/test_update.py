@@ -3,8 +3,8 @@ import pytest
 import adlog.stable
 import adlog.update
 from adlog import (Atom, CompareResult, ConsistencyError, Constant, Database,
-                   DeltaSet, EngineError, Interpretation, PreconditionError,
-                   Program, RunReport, SchemaError, Semantics,
+                   DeltaSet, EngineError, GroundProgram, Interpretation,
+                   PreconditionError, Program, RunReport, SchemaError, Semantics,
                    UpdateOutcome, UpdateProgram, apply_delta, apply_updates,
                    compare, embed_database, extract_updates, ground, info_leq,
                    is_total_transformation, parse_database, parse_delta,
@@ -295,9 +295,9 @@ class TestCompare:
         computed = []
         original = adlog.stable._sccs
 
-        def sccs(idx):
-            computed.append(frozenset(idx.atoms))  # one whole well-founded computation
-            return original(idx)
+        def sccs(program):
+            computed.append(program.universe)  # one whole well-founded computation
+            return original(program)
 
         monkeypatch.setattr(adlog.stable, "_sccs", sccs)
         up = UpdateProgram(DeltaSet(), parse_program(
@@ -309,17 +309,18 @@ class TestCompare:
 
     def test_one_index_per_rewriting(self, monkeypatch):
         built = []
-        original = adlog.stable._Indexed
+        original = GroundProgram.__post_init__
 
-        def indexed(program, *args):
+        def post_init(program):
             built.append(program)
-            return original(program, *args)
+            original(program)
 
-        monkeypatch.setattr(adlog.stable, "_Indexed", indexed)
+        # The constructor is the only place atoms are numbered.
+        monkeypatch.setattr(GroundProgram, "__post_init__", post_init)
         up = UpdateProgram(DeltaSet(), parse_program(
             "+p(a) :- not +q(a).\n+q(a) :- not +p(a).\n"))
         compare(up, Database())
-        # The well-founded model and the enumeration read the same index.
+        # Every semantics of a rewriting reads the one ground program and its table.
         assert len(built) == len({id(program) for program in built}) == 2
 
 
