@@ -8,7 +8,7 @@ semantics.
 """
 
 from .model import (AdlogError, Atom, BuiltinLiteral, ConsistencyError,
-                    Constant, Database, DeltaSet, EngineError, Interpretation,
+                    Database, DeltaSet, EngineError, Interpretation,
                     ParseError, Polarity, PreconditionError, Program,
                     ResourceLimitError, Rule, SchemaError, StdLiteral,
                     TruthValue, UniverseError, UpdateAtom, UpdateProgram,

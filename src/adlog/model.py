@@ -57,17 +57,6 @@ class EngineError(AdlogError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, order=True)
-class Constant:
-    symbol: str
-
-    def __str__(self) -> str:
-        if self.symbol and (self.symbol[0].islower() or self.symbol[0].isdigit()) \
-                and all(c.isalnum() or c == "_" for c in self.symbol):
-            return self.symbol
-        return "'" + self.symbol.replace("'", "''") + "'"
-
-
-@dataclass(frozen=True, order=True)
 class Variable:
     name: str
 
@@ -75,7 +64,18 @@ class Variable:
         return self.name
 
 
-Term = Union[Constant, Variable]
+# A constant is its symbol, an uninterpreted `str`.
+Term = Union[str, Variable]
+
+
+def render_term(term: Term) -> str:
+    """A term as the parser reads it back: a symbol that is not a plain word is quoted."""
+    if isinstance(term, Variable):
+        return term.name
+    if term and (term[0].islower() or term[0].isdigit()) \
+            and all(c.isalnum() or c == "_" for c in term):
+        return term
+    return "'" + term.replace("'", "''") + "'"
 
 
 @dataclass(frozen=True, order=True)
@@ -88,27 +88,26 @@ class Atom:
         return len(self.args)
 
     def is_ground(self) -> bool:
-        return all(isinstance(t, Constant) for t in self.args)
+        return all(isinstance(t, str) for t in self.args)
 
     def variables(self) -> set[Variable]:
         return {t for t in self.args if isinstance(t, Variable)}
 
     def constants(self) -> set[str]:
-        return {t.symbol for t in self.args if isinstance(t, Constant)}
+        return {t for t in self.args if isinstance(t, str)}
 
-    def substitute(self, binding: Mapping[Variable, Constant]) -> "Atom":
+    def substitute(self, binding: Mapping[Variable, str]) -> "Atom":
         return Atom(self.predicate, tuple(binding.get(t, t) if isinstance(t, Variable) else t
                                           for t in self.args))
 
     def rename(self, rho: Mapping[str, str]) -> "Atom":
-        return Atom(self.predicate, tuple(Constant(rho.get(t.symbol, t.symbol))
-                                          if isinstance(t, Constant) else t
+        return Atom(self.predicate, tuple(rho.get(t, t) if isinstance(t, str) else t
                                           for t in self.args))
 
     def __str__(self) -> str:
         if not self.args:
             return self.predicate
-        return f"{self.predicate}({','.join(str(t) for t in self.args)})"
+        return f"{self.predicate}({','.join(map(render_term, self.args))})"
 
 
 class Polarity(enum.Enum):
@@ -140,9 +139,6 @@ class StdLiteral:
     atom: Atom
     positive: bool = True
 
-    def negated(self) -> "StdLiteral":
-        return StdLiteral(self.atom, not self.positive)
-
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"not {self.atom}"
 
@@ -164,17 +160,17 @@ class BuiltinLiteral:
 
     def evaluate(self) -> bool:
         """Ground comparison by constant identity."""
-        if not (isinstance(self.left, Constant) and isinstance(self.right, Constant)):
+        if not (isinstance(self.left, str) and isinstance(self.right, str)):
             raise EngineError(f"builtin {self} evaluated before grounding")
-        same = self.left.symbol == self.right.symbol
+        same = self.left == self.right
         return same if self.op == "=" else not same
 
-    def substitute(self, binding: Mapping[Variable, Constant]) -> "BuiltinLiteral":
+    def substitute(self, binding: Mapping[Variable, str]) -> "BuiltinLiteral":
         sub = lambda t: binding.get(t, t) if isinstance(t, Variable) else t
         return BuiltinLiteral(self.op, sub(self.left), sub(self.right))
 
     def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
+        return f"{render_term(self.left)} {self.op} {render_term(self.right)}"
 
 
 Literal = Union[StdLiteral, UpdLiteral, BuiltinLiteral]
@@ -243,10 +239,6 @@ class Program:
     def __hash__(self) -> int:
         return hash(frozenset(self.rules))
 
-    @property
-    def is_active(self) -> bool:
-        return any(r.is_active for r in self.rules)
-
     def idb_predicates(self) -> set[str]:
         """Predicates defined by some deductive rule head."""
         return {r.head.predicate for r in self.rules if not r.is_active}
@@ -254,13 +246,6 @@ class Program:
     def action_predicates(self) -> dict[str, int]:
         """Predicates appearing in active rule heads, with arities."""
         return {r.head.atom.predicate: r.head.atom.arity for r in self.rules if r.is_active}
-
-    def predicate_arities(self) -> dict[str, int]:
-        arities: dict[str, int] = {}
-        for rule in self.rules:
-            for atom in self._all_atoms(rule):
-                _record_arity(arities, atom)
-        return arities
 
     @staticmethod
     def _all_atoms(rule: Rule) -> Iterator[Atom]:
@@ -275,7 +260,7 @@ class Program:
                 out |= atom.constants()
             for lit in rule.body:
                 if isinstance(lit, BuiltinLiteral):
-                    out |= {t.symbol for t in (lit.left, lit.right) if isinstance(t, Constant)}
+                    out |= {t for t in (lit.left, lit.right) if isinstance(t, str)}
         return out
 
 
@@ -585,6 +570,6 @@ def _rename_rule(rule: Rule, rho: Mapping[str, str]) -> Rule:
             body.append(UpdLiteral(UpdateAtom(lit.uatom.polarity, lit.uatom.atom.rename(rho)),
                                    lit.positive))
         else:
-            sub = lambda t: Constant(rho.get(t.symbol, t.symbol)) if isinstance(t, Constant) else t
+            sub = lambda t: rho.get(t, t) if isinstance(t, str) else t
             body.append(BuiltinLiteral(lit.op, sub(lit.left), sub(lit.right)))
     return Rule(head, tuple(body), rule.origin)

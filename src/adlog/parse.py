@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 
-from .model import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
+from .model import (Atom, BuiltinLiteral, Database, DeltaSet,
                     Interpretation, ParseError, Polarity, Program, Rule,
                     StdLiteral, UpdateAtom, UpdLiteral, ValidationError,
                     Variable, validate_program)
@@ -136,7 +136,7 @@ def _term(tokens: list[str], i: int, terms: dict):
         kind = _KIND[token[:1]]
         if kind not in ("var", "ident") and not (kind == "quoted" and len(token) > 1):
             raise _expected("a term", tokens, i)
-        term = terms[token] = Variable(token) if kind == "var" else Constant(_shown(token))
+        term = terms[token] = Variable(token) if kind == "var" else _shown(token)
     return term
 
 

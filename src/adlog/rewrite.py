@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from .model import (Atom, BuiltinLiteral, Constant, Database, Literal,
+from .model import (Atom, BuiltinLiteral, Database, Literal,
                     Polarity, Program, Rule, StdLiteral, UpdateAtom,
                     UpdateProgram, UpdLiteral, ValidationError, Variable)
 
@@ -281,8 +281,7 @@ def ground(program: Program) -> GroundProgram:
         if isinstance(rule.head, UpdateAtom) or any(isinstance(lit, UpdLiteral)
                                                     for lit in rule.body):
             raise ValidationError(f"rule {rule} still contains update atoms")
-    constants = [Constant(c) for c in sorted(program.constants())]
-    return GroundProgram(tuple(_ground_derivable(program.rules, constants)))
+    return GroundProgram(tuple(_ground_derivable(program.rules, sorted(program.constants()))))
 
 
 def _variables(rule: Rule) -> list[Variable]:
@@ -301,13 +300,13 @@ def _instantiate(rule: Rule, binding) -> Rule | None:
 
 
 # A positive body literal compiled against a rule's variable slots: each
-# argument is a Constant or the int slot of a variable.
+# argument is a constant (a `str`) or the int slot of a variable.
 _Pattern = tuple[str, tuple]
 
 
 # One positive literal in a join order.  On arrival, `positions` are the
 # arguments fixed by a constant or an earlier binding and `key` their values
-# (Constant or variable slot); `unbound` pairs each other argument position
+# (constant or variable slot); `unbound` pairs each other argument position
 # with its variable slot.  `exclude_pivot` marks a literal left of the pivot
 # with the pivot's predicate: under semi-naive evaluation it must not reuse
 # the new atom.
@@ -410,7 +409,7 @@ def _join(steps: tuple[_Step, ...], binding: list, derivable: _Derivable, pivot:
             yield from _join(steps[1:], extended, derivable, pivot)
 
 
-def _ground_derivable(rules: Iterable[Rule], constants: list[Constant]) -> list[Rule]:
+def _ground_derivable(rules: Iterable[Rule], constants: list[str]) -> list[Rule]:
     """Semi-naive bottom-up instantiation of the rules with derivable positive bodies.
 
     A worklist holds atoms derived but not yet joined.  Each is joined into

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .model import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
+from .model import (Atom, BuiltinLiteral, Database, DeltaSet,
                     Interpretation, Literal, Polarity, Program, Rule,
                     StdLiteral, TruthValue, UpdateAtom, UpdateProgram,
                     UpdLiteral, Variable, info_leq, rename_constants)
@@ -396,7 +396,7 @@ class InstanceGenerator:
 
     def _candidate(self) -> tuple[UpdateProgram, Database]:
         rng = self.rng
-        constants = [Constant(c) for c in ("a", "b", "c")[:rng.randint(1, 3)]]
+        constants = ["a", "b", "c"][:rng.randint(1, 3)]
         base = {pred: rng.randint(0, 2) for pred in _BASE_PREDS[:rng.randint(1, 3)]}
         derived = {pred: rng.randint(0, 2)
                    for pred in _DERIVED_PREDS[:rng.randint(0, 2)]}
@@ -467,7 +467,7 @@ class InstanceGenerator:
             delta_atoms.setdefault(atom, rng.choice(list(Polarity)))
         delta = DeltaSet.of(UpdateAtom(pol, atom) for atom, pol in delta_atoms.items())
 
-        db_constants = list(constants) + [Constant(f"d{i + 1}")
+        db_constants = list(constants) + [f"d{i + 1}"
                                           for i in range(self.extra_db_constants)]
         true_facts = set()
         for pred, arity in base.items():

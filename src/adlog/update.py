@@ -16,10 +16,11 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import (Atom, ConsistencyError, Database, DeltaSet, EngineError,
-                    Interpretation, Polarity, PreconditionError, Program,
-                    ResourceLimitError, TruthValue, UpdateProgram,
-                    _record_arity, check_same_schema, validate_update_program)
+from .model import (RESERVED_PREFIX, Atom, ConsistencyError, Database, DeltaSet,
+                    EngineError, Interpretation, Polarity, PreconditionError,
+                    Program, ResourceLimitError, TruthValue, UpdateProgram,
+                    ValidationError, _record_arity, check_same_schema,
+                    validate_update_program)
 from .rewrite import (GroundProgram, base_atom_of_renamed, embed_database,
                       ground, rewrite_bm, rewrite_st)
 from .stable import (DEFAULT_ENUMERATION_CAP, FLAG_M_STABLE,
@@ -93,11 +94,6 @@ class UpdateOutcome:
             raise ConsistencyError("certain deletion with undefined insertion")
         if self.certain_insert & self.undef_insert or self.certain_delete & self.undef_delete:
             raise ConsistencyError("an update cannot be both certain and undefined")
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.certain_insert or self.certain_delete
-                    or self.undef_insert or self.undef_delete)
 
 
 def extract_updates(model: Interpretation, schema: frozenset[str] | None = None) -> UpdateOutcome:
@@ -206,10 +202,14 @@ class _Session:
         arities = dict(up.program.cache["arities"])
         for uatom in up.delta.updates:
             _record_arity(arities, uatom.atom)
-        for atom in database.true_facts | database.unknown_facts:
+        facts = database.true_facts | database.unknown_facts
+        reserved = sorted(str(a) for a in facts if a.predicate.startswith(RESERVED_PREFIX))
+        if reserved:
+            raise ValidationError(f"reserved predicate name in database fact {reserved[0]}")
+        for atom in facts:
             _record_arity(arities, atom)
         idb = up.program.cache["idb"]
-        self.schema = frozenset(p for p in arities if p not in idb and not p.startswith("@"))
+        self.schema = frozenset(p for p in arities if p not in idb)
         self.up = up
         self.database = database
         self.cap = cap
@@ -324,12 +324,6 @@ class CompareRow:
 @dataclass(frozen=True)
 class CompareResult:
     rows: tuple[CompareRow, ...]
-
-    def report_of(self, semantics: Semantics) -> RunReport | None:
-        for row in self.rows:
-            if row.semantics is semantics:
-                return row.report
-        return None
 
     def info_matrix(self) -> dict[tuple[Semantics, Semantics], bool]:
         """`info_leq` for every pair of row outputs, with one schema check for all."""

@@ -6,7 +6,7 @@ as a checklist.  All assertions are exact; there are no tolerances to tune.
 
 import time
 
-from adlog import (Atom, Constant, GroundProgram, Semantics,
+from adlog import (Atom, GroundProgram, Semantics,
                    enumerate_pstable, info_leq, parse_program, run)
 from adlog.selftest import (suite_genericity, suite_oracle, suite_ordering,
                             suite_roundtrip)
@@ -21,7 +21,7 @@ def atom(text: str) -> Atom:
     name, _, args = text.partition("(")
     if not args:
         return Atom(name)
-    return Atom(name, tuple(Constant(s) for s in args.rstrip(")").split(",")))
+    return Atom(name, tuple(args.rstrip(")").split(",")))
 
 
 def family_of(name: str):

@@ -54,6 +54,17 @@ class TestExitCodes:
         code = main(["rewrite", "-p", str(bad)])
         assert code == 1
 
+    @pytest.mark.parametrize("facts, shown", [("q(a). @ck_r(a).", "@ck_r(a)"),
+                                              ("p(b). @plus_p(a).", "@plus_p(a)")])
+    def test_reserved_database_fact_exits_one(self, facts, shown, tmp_path, capsys):
+        prog, db = tmp_path / "r.adl", tmp_path / "r.adb"
+        prog.write_text("+r(X) :- q(X).")
+        db.write_text(facts)
+        code = main(["apply", "-p", str(prog), "-d", str(db), "--semantics", "ws"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"reserved predicate name in database fact {shown}" in captured.err
+
     def test_partial_db_precondition_exits_three(self, tmp_path, capsys):
         db = tmp_path / "partial.adb"
         db.write_text("emp(b)?")
@@ -206,6 +217,16 @@ class TestGoldenReports:
         code, out = invoke(capsys, command, "--mode", mode, *fixture_args(name))
         assert code == 0
         assert out == (GOLDEN / f"{command}_{mode}_{name}.{suffix}").read_text()
+
+    @pytest.mark.parametrize("mode", ["st", "bm"])
+    @pytest.mark.parametrize("command, suffix",
+                             [("rewrite", "adl"), ("ground", "adl"), ("wf", "txt")])
+    def test_quoted_constants(self, command, suffix, mode, capsys):
+        """Symbols that are not plain words render quoted, a quote doubled."""
+        code, out = invoke(capsys, command, "--mode", mode,
+                           "-p", str(GOLDEN / "quoted_constants.adl"))
+        assert code == 0
+        assert out == (GOLDEN / f"{command}_{mode}_quoted_constants.{suffix}").read_text()
 
 
 class TestSelftestCommand:

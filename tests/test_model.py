@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adlog import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
+from adlog import (Atom, BuiltinLiteral, Database, DeltaSet,
                    Interpretation, Polarity, Program, Rule, SchemaError,
                    StdLiteral, TruthValue, UniverseError, UpdateAtom,
                    UpdateProgram, ValidationError, Variable, enumerate_pstable,
@@ -42,11 +42,11 @@ class TestEvalLiteral:
         assert eval_literal(StdLiteral(a, positive=False), interp([a])) is TruthValue.UNDEFINED
 
     def test_ground_neq_is_false_on_equal_constants(self):
-        lit = BuiltinLiteral("!=", Constant("x"), Constant("x"))
+        lit = BuiltinLiteral("!=", "x", "x")
         assert eval_literal(lit, interp([])) is TruthValue.FALSE
 
     def test_ground_eq(self):
-        lit = BuiltinLiteral("=", Constant("x"), Constant("y"))
+        lit = BuiltinLiteral("=", "x", "y")
         assert eval_literal(lit, interp([])) is TruthValue.FALSE
 
     def test_atom_outside_universe(self):
@@ -95,8 +95,8 @@ class TestIsModel:
 class TestDatabase:
     def test_true_and_unknown_overlap_rejected(self):
         with pytest.raises(ValidationError):
-            Database.of(true=[Atom("p", (Constant("a"),))],
-                        unknown=[Atom("p", (Constant("a"),))])
+            Database.of(true=[Atom("p", ("a",))],
+                        unknown=[Atom("p", ("a",))])
 
     def test_non_ground_fact_rejected(self):
         with pytest.raises(ValidationError):
@@ -104,16 +104,16 @@ class TestDatabase:
 
     def test_arity_conflict_rejected(self):
         with pytest.raises(ValidationError):
-            Database.of(true=[Atom("p", (Constant("a"),)), Atom("p")])
+            Database.of(true=[Atom("p", ("a",)), Atom("p")])
 
     def test_totality(self):
         assert Database().is_total
-        assert not Database.of(unknown=[Atom("p", (Constant("a"),))]).is_total
+        assert not Database.of(unknown=[Atom("p", ("a",))]).is_total
 
 
 class TestDeltaSet:
     def test_conflicting_pair_rejected(self):
-        atom = Atom("p", (Constant("a"),))
+        atom = Atom("p", ("a",))
         with pytest.raises(ValidationError):
             DeltaSet.of([UpdateAtom(Polarity.INSERT, atom),
                          UpdateAtom(Polarity.DELETE, atom)])
@@ -124,7 +124,7 @@ class TestDeltaSet:
 
 
 class TestInfoLeq:
-    pa = Atom("p", (Constant("a"),))
+    pa = Atom("p", ("a",))
 
     def test_total_is_most_informative(self):
         assert info_leq(Database.of(unknown=[self.pa]), Database())
@@ -138,12 +138,12 @@ class TestInfoLeq:
 
     def test_schema_mismatch(self):
         with pytest.raises(SchemaError):
-            info_leq(Database.of(true=[Atom("p", (Constant("a"),))]),
+            info_leq(Database.of(true=[Atom("p", ("a",))]),
                      Database.of(true=[Atom("p")]))
 
     @given(st.data())
     def test_partial_order(self, data):
-        atoms = [Atom("p", (Constant(s),)) for s in "abc"]
+        atoms = [Atom("p", (s,)) for s in "abc"]
         def db(draw):
             unknown = draw(st.sets(st.sampled_from(atoms)))
             return Database.of(unknown=unknown)
@@ -173,9 +173,8 @@ class TestInterpretation:
     def test_render_key_tokens(self):
         # Quoted constants, an atom named not_x next to x, zero-ary atoms and
         # one named `not`: one token per atom, atoms in `str` order.
-        quoted = lambda *symbols: tuple(Constant(s) for s in symbols)
-        its, ab = Atom("p", quoted("it's")), Atom("p", quoted("A b"))
-        not_x, x, plus = Atom("not_x"), Atom("x"), Atom("@plus_q", quoted("a", "1"))
+        its, ab = Atom("p", ("it's",)), Atom("p", ("A b",))
+        not_x, x, plus = Atom("not_x"), Atom("x"), Atom("@plus_q", ("a", "1"))
         n, z, not_ = Atom("n"), Atom("z"), Atom("not")
         m = interp([its, ab, not_x, x, a, z, plus, n, not_],
                    true=[its, not_x, plus], false=[ab, x, a, not_])
@@ -202,7 +201,7 @@ class TestValidation:
 
     def test_delta_over_derived_predicate(self):
         program = parse_program("s(a) :- q(a).")
-        delta = DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("s", (Constant("a"),)))])
+        delta = DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("s", ("a",)))])
         with pytest.raises(ValidationError):
             validate_update_program(UpdateProgram(delta, program))
 
@@ -254,16 +253,16 @@ class TestValidation:
 
 class TestRenameConstants:
     def test_identity(self):
-        db = Database.of(true=[Atom("p", (Constant("a"),))])
+        db = Database.of(true=[Atom("p", ("a",))])
         assert rename_constants(db, {}) == db
 
     def test_simple_swap(self):
-        db = Database.of(true=[Atom("p", (Constant("a"),))])
+        db = Database.of(true=[Atom("p", ("a",))])
         renamed = rename_constants(db, {"a": "b"})
-        assert renamed == Database.of(true=[Atom("p", (Constant("b"),))])
+        assert renamed == Database.of(true=[Atom("p", ("b",))])
 
     def test_non_bijective_rejected(self):
-        db = Database.of(true=[Atom("p", (Constant("a"),)), Atom("p", (Constant("b"),))])
+        db = Database.of(true=[Atom("p", ("a",)), Atom("p", ("b",))])
         with pytest.raises(ValidationError):
             rename_constants(db, {"a": "b"})
 

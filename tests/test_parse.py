@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adlog import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
+from adlog import (Atom, BuiltinLiteral, Database, DeltaSet,
                    Interpretation, ParseError, Polarity, Program, Rule,
                    StdLiteral, UpdateAtom, UpdLiteral, ValidationError,
                    Variable, parse_database, parse_delta, parse_program,
@@ -59,7 +59,7 @@ class TestParseProgram:
     def test_quoted_constant(self):
         program = parse_program("p('Hello').")
         (rule,) = program.rules
-        assert rule.head.args == (Constant("Hello"),)
+        assert rule.head.args == ("Hello",)
 
     def test_deterministic(self):
         text = "p(a).\nq(X) :- p(X), not r(X).\n+r(b) :- p(b)."
@@ -70,13 +70,13 @@ class TestParseDatabase:
     def test_true_facts(self):
         db = parse_database("proj(p). mgr(x,p,d).")
         assert db.true_facts == frozenset({
-            Atom("proj", (Constant("p"),)),
-            Atom("mgr", (Constant("x"), Constant("p"), Constant("d")))})
+            Atom("proj", ("p",)),
+            Atom("mgr", ("x", "p", "d"))})
         assert not db.unknown_facts
 
     def test_unknown_fact(self):
         db = parse_database("emp(a)?")
-        assert db.unknown_facts == frozenset({Atom("emp", (Constant("a"),))})
+        assert db.unknown_facts == frozenset({Atom("emp", ("a",))})
 
     def test_conflicting_status_rejected(self):
         with pytest.raises(ParseError):
@@ -93,7 +93,7 @@ class TestParseDelta:
     def test_delete(self):
         delta = parse_delta("-proj(p).")
         assert delta.updates == frozenset({
-            UpdateAtom(Polarity.DELETE, Atom("proj", (Constant("p"),)))})
+            UpdateAtom(Polarity.DELETE, Atom("proj", ("p",)))})
 
     def test_insert(self):
         delta = parse_delta("+confirm(x,d).")
@@ -139,9 +139,7 @@ class TestRender:
 # --- randomized round-trips ------------------------------------------------
 
 names = st.sampled_from(["p", "q", "r", "s", "edge", "mgr2", "k9"])
-constants = st.sampled_from([Constant("a"), Constant("b"), Constant("c1"),
-                             Constant("42"), Constant("Quoted Name"),
-                             Constant("it's")])
+constants = st.sampled_from(["a", "b", "c1", "42", "Quoted Name", "it's"])
 variables = st.sampled_from([Variable("X"), Variable("Y"), Variable("Zz")])
 ARITIES = {"p": 0, "q": 1, "r": 2, "s": 1, "edge": 2, "mgr2": 3, "k9": 1}
 
@@ -243,7 +241,7 @@ def test_lines_count_newlines_inside_quoted_constants():
     assert str(exc.value) == "<string>:2:5: expected '.', found 'q'"
     program = parse_program("p('a\n\nb').\nq(a).", origin="f.adl")
     assert [rule.origin for rule in program.rules] == ["f.adl:1", "f.adl:4"]
-    assert program.rules[0].head.args == (Constant("a\n\nb"),)
+    assert program.rules[0].head.args == ("a\n\nb",)
 
 
 # --- the per-character tokenizer and parser, kept as an oracle ----------------
@@ -355,7 +353,7 @@ class _OracleParser:
         if tok.kind == "var":
             return Variable(tok.text)
         if tok.kind in ("ident", "quoted"):
-            return Constant(tok.text)
+            return tok.text
         raise self.error(f"expected a term, found {tok.text!r}", tok)
 
     def atom(self) -> Atom:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from adlog import (Atom, BuiltinLiteral, Constant, Database, DeltaSet,
+from adlog import (Atom, BuiltinLiteral, Database, DeltaSet,
                    GroundProgram, Polarity, Program, Rule, StdLiteral,
                    UpdateAtom, UpdateProgram, UpdLiteral, ValidationError,
                    embed_database, enumerate_pstable, ground,
@@ -32,7 +32,7 @@ class TestEmbedDatabase:
         program = parse_program("q(X) :- p(X).")
         db = parse_database("p(a). p(b).")
         embedded = embed_database(program, db)
-        assert Rule(Atom("p", (Constant("a"),))) in embedded.rules
+        assert Rule(Atom("p", ("a",))) in embedded.rules
         assert len(embedded.rules) == 3
 
     def test_unknown_fact_becomes_self_negating_rule(self):
@@ -93,7 +93,7 @@ class TestRewriteSt:
     def test_delta_markers_become_facts(self):
         up, _ = load_update_program("confirm_manager")
         std = rewrite_st(up)
-        assert Rule(Atom("@ins_confirm", (Constant("x"), Constant("d")))) in std.rules
+        assert Rule(Atom("@ins_confirm", ("x", "d"))) in std.rules
 
     def test_update_free_program_gets_no_bridges_or_markers(self):
         program = parse_program("+p(X) :- q(X).\nr(X) :- q(X).")
@@ -105,7 +105,9 @@ class TestRewriteSt:
         # A generated predicate's kind is its reserved prefix; the naming
         # functions define the prefixes, and the other predicates are the user's.
         up, _ = load_update_program("project_cascade")
-        predicates = rewrite_st(up).predicate_arities()
+        predicates = {atom.predicate for rule in rewrite_st(up).rules
+                      for atom in (rule.head, *(lit.atom for lit in rule.body
+                                                if isinstance(lit, StdLiteral)))}
         assert guard_predicate("mgr") == "@ck_mgr" and "@ck_mgr" in predicates
         assert delta_marker_predicate(Polarity.DELETE, "proj") == "@del_proj"
         assert "@del_proj" in predicates
@@ -114,7 +116,7 @@ class TestRewriteSt:
         assert renamed_update_predicate(Polarity.INSERT, "mgr") == "@plus_mgr"
         assert "@plus_mgr" in predicates
         user = {p for p in predicates if not p.startswith("@")}
-        assert user == set(up.program.predicate_arities()) == {"diff_mgr", "mgr", "proj"}
+        assert user == set(up.program.cache["arities"]) == {"diff_mgr", "mgr", "proj"}
 
 
 class TestRewriteBm:
@@ -237,12 +239,12 @@ class TestGroundProgram:
             GroundProgram(parse_program("p(X) :- q(X).").rules)
 
     def test_update_head_is_rejected(self):
-        head = UpdateAtom(Polarity.INSERT, Atom("p", (Constant("a"),)))
+        head = UpdateAtom(Polarity.INSERT, Atom("p", ("a",)))
         with pytest.raises(ValidationError, match=r"\+p\(a\) .* not a ground atom"):
             GroundProgram((Rule(head, ()),))
 
     def test_builtin_body_literal_is_rejected(self):
-        rule = Rule(Atom("p"), (BuiltinLiteral("=", Constant("a"), Constant("a")),))
+        rule = Rule(Atom("p"), (BuiltinLiteral("=", "a", "a"),))
         with pytest.raises(ValidationError, match="not an atom"):
             GroundProgram((rule,))
 
@@ -254,7 +256,7 @@ class TestGroundProgram:
 
 # --- relevance grounder against the product-plus-pruning oracle -------------
 
-def _ground_all(rules, constants: list[Constant]) -> list[Rule]:
+def _ground_all(rules, constants: list[str]) -> list[Rule]:
     """Every instance over the active domain, in product order."""
     out: list[Rule] = []
     for rule in rules:
@@ -270,8 +272,8 @@ def _ground_all(rules, constants: list[Constant]) -> list[Rule]:
 
 def product_ground(program: Program) -> GroundProgram:
     """Every rule instance over the whole active domain."""
-    constants = [Constant(c) for c in sorted(program.constants())]
-    return GroundProgram(tuple(dict.fromkeys(_ground_all(program.rules, constants))))
+    return GroundProgram(tuple(dict.fromkeys(_ground_all(program.rules,
+                                                         sorted(program.constants())))))
 
 
 def _prune_underivable(rules: list[Rule]) -> list[Rule]:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from adlog import (Atom, Constant, Database, EngineError, GroundProgram,
+from adlog import (Atom, Database, EngineError, GroundProgram,
                    Interpretation, ResourceLimitError, TruthValue, embed_database,
                    enumerate_pstable, ground, is_pstable, max_deterministic,
                    parse_program, rewrite_bm, rewrite_st, well_founded)
@@ -625,7 +625,7 @@ class TestMaxDeterministic:
         up, _ = load_update_program("new_hire_roles")
         g = ground(embed_database(rewrite_st(up), Database()))
         md = max_deterministic(g)
-        arg = (Constant("a"),)
+        arg = ("a",)
         assert md.value(Atom("@plus_worker", arg)) is TruthValue.TRUE
         assert md.value(Atom("@plus_emp", arg)) is TruthValue.UNDEFINED
         assert md.value(Atom("@plus_mgr", arg)) is TruthValue.UNDEFINED

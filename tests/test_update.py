@@ -2,14 +2,14 @@ import pytest
 
 import adlog.stable
 import adlog.update
-from adlog import (Atom, CompareResult, ConsistencyError, Constant, Database,
+from adlog import (Atom, CompareResult, ConsistencyError, Database,
                    DeltaSet, EngineError, GroundProgram, Interpretation,
                    PreconditionError, Program, RunReport, SchemaError, Semantics,
-                   UpdateOutcome, UpdateProgram, apply_delta, apply_updates,
-                   compare, embed_database, extract_updates, ground, info_leq,
-                   is_total_transformation, parse_database, parse_delta,
-                   parse_program, rename_constants, rewrite_st, run,
-                   well_founded)
+                   UpdateOutcome, UpdateProgram, ValidationError, apply_delta,
+                   apply_updates, compare, embed_database, extract_updates,
+                   ground, info_leq, is_total_transformation, parse_database,
+                   parse_delta, parse_program, rename_constants, rewrite_st,
+                   run, well_founded)
 from adlog.update import CompareRow
 
 from conftest import FIXTURES, load_update_program
@@ -21,7 +21,7 @@ def atom(text: str) -> Atom:
     name, _, args = text.partition("(")
     if not args:
         return Atom(name)
-    return Atom(name, tuple(Constant(s) for s in args.rstrip(")").split(",")))
+    return Atom(name, tuple(args.rstrip(")").split(",")))
 
 
 def interp(universe, true=(), false=()):
@@ -33,12 +33,12 @@ class TestExtractUpdates:
         plus, minus = atom("@plus_mgr(x,d)"), atom("@minus_mgr(x,d)")
         outcome = extract_updates(interp([plus, minus], true=[plus], false=[minus]))
         assert outcome.certain_insert == {atom("mgr(x,d)")}
-        assert outcome.is_empty is False
+        assert outcome != UpdateOutcome()
 
     def test_all_false_gives_empty_outcome(self):
         plus, minus = atom("@plus_mgr(x,d)"), atom("@minus_mgr(x,d)")
         outcome = extract_updates(interp([plus, minus], false=[plus, minus]))
-        assert outcome.is_empty
+        assert outcome == UpdateOutcome()
 
     def test_cascade_well_founded_extraction(self):
         up, db = load_update_program("project_cascade", db=True)
@@ -51,7 +51,7 @@ class TestExtractUpdates:
     def test_auxiliary_atoms_are_ignored(self):
         aux = atom("@ck_mgr(x)")
         outcome = extract_updates(interp([aux], true=[aux]))
-        assert outcome.is_empty
+        assert outcome == UpdateOutcome()
 
 
 class TestOutcomeConsistency:
@@ -144,6 +144,15 @@ class TestRun:
         assert report.output_db == Database.of(
             true=[atom("new(a)"), atom("emp(a)"), atom("worker(a)")])
 
+    @pytest.mark.parametrize("program, database", [
+        ("+r(X) :- q(X).", "q(a). @ck_r(a)."),  # a guard fact would block +r(a)
+        ("+r(X) :- q(X).", "p(b). @plus_p(a)."),  # an update fact would insert p(a)
+    ])
+    def test_database_fact_on_reserved_predicate_is_rejected(self, program, database):
+        up = UpdateProgram(DeltaSet(), parse_program(program))
+        with pytest.raises(ValidationError, match="reserved predicate name in database fact @"):
+            run(up, parse_database(database), Semantics.WS)
+
     def test_rejection_returns_input_unchanged(self):
         up, db = load_update_program("new_hire_mixed")
         report = run(up, db, Semantics.TWFS)
@@ -209,8 +218,8 @@ class TestCompare:
     def test_roles_fixture_rows(self):
         up, db = load_update_program("new_hire_roles")
         result = compare(up, db)
-        ws = result.report_of(Semantics.WS).output_db
-        md = result.report_of(Semantics.MD).output_db
+        reports = {row.semantics: row.report for row in result.rows}
+        ws, md = reports[Semantics.WS].output_db, reports[Semantics.MD].output_db
         assert atom("worker(a)") in md.true_facts
         assert atom("worker(a)") in ws.unknown_facts
         assert atom("emp(a)") in md.unknown_facts
@@ -229,7 +238,7 @@ class TestCompare:
     def test_cascade_rows(self):
         up, db = load_update_program("project_cascade", db=True)
         result = compare(up, db)
-        ws = result.report_of(Semantics.WS).output_db
+        ws = next(row.report for row in result.rows if row.semantics is Semantics.WS).output_db
         assert atom("proj(p)") not in ws.true_facts | ws.unknown_facts
         assert atom("mgr(x,p,d)") in ws.unknown_facts
 
