@@ -96,10 +96,6 @@ class Atom:
     def constants(self) -> set[str]:
         return {t for t in self.args if isinstance(t, str)}
 
-    def substitute(self, binding: Mapping[Variable, str]) -> "Atom":
-        return Atom(self.predicate, tuple(binding.get(t, t) if isinstance(t, Variable) else t
-                                          for t in self.args))
-
     def rename(self, rho: Mapping[str, str]) -> "Atom":
         return Atom(self.predicate, tuple(rho.get(t, t) if isinstance(t, str) else t
                                           for t in self.args))
@@ -165,10 +161,6 @@ class BuiltinLiteral:
         same = self.left == self.right
         return same if self.op == "=" else not same
 
-    def substitute(self, binding: Mapping[Variable, str]) -> "BuiltinLiteral":
-        sub = lambda t: binding.get(t, t) if isinstance(t, Variable) else t
-        return BuiltinLiteral(self.op, sub(self.left), sub(self.right))
-
     def __str__(self) -> str:
         return f"{render_term(self.left)} {self.op} {render_term(self.right)}"
 
@@ -199,9 +191,6 @@ class Rule:
             else:
                 out |= {t for t in (lit.left, lit.right) if isinstance(t, Variable)}
         return out
-
-    def is_ground(self) -> bool:
-        return not self.variables()
 
     def __str__(self) -> str:
         if not self.body:
@@ -268,7 +257,15 @@ def _record_arity(arities: dict[str, int], atom: Atom) -> None:
     seen = arities.setdefault(atom.predicate, atom.arity)
     if seen != atom.arity:
         raise ValidationError(
-            f"predicate {atom.predicate} used with arity {atom.arity} and {seen}")
+            f"predicate {atom.predicate} used with arity {seen} and {atom.arity}")
+
+
+def _record_arities(arities: dict[str, int], atoms: Iterable[Atom]) -> None:
+    """`_record_arity` for each ground atom; on a clash they are sorted, so hashing picks no message."""
+    before = dict(arities)
+    if any(arities.setdefault(a.predicate, a.arity) != a.arity for a in atoms):
+        for atom in sorted(atoms):
+            _record_arity(before, atom)
 
 
 def validate_program(program: Program) -> None:
@@ -344,9 +341,9 @@ class Database:
         if overlap:
             atom = sorted(str(a) for a in overlap)[0]
             raise ValidationError(f"fact {atom} is both true and unknown")
-        for atom in self.true_facts | self.unknown_facts:
-            if not atom.is_ground():
-                raise ValidationError(f"database fact {atom} is not ground")
+        loose = sorted(str(a) for a in self.true_facts | self.unknown_facts if not a.is_ground())
+        if loose:
+            raise ValidationError(f"database fact {loose[0]} is not ground")
         self.predicate_arities()
 
     @staticmethod
@@ -359,8 +356,7 @@ class Database:
 
     def predicate_arities(self) -> dict[str, int]:
         arities: dict[str, int] = {}
-        for atom in self.true_facts | self.unknown_facts:
-            _record_arity(arities, atom)
+        _record_arities(arities, self.true_facts | self.unknown_facts)
         return arities
 
     def constants(self) -> set[str]:
@@ -382,7 +378,7 @@ class DeltaSet:
 
     def __post_init__(self) -> None:
         atoms = {}
-        for u in self.updates:
+        for u in sorted(self.updates, key=str):
             if not u.is_ground():
                 raise ValidationError(f"update {u} is not ground")
             other = atoms.setdefault(u.atom, u.polarity)
@@ -416,17 +412,18 @@ class UpdateProgram:
     program: Program
 
 
-def validate_update_program(up: UpdateProgram) -> None:
-    """Validate the program plus cross-checks between delta and program."""
+def validate_update_program(up: UpdateProgram) -> dict[str, int]:
+    """Validate the program, then each update against it in `str` order; returns the arities."""
     validate_program(up.program)
     arities = dict(up.program.cache["arities"])
     idb = up.program.cache["idb"]
-    for u in up.delta.updates:
+    for u in sorted(up.delta.updates, key=str):
         if u.atom.predicate.startswith(RESERVED_PREFIX):
             raise ValidationError(f"reserved predicate name in update {u}")
         if u.atom.predicate in idb:
             raise ValidationError(f"input update {u} targets derived predicate")
         _record_arity(arities, u.atom)
+    return arities
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +525,10 @@ def check_same_schema(databases: Iterable[Database]) -> None:
     """Raise SchemaError when the databases use one predicate with two arities."""
     merged: dict[str, int] = {}
     for database in databases:
-        for atom in database.true_facts | database.unknown_facts:
-            try:
-                _record_arity(merged, atom)
-            except ValidationError as exc:
-                raise SchemaError(str(exc)) from exc
+        try:
+            _record_arities(merged, database.true_facts | database.unknown_facts)
+        except ValidationError as exc:
+            raise SchemaError(str(exc)) from exc
 
 
 def check_renaming(rho: Mapping[str, str], vocabulary: Iterable[str]) -> None:

@@ -29,7 +29,7 @@ import re
 from .model import (Atom, BuiltinLiteral, Database, DeltaSet,
                     Interpretation, ParseError, Polarity, Program, Rule,
                     StdLiteral, UpdateAtom, UpdLiteral, ValidationError,
-                    Variable, validate_program)
+                    Variable, _record_arity, validate_program)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +120,14 @@ def _parsed(grammar, text: str, origin: str):
         return grammar(tokens, lines, origin, {})
     except _Syntax as exc:
         raise _located(text, origin, *exc.args) from None
+
+
+def _arity(arities: dict[str, int], atom: Atom, start: int) -> None:
+    """Record the arity of the fact or update at token `start`, which a clash points at."""
+    try:
+        _record_arity(arities, atom)
     except ValidationError as exc:
-        raise ParseError(str(exc), origin) from exc
+        raise _Syntax(str(exc), start) from None
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +215,7 @@ def _program(tokens: list[str], lines: list[int], origin: str, terms: dict) -> P
 
 
 def _database(tokens: list[str], lines: list[int], origin: str, terms: dict) -> Database:
-    facts, i = {".": set(), "?": set()}, 0  # true and unknown facts
+    facts, arities, i = {".": set(), "?": set()}, {}, 0  # true and unknown facts
     while i < len(lines):
         start = i
         atom, i = _atom(tokens, i, terms)
@@ -220,13 +226,14 @@ def _database(tokens: list[str], lines: list[int], origin: str, terms: dict) -> 
             raise _expected("'.' or '?'", tokens, i)
         if atom in facts["?" if status == "." else "."]:
             raise _Syntax(f"fact {atom} listed as both true and unknown", start)
+        _arity(arities, atom, start)
         facts[status].add(atom)
         i += 1
     return Database.of(facts["."], facts["?"])
 
 
 def _delta(tokens: list[str], lines: list[int], origin: str, terms: dict) -> DeltaSet:
-    updates, i = set(), 0
+    updates, arities, i = set(), {}, 0
     while i < len(lines):
         if tokens[i] not in _POLARITY:
             raise _expected("'+' or '-'", tokens, i)
@@ -235,6 +242,9 @@ def _delta(tokens: list[str], lines: list[int], origin: str, terms: dict) -> Del
             raise _Syntax(f"update on non-ground atom {uatom.atom}", i)
         if tokens[j] != ".":
             raise _expected("'.'", tokens, j)
+        if UpdateAtom(_POLARITY["-" if tokens[i] == "+" else "+"], uatom.atom) in updates:
+            raise _Syntax(f"conflicting updates +{uatom.atom} and -{uatom.atom}", i)
+        _arity(arities, uatom.atom, i)
         updates.add(uatom)
         i = j + 1
     return DeltaSet.of(updates)

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque, namedtuple
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
 from .model import (Atom, BuiltinLiteral, Database, Literal,
@@ -61,55 +61,70 @@ def base_atom_of_renamed(atom: Atom) -> tuple[Polarity, Atom] | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
 class GroundProgram:
     """Variable-free, builtin-free rules with their atoms numbered once: the solver's atom table.
 
-    The constructor reads the rules once.  It numbers each atom at its first
-    appearance (atom i is `atoms[i]`) and drops a rule equal to an earlier
-    one.  Rule r of `rules` has head `heads[r]`, positive body atoms `pos[r]`
-    and negated body atoms `negs[r]`, and `defs[a]` lists the rules with head
-    a: the atom dependency graph the solver reads (see stable._well_founded).
-    A variable, an update atom or a builtin is a `ValidationError`.  The
-    lists are read, never changed.
+    The table is filled one rule at a time (`_add`), by `ground` as it
+    instantiates rules and by this constructor from `rules`.  An atom is
+    numbered at its first appearance by its predicate and arguments, and a
+    rule equal to an earlier one is dropped.  Rule r has head `heads[r]`,
+    positive body atoms `pos[r]` and negated body atoms `negs[r]`, and
+    `defs[a]` lists the rules with head a: the atom dependency graph the
+    solver reads (see stable._well_founded).  `atoms` (atom i is `atoms[i]`)
+    and `rules` are built on first read.  A variable, an update atom or a
+    builtin is a `ValidationError`.  The lists are read, never changed.
     """
 
-    rules: tuple[Rule, ...]
-    atoms: tuple[Atom, ...] = field(init=False, repr=False)
-    heads: list[int] = field(init=False, repr=False)
-    pos: list[list[int]] = field(init=False, repr=False)
-    negs: list[list[int]] = field(init=False, repr=False)
-    defs: list[list[int]] = field(init=False, repr=False)
-    # What the solver derives from the rules, kept with them (see stable._well_founded).
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        index: dict[Atom, int] = {}
-        # Each rule as numbers: its head, then each body atom a, as ~a if negated.
-        # Equal rules give equal keys, so the first of them is the one kept.
-        kept: dict[tuple[int, ...], Rule] = {}
-        for rule in self.rules:
-            key = [index.setdefault(rule.head, len(index))]
+    def __init__(self, rules: Iterable[Rule] = ()):
+        self._index: dict[tuple[str, tuple[str, ...]], int] = {}
+        # Each rule as numbers, its head then each body atom a, as ~a if
+        # negated, with its origin.  Equal rules give equal numbers.
+        self._rules: dict[tuple[int, ...], str | None] = {}
+        self.heads: list[int] = []
+        self.pos: list[list[int]] = []
+        self.negs: list[list[int]] = []
+        # What the solver derives from the rules, kept with them (see stable._well_founded).
+        self.cache: dict = {}
+        for rule in rules:
             for lit in rule.body:
-                try:
-                    a = index.setdefault(lit.atom, len(index))
-                except AttributeError:      # only a standard literal has an atom
-                    raise ValidationError(
-                        f"body literal {lit} of rule '{rule}' is not an atom") from None
-                key.append(a if lit.positive else ~a)
-            kept.setdefault(tuple(key), rule)
-        for atom in index:
-            if not (isinstance(atom, Atom) and atom.is_ground()):
-                raise ValidationError(f"{atom} in a ground program is not a ground atom")
-        heads = [key[0] for key in kept]
-        defs: list[list[int]] = [[] for _ in index]
-        for r, head in enumerate(heads):
+                if not isinstance(lit, StdLiteral):
+                    raise ValidationError(f"body literal {lit} of rule '{rule}' is not an atom")
+            for atom in (rule.head, *(lit.atom for lit in rule.body)):
+                if not (isinstance(atom, Atom) and atom.is_ground()):
+                    raise ValidationError(f"{atom} in a ground program is not a ground atom")
+            self._add(*_keys(rule), rule.origin)
+
+    def _add(self, head: tuple, body: Iterable[tuple[tuple, bool]], origin: str | None) -> int:
+        """Number the rule `head :- body`, atoms as (predicate, args) keys; returns the head's number."""
+        index = self._index
+        numbers = tuple([index.setdefault(head, len(index))] + [
+            index.setdefault(key, len(index)) if positive else ~index.setdefault(key, len(index))
+            for key, positive in body])
+        if numbers not in self._rules:
+            self._rules[numbers] = origin
+            self.heads.append(numbers[0])
+            self.pos.append([a for a in numbers[1:] if a >= 0])
+            self.negs.append([~a for a in numbers[1:] if a < 0])
+        return numbers[0]
+
+    @cached_property
+    def defs(self) -> list[list[int]]:
+        defs: list[list[int]] = [[] for _ in self._index]
+        for r, head in enumerate(self.heads):
             defs[head].append(r)
-        for name, value in (("rules", tuple(kept.values())), ("atoms", tuple(index)),
-                            ("heads", heads), ("defs", defs),
-                            ("pos", [[a for a in key[1:] if a >= 0] for key in kept]),
-                            ("negs", [[~a for a in key[1:] if a < 0] for key in kept])):
-            object.__setattr__(self, name, value)
+        return defs
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        return tuple(Atom(predicate, args) for predicate, args in self._index)
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        atoms = self.atoms
+        return tuple(Rule(atoms[numbers[0]],
+                          tuple(StdLiteral(atoms[a]) if a >= 0 else StdLiteral(atoms[~a], False)
+                                for a in numbers[1:]), origin)
+                     for numbers, origin in self._rules.items())
 
     @cached_property
     def universe(self) -> frozenset[Atom]:
@@ -123,6 +138,13 @@ class GroundProgram:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.rules))
+
+
+def _keys(rule: Rule) -> tuple[tuple, list[tuple[tuple, bool]]]:
+    """A variable-free rule's head and standard body literals as `GroundProgram._add` takes them."""
+    return ((rule.head.predicate, rule.head.args),
+            [((lit.atom.predicate, lit.atom.args), lit.positive)
+             for lit in rule.body if isinstance(lit, StdLiteral)])
 
 
 # ---------------------------------------------------------------------------
@@ -267,91 +289,74 @@ def rewrite_bm(up: UpdateProgram) -> Program:
 # Grounding
 # ---------------------------------------------------------------------------
 
-def ground(program: Program) -> GroundProgram:
-    """Instantiate the rule instances whose positive body atoms are derivable.
-
-    Positive body literals are joined bottom-up against the atoms derived so
-    far; only variables that occur in no positive body literal range over the
-    active constant domain.  Rule instances with a false builtin are dropped;
-    true builtins are removed from bodies.  Leaving out the instances with an
-    underivable positive body atom cannot change any stable model on the
-    atoms that remain derivable.
-    """
-    for rule in program.rules:
-        if isinstance(rule.head, UpdateAtom) or any(isinstance(lit, UpdLiteral)
-                                                    for lit in rule.body):
-            raise ValidationError(f"rule {rule} still contains update atoms")
-    return GroundProgram(tuple(_ground_derivable(program.rules, sorted(program.constants()))))
+# A rule with `size` variables, compiled for grounding.  A binding is a row:
+# each variable's value, by slot in name order, then the rule's constants;
+# `row` binds no variable.  An atom (a pattern) is its predicate and the row
+# index of each argument.  `body` holds the standard body literals as
+# (predicate, indices, positive) and `tests` the builtins as (left index,
+# right index, whether the two must be equal).
+_Plan = namedtuple("_Plan", "origin size row head body tests")
 
 
-def _variables(rule: Rule) -> list[Variable]:
-    return sorted(rule.variables(), key=lambda v: v.name)
-
-
-def _instantiate(rule: Rule, binding) -> Rule | None:
-    body: list[StdLiteral] = []
+def _compile(rule: Rule, variables: list[Variable], consts: list[str]):
+    """The plan of a rule with `variables`, in name order, and `consts`, and its triggers."""
+    slot = {t: i for i, t in enumerate(variables + consts)}
+    body, tests, patterns = [], [], []
     for lit in rule.body:
-        if isinstance(lit, BuiltinLiteral):
-            if not lit.substitute(binding).evaluate():
-                return None
-            continue
-        body.append(StdLiteral(lit.atom.substitute(binding), lit.positive))
-    return Rule(rule.head.substitute(binding), tuple(body), rule.origin)
-
-
-# A positive body literal compiled against a rule's variable slots: each
-# argument is a constant (a `str`) or the int slot of a variable.
-_Pattern = tuple[str, tuple]
+        if isinstance(lit, StdLiteral):
+            indices = tuple([slot[t] for t in lit.atom.args])
+            body.append((lit.atom.predicate, indices, lit.positive))
+            if lit.positive:
+                patterns.append((lit.atom.predicate, indices))
+        else:
+            tests.append((slot[lit.left], slot[lit.right], lit.op == "="))
+    head = (rule.head.predicate, tuple([slot[t] for t in rule.head.args]))
+    plan = _Plan(rule.origin, len(variables), [None] * len(variables) + consts, head,
+                 tuple(body), tuple(tests))
+    return plan, _triggers(plan, patterns)
 
 
 # One positive literal in a join order.  On arrival, `positions` are the
-# arguments fixed by a constant or an earlier binding and `key` their values
-# (constant or variable slot); `unbound` pairs each other argument position
-# with its variable slot.  `exclude_pivot` marks a literal left of the pivot
-# with the pivot's predicate: under semi-naive evaluation it must not reuse
-# the new atom.
+# arguments fixed by a constant or an earlier binding and `key` their row
+# indices; `unbound` pairs each other argument position with its variable
+# slot.  `exclude_pivot` marks a literal left of the pivot with the pivot's
+# predicate: under semi-naive evaluation it must not reuse the new atom.
 _Step = namedtuple("_Step", "predicate positions key unbound exclude_pivot")
 
-# How a new atom for the pivot literal of a rule extends to full instances;
+# How a new atom for the pivot literal of a plan extends to full instances;
 # `free` holds the slots of the variables in no positive body literal.
-_Trigger = namedtuple("_Trigger", "rule variables pivot others free")
+_Trigger = namedtuple("_Trigger", "plan pivot others free")
 
 
-def _step(pattern: _Pattern, bound: set[int], exclude_pivot: bool) -> _Step:
-    """Compile a literal joined after the slots in `bound`, which it then adds to."""
+def _step(pattern: tuple, bound: set[int], exclude_pivot: bool) -> _Step:
+    """Compile a pattern joined after the row indices in `bound`, which it then adds to."""
     predicate, args = pattern
     positions, key, unbound = [], [], []
     for i, term in enumerate(args):
-        if isinstance(term, int) and term not in bound:
-            unbound.append((i, term))
-        else:
+        if term in bound:
             positions.append(i)
             key.append(term)
+        else:
+            unbound.append((i, term))
     bound.update(slot for _, slot in unbound)
     return _Step(predicate, tuple(positions), tuple(key), tuple(unbound), exclude_pivot)
 
 
-def _triggers(rule: Rule, variables: list[Variable]) -> list[_Trigger]:
-    """One trigger per positive body literal; the rest are joined most-bound first."""
-    slot = {v: i for i, v in enumerate(variables)}
-    patterns: list[_Pattern] = [
-        (lit.atom.predicate, tuple(slot[t] if isinstance(t, Variable) else t
-                                   for t in lit.atom.args))
-        for lit in rule.body if isinstance(lit, StdLiteral) and lit.positive]
-    in_positive = {t for _, args in patterns for t in args if isinstance(t, int)}
-    free = tuple(i for i in range(len(variables)) if i not in in_positive)
+def _triggers(plan: _Plan, patterns: list[tuple]) -> list[_Trigger]:
+    """One trigger per positive pattern of a plan; the rest are joined most-bound first."""
+    in_positive = {t for _, args in patterns for t in args}
+    free = tuple(i for i in range(plan.size) if i not in in_positive)
     triggers = []
     for p, pivot in enumerate(patterns):
-        bound: set[int] = set()
+        bound = set(range(plan.size, len(plan.row)))     # the constants
         first = _step(pivot, bound, False)
         rest = [q for q in range(len(patterns)) if q != p]
         others = []
         while rest:
-            q = max(rest, key=lambda q: (sum(not isinstance(t, int) or t in bound
-                                             for t in patterns[q][1]), -q))
+            q = max(rest, key=lambda q: (sum(t in bound for t in patterns[q][1]), -q))
             rest.remove(q)
             others.append(_step(patterns[q], bound, q < p and patterns[q][0] == pivot[0]))
-        triggers.append(_Trigger(rule, tuple(variables), first, tuple(others), free))
+        triggers.append(_Trigger(plan, first, tuple(others), free))
     return triggers
 
 
@@ -370,10 +375,10 @@ class _Derivable:
                 if step.positions and step.unbound:
                     self.lookups.setdefault(step.predicate, {}).setdefault(step.positions, {})
 
-    def add(self, atom: Atom) -> None:
-        self.facts.setdefault(atom.predicate, {})[atom.args] = None
-        for positions, table in self.lookups.get(atom.predicate, {}).items():
-            table.setdefault(tuple(atom.args[i] for i in positions), []).append(atom.args)
+    def add(self, predicate: str, args: tuple) -> None:
+        self.facts.setdefault(predicate, {})[args] = None
+        for positions, table in self.lookups.get(predicate, {}).items():
+            table.setdefault(tuple(args[i] for i in positions), []).append(args)
 
     def candidates(self, step: _Step, key: tuple) -> Iterable[tuple]:
         facts = self.facts.get(step.predicate, {})
@@ -400,7 +405,7 @@ def _join(steps: tuple[_Step, ...], binding: list, derivable: _Derivable, pivot:
         yield binding
         return
     step = steps[0]
-    key = tuple(binding[t] if isinstance(t, int) else t for t in step.key)
+    key = tuple([binding[k] for k in step.key])
     for args in derivable.candidates(step, key):
         if step.exclude_pivot and args == pivot:
             continue
@@ -409,97 +414,119 @@ def _join(steps: tuple[_Step, ...], binding: list, derivable: _Derivable, pivot:
             yield from _join(steps[1:], extended, derivable, pivot)
 
 
-def _ground_derivable(rules: Iterable[Rule], constants: list[str]) -> list[Rule]:
-    """Semi-naive bottom-up instantiation of the rules with derivable positive bodies.
+def ground(program: Program) -> GroundProgram:
+    """Instantiate the rule instances whose positive body atoms are derivable.
 
-    A worklist holds atoms derived but not yet joined.  Each is joined into
-    every positive body literal of a rule with variables that it matches, with
-    the other positive literals read from the atoms joined before it; a
-    literal left of the pivot with the pivot's predicate skips the new atom
-    itself, so each instance is built once.  A variable-free rule is its own
-    only instance: its builtins are evaluated once, and it comes out when the
-    last of its distinct positive body atoms leaves the worklist.  Instances
-    come out in derivation order, and the rules that one atom completes in
-    rule order.
+    Positive body literals are joined bottom-up against the atoms derived so
+    far; only variables that occur in no positive body literal range over the
+    active constant domain.  Rule instances with a false builtin are dropped;
+    true builtins are removed from bodies.  Leaving out the instances with an
+    underivable positive body atom cannot change any stable model on the
+    atoms that remain derivable.
+
+    One pass plans each rule (`_compile`) and collects the constants.  Then
+    a worklist holds atoms derived but not yet joined, and each is joined
+    into every positive body literal it matches (semi-naive: a literal left
+    of the pivot with the pivot's predicate skips the new atom).  A
+    variable-free rule comes out when the last of its distinct positive body
+    atoms leaves the worklist.  Instances come out in derivation order, and
+    those one atom completes in rule order, straight into the atom table.
     """
-    seeds: list[tuple[Rule, list[Variable]]] = []
+    out = GroundProgram()
+    constants: set[str] = set()
+    # Rules that come out before any join, in rule order: plans and variable-free rules.
+    seeds: list[_Plan | Rule] = []
     triggers: list[_Trigger] = []
     by_predicate: dict[str, list[_Trigger]] = {}
     # A ground pivot's triggers, and the index in `counted` of each
     # variable-free rule with the atom in its positive body.
-    by_atom: dict[Atom, list[_Trigger | int]] = {}
+    by_atom: dict[tuple, list[_Trigger | int]] = {}
     # Per variable-free rule with a positive body, the number of its distinct
     # positive body atoms that have not left the worklist.
     counted: list[Rule] = []
     missing: list[int] = []
-    for rule in rules:
-        variables = _variables(rule)
+    for rule in program.rules:
+        head, body = rule.head, rule.body
+        try:
+            terms = dict.fromkeys(itertools.chain(head.args, *[
+                lit.atom.args if isinstance(lit, StdLiteral) else (lit.left, lit.right)
+                for lit in body]))
+        except AttributeError:      # only an update atom has none of these
+            raise ValidationError(f"rule {rule} still contains update atoms") from None
+        variables = [t for t in terms if isinstance(t, Variable)]
         if not variables:
-            if any(isinstance(lit, BuiltinLiteral) for lit in rule.body):
-                rule = _instantiate(rule, {})
-                if rule is None:
-                    continue
-            body = dict.fromkeys(lit.atom for lit in rule.body if lit.positive)
-            if body:
-                for atom in body:
-                    by_atom.setdefault(atom, []).append(len(counted))
+            constants.update(terms)
+            if any((lit.left == lit.right) != (lit.op == "=")
+                   for lit in body if isinstance(lit, BuiltinLiteral)):
+                continue
+            positive = dict.fromkeys((lit.atom.predicate, lit.atom.args) for lit in body
+                                     if isinstance(lit, StdLiteral) and lit.positive)
+            if positive:
+                for key in positive:
+                    by_atom.setdefault(key, []).append(len(counted))
                 counted.append(rule)
-                missing.append(len(body))
+                missing.append(len(positive))
             else:
-                seeds.append((rule, variables))
+                seeds.append(rule)
             continue
-        if not constants:
-            continue
-        rule_triggers = _triggers(rule, variables)
+        consts = [t for t in terms if isinstance(t, str)]
+        constants.update(consts)
+        plan, rule_triggers = _compile(rule, sorted(variables, key=attrgetter("name")), consts)
         if not rule_triggers:
-            seeds.append((rule, variables))
+            seeds.append(plan)
         for trigger in rule_triggers:
             pivot = trigger.pivot
             if pivot.unbound:
                 by_predicate.setdefault(pivot.predicate, []).append(trigger)
             else:
-                by_atom.setdefault(Atom(pivot.predicate, pivot.key), []).append(trigger)
+                key = (pivot.predicate, tuple([plan.row[k] for k in pivot.key]))
+                by_atom.setdefault(key, []).append(trigger)
         triggers += rule_triggers
+    constants = sorted(constants)
 
-    out: list[Rule] = []
-    seen: set[Atom] = set()
-    queue: deque[Atom] = deque()
+    derived: set[int] = set()
+    queue: deque[tuple] = deque()
 
-    def add(instance: Rule) -> None:
-        out.append(instance)
-        if instance.head not in seen:
-            seen.add(instance.head)
-            queue.append(instance.head)
+    def add(head: tuple, body: list, origin: str | None) -> None:
+        h = out._add(head, body, origin)
+        if h not in derived:
+            derived.add(h)
+            queue.append(head)
 
-    def emit(rule: Rule, variables, binding: list, free) -> None:
+    def emit(plan: _Plan, binding: list, free) -> None:
         for values in itertools.product(constants, repeat=len(free)):
             for slot, value in zip(free, values):
                 binding[slot] = value
-            instance = _instantiate(rule, dict(zip(variables, binding)))
-            if instance is not None:
-                add(instance)
+            for left, right, equal in plan.tests:
+                if (binding[left] == binding[right]) != equal:
+                    break
+            else:
+                add((plan.head[0], tuple([binding[i] for i in plan.head[1]])),
+                    [((p, tuple([binding[i] for i in args])), positive)
+                     for p, args, positive in plan.body], plan.origin)
 
-    for rule, variables in seeds:
-        if variables:
-            emit(rule, variables, [None] * len(variables), range(len(variables)))
+    for seed in seeds:
+        if isinstance(seed, _Plan):
+            emit(seed, list(seed.row), range(seed.size))
         else:
-            add(rule)
+            add(*_keys(seed), seed.origin)
     derivable = _Derivable(triggers)
     while queue:
-        atom = queue.popleft()
-        derivable.add(atom)
-        for trigger in by_predicate.get(atom.predicate, []) + by_atom.get(atom, []):
+        key = queue.popleft()
+        predicate, args = key
+        derivable.add(predicate, args)
+        for trigger in by_predicate.get(predicate, []) + by_atom.get(key, []):
             if isinstance(trigger, int):
                 missing[trigger] -= 1
                 if not missing[trigger]:
-                    add(counted[trigger])
+                    add(*_keys(counted[trigger]), counted[trigger].origin)
                 continue
-            pivot = trigger.pivot
-            if any(atom.args[i] != c for i, c in zip(pivot.positions, pivot.key)):
+            pivot, row = trigger.pivot, trigger.plan.row
+            if any(args[i] != row[k] for i, k in zip(pivot.positions, pivot.key)):
                 continue
-            start = _match(pivot, atom.args, [None] * len(trigger.variables))
+            start = _match(pivot, args, row)
             if start is None:
                 continue
-            for binding in _join(trigger.others, start, derivable, atom.args):
-                emit(trigger.rule, trigger.variables, binding, trigger.free)
+            for binding in _join(trigger.others, start, derivable, args):
+                emit(trigger.plan, binding, trigger.free)
     return out

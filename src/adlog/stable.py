@@ -19,10 +19,10 @@ the residue splits into components linked by the rules still live under the
 well-founded model (splitting sets; Lifschitz & Turner 1994), each component's
 assignments are tried on their own, against that component's live rules only,
 and the family is the product of the fixpoints of Psi found per component.
-Both read one atom table: `GroundProgram` numbers its atoms once, when it is
-built, keeps each rule by those numbers (its atom dependency graph) and
-rejects rules that are not ground, and the program's cache keeps the
-well-founded values and model computed from it.
+Both read one atom table, which the grounder fills as it instantiates the
+rules: each atom numbered once, each rule kept by those numbers (its atom
+dependency graph).  The program's cache keeps the well-founded values and
+model computed from it.
 
 The family is kept factorised: `ModelFamily` holds the well-founded model
 and each component's parts, each flagged within its component as the
@@ -239,11 +239,11 @@ def _well_founded(program: GroundProgram) -> tuple[list[int], Interpretation]:
     that no rule of its own reads takes its best rule's floor; any other
     component iterates Psi from all-undefined.
 
-    The values are indexed by the program's one atom table (`atoms`), built
-    by the `GroundProgram` constructor, which rejects rules that are not
-    ground; the model reuses the program's `universe`.  `well_founded`
-    and `enumerate_pstable` on one program share the model, and the
-    enumeration reads the residue off the same values.
+    The values are indexed by the program's one atom table, filled as it was
+    grounded (or by `GroundProgram(rules)`, which rejects rules that are not
+    ground); the model reuses the program's `universe`, built on first read.
+    `well_founded` and `enumerate_pstable` on one program share the model,
+    and the enumeration reads the residue off the same values.
     `enumerate_pstable` calls this function rather than `well_founded`, so
     a tracer that wraps the public name (perfbench) counts only the requests
     made from outside this module.  Threads that race on an empty cache each

@@ -19,7 +19,7 @@ from functools import cached_property
 from .model import (RESERVED_PREFIX, Atom, ConsistencyError, Database, DeltaSet,
                     EngineError, Interpretation, Polarity, PreconditionError,
                     Program, ResourceLimitError, TruthValue, UpdateProgram,
-                    ValidationError, _record_arity, check_same_schema,
+                    ValidationError, _record_arities, check_same_schema,
                     validate_update_program)
 from .rewrite import (GroundProgram, base_atom_of_renamed, embed_database,
                       ground, rewrite_bm, rewrite_st)
@@ -198,16 +198,12 @@ class _Session:
 
     def __init__(self, up: UpdateProgram, database: Database, *,
                  cap: int = DEFAULT_ENUMERATION_CAP):
-        validate_update_program(up)
-        arities = dict(up.program.cache["arities"])
-        for uatom in up.delta.updates:
-            _record_arity(arities, uatom.atom)
+        arities = validate_update_program(up)
         facts = database.true_facts | database.unknown_facts
         reserved = sorted(str(a) for a in facts if a.predicate.startswith(RESERVED_PREFIX))
         if reserved:
             raise ValidationError(f"reserved predicate name in database fact {reserved[0]}")
-        for atom in facts:
-            _record_arity(arities, atom)
+        _record_arities(arities, facts)
         idb = up.program.cache["idb"]
         self.schema = frozenset(p for p in arities if p not in idb)
         self.up = up

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -186,6 +187,39 @@ class TestByteStability:
                 [sys.executable, "-m", "adlog.cli", *argv],
                 capture_output=True, text=True, check=True).stdout
         assert run_once() == run_once()
+
+
+class TestErrorsDoNotDependOnHashSeed:
+    """An input error prints one message, located where the input has one, under any hash seed."""
+
+    @pytest.mark.parametrize("program, database, delta, message", [
+        ("+r(X) :- q(X).", "q(a). p(a). p(a,b). p(c). p(d,e).", "",
+         "{db}:1:13: predicate p used with arity 1 and 2"),
+        ("+r(X) :- q(X).", "", "+s(a). +s(b,c). +s(d). +s(e,f).",
+         "{delta}:1:8: predicate s used with arity 1 and 2"),
+        ("+r(X) :- p(X), q(X).", "q(a,b). p(c,d).", "",      # checked by the session
+         "predicate p used with arity 1 and 2"),
+        ("+r(X) :- p(X), q(X).", "", "+q(a,b). +p(c,d).",    # checked against the program
+         "predicate p used with arity 1 and 2"),
+    ])
+    def test_one_message_under_six_hash_seeds(self, program, database, delta, message,
+                                              tmp_path):
+        files = {"-p": tmp_path / "e.adl", "-d": tmp_path / "e.adb", "-u": tmp_path / "e.adu"}
+        for flag, text in zip(files, (program, database, delta)):
+            files[flag].write_text(text)
+        argv = [sys.executable, "-m", "adlog.cli", "apply", "--semantics", "ws"]
+        for flag, path in files.items():
+            argv += [flag, str(path)]
+        src = str(FIXTURES.parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        errors = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+            done = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert done.returncode == 1
+            errors.add(done.stderr)
+        expected = message.format(db=files["-d"], delta=files["-u"])
+        assert errors == {f"error: {expected}\n"}
 
 
 UPDATE_FIXTURES = ("confirm_manager", "new_hire_mixed", "new_hire_roles", "new_hire_unique",

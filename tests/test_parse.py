@@ -219,6 +219,11 @@ def test_delta_round_trip(mapping):
     (parse_database, "p(a) q.", "<string>:1:6: expected '.' or '?', found 'q'"),
     (parse_delta, "+p(a).\n-q(X).", "<string>:2:1: update on non-ground atom q(X)"),
     (parse_delta, "+p(a).\np(b).", "<string>:2:1: expected '+' or '-', found 'p'"),
+    (parse_database, "q(a). p(a).\n p(a,b). p(c,d).",
+     "<string>:2:2: predicate p used with arity 1 and 2"),
+    (parse_delta, "+s(a,b). -q(a).\n+s(c). -s(d,e).",
+     "<string>:2:1: predicate s used with arity 2 and 1"),
+    (parse_delta, "+p(a). -q(a).\n  -p(a).", "<string>:2:3: conflicting updates +p(a) and -p(a)"),
 ])
 def test_error_location(parse, text, message):
     with pytest.raises(ParseError) as exc:

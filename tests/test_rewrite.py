@@ -10,12 +10,11 @@ import pytest
 from adlog import (Atom, BuiltinLiteral, Database, DeltaSet,
                    GroundProgram, Polarity, Program, Rule, StdLiteral,
                    UpdateAtom, UpdateProgram, UpdLiteral, ValidationError,
-                   embed_database, enumerate_pstable, ground,
+                   Variable, embed_database, enumerate_pstable, ground,
                    parse_database, parse_program, render, rewrite_bm,
                    rewrite_st)
-from adlog.rewrite import (_instantiate, _variables, bridge_predicate,
-                           delta_marker_predicate, guard_predicate,
-                           renamed_update_predicate)
+from adlog.rewrite import (bridge_predicate, delta_marker_predicate,
+                           guard_predicate, renamed_update_predicate)
 from adlog.selftest import InstanceGenerator
 
 from conftest import FIXTURES, load_update_program
@@ -211,12 +210,31 @@ class TestGround:
         assert restricted == sorted(frozenset(m.literal_set())
                                     for m in base_family.models())
 
+    @pytest.mark.parametrize("rewriting", [rewrite_st, rewrite_bm])
+    def test_grounding_builds_no_rule(self, rewriting, monkeypatch):
+        up, db = load_update_program("project_cascade", db=True)
+        program = embed_database(rewriting(up), db)
+        built = [0]
+        init = Rule.__init__
+
+        def counting_init(rule, *args, **kwargs):
+            built[0] += 1
+            init(rule, *args, **kwargs)
+
+        monkeypatch.setattr(Rule, "__init__", counting_init)
+        g = ground(program)
+        assert built == [0]
+        # The rules are built on first read, one per kept rule, and kept.
+        rules = g.rules
+        assert built == [len(rules)] and len(rules) > 0
+        assert g.rules is rules and built == [len(rules)]
+
     def test_ground_program_has_no_variables_or_builtins(self):
         up, _ = load_update_program("project_cascade", db=True)
         g = ground(embed_database(rewrite_st(up),
                                   parse_database("proj(p). mgr(x,p,d).")))
         for rule in g.rules:
-            assert rule.is_ground()
+            assert not rule.variables()
 
 
 class TestGroundProgram:
@@ -255,6 +273,28 @@ class TestGroundProgram:
 
 
 # --- relevance grounder against the product-plus-pruning oracle -------------
+
+def _variables(rule: Rule) -> list[Variable]:
+    return sorted(rule.variables(), key=lambda v: v.name)
+
+
+def _instantiate(rule: Rule, binding) -> Rule | None:
+    """The instance of `rule` under `binding`, builtins evaluated away, or None if one is false."""
+    def sub(term):
+        return binding.get(term, term) if isinstance(term, Variable) else term
+
+    def instance(atom: Atom) -> Atom:
+        return Atom(atom.predicate, tuple(map(sub, atom.args)))
+
+    body: list[StdLiteral] = []
+    for lit in rule.body:
+        if isinstance(lit, BuiltinLiteral):
+            if not BuiltinLiteral(lit.op, sub(lit.left), sub(lit.right)).evaluate():
+                return None
+            continue
+        body.append(StdLiteral(instance(lit.atom), lit.positive))
+    return Rule(instance(rule.head), tuple(body), rule.origin)
+
 
 def _ground_all(rules, constants: list[str]) -> list[Rule]:
     """Every instance over the active domain, in product order."""
@@ -302,6 +342,8 @@ def assert_same_grounding(program: Program) -> None:
     assert frozenset(fast.rules) == frozenset(slow.rules)
     assert len(fast.rules) == len(slow.rules)
     assert fast.universe == slow.universe
+    # The grounder's table numbers the atoms as the constructor does on its rules.
+    assert fast.atoms == GroundProgram(fast.rules).atoms
 
 
 FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.adl"))

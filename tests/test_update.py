@@ -318,14 +318,14 @@ class TestCompare:
 
     def test_one_index_per_rewriting(self, monkeypatch):
         built = []
-        original = GroundProgram.__post_init__
+        original = GroundProgram.__init__
 
-        def post_init(program):
+        def init(program, *args, **kwargs):
             built.append(program)
-            original(program)
+            original(program, *args, **kwargs)
 
-        # The constructor is the only place atoms are numbered.
-        monkeypatch.setattr(GroundProgram, "__post_init__", post_init)
+        # Every atom table starts in the constructor, which `ground` calls too.
+        monkeypatch.setattr(GroundProgram, "__init__", init)
         up = UpdateProgram(DeltaSet(), parse_program(
             "+p(a) :- not +q(a).\n+q(a) :- not +p(a).\n"))
         compare(up, Database())
