@@ -217,7 +217,7 @@ class Program:
     """A set of rules; insertion order is kept only for iteration."""
 
     rules: tuple[Rule, ...] = ()
-    # What a successful validate_program found: predicate arities and the IDB.
+    # What was computed from the rules (validate_program, rewrite._kept and _with_runs).
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __eq__(self, other: object) -> bool:

@@ -24,6 +24,7 @@ text is reported before any syntax error.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .model import (Atom, BuiltinLiteral, Database, DeltaSet,
@@ -254,8 +255,13 @@ def _delta(tokens: list[str], lines: list[int], origin: str, terms: dict) -> Del
 # Public parsing entry points
 # ---------------------------------------------------------------------------
 
+# The programs of the last 32 (text, origin) pairs parsed; an error is not kept.
+_program_of = functools.lru_cache(maxsize=32)(functools.partial(_parsed, _program))
+
+
 def parse_program(text: str, origin: str = "<string>", *, validate: bool = True) -> Program:
-    program = _parsed(_program, text, origin)
+    """Equal text and origin give one `Program`, shared with what is computed from it."""
+    program = _program_of(text, origin)
     if validate:
         validate_program(program)
     return program

@@ -7,6 +7,11 @@ visible whether it was derived by a rule or requested in the input delta.
 The rival one (`rewrite_bm`) guards each action with the complementary
 update only and turns input updates into guarded rules.
 
+A rewriting lists the program's rules with their guards, the delta's rules,
+then the bridges.  What depends on the program alone is rewritten and planned
+for grounding once per `Program`, and kept with it; a call rewrites and plans
+only the delta's rules (see `ground`).
+
 All generated predicates live in the reserved '@' namespace, and the prefix
 of each defines its kind; every other predicate is the user's:
 
@@ -85,6 +90,8 @@ class GroundProgram:
         self.negs: list[list[int]] = []
         # What the solver derives from the rules, kept with them (see stable._well_founded).
         self.cache: dict = {}
+        # Atoms the input rules already hold, by key, for `atoms` to reuse.
+        self._known: dict[tuple, Atom] = {}
         for rule in rules:
             for lit in rule.body:
                 if not isinstance(lit, StdLiteral):
@@ -92,7 +99,7 @@ class GroundProgram:
             for atom in (rule.head, *(lit.atom for lit in rule.body)):
                 if not (isinstance(atom, Atom) and atom.is_ground()):
                     raise ValidationError(f"{atom} in a ground program is not a ground atom")
-            self._add(*_keys(rule), rule.origin)
+            self._add(*_keys(rule, self._known), rule.origin)
 
     def _add(self, head: tuple, body: Iterable[tuple[tuple, bool]], origin: str | None) -> int:
         """Number the rule `head :- body`, atoms as (predicate, args) keys; returns the head's number."""
@@ -116,7 +123,7 @@ class GroundProgram:
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
-        return tuple(Atom(predicate, args) for predicate, args in self._index)
+        return tuple([self._known.get(key) or Atom(*key) for key in self._index])
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
@@ -140,11 +147,13 @@ class GroundProgram:
         return hash(frozenset(self.rules))
 
 
-def _keys(rule: Rule) -> tuple[tuple, list[tuple[tuple, bool]]]:
-    """A variable-free rule's head and standard body literals as `GroundProgram._add` takes them."""
-    return ((rule.head.predicate, rule.head.args),
-            [((lit.atom.predicate, lit.atom.args), lit.positive)
-             for lit in rule.body if isinstance(lit, StdLiteral)])
+def _keys(rule: Rule, atoms: dict[tuple, Atom]) -> tuple[tuple, tuple[tuple[tuple, bool], ...]]:
+    """A variable-free rule as `GroundProgram._add` takes it; puts each atom in `atoms` by key."""
+    literals = [lit for lit in rule.body if isinstance(lit, StdLiteral)]
+    held = (rule.head, *[lit.atom for lit in literals])
+    keys = [(atom.predicate, atom.args) for atom in held]
+    atoms.update(zip(keys, held))
+    return keys[0], tuple([(key, lit.positive) for key, lit in zip(keys[1:], literals)])
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +167,10 @@ def embed_database(program: Program, database: Database) -> Program:
         extra.append(Rule(atom, ()))
     for atom in sorted(database.unknown_facts, key=str):
         extra.append(Rule(atom, (StdLiteral(atom, positive=False),)))
-    return Program(program.rules + tuple(extra))
+    runs = program.cache.get("runs")
+    if runs is None:
+        return Program(program.rules + tuple(extra))
+    return _with_runs(runs + (_prepare(extra),))
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +198,18 @@ def _generic_args(arity: int) -> tuple[Variable, ...]:
 
 def rewrite_st(up: UpdateProgram) -> Program:
     """Guarded rewriting with delta markers and bridge predicates."""
-    rules: list[Rule] = []
-    actions = up.program.action_predicates()
+    rules, bridges = _kept(up.program, "rewrite st", _st_program)
+    markers = [Rule(Atom(delta_marker_predicate(u.polarity, u.atom.predicate), u.atom.args))
+               for u in sorted(up.delta.updates, key=str)]
+    return _with_runs((rules, _prepare(markers), bridges))
 
-    for rule in up.program.rules:
+
+def _st_program(program: Program) -> tuple[_Prepared, _Prepared]:
+    """What `rewrite_st` takes from the program alone: its rules with guards, the bridges."""
+    rules: list[Rule] = []
+    actions = program.action_predicates()
+
+    for rule in program.rules:
         body: list[Literal] = []
         for lit in rule.body:
             if isinstance(lit, UpdLiteral):
@@ -211,21 +231,16 @@ def rewrite_st(up: UpdateProgram) -> Program:
         minus = Atom(renamed_update_predicate(Polarity.DELETE, action), args)
         rules.append(Rule(head, (StdLiteral(plus), StdLiteral(minus))))
 
-    for uatom in sorted(up.delta.updates, key=str):
-        marker = Atom(delta_marker_predicate(uatom.polarity, uatom.atom.predicate),
-                      uatom.atom.args)
-        rules.append(Rule(marker, ()))
-
-    for polarity, predicate, arity in sorted(_body_update_pairs(up.program),
+    bridges: list[Rule] = []
+    for polarity, predicate, arity in sorted(_body_update_pairs(program),
                                              key=lambda p: (p[1], p[0].value)):
         args = _generic_args(arity)
         bridge = Atom(bridge_predicate(polarity, predicate), args)
         renamed = Atom(renamed_update_predicate(polarity, predicate), args)
         marker = Atom(delta_marker_predicate(polarity, predicate), args)
-        rules.append(Rule(bridge, (StdLiteral(renamed),)))
-        rules.append(Rule(bridge, (StdLiteral(marker),)))
-
-    return Program(tuple(rules))
+        bridges.append(Rule(bridge, (StdLiteral(renamed),)))
+        bridges.append(Rule(bridge, (StdLiteral(marker),)))
+    return _prepare(rules), _prepare(bridges)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +258,30 @@ def rewrite_bm(up: UpdateProgram) -> Program:
     other through the rules, instead of resolving the race in favour of one
     side.
     """
+    rules, insertable = _kept(up.program, "rewrite bm", _bm_program)
+    delta, insertable = [], dict(insertable)
+    for uatom in sorted(up.delta.updates, key=str):
+        head = renamed_update_atom(uatom)
+        complement = Polarity.DELETE if uatom.polarity is Polarity.INSERT else Polarity.INSERT
+        guard_atom = Atom(renamed_update_predicate(complement, uatom.atom.predicate),
+                          uatom.atom.args)
+        delta.append(Rule(head, (StdLiteral(guard_atom, positive=False),)))
+        if uatom.polarity is Polarity.INSERT:
+            insertable[uatom.atom.predicate] = uatom.atom.arity
+
+    for predicate in sorted(insertable):
+        args = _generic_args(insertable[predicate])
+        plus = Atom(renamed_update_predicate(Polarity.INSERT, predicate), args)
+        delta.append(Rule(Atom(predicate, args), (StdLiteral(plus),)))
+    return _with_runs((rules, _prepare(delta)))
+
+
+def _bm_program(program: Program) -> tuple[_Prepared, tuple[tuple[str, int], ...]]:
+    """What `rewrite_bm` takes from the program alone: its rules, what they insert into."""
     rules: list[Rule] = []
     insertable: dict[str, int] = {}
 
-    for rule in up.program.rules:
+    for rule in program.rules:
         body: list[Literal] = []
         for lit in rule.body:
             if isinstance(lit, UpdLiteral):
@@ -267,22 +302,23 @@ def rewrite_bm(up: UpdateProgram) -> Program:
             rules.append(Rule(head_atom, tuple(body), rule.origin))
         else:
             rules.append(Rule(rule.head, tuple(body), rule.origin))
+    return _prepare(rules), tuple(insertable.items())
 
-    for uatom in sorted(up.delta.updates, key=str):
-        head = renamed_update_atom(uatom)
-        complement = Polarity.DELETE if uatom.polarity is Polarity.INSERT else Polarity.INSERT
-        guard_atom = Atom(renamed_update_predicate(complement, uatom.atom.predicate),
-                          uatom.atom.args)
-        rules.append(Rule(head, (StdLiteral(guard_atom, positive=False),)))
-        if uatom.polarity is Polarity.INSERT:
-            insertable[uatom.atom.predicate] = uatom.atom.arity
 
-    for predicate in sorted(insertable):
-        args = _generic_args(insertable[predicate])
-        plus = Atom(renamed_update_predicate(Polarity.INSERT, predicate), args)
-        rules.append(Rule(Atom(predicate, args), (StdLiteral(plus),)))
+def _kept(program: Program, key: str, compute):
+    """`compute(program)`, kept in `program.cache[key]` and never changed, so threads
+    may share it; two threads that miss at once both compute the same value."""
+    kept = program.cache.get(key)
+    if kept is None:
+        kept = program.cache[key] = compute(program)
+    return kept
 
-    return Program(tuple(rules))
+
+def _with_runs(runs: tuple[_Prepared, ...]) -> Program:
+    """The program of the rules of `runs`, in order; `ground` reads them prepared."""
+    program = Program(tuple([rule for run in runs for rule in run.rules]))
+    program.cache["runs"] = runs
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +347,7 @@ def _compile(rule: Rule, variables: list[Variable], consts: list[str]):
         else:
             tests.append((slot[lit.left], slot[lit.right], lit.op == "="))
     head = (rule.head.predicate, tuple([slot[t] for t in rule.head.args]))
-    plan = _Plan(rule.origin, len(variables), [None] * len(variables) + consts, head,
+    plan = _Plan(rule.origin, len(variables), (None,) * len(variables) + tuple(consts), head,
                  tuple(body), tuple(tests))
     return plan, _triggers(plan, patterns)
 
@@ -367,13 +403,11 @@ class _Derivable:
     order of the ground rules, does not depend on string hashing.
     """
 
-    def __init__(self, triggers: Iterable[_Trigger]):
+    def __init__(self, lookups: Iterable[tuple[str, tuple[int, ...]]]):
         self.facts: dict[str, dict[tuple, None]] = {}
         self.lookups: dict[str, dict[tuple[int, ...], dict[tuple, list[tuple]]]] = {}
-        for trigger in triggers:
-            for step in trigger.others:
-                if step.positions and step.unbound:
-                    self.lookups.setdefault(step.predicate, {}).setdefault(step.positions, {})
+        for predicate, positions in lookups:
+            self.lookups.setdefault(predicate, {}).setdefault(positions, {})
 
     def add(self, predicate: str, args: tuple) -> None:
         self.facts.setdefault(predicate, {})[args] = None
@@ -389,7 +423,7 @@ class _Derivable:
         return self.lookups[step.predicate][step.positions].get(key, ())
 
 
-def _match(step: _Step, args: tuple, binding: list) -> list | None:
+def _match(step: _Step, args: tuple, binding: tuple | list) -> list | None:
     """Extend `binding` so that the step's literal equals `args`, or None."""
     out = list(binding)
     for i, slot in step.unbound:
@@ -414,38 +448,27 @@ def _join(steps: tuple[_Step, ...], binding: list, derivable: _Derivable, pivot:
             yield from _join(steps[1:], extended, derivable, pivot)
 
 
-def ground(program: Program) -> GroundProgram:
-    """Instantiate the rule instances whose positive body atoms are derivable.
+# Rules prepared for grounding (`_prepare`): a run that reads no rule before or
+# after it and is never changed.  `seeds` come out before any join, in rule
+# order: plans, and variable-free rules without positive body.  `triggers`
+# maps a predicate to the triggers whose pivot has it and variables, and a
+# ground atom's key to the triggers whose pivot it is and to each variable-free
+# rule (`_Waiting`, as `GroundProgram._add` takes it) that has it among the
+# `count` distinct positive body atoms that must leave the worklist first.
+# `lookups` are the (predicate, positions) the joins look up, and `atoms` the
+# variable-free rules' atoms by key.
+_Prepared = namedtuple("_Prepared", "rules constants seeds triggers lookups atoms")
+_Waiting = namedtuple("_Waiting", "head body origin count")
 
-    Positive body literals are joined bottom-up against the atoms derived so
-    far; only variables that occur in no positive body literal range over the
-    active constant domain.  Rule instances with a false builtin are dropped;
-    true builtins are removed from bodies.  Leaving out the instances with an
-    underivable positive body atom cannot change any stable model on the
-    atoms that remain derivable.
 
-    One pass plans each rule (`_compile`) and collects the constants.  Then
-    a worklist holds atoms derived but not yet joined, and each is joined
-    into every positive body literal it matches (semi-naive: a literal left
-    of the pivot with the pivot's predicate skips the new atom).  A
-    variable-free rule comes out when the last of its distinct positive body
-    atoms leaves the worklist.  Instances come out in derivation order, and
-    those one atom completes in rule order, straight into the atom table.
-    """
-    out = GroundProgram()
+def _prepare(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
+    """Plan each rule once (`_compile`); a variable-free rule only has its builtins evaluated."""
     constants: set[str] = set()
-    # Rules that come out before any join, in rule order: plans and variable-free rules.
-    seeds: list[_Plan | Rule] = []
-    triggers: list[_Trigger] = []
-    by_predicate: dict[str, list[_Trigger]] = {}
-    # A ground pivot's triggers, and the index in `counted` of each
-    # variable-free rule with the atom in its positive body.
-    by_atom: dict[tuple, list[_Trigger | int]] = {}
-    # Per variable-free rule with a positive body, the number of its distinct
-    # positive body atoms that have not left the worklist.
-    counted: list[Rule] = []
-    missing: list[int] = []
-    for rule in program.rules:
+    seeds: list[_Plan | _Waiting] = []
+    triggers: dict[str | tuple, list[_Trigger | _Waiting]] = {}
+    lookups: list[tuple[str, tuple[int, ...]]] = []
+    atoms: dict[tuple, Atom] = {}
+    for rule in rules:
         head, body = rule.head, rule.body
         try:
             terms = dict.fromkeys(itertools.chain(head.args, *[
@@ -459,15 +482,13 @@ def ground(program: Program) -> GroundProgram:
             if any((lit.left == lit.right) != (lit.op == "=")
                    for lit in body if isinstance(lit, BuiltinLiteral)):
                 continue
-            positive = dict.fromkeys((lit.atom.predicate, lit.atom.args) for lit in body
-                                     if isinstance(lit, StdLiteral) and lit.positive)
-            if positive:
-                for key in positive:
-                    by_atom.setdefault(key, []).append(len(counted))
-                counted.append(rule)
-                missing.append(len(positive))
-            else:
-                seeds.append(rule)
+            keys = _keys(rule, atoms)
+            positive = dict.fromkeys(key for key, sign in keys[1] if sign)
+            waiting = _Waiting(*keys, rule.origin, len(positive))
+            for key in positive:
+                triggers.setdefault(key, []).append(waiting)
+            if not positive:
+                seeds.append(waiting)
             continue
         consts = [t for t in terms if isinstance(t, str)]
         constants.update(consts)
@@ -476,18 +497,50 @@ def ground(program: Program) -> GroundProgram:
             seeds.append(plan)
         for trigger in rule_triggers:
             pivot = trigger.pivot
-            if pivot.unbound:
-                by_predicate.setdefault(pivot.predicate, []).append(trigger)
-            else:
-                key = (pivot.predicate, tuple([plan.row[k] for k in pivot.key]))
-                by_atom.setdefault(key, []).append(trigger)
-        triggers += rule_triggers
-    constants = sorted(constants)
+            key = pivot.predicate if pivot.unbound else \
+                (pivot.predicate, tuple([plan.row[k] for k in pivot.key]))
+            triggers.setdefault(key, []).append(trigger)
+            lookups += [(step.predicate, step.positions) for step in trigger.others
+                        if step.positions and step.unbound]
+    return _Prepared(tuple(rules), frozenset(constants), tuple(seeds),
+                     {key: tuple(entries) for key, entries in triggers.items()},
+                     tuple(lookups), atoms)
 
+
+def ground(program: Program) -> GroundProgram:
+    """Instantiate the rule instances whose positive body atoms are derivable.
+
+    Positive body literals are joined bottom-up against the atoms derived so
+    far; only variables that occur in no positive body literal range over the
+    active constant domain.  Rule instances with a false builtin are dropped;
+    true builtins are removed from bodies.  Leaving out the instances with an
+    underivable positive body atom cannot change any stable model on the
+    atoms that remain derivable.
+
+    Grounding prepares, then instantiates.  `_prepare` plans each rule alone,
+    so a rewriting passes its rules on planned, in `program.cache["runs"]`,
+    the program's own kept with it (`_kept`).  A worklist holds atoms derived
+    but not yet joined, each joined into every positive body literal it
+    matches (semi-naive: a literal left of the pivot with the pivot's
+    predicate skips the new atom).  A variable-free rule comes out when the
+    last of its distinct positive body atoms leaves the worklist.  Instances
+    come out in derivation order, and those one atom completes in rule order.
+    """
+    runs = program.cache.get("runs") or (_prepare(program.rules),)
+    out = GroundProgram()
+    for run in runs:
+        out._known.update(run.atoms)
+    constants = sorted(frozenset().union(*[run.constants for run in runs]))
+    triggers = dict(runs[0].triggers)
+    for run in runs[1:]:    # each key's entries, in run order
+        for key, entries in run.triggers.items():
+            triggers[key] = triggers.get(key, ()) + entries
+    # Per waiting rule, by id (the rules outlive the call), the atoms it still waits for.
+    missing: dict[int, int] = {}
     derived: set[int] = set()
     queue: deque[tuple] = deque()
 
-    def add(head: tuple, body: list, origin: str | None) -> None:
+    def add(head: tuple, body: Iterable, origin: str | None) -> None:
         h = out._add(head, body, origin)
         if h not in derived:
             derived.add(h)
@@ -505,21 +558,22 @@ def ground(program: Program) -> GroundProgram:
                     [((p, tuple([binding[i] for i in args])), positive)
                      for p, args, positive in plan.body], plan.origin)
 
-    for seed in seeds:
-        if isinstance(seed, _Plan):
-            emit(seed, list(seed.row), range(seed.size))
-        else:
-            add(*_keys(seed), seed.origin)
-    derivable = _Derivable(triggers)
+    for run in runs:
+        for seed in run.seeds:
+            if isinstance(seed, _Plan):
+                emit(seed, list(seed.row), range(seed.size))
+            else:
+                add(seed.head, seed.body, seed.origin)
+    derivable = _Derivable(lookup for run in runs for lookup in run.lookups)
     while queue:
         key = queue.popleft()
         predicate, args = key
         derivable.add(predicate, args)
-        for trigger in by_predicate.get(predicate, []) + by_atom.get(key, []):
-            if isinstance(trigger, int):
-                missing[trigger] -= 1
-                if not missing[trigger]:
-                    add(*_keys(counted[trigger]), counted[trigger].origin)
+        for trigger in triggers.get(predicate, ()) + triggers.get(key, ()):
+            if isinstance(trigger, _Waiting):
+                left = missing[id(trigger)] = missing.get(id(trigger), trigger.count) - 1
+                if not left:
+                    add(trigger.head, trigger.body, trigger.origin)
                 continue
             pivot, row = trigger.pivot, trigger.plan.row
             if any(args[i] != row[k] for i, k in zip(pivot.positions, pivot.key)):

@@ -66,6 +66,46 @@ class TestParseProgram:
         assert parse_program(text) == parse_program(text)
 
 
+
+class TestProgramCache:
+    """Equal text and origin give one shared `Program`; errors are never kept."""
+
+    def test_same_text_and_origin_give_the_same_program(self):
+        text = "p(a).\nq(X) :- p(X), not r(X).\n+r(b) :- p(b).\n% kept once"
+        assert parse_program(text, "kept.adl") is parse_program(text, "kept.adl")
+        assert parse_program(text, "kept.adl") is parse_program(text, "kept.adl",
+                                                                validate=False)
+
+    def test_another_origin_gives_rules_with_that_origin(self):
+        text = "p(a).\nq(X) :- p(X).\n% two origins"
+        first, second = parse_program(text, "one.adl"), parse_program(text, "two.adl")
+        assert first is not second and first == second
+        assert [r.origin for r in first.rules] == ["one.adl:1", "one.adl:2"]
+        assert [r.origin for r in second.rules] == ["two.adl:1", "two.adl:2"]
+
+    def test_a_parse_error_is_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ParseError, match="cached.adl:2:1: expected"):
+                parse_program("p(a)\nq(b).", "cached.adl")
+
+    def test_a_failed_validation_is_raised_on_every_call(self):
+        text = "p(X) :- not q(X).\n% unsafe, and parsed before its validation"
+        program = parse_program(text, validate=False)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="unsafe"):
+                parse_program(text)
+        assert parse_program(text, validate=False) is program
+        assert program.cache == {}
+
+    def test_the_cache_stays_within_its_size(self):
+        from adlog.parse import _program_of
+        size = _program_of.cache_info().maxsize
+        assert size is not None
+        for i in range(size + 5):
+            parse_program(f"p(c{i}).\n% bounded")
+            assert _program_of.cache_info().currsize <= size
+        assert _program_of.cache_info().currsize == size
+
 class TestParseDatabase:
     def test_true_facts(self):
         db = parse_database("proj(p). mgr(x,p,d).")

@@ -229,6 +229,26 @@ class TestGround:
         assert built == [len(rules)] and len(rules) > 0
         assert g.rules is rules and built == [len(rules)]
 
+    def test_reading_atoms_builds_no_atom(self, monkeypatch):
+        """The atoms of variable-free rules are reused, by `ground` and the constructor."""
+        program = parse_program("a(n0) :- not a(n1).\nb(n0) :- b(n1), not a(n0).\n"
+                                "b(n1).\na(n1) :- b(n0).\nc('x y') :- b(n1), 'x y' != z.")
+        tables = [ground(program), GroundProgram(ground(program).rules)]
+        built = [0]
+        init = Atom.__init__
+
+        def counting_init(atom, *args, **kwargs):
+            built[0] += 1
+            init(atom, *args, **kwargs)
+
+        monkeypatch.setattr(Atom, "__init__", counting_init)
+        assert [len(table.atoms) for table in tables] == [5, 5]
+        assert built == [0]
+        monkeypatch.undo()
+        assert tables[0].atoms == tables[1].atoms
+        assert sorted(map(str, tables[0].atoms)) == ["a(n0)", "a(n1)", "b(n0)", "b(n1)",
+                                                     "c('x y')"]
+
     def test_ground_program_has_no_variables_or_builtins(self):
         up, _ = load_update_program("project_cascade", db=True)
         g = ground(embed_database(rewrite_st(up),
