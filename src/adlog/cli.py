@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import json.encoder
 import sys
 
 from .model import (Database, DeltaSet, ParseError, PreconditionError,
@@ -51,6 +51,70 @@ def _add_io_flags(parser: argparse.ArgumentParser, *, db: bool = True,
         parser.add_argument("-u", "--delta", help="input update file (.adu); empty if omitted")
 
 
+# The JSON text of a value that holds no other value, by its exact type.
+_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+_ENCODE = _SCALARS[str]
+
+
+def json_text(value, written: dict | None = None) -> str:
+    """`value` exactly as `json.dumps(value, indent=2, sort_keys=True)` writes it.
+
+    For dicts with `str` keys, lists, tuples, `str`, `int`, `bool` and None.
+    Strings go through the C encoder that `json.dumps` uses for them, a list
+    of strings is joined in one call, and a tuple is written once per call,
+    however often it occurs (a report's fact texts are tuples shared by
+    every report on the same database).  `written` maps `(id(container),
+    pad)` to the text of a container that stays alive and unchanged, written
+    where `pad` starts its lines (see `_write`); it is read, not changed.
+    """
+    return _write(value, "\n", dict(written or ()))
+
+
+def _write(value, pad: str, written: dict) -> str:
+    """`value`, nested where `pad` (a newline and two spaces per level) starts a line."""
+    kind = type(value)
+    if kind is dict or kind is list or kind is tuple:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        done = written.get((id(value), pad))
+        if done is not None:
+            return done
+        inner = pad + "  "
+        if kind is dict:
+            return "{" + inner + ("," + inner).join([
+                _ENCODE(key) + ": " + (text(item) if (text := _SCALARS.get(type(item)))
+                                       else _write(item, inner, written))
+                for key, item in sorted(value.items())]) + pad + "}"
+        body = None
+        if type(value[0]) is str:
+            try:
+                body = ("," + inner).join(map(_ENCODE, value))
+            except TypeError:   # a later item is not a string
+                pass
+        if body is None:
+            body = ("," + inner).join([text(item) if (text := _SCALARS.get(type(item)))
+                                       else _write(item, inner, written) for item in value])
+        done = "[" + inner + body + pad + "]"
+        if kind is tuple:   # the caller's value holds the tuple, so its id stays its own
+            written[(id(value), pad)] = done
+        return done
+    text = _SCALARS.get(kind)
+    if text is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return text(value)
+
+
+# Every ordered pair of semantics with its `info_leq` entry, in the order
+# `compare --json` lists them: by the names of the lower, then the upper.
+# The entries never change, so each is written once, at the depth at which
+# `compare --json` lists it.
+_INFO_PAIRS = sorted((((s1, s2), {"lower": s1.value, "upper": s2.value})
+                      for s1 in Semantics for s2 in Semantics),
+                     key=lambda pair: (pair[1]["lower"], pair[1]["upper"]))
+_INFO_WRITTEN = {(id(entry), "\n    "): _write(entry, "\n    ", {}) for _, entry in _INFO_PAIRS}
+
+
 def _load(args) -> tuple[UpdateProgram, Database]:
     with open(args.program, encoding="utf-8") as handle:
         program = parse_program(handle.read(), origin=args.program)
@@ -88,7 +152,7 @@ def cmd_models(args) -> int:
                            "undefined": r.undefined_count}
                           for r in family.records],
                "counts": family.counts()}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json_text(doc))
         return EXIT_OK
     print(f"{len(family.records)} stable models")
     for number, record in enumerate(family.records, start=1):
@@ -105,7 +169,7 @@ def cmd_apply(args) -> int:
     semantics = Semantics.parse(args.semantics)
     report = run(up, database, semantics, policy=args.choose, seed=args.seed, cap=args.cap)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        print(json_text(report._json_data()))
     else:
         print(f"semantics: {report.semantics.value}")
         print(f"status: {report.status}")
@@ -118,16 +182,13 @@ def cmd_compare(args) -> int:
     up, database = _load(args)
     result = compare(up, database, cap=args.cap)
     if args.json:
+        matrix = result.info_matrix()
         doc = {"rows": [{"semantics": row.semantics.value,
-                         "report": row.report.to_json_dict() if row.report else None,
+                         "report": row.report._json_data() if row.report else None,
                          "error": row.error}
                         for row in result.rows],
-               "info_leq": [{"lower": s1.value, "upper": s2.value}
-                            for (s1, s2), holds in sorted(result.info_matrix().items(),
-                                                          key=lambda kv: (kv[0][0].value,
-                                                                          kv[0][1].value))
-                            if holds]}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+               "info_leq": [entry for pair, entry in _INFO_PAIRS if matrix.get(pair)]}
+        print(json_text(doc, _INFO_WRITTEN))
         return EXIT_OK
     for row in result.rows:
         if row.report is None:

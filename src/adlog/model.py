@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -101,9 +102,12 @@ class Atom:
                                           for t in self.args))
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.predicate
-        return f"{self.predicate}({','.join(map(render_term, self.args))})"
+        # Rendered once per atom and kept, as a `cached_property` would, without its lock.
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = self.__dict__["_text"] = self.predicate if not self.args else \
+                f"{self.predicate}({','.join(map(render_term, self.args))})"
+        return text
 
 
 class Polarity(enum.Enum):
@@ -359,6 +363,11 @@ class Database:
         _record_arities(arities, self.true_facts | self.unknown_facts)
         return arities
 
+    @cached_property
+    def fact_texts(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The true and the unknown facts as `str` texts, each sorted; rendered once per database."""
+        return tuple(sorted(map(str, self.true_facts))), tuple(sorted(map(str, self.unknown_facts)))
+
     def constants(self) -> set[str]:
         out: set[str] = set()
         for atom in self.true_facts | self.unknown_facts:
@@ -493,8 +502,13 @@ class Interpretation:
         One `render_token` per atom of the universe, joined by spaces, the
         atoms in `str` order.  No token is a prefix of another token of the
         same atom, so two renderings over one universe compare as their
-        tokens do at the first atom on which they differ.
+        tokens do at the first atom on which they differ.  Rendered once per
+        interpretation.
         """
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
         true, false = self.true_atoms, self.false_atoms
         return " ".join([render_token(text, TruthValue.TRUE if atom in true
                                       else TruthValue.FALSE if atom in false

@@ -92,6 +92,7 @@ class GroundProgram:
         self.cache: dict = {}
         # Atoms the input rules already hold, by key, for `atoms` to reuse.
         self._known: dict[tuple, Atom] = {}
+        shared: dict[tuple, tuple] = {}
         for rule in rules:
             for lit in rule.body:
                 if not isinstance(lit, StdLiteral):
@@ -99,7 +100,7 @@ class GroundProgram:
             for atom in (rule.head, *(lit.atom for lit in rule.body)):
                 if not (isinstance(atom, Atom) and atom.is_ground()):
                     raise ValidationError(f"{atom} in a ground program is not a ground atom")
-            self._add(*_keys(rule, self._known), rule.origin)
+            self._add(*_keys(rule, self._known, shared), rule.origin)
 
     def _add(self, head: tuple, body: Iterable[tuple[tuple, bool]], origin: str | None) -> int:
         """Number the rule `head :- body`, atoms as (predicate, args) keys; returns the head's number."""
@@ -147,13 +148,19 @@ class GroundProgram:
         return hash(frozenset(self.rules))
 
 
-def _keys(rule: Rule, atoms: dict[tuple, Atom]) -> tuple[tuple, tuple[tuple[tuple, bool], ...]]:
-    """A variable-free rule as `GroundProgram._add` takes it; puts each atom in `atoms` by key."""
+def _keys(rule: Rule, atoms: dict[tuple, Atom],
+          shared: dict[tuple, tuple]) -> tuple[tuple, tuple[tuple[tuple, bool], ...]]:
+    """A variable-free rule as `GroundProgram._add` takes it; puts each atom in `atoms` by key.
+
+    Each key, and each (key, sign) pair, is the first equal one in `shared`:
+    one tuple per atom and sign, however often the rules mention it.
+    """
     literals = [lit for lit in rule.body if isinstance(lit, StdLiteral)]
     held = (rule.head, *[lit.atom for lit in literals])
-    keys = [(atom.predicate, atom.args) for atom in held]
+    keys = [shared.setdefault(key, key) for key in [(atom.predicate, atom.args) for atom in held]]
     atoms.update(zip(keys, held))
-    return keys[0], tuple([(key, lit.positive) for key, lit in zip(keys[1:], literals)])
+    return keys[0], tuple([shared.setdefault(pair, pair) for pair in
+                           zip(keys[1:], [lit.positive for lit in literals])])
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +475,7 @@ def _prepare(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
     triggers: dict[str | tuple, list[_Trigger | _Waiting]] = {}
     lookups: list[tuple[str, tuple[int, ...]]] = []
     atoms: dict[tuple, Atom] = {}
+    shared: dict[tuple, tuple] = {}     # the run's keys and (key, sign) pairs (`_keys`)
     for rule in rules:
         head, body = rule.head, rule.body
         try:
@@ -482,7 +490,7 @@ def _prepare(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
             if any((lit.left == lit.right) != (lit.op == "=")
                    for lit in body if isinstance(lit, BuiltinLiteral)):
                 continue
-            keys = _keys(rule, atoms)
+            keys = _keys(rule, atoms, shared)
             positive = dict.fromkeys(key for key, sign in keys[1] if sign)
             waiting = _Waiting(*keys, rule.origin, len(positive))
             for key in positive:

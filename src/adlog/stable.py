@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -367,6 +367,8 @@ class ModelFamily:
 
     wf: Interpretation
     components: tuple[tuple[ModelRecord, ...], ...]
+    # `model_of`'s (parts, model), by the ids of the parts; held, so no id is reused.
+    _models: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def records(self) -> tuple[ModelRecord, ...]:
@@ -393,6 +395,11 @@ class ModelFamily:
                 for parts in self.components]
 
     def counts(self) -> dict[str, int]:
+        """The number of models, and of models with each flag; a new dict on every call."""
+        return dict(self._counts)
+
+    @cached_property
+    def _counts(self) -> dict[str, int]:
         out = {"models": math.prod(len(parts) for parts in self.components)}
         for flag in ALL_FLAGS:
             out[flag.replace("-", "_")] = math.prod(
@@ -404,13 +411,25 @@ class ModelFamily:
 
         The universe is `wf`'s defined atoms plus the atoms of those
         components: with one part of every component, all of `wf`'s universe.
+        The same parts give the same object, and one part of every component,
+        each leaving it undefined, gives `wf` itself: so a model's
+        `render_key` is rendered once and `_Session.apply_model` applies it once.
         """
         parts = tuple(part.model for part in parts)
-        wf = self.wf
-        return Interpretation(
-            (wf.true_atoms | wf.false_atoms).union(*(part.universe for part in parts)),
-            wf.true_atoms.union(*(part.true_atoms for part in parts)),
-            wf.false_atoms.union(*(part.false_atoms for part in parts)))
+        key = tuple(map(id, parts))
+        known = self._models.get(key)
+        if known is None:
+            wf = self.wf
+            if len(parts) == len(self.components) and \
+                    not any(part.true_atoms or part.false_atoms for part in parts):
+                model = wf
+            else:
+                model = Interpretation(
+                    (wf.true_atoms | wf.false_atoms).union(*(part.universe for part in parts)),
+                    wf.true_atoms.union(*(part.true_atoms for part in parts)),
+                    wf.false_atoms.union(*(part.false_atoms for part in parts)))
+            known = self._models[key] = (parts, model)
+        return known[1]
 
     def nth(self, eligible: Sequence[Sequence[ModelRecord]], index: int) -> Interpretation:
         """The model at `index` in `render_key` order of the product of `eligible`.

@@ -173,16 +173,23 @@ class RunReport:
         return self.status == STATUS_APPLIED
 
     def to_json_dict(self) -> dict:
-        def db_dict(db: Database) -> dict:
-            return {"true": sorted(str(a) for a in db.true_facts),
-                    "unknown": sorted(str(a) for a in db.unknown_facts)}
+        """The report as JSON data; every call returns new lists and dicts."""
+        return self._json_data(list)
+
+    def _json_data(self, facts=tuple) -> dict:
+        """The report as JSON data, each database's facts as `facts` of its cached texts.
+
+        With `tuple`, the texts themselves: shared with every report on the same database.
+        """
+        (true_in, unknown_in), (true_out, unknown_out) = \
+            self.input_db.fact_texts, self.output_db.fact_texts
         return {
             "semantics": self.semantics.value,
             "status": self.status,
             "policy": self.policy,
             "seed": self.seed,
-            "input": db_dict(self.input_db),
-            "output": db_dict(self.output_db),
+            "input": {"true": facts(true_in), "unknown": facts(unknown_in)},
+            "output": {"true": facts(true_out), "unknown": facts(unknown_out)},
             "model": self.chosen_model.render_key() if self.chosen_model else None,
             "family": dict(self.family_stats) if self.family_stats is not None else None,
         }
@@ -210,6 +217,8 @@ class _Session:
         self.database = database
         self.cap = cap
         self._stages: dict[tuple[str, str], object] = {}
+        # (model, base, output) of each model applied, by the ids of the model and the base.
+        self._applied: dict[tuple[int, int], tuple[Interpretation, Database, Database]] = {}
 
     def _stage(self, name: str, mode: str, compute):
         key = (name, mode)
@@ -243,11 +252,22 @@ class _Session:
                            lambda: enumerate_pstable(self.ground(mode), self.cap))
 
     def apply_model(self, model: Interpretation, base: Database) -> Database:
-        outcome = extract_updates(model, self.schema)
-        output = apply_updates(outcome, base)
-        if base.is_total and is_total_transformation(model, base) != output.is_total:
-            raise EngineError("totality test disagrees with the applied database")
-        return output
+        """`model`'s updates applied to `base`; the same model and base give the same object.
+
+        The key is identity, not content: the semantics that share a model
+        share one object (the well-founded model, `ModelFamily.model_of`), and
+        a content key would hash the whole model on every call.
+        """
+        key = (id(model), id(base))
+        applied = self._applied.get(key)
+        if applied is None:
+            outcome = extract_updates(model, self.schema)
+            output = apply_updates(outcome, base)
+            if base.is_total and is_total_transformation(model, base) != output.is_total:
+                raise EngineError("totality test disagrees with the applied database")
+            # Holding the model and the base keeps their ids from being reused.
+            applied = self._applied[key] = (model, base, output)
+        return applied[2]
 
     def run(self, semantics: Semantics, policy: str = "lex",
             seed: int | None = None) -> RunReport:
@@ -325,7 +345,8 @@ class CompareResult:
         """`info_leq` for every pair of row outputs, with one schema check for all."""
         good = [(row.semantics, row.report.output_db)
                 for row in self.rows if row.report is not None]
-        check_same_schema(db for _, db in good)
+        # Rows often share one output object; each object is checked once.
+        check_same_schema({id(db): db for _, db in good}.values())
         return {(s1, s2): d2.unknown_facts <= d1.unknown_facts
                 for s1, d1 in good for s2, d2 in good}
 

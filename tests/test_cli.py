@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import pathlib
@@ -6,6 +7,10 @@ import sys
 
 import pytest
 
+import adlog.cli
+import adlog.update
+from adlog import (Database, Semantics, UpdateProgram, parse_database, parse_delta,
+                   parse_program, run)
 from adlog.cli import main
 
 from conftest import FIXTURES
@@ -244,6 +249,13 @@ class TestGoldenReports:
         golden = GOLDEN / f"apply_new_hire_worker_{semantics}_random7.json"
         assert out == golden.read_text()
 
+    @pytest.mark.parametrize("mode, golden", [("st", "models_zoo_join.json"),
+                                              ("bm", "models_bm_zoo_join.json")])
+    def test_models_json(self, mode, golden, capsys):
+        code, out = invoke(capsys, "models", "--json", "--mode", mode, "-p", fx("zoo_join.adl"))
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
     @pytest.mark.parametrize("mode", ["st", "bm"])
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     @pytest.mark.parametrize("command, suffix", [("ground", "adl"), ("wf", "txt")])
@@ -261,6 +273,84 @@ class TestGoldenReports:
                            "-p", str(GOLDEN / "quoted_constants.adl"))
         assert code == 0
         assert out == (GOLDEN / f"{command}_{mode}_quoted_constants.{suffix}").read_text()
+
+
+CHOICE_PROGRAM = """\
+pick(X) :- cand(X), not skip(X).
+skip(X) :- cand(X), not pick(X).
++chosen(X) :- pick(X), +req(X).
++covered(G) :- pick(X), member(X,G), +want(G).
+"""
+
+
+class TestRendersOnce:
+    """`compare --json` applies each distinct model once and renders each database once."""
+
+    @pytest.fixture
+    def argv(self, tmp_path) -> list[str]:
+        files = {"-p": tmp_path / "c.adl", "-d": tmp_path / "c.adb", "-u": tmp_path / "c.adu"}
+        files["-p"].write_text(CHOICE_PROGRAM)
+        files["-d"].write_text("cand(c1). cand(c2). cand(c3). cand(c4). "
+                               "member(c3,g0). member(c4,g0).")
+        files["-u"].write_text("+req(c1). +req(c2). +want(g0).")
+        argv = ["compare", "--json"]
+        for flag, path in files.items():
+            argv += [flag, str(path)]
+        return argv
+
+    def test_each_distinct_model_is_applied_once(self, argv, monkeypatch, capsys):
+        applied = []
+        extract = adlog.update.extract_updates
+
+        def counted(model, schema=None):
+            applied.append(model)
+            return extract(model, schema)
+
+        monkeypatch.setattr(adlog.update, "extract_updates", counted)
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        # ws, twfs, md and tmds apply the well-founded model; ts, ms and mstt the
+        # least total model; mstt also each m-stable part alone (2, 2 and 4 in the
+        # three residue components); ws-bm its own well-founded model.
+        contents = {(m.universe, m.true_atoms, m.false_atoms) for m in applied}
+        assert len(applied) == len(contents) == 1 + 1 + 8 + 1
+
+    def test_each_database_is_rendered_once(self, argv, monkeypatch, capsys):
+        built = []
+        texts = Database.__dict__["fact_texts"]
+
+        def counted(database):
+            built.append(database)
+            return texts.func(database)
+
+        loaded = []
+
+        def recorded(text, origin="<string>"):
+            loaded.append(parse_database(text, origin))
+            return loaded[-1]
+
+        cached = functools.cached_property(counted)
+        cached.__set_name__(Database, "fact_texts")
+        monkeypatch.setattr(Database, "fact_texts", cached)
+        monkeypatch.setattr(adlog.cli, "parse_database", recorded)
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        # The input database, shared by all nine reports, is rendered once too.
+        assert [id(db) for db in built].count(id(loaded[0])) == 1
+        assert len({id(db) for db in built}) == len(built)
+
+    def test_to_json_dict_returns_new_lists(self):
+        up = UpdateProgram(parse_delta("+req(c1)."), parse_program(CHOICE_PROGRAM))
+        report = run(up, parse_database("cand(c1). cand(c2)."), Semantics.WS)
+        first, second = report.to_json_dict(), report.to_json_dict()
+        assert first == second
+        for side in ("input", "output"):
+            for key in ("true", "unknown"):
+                assert type(first[side][key]) is list
+                assert first[side][key] is not second[side][key]
+        first["input"]["true"].append("changed")
+        assert report.to_json_dict() == second
 
 
 class TestSelftestCommand:
