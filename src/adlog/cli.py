@@ -42,13 +42,11 @@ def non_negative(text: str) -> int:
     return value
 
 
-def _add_io_flags(parser: argparse.ArgumentParser, *, db: bool = True,
-                  delta: bool = True) -> None:
+def _add_io_flags(parser: argparse.ArgumentParser, *, db: bool = True) -> None:
     parser.add_argument("-p", "--program", required=True, help="program file (.adl)")
     if db:
         parser.add_argument("-d", "--db", help="database file (.adb); empty if omitted")
-    if delta:
-        parser.add_argument("-u", "--delta", help="input update file (.adu); empty if omitted")
+    parser.add_argument("-u", "--delta", help="input update file (.adu); empty if omitted")
 
 
 # The JSON text of a value that holds no other value, by its exact type.
@@ -119,7 +117,7 @@ def _load(args) -> tuple[UpdateProgram, Database]:
     with open(args.program, encoding="utf-8") as handle:
         program = parse_program(handle.read(), origin=args.program)
     delta = DeltaSet()
-    if getattr(args, "delta", None):
+    if args.delta:
         with open(args.delta, encoding="utf-8") as handle:
             delta = parse_delta(handle.read(), origin=args.delta)
     database = Database()

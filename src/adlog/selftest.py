@@ -368,6 +368,8 @@ def suite_fixtures() -> SuiteResult:
 _BASE_PREDS = ("p", "q", "r")
 _DERIVED_PREDS = ("s", "t")
 _VARS = (Variable("X"), Variable("Y"))
+# The largest well-founded residue an accepted instance may have, under either rewriting.
+MAX_RESIDUE = 10
 
 
 class InstanceGenerator:
@@ -378,19 +380,17 @@ class InstanceGenerator:
     expensive are resampled, so suites that need model families stay fast.
     """
 
-    def __init__(self, rng: random.Random, max_residue: int = 10,
-                 extra_db_constants: int = 0):
+    def __init__(self, rng: random.Random, extra_db_constants: int = 0):
         self.rng = rng
-        self.max_residue = max_residue
         self.extra_db_constants = extra_db_constants
 
     def instance(self) -> _Session:
         """The session of an accepted instance; `.up` and `.database` give the pair."""
         while True:
             session = _Session(*self._candidate())
-            if session.wf("st").undefined_count > self.max_residue:
+            if session.wf("st").undefined_count > MAX_RESIDUE:
                 continue
-            if session.wf("bm").undefined_count > self.max_residue:
+            if session.wf("bm").undefined_count > MAX_RESIDUE:
                 continue
             return session
 

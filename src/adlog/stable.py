@@ -407,25 +407,23 @@ class ModelFamily:
         return out
 
     def model_of(self, parts: Iterable[ModelRecord]) -> Interpretation:
-        """The well-founded model with the components of `parts` set to them.
+        """The well-founded model with each component set to its part in `parts`.
 
-        The universe is `wf`'s defined atoms plus the atoms of those
-        components: with one part of every component, all of `wf`'s universe.
-        The same parts give the same object, and one part of every component,
-        each leaving it undefined, gives `wf` itself: so a model's
-        `render_key` is rendered once and `_Session.apply_model` applies it once.
+        `parts` holds one part of every component, so the model spans all of
+        `wf`'s universe.  The same parts give the same object, and parts that
+        define no atom give `wf` itself: so a model's `render_key` is rendered
+        once and `_Session.apply_model` applies it once.
         """
         parts = tuple(part.model for part in parts)
         key = tuple(map(id, parts))
         known = self._models.get(key)
         if known is None:
             wf = self.wf
-            if len(parts) == len(self.components) and \
-                    not any(part.true_atoms or part.false_atoms for part in parts):
+            if not any(part.true_atoms or part.false_atoms for part in parts):
                 model = wf
             else:
                 model = Interpretation(
-                    (wf.true_atoms | wf.false_atoms).union(*(part.universe for part in parts)),
+                    wf.universe,
                     wf.true_atoms.union(*(part.true_atoms for part in parts)),
                     wf.false_atoms.union(*(part.false_atoms for part in parts)))
             known = self._models[key] = (parts, model)

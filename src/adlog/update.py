@@ -25,7 +25,7 @@ from .rewrite import (GroundProgram, base_atom_of_renamed, embed_database,
                       ground, rewrite_bm, rewrite_st)
 from .stable import (DEFAULT_ENUMERATION_CAP, FLAG_M_STABLE,
                      FLAG_MAX_DETERMINISTIC, FLAG_T_STABLE, ModelFamily,
-                     ModelRecord, enumerate_pstable, well_founded)
+                     enumerate_pstable, well_founded)
 
 
 class Semantics(enum.Enum):
@@ -40,6 +40,9 @@ class Semantics(enum.Enum):
     MS = "ms"          # chosen maximal stable model
     MSTT = "mstt"      # chosen maximal stable model with total transformation
     WS_BM = "ws-bm"    # well-founded over the complement-guarded rewriting
+
+    # Members are singletons compared by identity; Enum's own hash runs in Python.
+    __hash__ = object.__hash__
 
     @staticmethod
     def parse(text: str) -> "Semantics":
@@ -254,9 +257,12 @@ class _Session:
     def apply_model(self, model: Interpretation, base: Database) -> Database:
         """`model`'s updates applied to `base`; the same model and base give the same object.
 
-        The key is identity, not content: the semantics that share a model
-        share one object (the well-founded model, `ModelFamily.model_of`), and
-        a content key would hash the whole model on every call.
+        Only a run's chosen model is applied: `mstt` decides totality on each
+        part alone (see `run`).  The key is identity, not content: the
+        semantics that share a model share one object (the well-founded model,
+        `ModelFamily.model_of`), and a content key would hash the whole model
+        on every call.  On a total base, the applied database's totality is
+        checked against `is_total_transformation` of the model.
         """
         key = (id(model), id(base))
         applied = self._applied.get(key)
@@ -293,15 +299,22 @@ class _Session:
             family = self.family(plan.mode)
             stats = family.counts()
             eligible = family.parts_with(plan.source)
-            if plan.choose:
-                if plan.total_output:
-                    # A model transforms totally exactly when each of its parts does.
-                    eligible = [tuple(part for part in parts if self.apply_model(
-                        family.model_of([part]), base).is_total) for parts in eligible]
-                if all(eligible):
-                    chosen = _select(family, eligible, policy, seed)
-            elif all(len(parts) == 1 for parts in eligible):
-                chosen = family.model_of(parts[0] for parts in eligible)
+            if plan.choose and plan.total_output:
+                # A model's undefined atoms are its parts' (ModelFamily.model_of),
+                # so it transforms totally exactly when each of its parts does.
+                eligible = [tuple(part for part in parts
+                                  if is_total_transformation(part.model, base))
+                            for parts in eligible]
+            # A semantics without a policy needs exactly one candidate.  The random
+            # policy draws the index random.Random(seed).choice would take from
+            # `count` candidates.
+            count = math.prod(len(parts) for parts in eligible)
+            if count == 1 or plan.choose and count:
+                if policy == "random":
+                    chosen = family.nth(eligible, random.Random(seed).randrange(count))
+                else:
+                    # Each component's least part makes the least model (ModelFamily.nth).
+                    chosen = family.model_of(parts[0] for parts in eligible)
         # A single model that fails the totality test is still reported.
         output = self.apply_model(chosen, base) if chosen is not None else None
         if output is None or plan.total_output and not output.is_total:
@@ -310,17 +323,6 @@ class _Session:
             status = STATUS_APPLIED
         return RunReport(semantics, self.database, output, status, chosen, stats,
                          policy, seed if policy == "random" else None)
-
-
-def _select(family: ModelFamily, eligible: list[tuple[ModelRecord, ...]],
-            policy: str, seed: int | None) -> Interpretation:
-    """The model `policy` picks from the product of `eligible`, in `render_key` order."""
-    if policy == "lex":
-        # Each component's least part makes the least model (ModelFamily.nth).
-        return family.model_of(parts[0] for parts in eligible)
-    # The index random.Random(seed).choice takes from a sequence this long.
-    count = math.prod(len(parts) for parts in eligible)
-    return family.nth(eligible, random.Random(seed).randrange(count))
 
 
 def run(up: UpdateProgram, database: Database, semantics: Semantics,

@@ -132,6 +132,15 @@ class TestOutputs:
         assert code == 0
         for sem in ("ws", "md", "twfs", "tmds", "uts", "ts", "ms", "mstt", "ws-bm"):
             assert f"{sem} " in out
+        # A refused enumeration is a row error; the well-founded rows still apply.
+        code, out = invoke(capsys, "compare", "-p", fx("new_hire_worker.adl"),
+                           "-u", fx("new_hire_worker.adu"), "--cap", "0")
+        assert code == 0
+        rows = {line.split()[0]: line for line in out.splitlines()[:9]}
+        for sem in ("md", "tmds", "uts", "ts", "ms", "mstt"):
+            assert rows[sem].startswith(f"{sem:6s} error: 5 atoms undefined")
+        for sem in ("ws", "twfs", "ws-bm"):
+            assert "error:" not in rows[sem]
 
     def test_ground_emits_reparseable_rules(self, capsys):
         from adlog import parse_program
@@ -310,10 +319,9 @@ class TestRendersOnce:
         code, out = invoke(capsys, *argv)
         assert code == 0
         # ws, twfs, md and tmds apply the well-founded model; ts, ms and mstt the
-        # least total model; mstt also each m-stable part alone (2, 2 and 4 in the
-        # three residue components); ws-bm its own well-founded model.
+        # least total model; ws-bm its own well-founded model.
         contents = {(m.universe, m.true_atoms, m.false_atoms) for m in applied}
-        assert len(applied) == len(contents) == 1 + 1 + 8 + 1
+        assert len(applied) == len(contents) == 3
 
     def test_each_database_is_rendered_once(self, argv, monkeypatch, capsys):
         built = []

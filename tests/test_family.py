@@ -165,7 +165,7 @@ class TestFamilyMatchesProductOracle:
 
 
 def test_randrange_draws_the_index_choice_takes():
-    # `_select` draws randrange(count) where the product code drew
+    # `_Session.run` draws randrange(count) where the product code drew
     # choice(ordered); both take _randbelow(count) from the same stream.
     for seed in range(50):
         for count in (1, 2, 3, 7, 64, 3 ** 12):

@@ -163,6 +163,9 @@ class TestGround:
         rules = {str(r) for r in ground(merged).rules}
         assert "diff(x,d) :- mgr(x,p,d)." not in rules  # x != x is false
         assert "diff(p,d) :- mgr(x,p,d)." in rules
+        # A variable-free rule is kept exactly when its builtins hold.
+        program = parse_program("p :- a = b.\nq :- a = a.\nr :- a != b.\ns :- a != a.\nt :- p.")
+        assert [str(r) for r in ground(program).rules] == ["q.", "r."]
 
     def test_propositional_program_grounds_to_itself(self, fixtures_dir):
         program = parse_program((fixtures_dir / "zoo_join.adl").read_text())
@@ -394,6 +397,7 @@ class TestRelevanceGrounder:
         "q(X) :- p(X).\na :- b.\nb.",                        # empty constant set
         "t(X,Z) :- e(X,Y), t(Y,Z).\nt(X,Y) :- e(X,Y).\n"
         "s(X,Z) :- e(X,Y), e(Y,Z), X != Z.\ne(a,b).\ne(b,c).\ne(c,a).",  # recursion, self-join
+        "p :- a = b.\nq :- a = a.\nr :- a != b.\ns :- a != a.\nt :- p.",  # variable-free builtins
     ])
     def test_edge_case_matches_oracle(self, text):
         program = parse_program(text, validate=False)

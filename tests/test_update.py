@@ -153,6 +153,12 @@ class TestRun:
         with pytest.raises(ValidationError, match="reserved predicate name in database fact @"):
             run(up, parse_database(database), Semantics.WS)
 
+    @pytest.mark.parametrize("delta", ["+@ck_r(a).", "+@plus_p(a)."])
+    def test_update_on_reserved_predicate_is_rejected(self, delta):
+        up = UpdateProgram(parse_delta(delta), parse_program("+r(X) :- q(X)."))
+        with pytest.raises(ValidationError, match="reserved predicate name in update [+]@"):
+            run(up, parse_database("q(a)."), Semantics.WS)
+
     def test_rejection_returns_input_unchanged(self):
         up, db = load_update_program("new_hire_mixed")
         report = run(up, db, Semantics.TWFS)
@@ -358,9 +364,14 @@ class TestIndependentPairs:
 class TestGenericity:
     def test_renaming_commutes_on_cascade(self):
         up, db = load_update_program("project_cascade", db=True)
-        rho = {"x": "y", "d": "e"}  # the delta constant p stays fixed
-        renamed = rename_constants(db, rho)
-        for semantics in (Semantics.WS, Semantics.MD, Semantics.WS_BM):
-            direct = run(up, renamed, semantics).output_db
-            routed = rename_constants(run(up, db, semantics).output_db, rho)
-            assert direct == routed
+        # The first renaming fixes the delta constant p.  The second renames the
+        # delta and the database by one bijection, and takes the program through
+        # every rule form (update heads, update literals, builtins).
+        for rho in ({"x": "y", "d": "e"}, {"x": "y", "d": "e", "p": "q"}):
+            renamed_up = UpdateProgram(rename_constants(up.delta, rho),
+                                       rename_constants(up.program, rho))
+            renamed = rename_constants(db, rho)
+            for semantics in (Semantics.WS, Semantics.MD, Semantics.WS_BM):
+                direct = run(renamed_up, renamed, semantics).output_db
+                routed = rename_constants(run(up, db, semantics).output_db, rho)
+                assert direct == routed
