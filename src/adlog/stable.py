@@ -16,21 +16,21 @@ some rule whose floor, the least complement of its negated atoms, reaches that
 level has every positive body atom at that level.  Every partial stable model
 extends the well-founded model, so a family is built on its undefined residue:
 the residue splits into components linked by the rules still live under the
-well-founded model (splitting sets; Lifschitz & Turner 1994), each component's
-assignments are tried on their own, against that component's live rules only,
-and the family is the product of the fixpoints of Psi found per component.
-Both read one atom table, which the grounder fills as it instantiates the
-rules: each atom numbered once, each rule kept by those numbers (its atom
-dependency graph).  The program's cache keeps the well-founded values and
-model computed from it.
+well-founded model (splitting sets; Lifschitz & Turner 1994), each component
+is searched on its own, against its live rules only, by truth-order bounds
+that Psi narrows, and the family is the product of the fixpoints of Psi found
+per component.  Both read one atom table, which the grounder fills as it
+instantiates the rules: each atom numbered once, each rule kept by those
+numbers (its atom dependency graph).  The program's cache keeps the
+well-founded values and model computed from it.
 
 The family is kept factorised: `ModelFamily` holds the well-founded model
-and each component's parts, each flagged within its component as the
-component is enumerated.  Components share no atoms, so a model carries a
-flag exactly when each of its parts does (the argument per flag is on
-`ModelFamily`), counts are products of per-component counts, and a model is
-chosen part by part.  The product of the parts is listed only when `records`
-is read.
+and each component's parts, each flagged within its component from per-atom
+masks as the component is enumerated.  Components share no atoms, so a model
+carries a flag exactly when each of its parts does (the argument per flag is
+on `ModelFamily`), counts are products of per-component counts, and a model
+is chosen part by part.  The product of the parts is listed only when
+`records` is read.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .model import (EngineError, Interpretation, ResourceLimitError, TruthValue,
-                    render_token)
+from .model import (Atom, EngineError, Interpretation, ResourceLimitError,
+                    TruthValue, render_token)
 from .rewrite import GroundProgram
 
 DEFAULT_ENUMERATION_CAP = 20
@@ -493,6 +493,49 @@ def _components(program: GroundProgram, vals: list[int]) -> list[list[int]]:
     return list(components.values())
 
 
+def _search(rules: _Rules) -> list[list[int]]:
+    """The fixpoints of Psi over one component's rules, each found once.
+
+    A node bounds every fixpoint M in it in the truth order, lo <= M <= hi.
+    Psi is antimonotone in that order, so Psi(hi) <= M <= Psi(lo), and the
+    node narrows until raising lo to Psi(hi) and lowering hi to Psi(lo)
+    change nothing (smodels' atleast and atmost; Simons, Niemelä & Soininen
+    2002); an empty interval prunes it.  Psi reads M only through negated
+    atoms, so a node branches on the free one with the most negated
+    occurrences, one child per value: the children partition the node.
+    Once all are fixed, Psi(lo) = Psi(hi), so lo = hi = Psi(lo) is the one
+    candidate, and `_stable` confirms it.
+    """
+    weight = [0] * rules.size
+    for n in itertools.chain.from_iterable(rules.negs):
+        weight[n] += 1
+    branching = sorted((a for a in range(rules.size) if weight[a]), key=lambda a: -weight[a])
+    found = []
+    stack = [([_FALSE] * rules.size, [_TRUE] * rules.size, True, True)]
+    while stack:
+        # A bound that has not moved since Psi of it last narrowed the other one is skipped.
+        lo, hi, lo_moved, hi_moved = stack.pop()
+        while lo_moved or hi_moved:
+            if hi_moved:
+                raised = list(map(max, lo, _psi(rules, hi)))
+                lo, lo_moved, hi_moved = raised, lo_moved or raised != lo, False
+            if lo_moved:
+                narrowed = list(map(min, hi, _psi(rules, lo)))
+                hi, hi_moved, lo_moved = narrowed, narrowed != hi, False
+        if any(map(int.__gt__, lo, hi)):
+            continue
+        free = next((a for a in branching if lo[a] != hi[a]), None)
+        if free is None:
+            if _stable(rules, lo):
+                found.append(lo)
+            continue
+        for value in range(lo[free], hi[free] + 1):
+            child_lo, child_hi = lo[:], hi[:]
+            child_lo[free] = child_hi[free] = value
+            stack.append((child_lo, child_hi, value > lo[free], value < hi[free]))
+    return found
+
+
 def enumerate_pstable(program: GroundProgram,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> ModelFamily:
     """All partial stable models, as extensions of the well-founded model, with their flags.
@@ -507,71 +550,80 @@ def enumerate_pstable(program: GroundProgram,
     defines, so Psi(M) on a component C depends only on M's values on C.  M
     is therefore a fixpoint exactly when, for every C, the candidate that
     agrees with M on C and with W elsewhere is one.  That candidate already
-    agrees with Psi of it outside C, so each of C's 3^|C| assignments is
-    checked on C alone, against C's rules restricted by W (`_restrict`): a
-    rule that is not live falls to a floor of FALSE and is left out, and the
+    agrees with Psi of it outside C, so each C is searched on its own
+    (`_search`), against C's rules restricted by W (`_restrict`): a rule
+    that is not live falls to a floor of FALSE and is left out, and the
     body atoms of a live rule outside C are defined by W and fold into its
-    floor.  The family keeps the assignments found per component, flagged
-    within it (`_classify`), and is their product.  W is in the family
-    exactly when every component keeps its all-undefined part.
+    floor.  C's atoms are in `str` order, so the parts sort into
+    `render_key` order as the tuples of their atoms' token ranks.  The
+    family keeps the parts found per component, flagged within it
+    (`_flag`), and is their product.  W is in the family exactly when every
+    component keeps its all-undefined part.
     """
     vals, wf = _well_founded(program)
     if wf.undefined_count > cap:
         raise ResourceLimitError(
             f"{wf.undefined_count} atoms undefined in the well-founded model "
             f"exceeds the enumeration cap of {cap}", cap)
-    components = []
-    for component in _components(program, vals):
-        rules = _restrict(program, component, vals)
-        atoms = frozenset(program.atoms[s] for s in component)
-        parts = []
-        for combo in itertools.product((_FALSE, _UNDEF, _TRUE), repeat=len(component)):
-            if _stable(rules, combo):
-                parts.append(Interpretation(
-                    atoms,
-                    frozenset(program.atoms[s] for s, v in zip(component, combo) if v == _TRUE),
-                    frozenset(program.atoms[s] for s, v in zip(component, combo) if v == _FALSE)))
-        if not any(part.undefined_count == len(atoms) for part in parts):
-            raise EngineError("well-founded model missing from the enumerated family")
-        parts.sort(key=lambda part: part.render_key())
-        components.append(_classify(parts))
-    return ModelFamily(wf, tuple(components))
+    return ModelFamily(wf, tuple(_parts(program, component, vals)
+                                 for component in _components(program, vals)))
 
 
-def _classify(models: list[Interpretation]) -> tuple[ModelRecord, ...]:
-    """Flag the parts of one residue component within it (see `ModelFamily`)."""
-    if not models:
-        raise EngineError("empty stable model family")
-    literal_sets = [m.literal_set() for m in models]
-    # The well-founded model defines no atom of the component.
-    if frozenset.intersection(*literal_sets):
-        raise EngineError("family intersection disagrees with the well-founded model")
+def _parts(program: GroundProgram, component: list[int],
+           vals: list[int]) -> tuple[ModelRecord, ...]:
+    """The flagged parts of one residue component, in `render_key` order."""
+    atoms = [program.atoms[s] for s in component]
+    tokens = [[render_token(str(atom), value) for value in TruthValue] for atom in atoms]
+    ranks = [[sorted(own).index(token) for token in own] for own in tokens]
+    parts = _search(_restrict(program, component, vals))
+    parts.sort(key=lambda part: [rank[v] for rank, v in zip(ranks, part)])
+    return _flag(atoms, parts)
 
-    maximal = [not any(ls < other for other in literal_sets) for ls in literal_sets]
-    least_undefined = min(m.undefined_count for m, is_max in zip(models, maximal) if is_max)
-    deterministic = [all(m.union_consistent(n) for n in models) for m in models]
-    det_sets = [ls for ls, d in zip(literal_sets, deterministic) if d]
-    max_det = [d and all(other <= ls for other in det_sets)
-               for ls, d in zip(literal_sets, deterministic)]
+
+def _flag(atoms: Sequence[Atom], parts: list[list[int]]) -> tuple[ModelRecord, ...]:
+    """The records of one residue component's parts, flagged within it (see `ModelFamily`).
+
+    `parts` holds value vectors over `atoms`, in `render_key` order.  Each
+    atom keeps, per value, the mask of the parts that give it that value,
+    so each flag is read off the masks of a part's defined literals: the
+    parts that contain them are the AND of those masks, and a part is
+    maximal when that AND is its own bit; it is deterministic when no part
+    gives one of its defined atoms the opposite value.  Deterministic parts
+    are pairwise consistent, so one of them contains the union of their
+    literals exactly when it has as many literals as that union.
+    """
+    masks = [[0, 0, 0] for _ in atoms]
+    for j, part in enumerate(parts):
+        for mask, v in zip(masks, part):
+            mask[v] |= 1 << j
+    defined = [[(i, v) for i, v in enumerate(part) if v != _UNDEF] for part in parts]
+    if [] not in defined:
+        raise EngineError("well-founded model missing from the enumerated family")
+    maximal, deterministic = [], []
+    for j, literals in enumerate(defined):
+        above = (1 << len(parts)) - 1
+        for i, v in literals:
+            above &= masks[i][v]
+        maximal.append(above == 1 << j)
+        deterministic.append(not any(masks[i][_TRUE - v] for i, v in literals))
+    det_bits = sum(1 << j for j, d in enumerate(deterministic) if d)
+    union = sum(bool(mask[v] & det_bits) for mask in masks for v in (_FALSE, _TRUE))
+    max_det = [d and len(literals) == union for d, literals in zip(deterministic, defined)]
     if sum(max_det) != 1:
         raise EngineError("deterministic family has no unique maximum")
+    most_defined = max(len(literals) for literals, m in zip(defined, maximal) if m)
 
+    universe = frozenset(atoms)
     records = []
-    for i, model in enumerate(models):
-        flags = set()
-        if not literal_sets[i]:
-            flags.add(FLAG_WELL_FOUNDED)
-        if model.is_total:
-            flags.add(FLAG_T_STABLE)
-        if maximal[i]:
-            flags.add(FLAG_M_STABLE)
-            if model.undefined_count == least_undefined:
-                flags.add(FLAG_L_STABLE)
-        if deterministic[i]:
-            flags.add(FLAG_DETERMINISTIC)
-        if max_det[i]:
-            flags.add(FLAG_MAX_DETERMINISTIC)
-        records.append(ModelRecord(model, frozenset(flags)))
+    for part, literals, is_max, d, md in zip(parts, defined, maximal, deterministic, max_det):
+        flags = frozenset(flag for flag, holds in (
+            (FLAG_WELL_FOUNDED, not literals), (FLAG_T_STABLE, len(literals) == len(atoms)),
+            (FLAG_M_STABLE, is_max), (FLAG_L_STABLE, is_max and len(literals) == most_defined),
+            (FLAG_DETERMINISTIC, d), (FLAG_MAX_DETERMINISTIC, md)) if holds)
+        model = Interpretation(universe,
+                               frozenset(a for a, v in zip(atoms, part) if v == _TRUE),
+                               frozenset(a for a, v in zip(atoms, part) if v == _FALSE))
+        records.append(ModelRecord(model, flags))
     return tuple(records)
 
 

@@ -119,14 +119,22 @@ def extract_updates(model: Interpretation, schema: frozenset[str] | None = None)
 
 
 def apply_updates(outcome: UpdateOutcome, database: Database) -> Database:
-    """New database state: certain updates applied, undefined ones blur facts they touch."""
+    """New database state: certain updates applied, undefined ones blur facts they touch.
+
+    With T and U the database's true and unknown facts and ci, cd, ui, ud
+    the certain and undefined insertions and deletions, the output's true
+    facts ci | (T - cd - ud) and unknown ones (U - ci - cd) | (T & ud) |
+    (ui - T - U) are disjoint: `UpdateOutcome` keeps ci apart from ud and
+    ui, T and U are disjoint, and ud and T are removed from the other
+    terms.  So `Database._updated` skips the overlap check.
+    """
     removed = outcome.certain_delete | outcome.undef_delete
     new_true = outcome.certain_insert | (database.true_facts - removed)
     certain = outcome.certain_insert | outcome.certain_delete
     new_unknown = (database.unknown_facts - certain) \
         | (database.true_facts & outcome.undef_delete) \
         | (outcome.undef_insert - database.true_facts - database.unknown_facts)
-    return Database(frozenset(new_true), frozenset(new_unknown))
+    return Database._updated(database, frozenset(new_true), frozenset(new_unknown))
 
 
 def apply_delta(delta: DeltaSet, database: Database) -> Database:

@@ -1,6 +1,7 @@
 """The factorised model family against the product it stands for.
 
-The oracles here are the product-level code the factorised family replaced:
+The oracles here are the code the factorised family and its search replaced:
+`oracle_classify_parts` compares every pair of one component's parts,
 `oracle_classify` compares every pair of models of the whole product, and
 `oracle_run` picks a model by listing the candidates of the product, running
 the MSTT totality filter model by model and sorting by `render_key`.
@@ -19,13 +20,14 @@ from adlog.selftest import InstanceGenerator, random_ground_program
 from adlog.stable import (ALL_FLAGS, FLAG_DETERMINISTIC, FLAG_L_STABLE,
                           FLAG_M_STABLE, FLAG_MAX_DETERMINISTIC,
                           FLAG_T_STABLE, FLAG_WELL_FOUNDED, ModelRecord,
-                          well_founded)
+                          _components, _parts, _well_founded, well_founded)
 from adlog.update import (PLANS, STATUS_APPLIED, STATUS_REJECTED, RunReport,
                           Semantics, _Session)
 
 from conftest import FIXTURES
-from test_stable import (FIXTURE_NAMES, fixture_programs, ground_of,
-                         oracle_enumerate, pairs_program)
+from test_stable import (FIXTURE_NAMES, coupled_pairs_program, fixture_programs,
+                         ground_of, guarded_ring_program, oracle_enumerate,
+                         oracle_parts, pairs_program, ring_program)
 
 
 def oracle_classify(program, models) -> tuple[ModelRecord, ...]:
@@ -60,6 +62,43 @@ def oracle_classify(program, models) -> tuple[ModelRecord, ...]:
         if deterministic[i]:
             flags.add(FLAG_DETERMINISTIC)
         if i in max_det_ids:
+            flags.add(FLAG_MAX_DETERMINISTIC)
+        records.append(ModelRecord(model, frozenset(flags)))
+    return tuple(records)
+
+
+def oracle_classify_parts(models) -> tuple[ModelRecord, ...]:
+    """The flags of one residue component's parts, by comparing every pair of parts."""
+    if not models:
+        raise EngineError("empty stable model family")
+    literal_sets = [m.literal_set() for m in models]
+    # The well-founded model defines no atom of the component.
+    if frozenset.intersection(*literal_sets):
+        raise EngineError("family intersection disagrees with the well-founded model")
+
+    maximal = [not any(ls < other for other in literal_sets) for ls in literal_sets]
+    least_undefined = min(m.undefined_count for m, is_max in zip(models, maximal) if is_max)
+    deterministic = [all(m.union_consistent(n) for n in models) for m in models]
+    det_sets = [ls for ls, d in zip(literal_sets, deterministic) if d]
+    max_det = [d and all(other <= ls for other in det_sets)
+               for ls, d in zip(literal_sets, deterministic)]
+    if sum(max_det) != 1:
+        raise EngineError("deterministic family has no unique maximum")
+
+    records = []
+    for i, model in enumerate(models):
+        flags = set()
+        if not literal_sets[i]:
+            flags.add(FLAG_WELL_FOUNDED)
+        if model.is_total:
+            flags.add(FLAG_T_STABLE)
+        if maximal[i]:
+            flags.add(FLAG_M_STABLE)
+            if model.undefined_count == least_undefined:
+                flags.add(FLAG_L_STABLE)
+        if deterministic[i]:
+            flags.add(FLAG_DETERMINISTIC)
+        if max_det[i]:
             flags.add(FLAG_MAX_DETERMINISTIC)
         records.append(ModelRecord(model, frozenset(flags)))
     return tuple(records)
@@ -121,6 +160,43 @@ MULTI_COMPONENT = [
     "a :- not b.\nb :- not a.\nc :- not c, a.\nd :- not e.\ne :- not d.\nf :- d, not f.\n",
     "a :- not b.\nb :- not a.\nb :- not b.\nk :- not l.\nl :- not k.\n",
 ]
+
+
+class TestPartsMatchExhaustiveOracle:
+    """Per component: the search's parts, their order and their flags against the
+    exhaustive loop and the all-pairs classification."""
+
+    @staticmethod
+    def check(g, tag=None) -> int:
+        vals, _ = _well_founded(g)
+        components = _components(g, vals)
+        for component in components:
+            expected = oracle_classify_parts(oracle_parts(g, component, vals))
+            assert _parts(g, component, vals) == expected, tag
+        return len(components)
+
+    def test_random_ground_programs(self):
+        assert sum(self.check(random_ground_program(random.Random(seed)), seed)
+                   for seed in range(1500)) > 300
+
+    def test_generated_instances(self):
+        gen = InstanceGenerator(random.Random(53))
+        assert sum(self.check(gen.instance().ground(mode), (case, mode))
+                   for case in range(200) for mode in ("st", "bm")) > 100
+
+    @pytest.mark.parametrize("text", MULTI_COMPONENT)
+    def test_multi_component_programs(self, text):
+        assert self.check(ground_of(text), text) >= 2
+
+    @pytest.mark.parametrize("text", [ring_program(n) for n in range(2, 7)]
+                             + [guarded_ring_program(4), coupled_pairs_program(3)])
+    def test_one_component_programs(self, text):
+        assert self.check(ground_of(text), text) == 1
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture(self, name):
+        for g in fixture_programs(name):
+            self.check(g, name)
 
 
 class TestFamilyMatchesProductOracle:

@@ -12,7 +12,8 @@ from adlog.selftest import (InstanceGenerator, brute_force_family,
                             random_ground_program)
 import adlog.stable
 from adlog.stable import (FLAG_L_STABLE, FLAG_M_STABLE, FLAG_T_STABLE,
-                          _components, _psi, _Rules, _stable, _well_founded)
+                          _components, _psi, _restrict, _Rules, _stable,
+                          _well_founded)
 
 from conftest import FIXTURES, load_update_program
 
@@ -152,6 +153,21 @@ def oracle_enumerate(program):
             models.append(interpretation_of(program, vals))
     models.sort(key=lambda m: m.render_key())
     return models
+
+
+def oracle_parts(program, component, vals):
+    """One residue component's parts, in `render_key` order, by checking all 3^|C| assignments."""
+    rules = _restrict(program, component, vals)
+    atoms = frozenset(program.atoms[s] for s in component)
+    parts = []
+    for combo in itertools.product((0, 1, 2), repeat=len(component)):
+        if _stable(rules, combo):
+            parts.append(Interpretation(
+                atoms,
+                frozenset(program.atoms[s] for s, v in zip(component, combo) if v == 2),
+                frozenset(program.atoms[s] for s, v in zip(component, combo) if v == 0)))
+    parts.sort(key=lambda part: part.render_key())
+    return parts
 
 
 def oracle_components(program, base):
@@ -520,35 +536,66 @@ class TestEnumerateMatchesProductOracle:
         self.check(g)
 
 
-def count_stable_checks(monkeypatch, text: str) -> tuple[int, int]:
+def count_stable_checks(monkeypatch, text: str, cap: int = 20) -> tuple[int, int]:
     """The number of `_stable` calls and of models when enumerating `text`."""
     calls = []
     monkeypatch.setattr(adlog.stable, "_stable",
                         lambda rules, vals: calls.append(vals) or _stable(rules, vals))
-    family = enumerate_pstable(ground_of(text))
+    family = enumerate_pstable(ground_of(text), cap)
     return len(calls), len(family.records)
 
 
 class TestComponents:
     def test_independent_pairs_are_checked_one_at_a_time(self, monkeypatch):
-        # 6 components of 9 assignments each, instead of 3^12 over the whole residue.
-        assert count_stable_checks(monkeypatch, pairs_program(6)) == (54, 3 ** 6)
+        # 6 components of 3 search leaves each, instead of 3^12 over the whole residue.
+        assert count_stable_checks(monkeypatch, pairs_program(6)) == (18, 3 ** 6)
 
     def test_shared_consequence_joins_the_pairs(self, monkeypatch):
         text = pairs_program(2) + "c :- p0.\nc :- p1.\n"
-        assert count_stable_checks(monkeypatch, text)[0] == 3 ** 5
+        assert count_stable_checks(monkeypatch, text)[0] == 9
 
     def test_dead_rules_do_not_link(self, monkeypatch):
         # `p0 :- p1, f.` has a false positive body atom and `q1 :- p0, not t.`
         # a true negated one, so the two pairs stay apart.
         text = pairs_program(2) + "p0 :- p1, f.\nq1 :- p0, not t.\nt.\n"
-        assert count_stable_checks(monkeypatch, text) == (18, 9)
+        assert count_stable_checks(monkeypatch, text) == (6, 9)
 
     def test_defined_atoms_do_not_link(self, monkeypatch):
         text = pairs_program(2) + "t.\np0 :- t.\np0 :- not t, q1.\n"
         # p0 is true in the well-founded model, so the first pair is decided.
         assert well_founded(ground_of(text)).undefined_count == 2
-        assert count_stable_checks(monkeypatch, text) == (9, 3)
+        assert count_stable_checks(monkeypatch, text) == (3, 3)
+
+
+def guarded_ring_program(n: int) -> str:
+    """The ring with `b_i :- not a_i.`: one component of 2n atoms."""
+    return ring_program(n) + "".join(f"b{i} :- not a{i}.\n" for i in range(n))
+
+
+def coupled_pairs_program(m: int) -> str:
+    """m choice pairs that all derive `r`: one component of 2m + 1 atoms."""
+    return pairs_program(m) + "".join(f"r :- p{i}.\n" for i in range(m))
+
+
+class TestSearch:
+    """`_search` confirms only the parts, and its work grows polynomially on a ring."""
+
+    def test_ring_rounds_grow_linearly(self, monkeypatch):
+        # Each Psi round is linear in n, so the whole search is quadratic.
+        rounds = []
+        monkeypatch.setattr(adlog.stable, "_psi",
+                            lambda rules, vals: rounds.append(1) or _psi(rules, vals))
+        for n in (10, 40, 160):
+            rounds.clear()
+            checks, models = count_stable_checks(monkeypatch, guarded_ring_program(n), cap=2 * n)
+            assert (checks, models) == (3, 3), n
+            assert len(rounds) <= 4 * n, n
+
+    def test_coupled_pairs(self):
+        family = enumerate_pstable(ground_of(coupled_pairs_program(8)))
+        counts = family.counts()
+        assert (counts["models"], counts["m_stable"], counts["max_deterministic"]) \
+            == (3 ** 8, 2 ** 8, 1)
 
 
 class TestComponentsMatchOracle:

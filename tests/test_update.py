@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 import adlog.stable
@@ -10,6 +13,8 @@ from adlog import (Atom, CompareResult, ConsistencyError, Database,
                    ground, info_leq, is_total_transformation, parse_database,
                    parse_delta, parse_program, rename_constants, rewrite_st,
                    run, well_founded)
+from adlog.model import Variable
+from adlog.selftest import InstanceGenerator
 from adlog.update import CompareRow
 
 from conftest import FIXTURES, load_update_program
@@ -94,6 +99,47 @@ class TestApplyUpdates:
             certain_insert=frozenset({atom("p(a)")}),
             certain_delete=frozenset({atom("q(b)")})), db)
         assert out == Database.of(true=[atom("p(a)")])
+
+
+class TestOutputDatabases:
+    """`apply_updates` builds its output checking only the facts its input lacks."""
+
+    def test_outputs_equal_the_public_constructor_on_generated_instances(self):
+        gen = InstanceGenerator(random.Random(777))
+        outputs = 0
+        for _ in range(300):
+            up, db = gen._candidate()
+            for out in [apply_delta(up.delta, db)] + [
+                    row.report.output_db for row in compare(up, db).rows if row.report]:
+                assert out == Database(out.true_facts, out.unknown_facts)
+                outputs += 1
+        assert outputs > 2000
+
+    @pytest.mark.parametrize("outcome, message", [
+        (UpdateOutcome(certain_insert=frozenset({Atom("r", (Variable("X"),))})),
+         "database fact r(X) is not ground"),
+        (UpdateOutcome(undef_insert=frozenset({Atom("r", (Variable("X"), "a"))})),
+         "database fact r(X,a) is not ground"),
+        (UpdateOutcome(certain_insert=frozenset({atom("p(a,b)")})),
+         "predicate p used with arity 1 and 2"),
+        (UpdateOutcome(undef_insert=frozenset({Atom("q")})),
+         "predicate q used with arity 0 and 1"),
+        (UpdateOutcome(certain_insert=frozenset({atom("s(a)"), atom("s(a,b)")})),
+         "predicate s used with arity 1 and 2"),
+    ])
+    def test_new_facts_are_checked(self, outcome, message):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
+            apply_updates(outcome, parse_database("p(a). q(b)."))
+
+    def test_clashing_input_update_is_refused(self):
+        with pytest.raises(ValidationError, match=r"^predicate p used with arity 1 and 2$"):
+            apply_delta(parse_delta("+p(a,b)."), parse_database("p(a). q(b)."))
+
+    def test_arity_of_a_deleted_predicate_may_change(self):
+        out = apply_updates(UpdateOutcome(certain_delete=frozenset({atom("p(a)")}),
+                                          certain_insert=frozenset({atom("p(a,b)")})),
+                            parse_database("p(a). q(b)."))
+        assert out == Database.of(true=[atom("p(a,b)"), atom("q(b)")])
 
 
 class TestApplyDelta:
