@@ -75,6 +75,7 @@ def _write(value, pad: str, written: dict) -> str:
     if kind is dict or kind is list or kind is tuple:
         if not value:
             return "{}" if kind is dict else "[]"
+        # A fast path that pays: writing each shared tuple again costs choice 5 % of txn/s.
         done = written.get((id(value), pad))
         if done is not None:
             return done

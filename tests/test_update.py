@@ -102,7 +102,7 @@ class TestApplyUpdates:
 
 
 class TestOutputDatabases:
-    """`apply_updates` builds its output checking only the facts its input lacks."""
+    """`apply_updates` builds its output through the public `Database` constructor."""
 
     def test_outputs_equal_the_public_constructor_on_generated_instances(self):
         gen = InstanceGenerator(random.Random(777))
@@ -140,6 +140,16 @@ class TestOutputDatabases:
                                           certain_insert=frozenset({atom("p(a,b)")})),
                             parse_database("p(a). q(b)."))
         assert out == Database.of(true=[atom("p(a,b)"), atom("q(b)")])
+
+
+class TestApplyModel:
+    def test_equal_models_give_one_output(self):
+        up, db = load_update_program("project_cascade", db=True)
+        session = adlog.update._Session(up, db)
+        wf, base = session.wf("st"), session.delta_applied
+        copy = Interpretation(wf.universe, wf.true_atoms, wf.false_atoms)
+        assert copy is not wf
+        assert session.apply_model(copy, base) is session.apply_model(wf, base)
 
 
 class TestApplyDelta:
