@@ -221,7 +221,8 @@ class Program:
     """A set of rules; insertion order is kept only for iteration."""
 
     rules: tuple[Rule, ...] = ()
-    # What was computed from the rules (validate_program, rewrite._kept and _with_runs).
+    # What was computed from the rules: validate_program, rewrite._kept and _with_runs,
+    # and the residue components `_Session.family` searched (`enumerate_pstable`'s memo).
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __eq__(self, other: object) -> bool:

@@ -30,19 +30,22 @@ masks as the component is enumerated.  Components share no atoms, so a model
 carries a flag exactly when each of its parts does (the argument per flag is
 on `ModelFamily`), counts are products of per-component counts, and a model
 is chosen part by part.  The product of the parts is listed only when
-`records` is read.
+`records` is read.  A caller may keep a bounded memo of searched components
+(`solved`), keyed by all that a component's search and flags read: its rules,
+renumbered, and its atoms' token ranks; an equal component is not searched again.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .model import (Atom, EngineError, Interpretation, ResourceLimitError,
-                    TruthValue, render_token)
+from .model import (EngineError, Interpretation, ResourceLimitError, TruthValue,
+                    render_token)
 from .rewrite import GroundProgram
 
 DEFAULT_ENUMERATION_CAP = 20
@@ -69,13 +72,14 @@ class _Rules:
     body atoms `negs[r]`, and its floor cannot rise above `base[r]`;
     `occurs[a]` names rule r once for every positive body literal of r on
     atom a, and `unconditional` lists the rules with no positive body literal.
-    `_restrict` builds it.
+    `_restrict` and `_components` build it.
     """
 
-    def __init__(self, size: int, heads: list[int], pos: Sequence[Sequence[int]],
-                 negs: Sequence[Sequence[int]], base: list[int]):
+    def __init__(self, size: int, heads: Sequence[int], pos: Sequence[Sequence[int]],
+                 negs: Sequence[Sequence[int]], base: Sequence[int]):
         self.size = size
         self.heads = heads
+        self.pos = pos
         self.negs = negs
         self.base = base
         self.need = [len(p) for p in pos]
@@ -454,13 +458,18 @@ class ModelFamily:
         return self.model_of(parts[0] for parts in live)
 
 
-def _components(program: GroundProgram, vals: list[int]) -> list[list[int]]:
+class _Component(list):
+    """A residue component's atoms, in `str` order, and its live rules over them (`rules`)."""
+
+
+def _components(program: GroundProgram, vals: list[int]) -> list[_Component]:
     """The undefined atoms of `vals`, split into the components their live rules link.
 
-    The live rules are the residue's rules restricted by `vals`
-    (`_restrict`); each links its head with every body atom it keeps,
-    positive or negated.  Components are ordered by their least atom in
-    `str` order, and the atoms of each in `str` order.
+    The live rules are the residue's rules restricted by `vals` (`_restrict`);
+    each links its head with every body atom it keeps, positive or negated,
+    and goes to its head's component, renumbered to that component's atoms.
+    Components are ordered by their least atom in `str` order, and the atoms
+    of each in `str` order.
     """
     residue = sorted((a for a, v in enumerate(vals) if v == _UNDEF),
                      key=lambda a: str(program.atoms[a]))
@@ -472,15 +481,22 @@ def _components(program: GroundProgram, vals: list[int]) -> list[list[int]]:
             parent[s] = s = parent[parent[s]]
         return s
 
-    for head, neg in zip(rules.heads, rules.negs):
-        for n in neg:
-            parent[root(n)] = root(head)
-    for s, occurs in enumerate(rules.occurs):
-        for r in occurs:
-            parent[root(s)] = root(rules.heads[r])
-    components: dict[int, list[int]] = {}
+    for head, pos, neg in zip(rules.heads, rules.pos, rules.negs):
+        for b in (*pos, *neg):
+            parent[root(b)] = root(head)
+    components: dict[int, _Component] = {}
+    local = []                      # each residue atom's place in its component
     for s, a in enumerate(residue):
-        components.setdefault(root(s), []).append(a)
+        component = components.setdefault(root(s), _Component())
+        local.append(len(component))
+        component.append(a)
+    split: dict[int, list] = {c: [] for c in components}
+    for head, pos, neg, floor in zip(rules.heads, rules.pos, rules.negs, rules.base):
+        split[root(head)].append((local[head], tuple([local[p] for p in pos]),
+                                  tuple([local[n] for n in neg]), floor))
+    for c, component in components.items():
+        # Every residue atom heads a live rule, so no component's list is empty.
+        component.rules = _Rules(len(component), *zip(*split[c]))
     return list(components.values())
 
 
@@ -527,8 +543,15 @@ def _search(rules: _Rules) -> list[list[int]]:
     return found
 
 
-def enumerate_pstable(program: GroundProgram,
-                      cap: int = DEFAULT_ENUMERATION_CAP) -> ModelFamily:
+# The most part values, parts times atoms, that one `solved` memo keeps.  Each
+# entry spans its values in a running count of the values kept, so the memo holds
+# the newest entry's end less the oldest's start.  Only a miss takes the lock.
+_SOLVED_BOUND = 65_536
+_keeping = threading.Lock()
+
+
+def enumerate_pstable(program: GroundProgram, cap: int = DEFAULT_ENUMERATION_CAP,
+                      solved: dict | None = None) -> ModelFamily:
     """All partial stable models, as extensions of the well-founded model, with their flags.
 
     The well-founded model W is the least fixpoint of Psi in the knowledge
@@ -550,40 +573,63 @@ def enumerate_pstable(program: GroundProgram,
     family keeps the parts found per component, flagged within it
     (`_flag`), and is their product.  W is in the family exactly when every
     component keeps its all-undefined part.
+
+    `solved`, a memo kept across calls, maps a component's key (its rules
+    and its atoms' token ranks) to its parts' values and flags; the search,
+    the sort and the flags read nothing else, so a kept key's parts are what
+    a search finds.  It keeps at most `_SOLVED_BOUND` values, parts times
+    atoms: a larger component is never kept, and the oldest leave first.
     """
     vals, wf = _well_founded(program)
     if wf.undefined_count > cap:
         raise ResourceLimitError(
             f"{wf.undefined_count} atoms undefined in the well-founded model "
             f"exceeds the enumeration cap of {cap}", cap)
-    return ModelFamily(wf, tuple(_parts(program, component, vals)
+    return ModelFamily(wf, tuple(_parts(program, component, vals, solved)
                                  for component in _components(program, vals)))
 
 
-def _parts(program: GroundProgram, component: list[int],
-           vals: list[int]) -> tuple[ModelRecord, ...]:
-    """The flagged parts of one residue component, in `render_key` order."""
+def _parts(program: GroundProgram, component: _Component, _vals: list[int],
+           solved: dict | None = None) -> tuple[ModelRecord, ...]:
+    """The flagged parts of a residue component, in `render_key` order; `_vals` is in its rules."""
     atoms = [program.atoms[s] for s in component]
     tokens = [[render_token(str(atom), value) for value in TruthValue] for atom in atoms]
-    ranks = [[sorted(own).index(token) for token in own] for own in tokens]
-    parts = _search(_restrict(program, component, vals))
-    parts.sort(key=lambda part: [rank[v] for rank, v in zip(ranks, part)])
-    return _flag(atoms, parts)
+    ranks = tuple(tuple(sorted(own).index(token) for token in own) for own in tokens)
+    rules = component.rules
+    key = (ranks, rules.heads, rules.pos, rules.negs, rules.base)
+    kept = solved.get(key) if solved is not None else None
+    if kept is None:
+        parts = _search(rules)
+        parts.sort(key=lambda part: [rank[v] for rank, v in zip(ranks, part)])
+        kept = (tuple(map(tuple, parts)), _flag(len(atoms), parts))
+        size = len(parts) * len(atoms)
+        if solved is not None and size <= _SOLVED_BOUND:
+            with _keeping:
+                end = size + (solved[next(reversed(solved))][2].stop if solved else 0)
+                while solved and solved[next(iter(solved))][2].start < end - _SOLVED_BOUND:
+                    del solved[next(iter(solved))]
+                solved.setdefault(key, (*kept, range(end - size, end)))
+    universe = frozenset(atoms)
+    return tuple(ModelRecord(Interpretation(
+                     universe, frozenset(a for a, v in zip(atoms, part) if v == _TRUE),
+                     frozenset(a for a, v in zip(atoms, part) if v == _FALSE)), flags)
+                 for part, flags in zip(*kept[:2]))
 
 
-def _flag(atoms: Sequence[Atom], parts: list[list[int]]) -> tuple[ModelRecord, ...]:
-    """The records of one residue component's parts, flagged within it (see `ModelFamily`).
+def _flag(size: int, parts: list[list[int]]) -> tuple[frozenset[str], ...]:
+    """The flags of one residue component's parts, within it (see `ModelFamily`).
 
-    `parts` holds value vectors over `atoms`, in `render_key` order.  Each
-    atom keeps, per value, the mask of the parts that give it that value,
-    so each flag is read off the masks of a part's defined literals: the
-    parts that contain them are the AND of those masks, and a part is
-    maximal when that AND is its own bit; it is deterministic when no part
-    gives one of its defined atoms the opposite value.  Deterministic parts
-    are pairwise consistent, so one of them contains the union of their
-    literals exactly when it has as many literals as that union.
+    `parts` holds value vectors over the component's `size` atoms, in
+    `render_key` order.  Each atom keeps, per value, the mask of the parts
+    that give it that value, so each flag is read off the masks of a part's
+    defined literals: the parts that contain them are the AND of those
+    masks, and a part is maximal when that AND is its own bit; it is
+    deterministic when no part gives one of its defined atoms the opposite
+    value.  Deterministic parts are pairwise consistent, so one of them
+    contains the union of their literals exactly when it has as many
+    literals as that union.
     """
-    masks = [[0, 0, 0] for _ in atoms]
+    masks = [[0, 0, 0] for _ in range(size)]
     for j, part in enumerate(parts):
         for mask, v in zip(masks, part):
             mask[v] |= 1 << j
@@ -603,19 +649,11 @@ def _flag(atoms: Sequence[Atom], parts: list[list[int]]) -> tuple[ModelRecord, .
     if sum(max_det) != 1:
         raise EngineError("deterministic family has no unique maximum")
     most_defined = max(len(literals) for literals, m in zip(defined, maximal) if m)
-
-    universe = frozenset(atoms)
-    records = []
-    for part, literals, is_max, d, md in zip(parts, defined, maximal, deterministic, max_det):
-        flags = frozenset(flag for flag, holds in (
-            (FLAG_WELL_FOUNDED, not literals), (FLAG_T_STABLE, len(literals) == len(atoms)),
-            (FLAG_M_STABLE, is_max), (FLAG_L_STABLE, is_max and len(literals) == most_defined),
-            (FLAG_DETERMINISTIC, d), (FLAG_MAX_DETERMINISTIC, md)) if holds)
-        model = Interpretation(universe,
-                               frozenset(a for a, v in zip(atoms, part) if v == _TRUE),
-                               frozenset(a for a, v in zip(atoms, part) if v == _FALSE))
-        records.append(ModelRecord(model, flags))
-    return tuple(records)
+    return tuple(frozenset(flag for flag, holds in (
+        (FLAG_WELL_FOUNDED, not literals), (FLAG_T_STABLE, len(literals) == size),
+        (FLAG_M_STABLE, is_max), (FLAG_L_STABLE, is_max and len(literals) == most_defined),
+        (FLAG_DETERMINISTIC, d), (FLAG_MAX_DETERMINISTIC, md)) if holds)
+        for literals, is_max, d, md in zip(defined, maximal, deterministic, max_det))
 
 
 def max_deterministic(program: GroundProgram,

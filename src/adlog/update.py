@@ -251,8 +251,8 @@ class _Session:
         return self._stage("wf", mode, lambda: well_founded(self.ground(mode)))
 
     def family(self, mode: str) -> ModelFamily:
-        return self._stage("family", mode,
-                           lambda: enumerate_pstable(self.ground(mode), self.cap))
+        return self._stage("family", mode, lambda: enumerate_pstable(
+            self.ground(mode), self.cap, self.up.program.cache.setdefault("solved", {})))
 
     def apply_model(self, model: Interpretation, base: Database) -> Database:
         """`model`'s updates applied to `base`; an equal model and base give the same object.

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -617,6 +619,125 @@ class TestComponentsMatchOracle:
     def test_fixture(self, name):
         for g in fixture_programs(name):
             self.check(g, name)
+
+
+def listed(rules):
+    """A kernel view as plain lists, so rules kept as tuples and as lists compare."""
+    return (rules.size, list(rules.heads), [list(body) for body in rules.pos],
+            [list(neg) for neg in rules.negs], list(rules.base))
+
+
+def test_each_component_gets_its_own_restriction():
+    # The rules `_components` splits out of the residue's one restriction are
+    # those `_restrict` builds for the component alone, rule for rule.
+    for seed in range(600):
+        g = random_ground_program(random.Random(seed))
+        vals, _ = _well_founded(g)
+        for component in _components(g, vals):
+            assert listed(component.rules) == listed(_restrict(g, component, vals)), seed
+
+
+def count_searches(monkeypatch) -> list:
+    """Replace `_search` by a wrapper that notes each call in the returned list."""
+    calls: list = []
+    search = adlog.stable._search
+    monkeypatch.setattr(adlog.stable, "_search", lambda rules: calls.append(1) or search(rules))
+    return calls
+
+
+class TestSolvedMemo:
+    """A `solved` memo shared across programs changes no family: not its components, their
+    parts' order, their flags (records compare with their flags) or its counts."""
+
+    def test_shared_across_random_fixture_and_ring_programs(self, monkeypatch):
+        programs = [(random_ground_program(random.Random(seed)), seed) for seed in range(1500)]
+        programs += [(g, name) for name in FIXTURE_NAMES for g in fixture_programs(name)]
+        programs += [(ground_of(ring_program(n)), n) for n in range(2, 7)]
+        searches = count_searches(monkeypatch)
+        solved: dict = {}
+        with_memo = 0
+        for g, tag in programs:
+            expected = enumerate_pstable(g, cap=64)
+            before = len(searches)
+            family = enumerate_pstable(g, cap=64, solved=solved)
+            with_memo += len(searches) - before
+            assert family == expected, tag
+            assert family.counts() == expected.counts(), tag
+        # Each entry came from a search, and the memo saved some of them.
+        assert 0 < len(solved) <= with_memo < len(searches) - with_memo
+
+    def test_part_order_follows_each_components_own_atoms(self, monkeypatch):
+        # One rule structure three times; `a.` sorts before `not a.`, but `not p.`
+        # before `p.`, so a/b orders its parts otherwise than p/q and r/s.
+        g = ground_of("a :- not b.\nb :- not a.\np :- not q.\nq :- not p.\n"
+                      "r :- not s.\ns :- not r.\n")
+        searches = count_searches(monkeypatch)
+        solved: dict = {}
+        family = enumerate_pstable(g, solved=solved)
+        assert [[part.model.render_key() for part in parts] for parts in family.components] == [
+            ["a. not b.", "a? b?", "not a. b."],
+            ["not p. q.", "p. not q.", "p? q?"],
+            ["not r. s.", "r. not s.", "r? s?"]]
+        assert (len(searches), len(solved)) == (2, 2)
+        assert family == enumerate_pstable(g)
+
+    def test_memo_keeps_no_more_than_its_bound(self):
+        solved: dict = {}
+        enumerate_pstable(ground_of(pairs_program(1)), solved=solved)
+        counts = enumerate_pstable(ground_of(coupled_pairs_program(8)), solved=solved).counts()
+        assert (counts["models"], counts["m_stable"], counts["max_deterministic"]) \
+            == (3 ** 8, 2 ** 8, 1)
+        # 6,561 parts of 17 atoms pass the bound, so only the pair's 3 parts of 2 stay.
+        assert sum(len(values) * len(values[0]) for values, *_ in solved.values()) == 6
+        assert adlog.stable._SOLVED_BOUND == 65_536
+
+    def test_oldest_entries_leave_first(self, monkeypatch):
+        monkeypatch.setattr(adlog.stable, "_SOLVED_BOUND", 12)
+        solved: dict = {}
+        for text in ("a :- not b.\nb :- not a.\n", "p :- not q.\nq :- not p.\n",
+                     "a :- not a.\n", coupled_pairs_program(2), "p :- not p.\n"):
+            enumerate_pstable(ground_of(text), solved=solved)
+        # 6 + 6 values, then 1 more pushes out the first pair; coupled m = 2, 9
+        # parts of 5 atoms, passes the bound and is never kept; the last 1 fits.
+        kept = [(len(values), len(values[0]), span) for values, _, span in solved.values()]
+        assert kept == [(3, 2, range(6, 12)), (1, 1, range(12, 13)), (1, 1, range(13, 14))]
+
+    def test_threads_sharing_one_memo(self, monkeypatch):
+        # A small bound makes every thread push entries out while others keep and read.
+        monkeypatch.setattr(adlog.stable, "_SOLVED_BOUND", 40)
+        programs = [random_ground_program(random.Random(seed)) for seed in range(200)]
+        expected = [enumerate_pstable(g, cap=64) for g in programs]
+        solved: dict = {}
+        failures: list = []
+        start = threading.Barrier(4)
+
+        def work(t: int) -> None:
+            start.wait()
+            order = list(range(len(programs))) * 20
+            random.Random(t).shuffle(order)
+            for i in order:
+                try:
+                    if enumerate_pstable(programs[i], cap=64, solved=solved) != expected[i]:
+                        failures.append(i)
+                except Exception as exc:          # such as a dict changed while iterated
+                    failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        # Each entry's span starts where the one before it ends, and all fit the bound.
+        spans = [span for _, _, span in solved.values()]
+        assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+        assert spans and spans[-1].stop - spans[0].start <= 40
 
 
 class TestClassify:

@@ -431,3 +431,25 @@ class TestGenericity:
                 direct = run(renamed_up, renamed, semantics).output_db
                 routed = rename_constants(run(up, db, semantics).output_db, rho)
                 assert direct == routed
+
+
+class TestSolvedComponents:
+    """Transactions on one program share the components it has searched."""
+
+    CHOICE = ("pick(X) :- cand(X), not skip(X).\nskip(X) :- cand(X), not pick(X).\n"
+              "+chosen(X) :- pick(X), +req(X).\n")
+
+    def test_other_constants_search_no_component_again(self, monkeypatch):
+        program = parse_program("% components kept across databases\n" + self.CHOICE)
+        calls = []
+        search = adlog.stable._search
+        monkeypatch.setattr(adlog.stable, "_search",
+                            lambda rules: calls.append(1) or search(rules))
+        compare(UpdateProgram(parse_delta("+req(c1)."), program), parse_database("cand(c1)."))
+        assert calls and program.cache["solved"]
+        calls.clear()
+        up, db = UpdateProgram(parse_delta("+req(c7)."), program), parse_database("cand(c7).")
+        second = compare(up, db)
+        assert calls == []
+        assert second == compare(UpdateProgram(up.delta, Program(program.rules)), db)
+        assert calls
