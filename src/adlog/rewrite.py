@@ -27,12 +27,12 @@ of each defines its kind; every other predicate is the user's:
 from __future__ import annotations
 
 import itertools
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable
 
-from .model import (Atom, BuiltinLiteral, Database, Literal,
+from .model import (RESERVED_PREFIX, Atom, BuiltinLiteral, Database, Literal,
                     Polarity, Program, Rule, StdLiteral, UpdateAtom,
                     UpdateProgram, UpdLiteral, ValidationError, Variable)
 
@@ -92,6 +92,7 @@ class GroundProgram:
         self.cache: dict = {}
         # Atoms the input rules already hold, by key, for `atoms` to reuse.
         self._known: dict[tuple, Atom] = {}
+        self.prefix: GroundProgram | None = None    # the kept table this one extends (`_extended`)
         shared: dict[tuple, tuple] = {}
         for rule in rules:
             for lit in rule.body:
@@ -115,16 +116,27 @@ class GroundProgram:
             self.negs.append([~a for a in numbers[1:] if a < 0])
         return numbers[0]
 
+    def _extended(self) -> GroundProgram:
+        """A copy of this table, kept as its `prefix`: no rule it gains may head a prefix atom."""
+        out = GroundProgram()
+        out._index, out._rules = dict(self._index), dict(self._rules)
+        out.heads, out.pos, out.negs = self.heads[:], self.pos[:], self.negs[:]
+        out.prefix = self
+        return out
+
     @cached_property
     def defs(self) -> list[list[int]]:
-        defs: list[list[int]] = [[] for _ in self._index]
-        for r, head in enumerate(self.heads):
-            defs[head].append(r)
+        prefix = self.prefix.defs if self.prefix else []    # shared: no new rule heads their atoms
+        defs: list[list[int]] = prefix + [[] for _ in range(len(self._index) - len(prefix))]
+        for r in range(len(self.prefix.heads) if self.prefix else 0, len(self.heads)):
+            defs[self.heads[r]].append(r)
         return defs
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
-        return tuple([self._known.get(key) or Atom(*key) for key in self._index])
+        prefix = self.prefix.atoms if self.prefix else ()
+        return prefix + tuple([self._known.get(key) or Atom(*key)
+                               for key in itertools.islice(self._index, len(prefix), None)])
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
@@ -137,7 +149,8 @@ class GroundProgram:
     @cached_property
     def universe(self) -> frozenset[Atom]:
         """The slice of the Herbrand base the rules mention."""
-        return frozenset(self.atoms)
+        return self.prefix.universe.union(self.atoms[len(self.prefix.atoms):]) if self.prefix \
+            else frozenset(self.atoms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroundProgram):
@@ -405,22 +418,26 @@ class _Derivable:
     """Atoms derived so far, by predicate, with lookups on fixed argument positions.
 
     Every container keeps insertion order, so the join order, and with it the
-    order of the ground rules, does not depend on string hashing.
+    order of the ground rules, does not depend on string hashing.  Only the
+    atoms of predicates that a join step reads (`lookups`) are kept.
     """
 
     def __init__(self, lookups: Iterable[tuple[str, tuple[int, ...]]]):
         self.facts: dict[str, dict[tuple, None]] = {}
         self.lookups: dict[str, dict[tuple[int, ...], dict[tuple, list[tuple]]]] = {}
         for predicate, positions in lookups:
-            self.lookups.setdefault(predicate, {}).setdefault(positions, {})
+            self.facts.setdefault(predicate, {})
+            if positions:
+                self.lookups.setdefault(predicate, {}).setdefault(positions, {})
 
     def add(self, predicate: str, args: tuple) -> None:
-        self.facts.setdefault(predicate, {})[args] = None
-        for positions, table in self.lookups.get(predicate, {}).items():
-            table.setdefault(tuple(args[i] for i in positions), []).append(args)
+        if predicate in self.facts:
+            self.facts[predicate][args] = None
+            for positions, table in self.lookups.get(predicate, {}).items():
+                table.setdefault(tuple(args[i] for i in positions), []).append(args)
 
     def candidates(self, step: _Step, key: tuple) -> Iterable[tuple]:
-        facts = self.facts.get(step.predicate, {})
+        facts = self.facts[step.predicate]
         if not step.unbound:
             return (key,) if key in facts else ()
         if not step.positions:
@@ -454,21 +471,65 @@ def _join(steps: tuple[_Step, ...], binding: list, derivable: _Derivable, pivot:
 
 
 # Rules prepared for grounding (`_prepare`): a run that reads no rule before or
-# after it and is never changed.  `seeds` come out before any join, in rule
-# order: plans, and variable-free rules without positive body.  `triggers`
-# maps a predicate to the triggers whose pivot has it and variables, and a
-# ground atom's key to the triggers whose pivot it is and to each variable-free
-# rule (`_Waiting`, as `GroundProgram._add` takes it) that has it among the
-# `count` distinct positive body atoms that must leave the worklist first.
-# `lookups` are the (predicate, positions) the joins look up, and `atoms` the
-# variable-free rules' atoms by key.
-_Prepared = namedtuple("_Prepared", "rules constants seeds triggers lookups atoms")
+# after it and is never changed.  `heads` are the predicates its `rules` define,
+# and `static` its phase 1 of `ground` (`_Static`, or None); the rest plans its
+# other rules.  `seeds` come out before any join, in rule order: plans, and
+# variable-free rules without positive body.  `triggers` maps a predicate to
+# the triggers whose pivot has it and variables, and a ground atom's key to
+# the triggers whose pivot it is and to each variable-free rule (`_Waiting`, as
+# `GroundProgram._add` takes it) that has it among the `count` distinct
+# positive body atoms that must leave the worklist first.  `lookups` are the
+# (predicate, positions) the joins read, and `atoms` the variable-free rules'.
+_Prepared = namedtuple("_Prepared", "rules constants heads static seeds triggers lookups atoms")
 _Waiting = namedtuple("_Waiting", "head body origin count")
+
+# A run's phase 1 of `ground`: static `predicates`, their ground `table`, `derived` keys in order.
+_Static = namedtuple("_Static", "predicates table derived")
+
+
+def _static(rules: Iterable[Rule]) -> frozenset[str]:
+    """The static predicates of `rules` (see `ground`)."""
+    reads: dict[str, set[str]] = {}     # per predicate, the body predicates of its rules
+    other, loose = set(), set()         # a rule of these reads another atom; has a loose variable
+    for rule in rules:
+        if not rule.body:
+            continue    # a fact's variables are checked below, if it can be static
+        head = rule.head_atom()
+        if head.predicate.startswith(RESERVED_PREFIX):
+            continue
+        atoms = [lit.atom for lit in rule.body if isinstance(lit, StdLiteral)]
+        reads.setdefault(head.predicate, set()).update(atom.predicate for atom in atoms)
+        if any(atom != head for atom in atoms):
+            other.add(head.predicate)
+        if not rule.variables() <= {t for lit in rule.body if isinstance(lit, StdLiteral)
+                                    and lit.positive for t in lit.atom.args}:
+            loose.add(head.predicate)
+    if other:
+        loose.update(rule.head_atom().predicate for rule in rules
+                     if not rule.body and not rule.head_atom().is_ground())
+    static = other - loose      # then the greatest subset whose rules read only its predicates
+    while (kept := {predicate for predicate in static if reads[predicate] <= static}) != static:
+        static = kept
+    return frozenset(static)
 
 
 def _prepare(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
+    """Ground the static rules (phase 1 of `ground`) and plan the others (`_plan`)."""
+    static = _static(rules)
+    if not static:
+        return _plan(rules)
+    first = _plan([rule for rule in rules if rule.head_atom().predicate in static])
+    rest = _plan([rule for rule in rules if rule.head_atom().predicate not in static])
+    table = GroundProgram()
+    derived = tuple(_instantiate(table, (first,), ()))
+    return rest._replace(rules=tuple(rules), constants=first.constants | rest.constants,
+                         heads=first.heads | rest.heads, static=_Static(static, table, derived))
+
+
+def _plan(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
     """Plan each rule once (`_compile`); a variable-free rule only has its builtins evaluated."""
     constants: set[str] = set()
+    heads: set[str] = set()
     seeds: list[_Plan | _Waiting] = []
     triggers: dict[str | tuple, list[_Trigger | _Waiting]] = {}
     lookups: list[tuple[str, tuple[int, ...]]] = []
@@ -482,6 +543,7 @@ def _prepare(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
                 for lit in body]))
         except AttributeError:      # only an update atom has none of these
             raise ValidationError(f"rule {rule} still contains update atoms") from None
+        heads.add(head.predicate)
         variables = [t for t in terms if isinstance(t, Variable)]
         # A fast path that pays: planning a variable-free rule as a join costs chain 35 % of txn/s.
         if not variables:
@@ -507,9 +569,9 @@ def _prepare(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
             key = pivot.predicate if pivot.unbound else \
                 (pivot.predicate, tuple([plan.row[k] for k in pivot.key]))
             triggers.setdefault(key, []).append(trigger)
-            lookups += [(step.predicate, step.positions) for step in trigger.others
-                        if step.positions and step.unbound]
-    return _Prepared(tuple(rules), frozenset(constants), tuple(seeds),
+            lookups += [(step.predicate, step.positions if step.unbound else ())
+                        for step in trigger.others]
+    return _Prepared(tuple(rules), frozenset(constants), frozenset(heads), None, tuple(seeds),
                      {key: tuple(entries) for key, entries in triggers.items()},
                      tuple(lookups), atoms)
 
@@ -524,17 +586,38 @@ def ground(program: Program) -> GroundProgram:
     underivable positive body atom cannot change any stable model on the
     atoms that remain derivable.
 
-    Grounding prepares, then instantiates.  `_prepare` plans each rule alone,
-    so a rewriting passes its rules on planned, in `program.cache["runs"]`,
-    the program's own kept with it (`_kept`).  A worklist holds atoms derived
-    but not yet joined, each joined into every positive body literal it
-    matches (semi-naive: a literal left of the pivot with the pivot's
-    predicate skips the new atom).  A variable-free rule comes out when the
-    last of its distinct positive body atoms leaves the worklist.  Instances
-    come out in derivation order, and those one atom completes in rule order.
+    Grounding prepares, then instantiates, in two phases.  A predicate is
+    static when it is not reserved, a rule of it reads an atom other than its
+    head, no rule of it has a variable outside its positive body, and its
+    rules read only static predicates (the greatest such set).  Their ground
+    rules read no transaction: the bottom of a splitting set (Lifschitz &
+    Turner 1994).  Phase 1 grounds them, and phase 2 the other rules with
+    phase 1's atoms derived, so those are numbered 0 .. k-1 and no rule of
+    phase 2 heads one (see stable._well_founded).  `_prepare` plans each rule
+    once and runs phase 1, so a rewriting passes its rules on prepared, in
+    `program.cache["runs"]`, the program's own kept with it (`_kept`).  The
+    first run's phase 1 is copied, unless a later run defines a static
+    predicate (a database fact): then the runs are prepared again as one.
+    Each phase orders its rules as one run of them does.  A worklist holds
+    atoms derived but not yet joined, phase 1's first, each joined into
+    every positive body literal it matches (semi-naive: a literal left of the
+    pivot with the pivot's predicate skips the new atom).  A variable-free
+    rule comes out when the last of its distinct positive body atoms leaves
+    the worklist.  Instances come out in derivation order, and those one
+    atom completes in rule order.
     """
     runs = program.cache.get("runs") or (_prepare(program.rules),)
-    out = GroundProgram()
+    first = runs[0].static
+    if any(run.static or first and not first.predicates.isdisjoint(run.heads) for run in runs[1:]):
+        runs = (_prepare([rule for run in runs for rule in run.rules]),)
+    static = runs[0].static
+    out = static.table._extended() if static else GroundProgram()
+    _instantiate(out, runs, static.derived if static else ())
+    return out
+
+
+def _instantiate(out: GroundProgram, runs: Iterable[_Prepared], given: Iterable[tuple]):
+    """Add the runs' instances to `out`, the atoms `given` derived first; returns the worklist."""
     for run in runs:
         out._known.update(run.atoms)
     constants = sorted(frozenset().union(*[run.constants for run in runs]))
@@ -545,7 +628,7 @@ def ground(program: Program) -> GroundProgram:
     # Per waiting rule, by id (the rules outlive the call), the atoms it still waits for.
     missing: dict[int, int] = {}
     derived: set[int] = set()
-    queue: deque[tuple] = deque()
+    queue = list(given)
 
     def add(head: tuple, body: Iterable, origin: str | None) -> None:
         h = out._add(head, body, origin)
@@ -572,8 +655,7 @@ def ground(program: Program) -> GroundProgram:
             else:
                 add(seed.head, seed.body, seed.origin)
     derivable = _Derivable(lookup for run in runs for lookup in run.lookups)
-    while queue:
-        key = queue.popleft()
+    for key in queue:       # the list grows as the loop runs
         predicate, args = key
         derivable.add(predicate, args)
         for trigger in triggers.get(predicate, ()) + triggers.get(key, ()):
@@ -590,4 +672,4 @@ def ground(program: Program) -> GroundProgram:
                 continue
             for binding in _join(trigger.others, start, derivable, args):
                 emit(trigger.plan, binding, trigger.free)
-    return out
+    return queue

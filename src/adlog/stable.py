@@ -22,7 +22,8 @@ only, by truth-order bounds that Psi narrows, and the family is the product of
 the fixpoints of Psi found per component.  Both read one atom table, which the
 grounder fills as it instantiates the rules: each atom numbered once, each rule
 kept by those numbers (its atom dependency graph).  The program's cache keeps
-the well-founded values and model computed from it.
+the well-founded values and model computed from it; a program that extends a
+kept prefix of static atoms (see rewrite.ground) starts from the prefix's.
 
 The family is kept factorised: `ModelFamily` holds the well-founded model
 and each component's parts, each flagged within its component from per-atom
@@ -63,6 +64,7 @@ ALL_FLAGS = (FLAG_WELL_FOUNDED, FLAG_T_STABLE, FLAG_M_STABLE, FLAG_L_STABLE,
 _TRUE = int(TruthValue.TRUE)
 _UNDEF = int(TruthValue.UNDEFINED)
 _FALSE = int(TruthValue.FALSE)
+_NOTHING = Interpretation(frozenset())
 
 
 class _Rules:
@@ -176,7 +178,8 @@ def _sccs(program: GroundProgram) -> Iterator[list[int]]:
     Tarjan's algorithm (1972), with an explicit stack so that a long chain
     of rules does not exhaust Python's recursion limit.  A component is
     yielded only after every component it reaches, and the search starts
-    from the atoms in table order, so the order is deterministic.
+    from the atoms in table order, so the order is deterministic.  The
+    `prefix`'s atoms come first and reach no other atom: the search skips them.
     """
     defs, pos, negs = program.defs, program.pos, program.negs
 
@@ -184,12 +187,13 @@ def _sccs(program: GroundProgram) -> Iterator[list[int]]:
         return iter([b for r in defs[a] for b in (*pos[r], *negs[r])])
 
     size = len(program.atoms)
-    order = [0] * size              # visit number, from 1; 0 while unvisited
-    low = [0] * size
+    settled = len(program.prefix.atoms) if program.prefix else 0
     done = size + 1                 # the order of an atom already yielded: above any low
+    order = [done] * settled + [0] * (size - settled)   # visit number, from 1; 0 while unvisited
+    low = [0] * size
     stack: list[int] = []
     visited = 0
-    for root in range(size):
+    for root in range(settled, size):
         if order[root]:
             continue
         visited += 1
@@ -237,6 +241,9 @@ def _well_founded(program: GroundProgram) -> tuple[list[int], Interpretation]:
     The values are indexed by the program's one atom table, filled as it was
     grounded (or by `GroundProgram(rules)`, which rejects rules that are not
     ground); the model reuses the program's `universe`, built on first read.
+    A table that extends a kept `prefix` (rewrite.ground's phase 1) copies
+    the prefix's values and literal sets, as its atoms read no other atom,
+    and computes only its own atoms' values.
     `well_founded` and `enumerate_pstable` on one program share the model,
     and the enumeration reads the residue off the same values.
     `enumerate_pstable` calls this function rather than `well_founded`, so
@@ -247,7 +254,8 @@ def _well_founded(program: GroundProgram) -> tuple[list[int], Interpretation]:
     cached = program.cache.get("well-founded")
     if cached is None:
         defs, pos, negs = program.defs, program.pos, program.negs
-        vals = [_UNDEF] * len(program.atoms)
+        kept, known = _well_founded(program.prefix) if program.prefix else ([], _NOTHING)
+        vals = kept + [_UNDEF] * (len(program.atoms) - len(kept))
         for component in _sccs(program):
             # A fast path that pays: settling these atoms through Psi costs chain 47 % of txn/s.
             if len(component) == 1:
@@ -278,10 +286,11 @@ def _well_founded(program: GroundProgram) -> tuple[list[int], Interpretation]:
                 sub, new_sub = new_sub, _psi(rules, new_sub)
             for a, v in zip(component, new_sub):
                 vals[a] = v
-        atoms = program.atoms
-        model = Interpretation(program.universe,
-                               frozenset(a for a, v in zip(atoms, vals) if v == _TRUE),
-                               frozenset(a for a, v in zip(atoms, vals) if v == _FALSE))
+        atoms, values = program.atoms[len(kept):], vals[len(kept):]
+        model = Interpretation(
+            program.universe,
+            known.true_atoms.union([a for a, v in zip(atoms, values) if v == _TRUE]),
+            known.false_atoms.union([a for a, v in zip(atoms, values) if v == _FALSE]))
         cached = program.cache["well-founded"] = (vals, model)
     return cached
 
@@ -585,16 +594,25 @@ def enumerate_pstable(program: GroundProgram, cap: int = DEFAULT_ENUMERATION_CAP
         raise ResourceLimitError(
             f"{wf.undefined_count} atoms undefined in the well-founded model "
             f"exceeds the enumeration cap of {cap}", cap)
-    return ModelFamily(wf, tuple(_parts(program, component, vals, solved)
+    return ModelFamily(wf, tuple(_parts(program, component, solved)
                                  for component in _components(program, vals)))
 
 
-def _parts(program: GroundProgram, component: _Component, _vals: list[int],
+def _ranks(text: str) -> tuple[int, int, int]:
+    """Each value's rank among the `render_token`s of an atom rendered as `text`, in sorted order.
+
+    `A.` sorts before `A?`, and `not A.` before both or after both: a string
+    between them starts with A, then a character from '.' to '?', and the
+    characters of `not A.` are those of `not ` as far as it agrees with A.
+    """
+    return (0, 2, 1) if "not " + text + "." < text + "." else (2, 1, 0)
+
+
+def _parts(program: GroundProgram, component: _Component,
            solved: dict | None = None) -> tuple[ModelRecord, ...]:
-    """The flagged parts of a residue component, in `render_key` order; `_vals` is in its rules."""
+    """The flagged parts of a residue component, in `render_key` order."""
     atoms = [program.atoms[s] for s in component]
-    tokens = [[render_token(str(atom), value) for value in TruthValue] for atom in atoms]
-    ranks = tuple(tuple(sorted(own).index(token) for token in own) for own in tokens)
+    ranks = tuple([_ranks(str(atom)) for atom in atoms])
     rules = component.rules
     key = (ranks, rules.heads, rules.pos, rules.negs, rules.base)
     kept = solved.get(key) if solved is not None else None

@@ -172,7 +172,7 @@ class TestPartsMatchExhaustiveOracle:
         components = _components(g, vals)
         for component in components:
             expected = oracle_classify_parts(oracle_parts(g, component, vals))
-            assert _parts(g, component, vals) == expected, tag
+            assert _parts(g, component) == expected, tag
         return len(components)
 
     def test_random_ground_programs(self):

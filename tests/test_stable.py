@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 import sys
 import threading
@@ -13,8 +14,9 @@ from adlog.selftest import (InstanceGenerator, brute_force_family,
                             eval_literal, gl_reduct, least_3v_model,
                             random_ground_program)
 import adlog.stable
+from adlog.model import render_token
 from adlog.stable import (FLAG_L_STABLE, FLAG_M_STABLE, FLAG_T_STABLE,
-                          _components, _psi, _restrict, _Rules, _stable,
+                          _components, _psi, _ranks, _restrict, _Rules, _stable,
                           _well_founded)
 
 from conftest import FIXTURES, load_update_program
@@ -738,6 +740,36 @@ class TestSolvedMemo:
         spans = [span for _, _, span in solved.values()]
         assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
         assert spans and spans[-1].stop - spans[0].start <= 40
+
+
+class TestRanks:
+    """`_ranks` is each value's rank among the atom's sorted `render_token`s."""
+
+    @staticmethod
+    def sorted_ranks(text: str) -> tuple[int, ...]:
+        tokens = [render_token(text, value) for value in TruthValue]
+        return tuple(sorted(tokens).index(token) for token in tokens)
+
+    def test_fixture_and_quoted_atoms(self):
+        atoms = {atom for name in FIXTURE_NAMES for g in fixture_programs(name)
+                 for atom in g.atoms}
+        quoted = parse_program((pathlib.Path(__file__).resolve().parent / "golden" /
+                                "quoted_constants.adl").read_text())
+        atoms |= {lit.atom for rule in quoted.rules for lit in rule.body
+                  if hasattr(lit, "atom")} | {rule.head_atom() for rule in quoted.rules}
+        ranks = {str(atom): _ranks(str(atom)) for atom in atoms}
+        assert ranks == {text: self.sorted_ranks(text) for text in ranks}
+        assert set(ranks.values()) == {(0, 2, 1), (2, 1, 0)}
+
+    def test_names_that_start_with_not(self):
+        names = ["n", "no", "not", "not_", "nota", "notnot", "nos", "nou", "noz", "nt", "o"]
+        texts = [str(Atom(name, args)) for name in names
+                 for args in ((), ("not",), ("x y",), ("not x",), ("a.b",), ("?",))]
+        # And every string of up to five characters around the tokens' boundaries.
+        alphabet = "not .?/>A"
+        texts += ["".join(chars) for k in range(6) for chars in itertools.product(alphabet,
+                                                                                  repeat=k)]
+        assert all(_ranks(text) == self.sorted_ranks(text) for text in texts)
 
 
 class TestClassify:
