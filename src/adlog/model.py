@@ -477,7 +477,7 @@ class Interpretation:
 
     @property
     def is_total(self) -> bool:
-        return len(self.true_atoms) + len(self.false_atoms) == len(self.universe)
+        return not self.undefined_count
 
     def undefined_atoms(self) -> frozenset[Atom]:
         return self.universe - self.true_atoms - self.false_atoms

@@ -66,6 +66,18 @@ def base_atom_of_renamed(atom: Atom) -> tuple[Polarity, Atom] | None:
     return None
 
 
+def renamed_updates(atoms: Iterable[Atom]) -> list[tuple[Atom, Polarity, Atom]]:
+    """Each renamed update atom among `atoms`, with its polarity and base atom."""
+    return [(atom, *parsed) for atom in atoms if (parsed := base_atom_of_renamed(atom))]
+
+
+def _joined(name: str) -> cached_property:
+    """The prefix's `name` and then the table's own (`_name`), built on first read."""
+    own = "_" + name
+    return cached_property(lambda self: getattr(self.prefix, name) + getattr(self, own)
+                           if self.prefix else getattr(self, own))
+
+
 class GroundProgram:
     """Variable-free, builtin-free rules with their atoms numbered once: the solver's atom table.
 
@@ -75,9 +87,11 @@ class GroundProgram:
     rule equal to an earlier one is dropped.  Rule r has head `heads[r]`,
     positive body atoms `pos[r]` and negated body atoms `negs[r]`, and
     `defs[a]` lists the rules with head a: the atom dependency graph the
-    solver reads (see stable._well_founded).  `atoms` (atom i is `atoms[i]`)
-    and `rules` are built on first read.  A variable, an update atom or a
-    builtin is a `ValidationError`.  The lists are read, never changed.
+    solver reads (see stable._well_founded), over its own atoms (`_atoms`)
+    and rules (`_pos`, `_negs`, `_local`), after a kept `prefix`'s if it has
+    one; `atoms` (atom i is `atoms[i]`), the public lists and `rules` are
+    built on first read.  A variable, an update atom or a builtin is a
+    `ValidationError`.  The lists are read, never changed.
     """
 
     def __init__(self, rules: Iterable[Rule] = ()):
@@ -85,9 +99,9 @@ class GroundProgram:
         # Each rule as numbers, its head then each body atom a, as ~a if
         # negated, with its origin.  Equal rules give equal numbers.
         self._rules: dict[tuple[int, ...], str | None] = {}
-        self.heads: list[int] = []
-        self.pos: list[list[int]] = []
-        self.negs: list[list[int]] = []
+        self._heads: list[int] = []
+        self._pos: list[list[int]] = []
+        self._negs: list[list[int]] = []
         # What the solver derives from the rules, kept with them (see stable._well_founded).
         self.cache: dict = {}
         # Atoms the input rules already hold, by key, for `atoms` to reuse.
@@ -111,46 +125,59 @@ class GroundProgram:
             for key, positive in body])
         if numbers not in self._rules:
             self._rules[numbers] = origin
-            self.heads.append(numbers[0])
-            self.pos.append([a for a in numbers[1:] if a >= 0])
-            self.negs.append([~a for a in numbers[1:] if a < 0])
+            self._heads.append(numbers[0])
+            self._pos.append([a for a in numbers[1:] if a >= 0])
+            self._negs.append([~a for a in numbers[1:] if a < 0])
         return numbers[0]
 
     def _extended(self) -> GroundProgram:
-        """A copy of this table, kept as its `prefix`: no rule it gains may head a prefix atom."""
+        """A table that extends this one, its `prefix`: no rule it gains may head a prefix
+        atom, so none equals a prefix rule; it reads the prefix's numbers through."""
         out = GroundProgram()
-        out._index, out._rules = dict(self._index), dict(self._rules)
-        out.heads, out.pos, out.negs = self.heads[:], self.pos[:], self.negs[:]
-        out.prefix = self
+        out._index, out.prefix = _Numbers(self._index), self
         return out
+
+    heads, pos, negs, atoms = _joined("heads"), _joined("pos"), _joined("negs"), _joined("atoms")
+
+    @cached_property
+    def _local(self) -> list[list[int]]:
+        """Own atom a's own rules at a - k, k the prefix's atoms; r is r + len(prefix.heads)."""
+        local: list[list[int]] = [[] for _ in self._index]
+        settled = len(self.prefix._index) if self.prefix else 0
+        for r, head in enumerate(self._heads):
+            local[head - settled].append(r)
+        return local
 
     @cached_property
     def defs(self) -> list[list[int]]:
-        prefix = self.prefix.defs if self.prefix else []    # shared: no new rule heads their atoms
-        defs: list[list[int]] = prefix + [[] for _ in range(len(self._index) - len(prefix))]
-        for r in range(len(self.prefix.heads) if self.prefix else 0, len(self.heads)):
-            defs[self.heads[r]].append(r)
-        return defs
+        if not self.prefix:
+            return self._local
+        shift = len(self.prefix.heads)
+        return self.prefix.defs + [[r + shift for r in rules] for rules in self._local]
 
     @cached_property
-    def atoms(self) -> tuple[Atom, ...]:
-        prefix = self.prefix.atoms if self.prefix else ()
-        return prefix + tuple([self._known.get(key) or Atom(*key)
-                               for key in itertools.islice(self._index, len(prefix), None)])
+    def _atoms(self) -> tuple[Atom, ...]:
+        return tuple([self._known.get(key) or Atom(*key) for key in self._index])
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
         atoms = self.atoms
-        return tuple(Rule(atoms[numbers[0]],
-                          tuple(StdLiteral(atoms[a]) if a >= 0 else StdLiteral(atoms[~a], False)
-                                for a in numbers[1:]), origin)
-                     for numbers, origin in self._rules.items())
+        return (self.prefix.rules if self.prefix else ()) + tuple(
+            Rule(atoms[numbers[0]], tuple(StdLiteral(atoms[a]) if a >= 0
+                                          else StdLiteral(atoms[~a], False)
+                                          for a in numbers[1:]), origin)
+            for numbers, origin in self._rules.items())
 
     @cached_property
     def universe(self) -> frozenset[Atom]:
         """The slice of the Herbrand base the rules mention."""
-        return self.prefix.universe.union(self.atoms[len(self.prefix.atoms):]) if self.prefix \
-            else frozenset(self.atoms)
+        return self.prefix.universe.union(self._atoms) if self.prefix else frozenset(self._atoms)
+
+    @cached_property
+    def updates(self) -> tuple[tuple[Atom, Polarity, Atom], ...]:
+        """Each own renamed update atom with its polarity and base atom: a prefix atom is
+        static, and a reserved predicate never is (see `ground`)."""
+        return tuple(renamed_updates(self._atoms))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroundProgram):
@@ -159,6 +186,18 @@ class GroundProgram:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.rules))
+
+
+class _Numbers(dict):
+    """An extended table's own atom numbers, after the prefix's (`kept`), read first."""
+
+    def __init__(self, kept: dict[tuple, int]):
+        super().__init__()
+        self.kept = kept
+
+    def setdefault(self, key: tuple, default: object = None) -> int:
+        number = self.kept.get(key)
+        return dict.setdefault(self, key, len(self.kept) + len(self)) if number is None else number
 
 
 def _keys(rule: Rule, atoms: dict[tuple, Atom],
@@ -188,7 +227,7 @@ def embed_database(program: Program, database: Database) -> Program:
     for atom in sorted(database.unknown_facts, key=str):
         extra.append(Rule(atom, (StdLiteral(atom, positive=False),)))
     runs = program.cache.get("runs") or (_prepare(program.rules),)
-    return _with_runs(runs + (_prepare(extra),))
+    return _Rewritten(runs + (_prepare(extra),))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +258,7 @@ def rewrite_st(up: UpdateProgram) -> Program:
     rules, bridges = _kept(up.program, "rewrite st", _st_program)
     markers = [Rule(Atom(delta_marker_predicate(u.polarity, u.atom.predicate), u.atom.args))
                for u in sorted(up.delta.updates, key=str)]
-    return _with_runs((rules, _prepare(markers), bridges))
+    return _Rewritten((rules, _prepare(markers), bridges))
 
 
 def _st_program(program: Program) -> tuple[_Prepared, _Prepared]:
@@ -286,12 +325,20 @@ def rewrite_bm(up: UpdateProgram) -> Program:
         delta.append(Rule(head, (StdLiteral(guard_atom, positive=False),)))
         if uatom.polarity is Polarity.INSERT:
             insertable[uatom.atom.predicate] = uatom.atom.arity
+    # The insertion rules are kept per insertable set, a run of their own: none is a seed.
+    key = tuple(sorted(insertable.items()))
+    return _Rewritten((rules, _prepare(delta),
+                       _kept(up.program, ("rewrite bm", key), lambda _: _insertions(key))))
 
-    for predicate in sorted(insertable):
-        args = _generic_args(insertable[predicate])
+
+def _insertions(insertable: tuple[tuple[str, int], ...]) -> _Prepared:
+    """`p(X1, ..) :- @plus_p(X1, ..)` for each insertable predicate p, prepared."""
+    rules = []
+    for predicate, arity in insertable:
+        args = _generic_args(arity)
         plus = Atom(renamed_update_predicate(Polarity.INSERT, predicate), args)
-        delta.append(Rule(Atom(predicate, args), (StdLiteral(plus),)))
-    return _with_runs((rules, _prepare(delta)))
+        rules.append(Rule(Atom(predicate, args), (StdLiteral(plus),)))
+    return _prepare(rules)
 
 
 def _bm_program(program: Program) -> tuple[_Prepared, tuple[tuple[str, int], ...]]:
@@ -332,11 +379,15 @@ def _kept(program: Program, key: str, compute):
     return kept
 
 
-def _with_runs(runs: tuple[_Prepared, ...]) -> Program:
-    """The program of the rules of `runs`, in order; `ground` reads them prepared."""
-    program = Program(tuple([rule for run in runs for rule in run.rules]))
-    program.cache["runs"] = runs
-    return program
+class _Rewritten(Program):
+    """The rules of prepared runs, in order, built on first read: `ground` reads the runs."""
+
+    def __init__(self, runs: tuple[_Prepared, ...]):
+        object.__setattr__(self, "cache", {"runs": runs})
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        return tuple([rule for run in self.cache["runs"] for rule in run.rules])
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +524,23 @@ def _join(steps: tuple[_Step, ...], binding: list, derivable: _Derivable, pivot:
 # Rules prepared for grounding (`_prepare`): a run that reads no rule before or
 # after it and is never changed.  `heads` are the predicates its `rules` define,
 # and `static` its phase 1 of `ground` (`_Static`, or None); the rest plans its
-# other rules.  `seeds` come out before any join, in rule order: plans, and
-# variable-free rules without positive body.  `triggers` maps a predicate to
-# the triggers whose pivot has it and variables, and a ground atom's key to
-# the triggers whose pivot it is and to each variable-free rule (`_Waiting`, as
-# `GroundProgram._add` takes it) that has it among the `count` distinct
-# positive body atoms that must leave the worklist first.  `lookups` are the
-# (predicate, positions) the joins read, and `atoms` the variable-free rules'.
+# other rules.  `seeds` come out before any join, in rule order: plans, each
+# with its row and free slots, and variable-free rules without positive body
+# (`_Waiting`, as `GroundProgram._add` takes it).  `triggers` maps a predicate
+# to the triggers whose pivot has it and variables, and a ground atom's key to
+# the triggers whose pivot it is and to each variable-free rule that has it
+# among the `count` distinct positive body atoms that must leave the worklist
+# first.  `lookups` are the (predicate, positions) the joins read, and `atoms`
+# the variable-free rules'.
 _Prepared = namedtuple("_Prepared", "rules constants heads static seeds triggers lookups atoms")
 _Waiting = namedtuple("_Waiting", "head body origin count")
 
-# A run's phase 1 of `ground`: static `predicates`, their ground `table`, `derived` keys in order.
-_Static = namedtuple("_Static", "predicates table derived")
+# A run's phase 1 of `ground`: its static `predicates`, their ground `table`,
+# and what the run's triggers did once as its atoms left the worklist: `replay`
+# lists what they alone complete, in order, as `seeds` do, and `facts` and
+# `lookups` are their `_Derivable` index, shared and never changed.  `triggers`
+# keep no static key, and a `_Waiting` rule's `count` is what it still waits for.
+_Static = namedtuple("_Static", "predicates table replay facts lookups")
 
 
 def _static(rules: Iterable[Rule]) -> frozenset[str]:
@@ -514,23 +570,35 @@ def _static(rules: Iterable[Rule]) -> frozenset[str]:
 
 
 def _prepare(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
-    """Ground the static rules (phase 1 of `ground`) and plan the others (`_plan`)."""
+    """Ground the static rules (phase 1 of `ground`), plan the others (`_plan`) and fire
+    their triggers on the static atoms (`_Static`)."""
     static = _static(rules)
     if not static:
         return _plan(rules)
     first = _plan([rule for rule in rules if rule.head_atom().predicate in static])
-    rest = _plan([rule for rule in rules if rule.head_atom().predicate not in static])
-    table = GroundProgram()
-    derived = tuple(_instantiate(table, (first,), ()))
+    # A call's own atoms are few: built anew, not merged from the run (`GroundProgram.atoms`).
+    rest = _plan([rule for rule in rules if rule.head_atom().predicate not in static]
+                 )._replace(atoms={})
+    table, replay = GroundProgram(), []
+    derived = _instantiate(table, (first,))[0]
+    _, missing, index = _instantiate(table, (rest._replace(seeds=()),), derived, replay)
+    renewed: dict[int, _Waiting] = {}       # by id, each waiting rule with the count it has left
+    triggers = {key: tuple([renewed.setdefault(id(t), t._replace(count=missing[id(t)]))
+                            if id(t) in missing else t for t in entries])
+                for key, entries in rest.triggers.items()
+                if (key if isinstance(key, str) else key[0]) not in static}
+    facts, lookups = ({p: d for p, d in kind.items() if p in static}
+                      for kind in (index.facts, index.lookups))
     return rest._replace(rules=tuple(rules), constants=first.constants | rest.constants,
-                         heads=first.heads | rest.heads, static=_Static(static, table, derived))
+                         heads=first.heads | rest.heads, triggers=triggers,
+                         static=_Static(static, table, tuple(replay), facts, lookups))
 
 
 def _plan(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
     """Plan each rule once (`_compile`); a variable-free rule only has its builtins evaluated."""
     constants: set[str] = set()
     heads: set[str] = set()
-    seeds: list[_Plan | _Waiting] = []
+    seeds: list[tuple | _Waiting] = []
     triggers: dict[str | tuple, list[_Trigger | _Waiting]] = {}
     lookups: list[tuple[str, tuple[int, ...]]] = []
     atoms: dict[tuple, Atom] = {}
@@ -563,7 +631,7 @@ def _plan(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
         constants.update(consts)
         plan, rule_triggers = _compile(rule, sorted(variables, key=attrgetter("name")), consts)
         if not rule_triggers:
-            seeds.append(plan)
+            seeds.append((plan, plan.row, range(plan.size)))
         for trigger in rule_triggers:
             pivot = trigger.pivot
             key = pivot.predicate if pivot.unbound else \
@@ -593,42 +661,49 @@ def ground(program: Program) -> GroundProgram:
     rules read no transaction: the bottom of a splitting set (Lifschitz &
     Turner 1994).  Phase 1 grounds them, and phase 2 the other rules with
     phase 1's atoms derived, so those are numbered 0 .. k-1 and no rule of
-    phase 2 heads one (see stable._well_founded).  `_prepare` plans each rule
-    once and runs phase 1, so a rewriting passes its rules on prepared, in
-    `program.cache["runs"]`, the program's own kept with it (`_kept`).  The
-    first run's phase 1 is copied, unless a later run defines a static
-    predicate (a database fact): then the runs are prepared again as one.
-    Each phase orders its rules as one run of them does.  A worklist holds
-    atoms derived but not yet joined, phase 1's first, each joined into
-    every positive body literal it matches (semi-naive: a literal left of the
-    pivot with the pivot's predicate skips the new atom).  A variable-free
-    rule comes out when the last of its distinct positive body atoms leaves
-    the worklist.  Instances come out in derivation order, and those one
-    atom completes in rule order.
+    phase 2 heads one (see stable._well_founded).  A worklist holds atoms
+    derived but not yet joined, phase 1's first, each joined into every
+    positive body literal it matches (semi-naive: a literal left of the pivot
+    with the pivot's predicate skips the new atom).  A variable-free rule
+    comes out when the last of its distinct positive body atoms leaves the
+    worklist.  Instances come out in derivation order, and those one atom
+    completes in rule order, as one run of the rules gives them.  `_prepare`
+    plans each rule once, runs phase 1 and joins its atoms into the others, so
+    a rewriting passes its runs on prepared (`program.cache["runs"]`), the
+    program's own kept (`_kept`): a call adds its seeds, replays what phase 1's
+    atoms completed and joins its own atoms (`_Static`).  If a later run
+    defines a static predicate (a database fact) or joins on one, the runs are
+    prepared again as one.
     """
     runs = program.cache.get("runs") or (_prepare(program.rules),)
     first = runs[0].static
-    if any(run.static or first and not first.predicates.isdisjoint(run.heads) for run in runs[1:]):
+    if any(run.static or first and not first.predicates.isdisjoint(itertools.chain(
+            run.heads, [key if isinstance(key, str) else key[0] for key in run.triggers]))
+           for run in runs[1:]):
         runs = (_prepare([rule for run in runs for rule in run.rules]),)
     static = runs[0].static
     out = static.table._extended() if static else GroundProgram()
-    _instantiate(out, runs, static.derived if static else ())
+    _instantiate(out, runs)
     return out
 
 
-def _instantiate(out: GroundProgram, runs: Iterable[_Prepared], given: Iterable[tuple]):
-    """Add the runs' instances to `out`, the atoms `given` derived first; returns the worklist."""
+def _instantiate(out: GroundProgram, runs: tuple[_Prepared, ...], given: Iterable[tuple] = (),
+                 record: list | None = None) -> tuple[list, dict[int, int], _Derivable]:
+    """Add the runs' instances to `out`, the atoms `given` joined first and the first run's
+    phase 1 replayed after the seeds; returns the worklist, each waiting rule's count left,
+    by id (the rules outlive the call), and the atoms joined.  With `record`, only `given`
+    is joined, and what it completes is listed there (`_Static.replay`), not added."""
     for run in runs:
         out._known.update(run.atoms)
-    constants = sorted(frozenset().union(*[run.constants for run in runs]))
-    triggers = dict(runs[0].triggers)
-    for run in runs[1:]:    # each key's entries, in run order
+    first = runs[0].triggers
+    triggers: dict = {}     # each later run's keys, with every run's entries in run order
+    for run in runs[1:]:
         for key, entries in run.triggers.items():
-            triggers[key] = triggers.get(key, ()) + entries
-    # Per waiting rule, by id (the rules outlive the call), the atoms it still waits for.
+            triggers[key] = triggers.get(key, first.get(key, ())) + entries
     missing: dict[int, int] = {}
     derived: set[int] = set()
     queue = list(given)
+    constants: list[str] = []       # sorted on first use: most plans have no free variable
 
     def add(head: tuple, body: Iterable, origin: str | None) -> None:
         h = out._add(head, body, origin)
@@ -637,6 +712,8 @@ def _instantiate(out: GroundProgram, runs: Iterable[_Prepared], given: Iterable[
             queue.append(head)
 
     def emit(plan: _Plan, binding: list, free) -> None:
+        if free and not constants:
+            constants.extend(sorted(frozenset().union(*[run.constants for run in runs])))
         for values in itertools.product(constants, repeat=len(free)):
             for slot, value in zip(free, values):
                 binding[slot] = value
@@ -648,17 +725,24 @@ def _instantiate(out: GroundProgram, runs: Iterable[_Prepared], given: Iterable[
                     [((p, tuple([binding[i] for i in args])), positive)
                      for p, args, positive in plan.body], plan.origin)
 
-    for run in runs:
-        for seed in run.seeds:
-            if isinstance(seed, _Plan):
-                emit(seed, list(seed.row), range(seed.size))
-            else:
-                add(seed.head, seed.body, seed.origin)
+    if record is not None:
+        add = lambda *instance: record.append(_Waiting(*instance, 0))
+        emit = lambda plan, binding, free: record.append((plan, tuple(binding), free))
+    static = runs[0].static
+    for seed in itertools.chain(*[run.seeds for run in runs], static.replay if static else ()):
+        if isinstance(seed, _Waiting):
+            add(seed.head, seed.body, seed.origin)
+        else:
+            emit(seed[0], list(seed[1]), seed[2])
     derivable = _Derivable(lookup for run in runs for lookup in run.lookups)
+    if static:
+        derivable.facts.update(static.facts)
+        derivable.lookups.update(static.lookups)
     for key in queue:       # the list grows as the loop runs
         predicate, args = key
         derivable.add(predicate, args)
-        for trigger in triggers.get(predicate, ()) + triggers.get(key, ()):
+        for trigger in (triggers.get(predicate) or first.get(predicate, ())) + \
+                (triggers.get(key) or first.get(key, ())):
             if isinstance(trigger, _Waiting):
                 left = missing[id(trigger)] = missing.get(id(trigger), trigger.count) - 1
                 if not left:
@@ -672,4 +756,4 @@ def _instantiate(out: GroundProgram, runs: Iterable[_Prepared], given: Iterable[
                 continue
             for binding in _join(trigger.others, start, derivable, args):
                 emit(trigger.plan, binding, trigger.free)
-    return queue
+    return queue, missing, derivable

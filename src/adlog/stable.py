@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .model import (EngineError, Interpretation, ResourceLimitError, TruthValue,
+from .model import (Atom, EngineError, Interpretation, ResourceLimitError, TruthValue,
                     render_token)
 from .rewrite import GroundProgram
 
@@ -65,6 +65,7 @@ _TRUE = int(TruthValue.TRUE)
 _UNDEF = int(TruthValue.UNDEFINED)
 _FALSE = int(TruthValue.FALSE)
 _NOTHING = Interpretation(frozenset())
+_VALUES = (TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE)
 
 
 class _Rules:
@@ -151,15 +152,17 @@ def _restrict(program: GroundProgram, atoms: Sequence[int], vals: Sequence[int])
     """
     slot = {a: i for i, a in enumerate(atoms)}
     heads, pos, negs, base = [], [], [], []
+    settled = len(program.prefix.atoms) if program.prefix else 0
     for i, a in enumerate(atoms):
-        for r in program.defs[a]:
+        table, own = (program, a - settled) if a >= settled else (program.prefix, a)
+        for r in table._local[own]:
             floor, inner_pos, inner_neg = _TRUE, [], []
-            for p in program.pos[r]:
+            for p in table._pos[r]:
                 if p in slot:
                     inner_pos.append(slot[p])
                 elif vals[p] < floor:
                     floor = vals[p]
-            for n in program.negs[r]:
+            for n in table._negs[r]:
                 if n in slot:
                     inner_neg.append(slot[n])
                 elif _TRUE - vals[n] < floor:
@@ -179,21 +182,22 @@ def _sccs(program: GroundProgram) -> Iterator[list[int]]:
     of rules does not exhaust Python's recursion limit.  A component is
     yielded only after every component it reaches, and the search starts
     from the atoms in table order, so the order is deterministic.  The
-    `prefix`'s atoms come first and reach no other atom: the search skips them.
+    `prefix`'s k atoms come first and reach no other atom: the search runs over
+    the own atoms and rules only, atom a at a - k (`GroundProgram._local`).
     """
-    defs, pos, negs = program.defs, program.pos, program.negs
+    defs, pos, negs = program._local, program._pos, program._negs
+    settled = len(program.prefix.atoms) if program.prefix else 0
 
     def successors(a: int) -> Iterator[int]:
-        return iter([b for r in defs[a] for b in (*pos[r], *negs[r])])
+        return iter([b - settled for r in defs[a] for b in (*pos[r], *negs[r]) if b >= settled])
 
-    size = len(program.atoms)
-    settled = len(program.prefix.atoms) if program.prefix else 0
+    size = len(defs)
     done = size + 1                 # the order of an atom already yielded: above any low
-    order = [done] * settled + [0] * (size - settled)   # visit number, from 1; 0 while unvisited
+    order = [0] * size              # visit number, from 1; 0 while unvisited
     low = [0] * size
     stack: list[int] = []
     visited = 0
-    for root in range(settled, size):
+    for root in range(size):
         if order[root]:
             continue
         visited += 1
@@ -221,7 +225,7 @@ def _sccs(program: GroundProgram) -> Iterator[list[int]]:
                         component.append(stack.pop())
                     for w in component:
                         order[w] = done
-                    yield component
+                    yield [w + settled for w in component]
 
 
 def _well_founded(program: GroundProgram) -> tuple[list[int], Interpretation]:
@@ -240,12 +244,11 @@ def _well_founded(program: GroundProgram) -> tuple[list[int], Interpretation]:
 
     The values are indexed by the program's one atom table, filled as it was
     grounded (or by `GroundProgram(rules)`, which rejects rules that are not
-    ground); the model reuses the program's `universe`, built on first read.
-    A table that extends a kept `prefix` (rewrite.ground's phase 1) copies
-    the prefix's values and literal sets, as its atoms read no other atom,
-    and computes only its own atoms' values.
-    `well_founded` and `enumerate_pstable` on one program share the model,
-    and the enumeration reads the residue off the same values.
+    ground).  A table that extends a kept `prefix` (rewrite.ground's phase 1)
+    starts from the prefix's values, as its atoms read no other atom, and
+    reads only its own rules; its model builds its sets on first read
+    (`_Model`).  `well_founded` and `enumerate_pstable` on one program share
+    the model, and the enumeration reads the residue off the same values.
     `enumerate_pstable` calls this function rather than `well_founded`, so
     a tracer that wraps the public name (perfbench) counts only the requests
     made from outside this module.  Threads that race on an empty cache each
@@ -253,15 +256,15 @@ def _well_founded(program: GroundProgram) -> tuple[list[int], Interpretation]:
     """
     cached = program.cache.get("well-founded")
     if cached is None:
-        defs, pos, negs = program.defs, program.pos, program.negs
+        defs, pos, negs = program._local, program._pos, program._negs
         kept, known = _well_founded(program.prefix) if program.prefix else ([], _NOTHING)
-        vals = kept + [_UNDEF] * (len(program.atoms) - len(kept))
+        vals = kept + [_UNDEF] * len(defs)
         for component in _sccs(program):
             # A fast path that pays: settling these atoms through Psi costs chain 47 % of txn/s.
             if len(component) == 1:
                 a = component[0]
                 value = _FALSE
-                for r in defs[a]:
+                for r in defs[a - len(kept)]:
                     if a in pos[r] or a in negs[r]:
                         break
                     floor = _TRUE
@@ -286,13 +289,36 @@ def _well_founded(program: GroundProgram) -> tuple[list[int], Interpretation]:
                 sub, new_sub = new_sub, _psi(rules, new_sub)
             for a, v in zip(component, new_sub):
                 vals[a] = v
-        atoms, values = program.atoms[len(kept):], vals[len(kept):]
-        model = Interpretation(
-            program.universe,
-            known.true_atoms.union([a for a, v in zip(atoms, values) if v == _TRUE]),
-            known.false_atoms.union([a for a, v in zip(atoms, values) if v == _FALSE]))
-        cached = program.cache["well-founded"] = (vals, model)
+        cached = program.cache["well-founded"] = (vals, _Model(known, program._atoms,
+                                                                vals[len(kept):]))
     return cached
+
+
+class _Model(Interpretation):
+    """The prefix's model, `known`, with a table's own atoms and values, consistent as built:
+    `value` and `undefined_count` read the own atoms only, and the sets are built on first read."""
+
+    def __init__(self, known: Interpretation, atoms: Sequence[Atom], vals: Sequence[int]):
+        object.__setattr__(self, "_parts", (known, dict(zip(atoms, vals))))
+
+    def _with(self, value: int, inherited: frozenset[Atom]) -> frozenset[Atom]:
+        return inherited.union([a for a, v in self._parts[1].items() if v == value])
+
+    universe = cached_property(lambda self: self._parts[0].universe.union(self._parts[1]))
+    true_atoms = cached_property(lambda self: self._with(_TRUE, self._parts[0].true_atoms))
+    false_atoms = cached_property(lambda self: self._with(_FALSE, self._parts[0].false_atoms))
+    undefined_count = cached_property(lambda self: self._parts[0].undefined_count
+                                      + list(self._parts[1].values()).count(_UNDEF))
+    __hash__ = Interpretation.__hash__
+
+    def __eq__(self, other: object) -> bool:    # also when `other` is no `_Model`
+        return isinstance(other, Interpretation) and \
+            (self.universe, self.true_atoms, self.false_atoms) == \
+            (other.universe, other.true_atoms, other.false_atoms)
+
+    def value(self, atom: Atom) -> TruthValue:
+        own = self._parts[1].get(atom)
+        return self._parts[0].value(atom) if own is None else _VALUES[own]
 
 
 def well_founded(program: GroundProgram) -> Interpretation:

@@ -15,14 +15,15 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .model import (RESERVED_PREFIX, Atom, ConsistencyError, Database, DeltaSet,
                     EngineError, Interpretation, Polarity, PreconditionError,
                     Program, ResourceLimitError, TruthValue, UpdateProgram,
                     ValidationError, _record_arities, check_same_schema,
                     validate_update_program)
-from .rewrite import (GroundProgram, base_atom_of_renamed, embed_database,
-                      ground, rewrite_bm, rewrite_st)
+from .rewrite import (GroundProgram, embed_database, ground, renamed_updates, rewrite_bm,
+                      rewrite_st)
 from .stable import (DEFAULT_ENUMERATION_CAP, FLAG_M_STABLE,
                      FLAG_MAX_DETERMINISTIC, FLAG_T_STABLE, ModelFamily,
                      enumerate_pstable, well_founded)
@@ -99,14 +100,17 @@ class UpdateOutcome:
             raise ConsistencyError("an update cannot be both certain and undefined")
 
 
-def extract_updates(model: Interpretation, schema: frozenset[str] | None = None) -> UpdateOutcome:
-    """Read the renamed update atoms out of a model; auxiliary atoms are ignored."""
+def extract_updates(model: Interpretation, schema: frozenset[str] | None = None,
+                    updates: Iterable[tuple[Atom, Polarity, Atom]] | None = None) -> UpdateOutcome:
+    """Read the renamed update atoms out of a model; auxiliary atoms are ignored.
+
+    `updates` lists them, with polarities and base atoms, as the model's table
+    does (`GroundProgram.updates`); by default the model's universe is parsed.
+    """
+    if updates is None:
+        updates = renamed_updates(model.universe)
     certain_insert, certain_delete, undef_insert, undef_delete = set(), set(), set(), set()
-    for atom in model.universe:
-        parsed = base_atom_of_renamed(atom)
-        if parsed is None:
-            continue
-        polarity, base = parsed
+    for atom, polarity, base in updates:
         if schema is not None and base.predicate not in schema:
             raise EngineError(f"extracted update on unknown predicate {base.predicate}")
         value = model.value(atom)
@@ -135,19 +139,21 @@ def apply_delta(delta: DeltaSet, database: Database) -> Database:
     return apply_updates(outcome, database)
 
 
-def is_total_transformation(model: Interpretation, database: Database) -> bool:
+def is_total_transformation(model: Interpretation, database: Database,
+                            updates: Iterable[tuple[Atom, Polarity, Atom]] | None = None) -> bool:
     """Totality test of a transformation over a total database.
 
     Holds when the model is total, or every undefined insertion concerns a fact
-    already true and every undefined deletion a fact already false.
+    already true and every undefined deletion a fact already false.  `updates`
+    are the update atoms to test, as for `extract_updates`.
     """
     if model.is_total:
         return True
-    for atom in model.undefined_atoms():
-        parsed = base_atom_of_renamed(atom)
-        if parsed is None:
+    if updates is None:
+        updates = renamed_updates(model.undefined_atoms())
+    for atom, polarity, base in updates:
+        if model.value(atom) is not TruthValue.UNDEFINED:
             continue
-        polarity, base = parsed
         if polarity is Polarity.INSERT and base not in database.true_facts:
             return False
         if polarity is Polarity.DELETE and (base in database.true_facts
@@ -220,8 +226,8 @@ class _Session:
         self.database = database
         self.cap = cap
         self._stages: dict[tuple[str, str], object] = {}
-        # The output of each model applied, by the model and the base.
-        self._applied: dict[tuple[Interpretation, Database], Database] = {}
+        # Each model and base applied, with the output.
+        self._applied: list[tuple[tuple[Interpretation, Database], Database]] = []
 
     def _stage(self, name: str, mode: str, compute):
         key = (name, mode)
@@ -254,25 +260,27 @@ class _Session:
         return self._stage("family", mode, lambda: enumerate_pstable(
             self.ground(mode), self.cap, self.up.program.cache.setdefault("solved", {})))
 
-    def apply_model(self, model: Interpretation, base: Database) -> Database:
+    def apply_model(self, model: Interpretation, base: Database,
+                    updates: Iterable[tuple[Atom, Polarity, Atom]] | None = None) -> Database:
         """`model`'s updates applied to `base`; an equal model and base give the same object.
 
         Only a run's chosen model is applied: `mstt` decides totality on each
-        part alone (see `run`).  The key is the model and the base by value:
-        the semantics that share a model share one output.  Their frozensets
-        cache their hashes, so a lookup hashes no atom again.  On a total
-        base, the applied database's totality is checked against
+        part alone (see `run`).  The model and the base are compared by value,
+        so the semantics that share a model share one output, but the same
+        objects match first: the sets of a model (stable._Model) are read only
+        to tell it from another.  `updates` are its table's (`extract_updates`).
+        On a total base, the applied database's totality is checked against
         `is_total_transformation` of the model.
         """
         # A fast path that pays: applying each semantics' model again costs choice 5 % of txn/s.
         key = (model, base)
-        output = self._applied.get(key)
+        output = next((out for seen, out in self._applied if seen == key), None)
         if output is None:
-            outcome = extract_updates(model, self.schema)
+            outcome = extract_updates(model, self.schema, updates)
             output = apply_updates(outcome, base)
-            if base.is_total and is_total_transformation(model, base) != output.is_total:
+            if base.is_total and is_total_transformation(model, base, updates) != output.is_total:
                 raise EngineError("totality test disagrees with the applied database")
-            self._applied[key] = output
+            self._applied.append((key, output))
         return output
 
     def run(self, semantics: Semantics, policy: str = "lex",
@@ -316,7 +324,8 @@ class _Session:
                     # Each component's least part makes the least model (ModelFamily.nth).
                     chosen = family.model_of(parts[0] for parts in eligible)
         # A single model that fails the totality test is still reported.
-        output = self.apply_model(chosen, base) if chosen is not None else None
+        output = self.apply_model(chosen, base, self.ground(plan.mode).updates) \
+            if chosen is not None else None
         if output is None or plan.total_output and not output.is_total:
             status, output = STATUS_REJECTED, self.database
         else:

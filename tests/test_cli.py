@@ -311,9 +311,9 @@ class TestRendersOnce:
         applied = []
         extract = adlog.update.extract_updates
 
-        def counted(model, schema=None):
+        def counted(model, schema=None, updates=None):
             applied.append(model)
-            return extract(model, schema)
+            return extract(model, schema, updates)
 
         monkeypatch.setattr(adlog.update, "extract_updates", counted)
         code, out = invoke(capsys, *argv)

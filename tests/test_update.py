@@ -331,7 +331,7 @@ class TestCompare:
         assert failed == set(Semantics) - {Semantics.WS, Semantics.MD, Semantics.WS_BM}
 
     def test_engine_defects_propagate(self, monkeypatch):
-        def broken(model, schema=None):
+        def broken(model, schema=None, updates=None):
             raise EngineError("injected defect")
         monkeypatch.setattr(adlog.update, "extract_updates", broken)
         up, db = load_update_program("new_hire_worker")
