@@ -1,12 +1,15 @@
 """Core data model: terms, rules, programs, three-valued databases and interpretations.
 
 All types are immutable values; they can be shared freely between threads.
+They are plain classes that share one definition of equality, hashing,
+ordering and `repr` by their fields (`_Value`); assigning or deleting an
+attribute raises `AttributeError`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import operator
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -54,12 +57,85 @@ class EngineError(AdlogError):
 
 
 # ---------------------------------------------------------------------------
+# Value classes
+# ---------------------------------------------------------------------------
+
+_set = object.__setattr__
+
+
+class _Value:
+    """Equality, hashing, `repr` and immutability, defined once by a class's fields.
+
+    A subclass names its constructor's arguments in `_fields`, in order, and
+    its `__init__` stores each through `_set` (or its slot's own setter),
+    since assigning an attribute raises `AttributeError`.  Two values are
+    equal when they are of the same class and agree on the `_compared`
+    fields (all fields unless the class lists fewer); the hash is that of
+    those fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls._fields:
+            names = getattr(cls, "_compared", cls._fields)
+            key = operator.attrgetter(*names)
+            # A tuple even for one field: a value hashes as the tuple of its fields.
+            cls._value_key = key if len(names) > 1 else staticmethod(lambda self: (key(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._value_key(self) == self._value_key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._value_key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _order(compare):
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return compare(self._value_key(self), self._value_key(other))
+        return NotImplemented
+    return method
+
+
+class _Ordered(_Value):
+    """A value ordered by its fields, in order, against values of its own class."""
+
+    __slots__ = ()
+    __lt__, __le__, __gt__, __ge__ = map(_order, (operator.lt, operator.le,
+                                                  operator.gt, operator.ge))
+
+
+def _setters(cls: type) -> list:
+    """The setter of each of `cls`'s own slots, in order: cheaper than `_set`."""
+    return [cls.__dict__[name].__set__ for name in cls.__slots__]
+
+
+# ---------------------------------------------------------------------------
 # Terms and atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Variable:
-    name: str
+class Variable(_Ordered):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
@@ -79,10 +155,19 @@ def render_term(term: Term) -> str:
     return "'" + term.replace("'", "''") + "'"
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    predicate: str
-    args: tuple[Term, ...] = ()
+class Atom(_Ordered):
+    __slots__ = ("predicate", "args", "_hash", "_text")
+    _fields = ("predicate", "args")
+
+    def __init__(self, predicate: str, args: tuple[Term, ...] = ()):
+        _atom_predicate(self, predicate)
+        _atom_args(self, args)
+        # Hashed once: an atom is hashed at every set and dict operation.
+        _atom_hash(self, hash((predicate, args)))
+        _atom_text(self, None)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def arity(self) -> int:
@@ -102,12 +187,16 @@ class Atom:
                                           for t in self.args))
 
     def __str__(self) -> str:
-        # Rendered once per atom and kept, as a `cached_property` would, without its lock.
-        text = self.__dict__.get("_text")
+        # Rendered once per atom and kept.
+        text = self._text
         if text is None:
-            text = self.__dict__["_text"] = self.predicate if not self.args else \
+            text = self.predicate if not self.args else \
                 f"{self.predicate}({','.join(map(render_term, self.args))})"
+            _atom_text(self, text)
         return text
+
+
+_atom_predicate, _atom_args, _atom_hash, _atom_text = _setters(Atom)
 
 
 class Polarity(enum.Enum):
@@ -118,10 +207,12 @@ class Polarity(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
-class UpdateAtom:
-    polarity: Polarity
-    atom: Atom
+class UpdateAtom(_Ordered):
+    __slots__ = _fields = ("polarity", "atom")
+
+    def __init__(self, polarity: Polarity, atom: Atom):
+        _set(self, "polarity", polarity)
+        _set(self, "atom", atom)
 
     def is_ground(self) -> bool:
         return self.atom.is_ground()
@@ -134,29 +225,38 @@ class UpdateAtom:
 # Literals and rules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class StdLiteral:
-    atom: Atom
-    positive: bool = True
+class StdLiteral(_Ordered):
+    __slots__ = _fields = ("atom", "positive")
+
+    def __init__(self, atom: Atom, positive: bool = True):
+        _literal_atom(self, atom)
+        _literal_positive(self, positive)
 
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"not {self.atom}"
 
 
-@dataclass(frozen=True, order=True)
-class UpdLiteral:
-    uatom: UpdateAtom
-    positive: bool = True
+_literal_atom, _literal_positive = _setters(StdLiteral)
+
+
+class UpdLiteral(_Ordered):
+    __slots__ = _fields = ("uatom", "positive")
+
+    def __init__(self, uatom: UpdateAtom, positive: bool = True):
+        _set(self, "uatom", uatom)
+        _set(self, "positive", positive)
 
     def __str__(self) -> str:
         return str(self.uatom) if self.positive else f"not {self.uatom}"
 
 
-@dataclass(frozen=True, order=True)
-class BuiltinLiteral:
-    op: str  # "=" or "!="
-    left: Term
-    right: Term
+class BuiltinLiteral(_Ordered):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Term, right: Term):
+        _set(self, "op", op)  # "=" or "!="
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def evaluate(self) -> bool:
         """Ground comparison by constant identity."""
@@ -173,11 +273,14 @@ Literal = Union[StdLiteral, UpdLiteral, BuiltinLiteral]
 Head = Union[Atom, UpdateAtom]
 
 
-@dataclass(frozen=True)
-class Rule:
-    head: Head
-    body: tuple[Literal, ...] = ()
-    origin: str | None = field(default=None, compare=False)
+class Rule(_Value):
+    __slots__ = _fields = ("head", "body", "origin")
+    _compared = ("head", "body")    # where a rule was read is no part of the rule
+
+    def __init__(self, head: Head, body: tuple[Literal, ...] = (), origin: str | None = None):
+        _rule_head(self, head)
+        _rule_body(self, body)
+        _rule_origin(self, origin)
 
     @property
     def is_active(self) -> bool:
@@ -202,6 +305,9 @@ class Rule:
         return f"{self.head} :- {', '.join(str(lit) for lit in self.body)}."
 
 
+_rule_head, _rule_body, _rule_origin = _setters(Rule)
+
+
 def _atoms_of_literal(lit: Literal) -> Iterator[Atom]:
     if isinstance(lit, StdLiteral):
         yield lit.atom
@@ -216,14 +322,17 @@ def _atoms_of_literal(lit: Literal) -> Iterator[Atom]:
 RESERVED_PREFIX = "@"
 
 
-@dataclass(frozen=True, eq=False)
-class Program:
+class Program(_Value):
     """A set of rules; insertion order is kept only for iteration."""
 
-    rules: tuple[Rule, ...] = ()
-    # What was computed from the rules: validate_program, rewrite._kept and _with_runs,
-    # and the residue components `_Session.family` searched (`enumerate_pstable`'s memo).
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("rules", "cache")
+    _fields = ("rules",)
+
+    def __init__(self, rules: tuple[Rule, ...] = ()):
+        _set(self, "rules", rules)
+        # What was computed from the rules: validate_program, rewrite._kept, and the
+        # residue components `_Session.family` searched (`enumerate_pstable`'s memo).
+        _set(self, "cache", {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Program):
@@ -334,14 +443,15 @@ def _where(rule: Rule) -> str:
 # Databases and deltas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Database:
+class Database(_Value):
     """Three-valued database: explicit true and unknown facts, false implicit."""
 
-    true_facts: frozenset[Atom] = frozenset()
-    unknown_facts: frozenset[Atom] = frozenset()
+    _fields = ("true_facts", "unknown_facts")
 
-    def __post_init__(self) -> None:
+    def __init__(self, true_facts: frozenset[Atom] = frozenset(),
+                 unknown_facts: frozenset[Atom] = frozenset()):
+        _set(self, "true_facts", true_facts)
+        _set(self, "unknown_facts", unknown_facts)
         overlap = self.true_facts & self.unknown_facts
         if overlap:
             atom = sorted(str(a) for a in overlap)[0]
@@ -380,13 +490,13 @@ class Database:
                         frozenset(a.rename(rho) for a in self.unknown_facts))
 
 
-@dataclass(frozen=True)
-class DeltaSet:
+class DeltaSet(_Value):
     """Ground input updates; conflict-free by construction."""
 
-    updates: frozenset[UpdateAtom] = frozenset()
+    __slots__ = _fields = ("updates",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, updates: frozenset[UpdateAtom] = frozenset()):
+        _set(self, "updates", updates)
         atoms = {}
         for u in sorted(self.updates, key=str):
             if not u.is_ground():
@@ -416,10 +526,12 @@ class DeltaSet:
                                   for u in self.updates))
 
 
-@dataclass(frozen=True)
-class UpdateProgram:
-    delta: DeltaSet
-    program: Program
+class UpdateProgram(_Value):
+    __slots__ = _fields = ("delta", "program")
+
+    def __init__(self, delta: DeltaSet, program: Program):
+        _set(self, "delta", delta)
+        _set(self, "program", program)
 
 
 def validate_update_program(up: UpdateProgram) -> dict[str, int]:
@@ -452,15 +564,16 @@ class TruthValue(enum.IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(_Value):
     """Consistent three-valued assignment over a finite ground atom universe."""
 
-    universe: frozenset[Atom]
-    true_atoms: frozenset[Atom] = frozenset()
-    false_atoms: frozenset[Atom] = frozenset()
+    _fields = ("universe", "true_atoms", "false_atoms")
 
-    def __post_init__(self) -> None:
+    def __init__(self, universe: frozenset[Atom], true_atoms: frozenset[Atom] = frozenset(),
+                 false_atoms: frozenset[Atom] = frozenset()):
+        _set(self, "universe", universe)
+        _set(self, "true_atoms", true_atoms)
+        _set(self, "false_atoms", false_atoms)
         if self.true_atoms & self.false_atoms:
             raise EngineError("interpretation assigns an atom both true and false")
         if not (self.true_atoms <= self.universe and self.false_atoms <= self.universe):

@@ -41,12 +41,11 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .model import (Atom, EngineError, Interpretation, ResourceLimitError, TruthValue,
-                    render_token)
+                    _set, _Value, render_token)
 from .rewrite import GroundProgram
 
 DEFAULT_ENUMERATION_CAP = 20
@@ -341,10 +340,12 @@ def is_pstable(program: GroundProgram, interp: Interpretation) -> bool:
 # Model families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelRecord:
-    model: Interpretation
-    flags: frozenset[str] = frozenset()
+class ModelRecord(_Value):
+    __slots__ = _fields = ("model", "flags")
+
+    def __init__(self, model: Interpretation, flags: frozenset[str] = frozenset()):
+        _set(self, "model", model)
+        _set(self, "flags", flags)
 
     @property
     def undefined_count(self) -> int:
@@ -354,8 +355,7 @@ class ModelRecord:
         return flag in self.flags
 
 
-@dataclass(frozen=True)
-class ModelFamily:
+class ModelFamily(_Value):
     """The partial stable models of a program, factorised over its residue components.
 
     `components` holds, for each component of the well-founded model `wf`'s
@@ -395,10 +395,13 @@ class ModelFamily:
     The product itself, `records`, is built only when it is read.
     """
 
-    wf: Interpretation
-    components: tuple[tuple[ModelRecord, ...], ...]
-    # `model_of`'s model, by the models of its parts.
-    _models: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("wf", "components")
+
+    def __init__(self, wf: Interpretation, components: tuple[tuple[ModelRecord, ...], ...]):
+        _set(self, "wf", wf)
+        _set(self, "components", components)
+        # `model_of`'s model, by the models of its parts.
+        _set(self, "_models", {})
 
     @cached_property
     def records(self) -> tuple[ModelRecord, ...]:

@@ -13,14 +13,13 @@ import enum
 import math
 import random
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from .model import (RESERVED_PREFIX, Atom, ConsistencyError, Database, DeltaSet,
                     EngineError, Interpretation, Polarity, PreconditionError,
                     Program, ResourceLimitError, TruthValue, UpdateProgram,
-                    ValidationError, _record_arities, check_same_schema,
+                    ValidationError, _record_arities, _set, _Value, check_same_schema,
                     validate_update_program)
 from .rewrite import (GroundProgram, embed_database, ground, renamed_updates, rewrite_bm,
                       rewrite_st)
@@ -80,16 +79,19 @@ STATUS_REJECTED = "rejected-unchanged"
 # Update outcomes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UpdateOutcome:
+class UpdateOutcome(_Value):
     """Update literals of a model, split by polarity and certainty."""
 
-    certain_insert: frozenset[Atom] = frozenset()
-    certain_delete: frozenset[Atom] = frozenset()
-    undef_insert: frozenset[Atom] = frozenset()
-    undef_delete: frozenset[Atom] = frozenset()
+    __slots__ = _fields = ("certain_insert", "certain_delete", "undef_insert", "undef_delete")
 
-    def __post_init__(self) -> None:
+    def __init__(self, certain_insert: frozenset[Atom] = frozenset(),
+                 certain_delete: frozenset[Atom] = frozenset(),
+                 undef_insert: frozenset[Atom] = frozenset(),
+                 undef_delete: frozenset[Atom] = frozenset()):
+        _set(self, "certain_insert", certain_insert)
+        _set(self, "certain_delete", certain_delete)
+        _set(self, "undef_insert", undef_insert)
+        _set(self, "undef_delete", undef_delete)
         if self.certain_insert & self.certain_delete:
             raise ConsistencyError("update set requests both +A and -A")
         if self.certain_insert & self.undef_delete:
@@ -166,16 +168,21 @@ def is_total_transformation(model: Interpretation, database: Database,
 # Runs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunReport:
-    semantics: Semantics
-    input_db: Database
-    output_db: Database
-    status: str
-    chosen_model: Interpretation | None
-    family_stats: dict[str, int] | None
-    policy: str
-    seed: int | None
+class RunReport(_Value):
+    __slots__ = _fields = ("semantics", "input_db", "output_db", "status", "chosen_model",
+                           "family_stats", "policy", "seed")
+
+    def __init__(self, semantics: Semantics, input_db: Database, output_db: Database,
+                 status: str, chosen_model: Interpretation | None,
+                 family_stats: dict[str, int] | None, policy: str, seed: int | None):
+        _set(self, "semantics", semantics)
+        _set(self, "input_db", input_db)
+        _set(self, "output_db", output_db)
+        _set(self, "status", status)
+        _set(self, "chosen_model", chosen_model)
+        _set(self, "family_stats", family_stats)
+        _set(self, "policy", policy)
+        _set(self, "seed", seed)
 
     @property
     def applied(self) -> bool:
@@ -341,16 +348,20 @@ def run(up: UpdateProgram, database: Database, semantics: Semantics,
     return _Session(up, database, cap=cap).run(semantics, policy, seed)
 
 
-@dataclass(frozen=True)
-class CompareRow:
-    semantics: Semantics
-    report: RunReport | None
-    error: str | None
+class CompareRow(_Value):
+    __slots__ = _fields = ("semantics", "report", "error")
+
+    def __init__(self, semantics: Semantics, report: RunReport | None, error: str | None):
+        _set(self, "semantics", semantics)
+        _set(self, "report", report)
+        _set(self, "error", error)
 
 
-@dataclass(frozen=True)
-class CompareResult:
-    rows: tuple[CompareRow, ...]
+class CompareResult(_Value):
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[CompareRow, ...]):
+        _set(self, "rows", rows)
 
     def info_matrix(self) -> dict[tuple[Semantics, Semantics], bool]:
         """`info_leq` for every pair of row outputs, with one schema check for all."""
