@@ -149,8 +149,7 @@ def render_term(term: Term) -> str:
     """A term as the parser reads it back: a symbol that is not a plain word is quoted."""
     if isinstance(term, Variable):
         return term.name
-    if term and (term[0].islower() or term[0].isdigit()) \
-            and all(c.isalnum() or c == "_" for c in term):
+    if term and (term[0].islower() or term[0].isdigit()) and term.replace("_", "a").isalnum():
         return term
     return "'" + term.replace("'", "''") + "'"
 
@@ -174,7 +173,7 @@ class Atom(_Ordered):
         return len(self.args)
 
     def is_ground(self) -> bool:
-        return all(isinstance(t, str) for t in self.args)
+        return all(map(str.__instancecheck__, self.args))     # isinstance(t, str), in C
 
     def variables(self) -> set[Variable]:
         return {t for t in self.args if isinstance(t, Variable)}
@@ -202,6 +201,8 @@ _atom_predicate, _atom_args, _atom_hash, _atom_text = _setters(Atom)
 class Polarity(enum.Enum):
     INSERT = "+"
     DELETE = "-"
+
+    __hash__ = object.__hash__      # members are singletons; Enum's own hash runs in Python
 
     def __str__(self) -> str:
         return self.value
@@ -452,6 +453,7 @@ class Database(_Value):
                  unknown_facts: frozenset[Atom] = frozenset()):
         _set(self, "true_facts", true_facts)
         _set(self, "unknown_facts", unknown_facts)
+        _set(self, "cache", {})     # what is computed from the facts: rewrite.embed_database's run
         overlap = self.true_facts & self.unknown_facts
         if overlap:
             atom = sorted(str(a) for a in overlap)[0]
@@ -491,14 +493,16 @@ class Database(_Value):
 
 
 class DeltaSet(_Value):
-    """Ground input updates; conflict-free by construction."""
+    """Ground input updates; conflict-free by construction.  `ordered` lists them in `str`
+    order (sign, then atom), sorted once for every reader that needs an order."""
 
-    __slots__ = _fields = ("updates",)
+    __slots__, _fields = ("updates", "ordered"), ("updates",)
 
     def __init__(self, updates: frozenset[UpdateAtom] = frozenset()):
         _set(self, "updates", updates)
+        _set(self, "ordered", tuple(sorted(updates, key=lambda u: (u.polarity.value, str(u.atom)))))
         atoms = {}
-        for u in sorted(self.updates, key=str):
+        for u in self.ordered:
             if not u.is_ground():
                 raise ValidationError(f"update {u} is not ground")
             other = atoms.setdefault(u.atom, u.polarity)
@@ -539,7 +543,7 @@ def validate_update_program(up: UpdateProgram) -> dict[str, int]:
     validate_program(up.program)
     arities = dict(up.program.cache["arities"])
     idb = up.program.cache["idb"]
-    for u in sorted(up.delta.updates, key=str):
+    for u in up.delta.ordered:
         if u.atom.predicate.startswith(RESERVED_PREFIX):
             raise ValidationError(f"reserved predicate name in update {u}")
         if u.atom.predicate in idb:

@@ -235,7 +235,7 @@ def _database(tokens: list[str], lines: list[int], origin: str, terms: dict) -> 
 
 
 def _delta(tokens: list[str], lines: list[int], origin: str, terms: dict) -> DeltaSet:
-    updates, arities, i = set(), {}, 0
+    updates, arities, i = {}, {}, 0     # each update by its atom
     while i < len(lines):
         if tokens[i] not in _POLARITY:
             raise _expected("'+' or '-'", tokens, i)
@@ -244,12 +244,11 @@ def _delta(tokens: list[str], lines: list[int], origin: str, terms: dict) -> Del
             raise _Syntax(f"update on non-ground atom {uatom.atom}", i)
         if tokens[j] != ".":
             raise _expected("'.'", tokens, j)
-        if UpdateAtom(_POLARITY["-" if tokens[i] == "+" else "+"], uatom.atom) in updates:
+        if updates.setdefault(uatom.atom, uatom).polarity is not uatom.polarity:
             raise _Syntax(f"conflicting updates +{uatom.atom} and -{uatom.atom}", i)
         _arity(arities, uatom.atom, i)
-        updates.add(uatom)
         i = j + 1
-    return DeltaSet.of(updates)
+    return DeltaSet(frozenset(updates.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def render(obj) -> str:
         lines += [f"{atom}?" for atom in sorted(obj.unknown_facts, key=str)]
         return "\n".join(lines) + ("\n" if lines else "")
     if isinstance(obj, DeltaSet):
-        lines = [f"{u}." for u in sorted(obj.updates, key=str)]
+        lines = [f"{u}." for u in obj.ordered]
         return "\n".join(lines) + ("\n" if lines else "")
     if isinstance(obj, Interpretation):
         return obj.render_key()

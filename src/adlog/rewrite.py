@@ -9,8 +9,8 @@ update only and turns input updates into guarded rules.
 
 A rewriting lists the program's rules with their guards, the delta's rules,
 then the bridges.  What depends on the program alone is rewritten and planned
-for grounding once per `Program`, and kept with it; a call rewrites and plans
-only the delta's rules (see `ground`).
+for grounding once per `Program`, and kept with it; the delta's and the
+database's rules have no positive body, and are made as seeds (`_seeded`).
 
 All generated predicates live in the reserved '@' namespace, and the prefix
 of each defines its kind; every other predicate is the user's:
@@ -120,9 +120,12 @@ class GroundProgram:
     def _add(self, head: tuple, body: Iterable[tuple[tuple, bool]], origin: str | None) -> int:
         """Number the rule `head :- body`, atoms as (predicate, args) keys; returns the head's number."""
         index = self._index
-        numbers = tuple([index.setdefault(head, len(index))] + [
-            index.setdefault(key, len(index)) if positive else ~index.setdefault(key, len(index))
-            for key, positive in body])
+        if self.prefix:     # a number known here is read in C (`_Numbers.__missing__`)
+            numbers = tuple([index[head]] + [index[k] if sign else ~index[k] for k, sign in body])
+        else:
+            numbers = tuple([index.setdefault(head, len(index))] + [
+                index.setdefault(k, len(index)) if sign else ~index.setdefault(k, len(index))
+                for k, sign in body])
         if numbers not in self._rules:
             self._rules[numbers] = origin
             self._heads.append(numbers[0])
@@ -176,8 +179,9 @@ class GroundProgram:
     @cached_property
     def updates(self) -> tuple[tuple[Atom, Polarity, Atom], ...]:
         """Each own renamed update atom with its polarity and base atom: a prefix atom is
-        static, and a reserved predicate never is (see `ground`)."""
-        return tuple(renamed_updates(self._atoms))
+        static, and a reserved predicate never is (see `ground`).  Only they are parsed."""
+        return tuple(renamed_updates([atom for atom in self._atoms
+                                      if atom.predicate.startswith(("@plus_", "@minus_"))]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroundProgram):
@@ -189,15 +193,15 @@ class GroundProgram:
 
 
 class _Numbers(dict):
-    """An extended table's own atom numbers, after the prefix's (`kept`), read first."""
+    """An extended table's own atom numbers, after the prefix's (`kept`), read on a miss."""
 
     def __init__(self, kept: dict[tuple, int]):
         super().__init__()
         self.kept = kept
 
-    def setdefault(self, key: tuple, default: object = None) -> int:
+    def __missing__(self, key: tuple) -> int:
         number = self.kept.get(key)
-        return dict.setdefault(self, key, len(self.kept) + len(self)) if number is None else number
+        return self.setdefault(key, len(self.kept) + len(self)) if number is None else number
 
 
 def _keys(rule: Rule, atoms: dict[tuple, Atom],
@@ -220,14 +224,16 @@ def _keys(rule: Rule, atoms: dict[tuple, Atom],
 # ---------------------------------------------------------------------------
 
 def embed_database(program: Program, database: Database) -> Program:
-    """Add one fact per true tuple and one rule `p(t) :- not p(t).` per unknown tuple."""
-    extra: list[Rule] = []
-    for atom in sorted(database.true_facts, key=str):
-        extra.append(Rule(atom, ()))
-    for atom in sorted(database.unknown_facts, key=str):
-        extra.append(Rule(atom, (StdLiteral(atom, positive=False),)))
+    """One fact per true tuple, one rule `p(t) :- not p(t).` per unknown, in `str` order: seeds."""
     runs = program.cache.get("runs") or (_prepare(program.rules),)
-    return _Rewritten(runs + (_prepare(extra),))
+    return _Rewritten(runs + (_kept(database, "run", _facts),), program.cache.get("triggers"))
+
+
+def _facts(database: Database) -> _Prepared:
+    true, unknown = ([((atom.predicate, atom.args), atom) for atom in sorted(facts, key=str)]
+                     for facts in (database.true_facts, database.unknown_facts))
+    return _seeded([(key, ()) for key, _ in true] + [(key, ((key, False),)) for key, _ in unknown],
+                   dict(true + unknown))
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +262,10 @@ def _generic_args(arity: int) -> tuple[Variable, ...]:
 def rewrite_st(up: UpdateProgram) -> Program:
     """Guarded rewriting with delta markers and bridge predicates."""
     rules, bridges = _kept(up.program, "rewrite st", _st_program)
-    markers = [Rule(Atom(delta_marker_predicate(u.polarity, u.atom.predicate), u.atom.args))
-               for u in sorted(up.delta.updates, key=str)]
-    return _Rewritten((rules, _prepare(markers), bridges))
+    triggers = _kept(up.program, "triggers st", lambda _: _merged((rules, bridges)))
+    markers = _seeded([((delta_marker_predicate(u.polarity, u.atom.predicate), u.atom.args), ())
+                       for u in up.delta.ordered])
+    return _Rewritten((rules, markers, bridges), triggers)
 
 
 def _st_program(program: Program) -> tuple[_Prepared, _Prepared]:
@@ -317,18 +324,18 @@ def rewrite_bm(up: UpdateProgram) -> Program:
     """
     rules, insertable = _kept(up.program, "rewrite bm", _bm_program)
     delta, insertable = [], dict(insertable)
-    for uatom in sorted(up.delta.updates, key=str):
-        head = renamed_update_atom(uatom)
-        complement = Polarity.DELETE if uatom.polarity is Polarity.INSERT else Polarity.INSERT
-        guard_atom = Atom(renamed_update_predicate(complement, uatom.atom.predicate),
-                          uatom.atom.args)
-        delta.append(Rule(head, (StdLiteral(guard_atom, positive=False),)))
-        if uatom.polarity is Polarity.INSERT:
-            insertable[uatom.atom.predicate] = uatom.atom.arity
+    for u in up.delta.ordered:
+        predicate, args = u.atom.predicate, u.atom.args
+        complement = Polarity.DELETE if u.polarity is Polarity.INSERT else Polarity.INSERT
+        delta.append(((renamed_update_predicate(u.polarity, predicate), args),
+                      (((renamed_update_predicate(complement, predicate), args), False),)))
+        if u.polarity is Polarity.INSERT:
+            insertable[predicate] = len(args)
     # The insertion rules are kept per insertable set, a run of their own: none is a seed.
     key = tuple(sorted(insertable.items()))
-    return _Rewritten((rules, _prepare(delta),
-                       _kept(up.program, ("rewrite bm", key), lambda _: _insertions(key))))
+    insertions = _kept(up.program, ("rewrite bm", key), lambda _: _insertions(key))
+    triggers = _kept(up.program, ("triggers bm", key), lambda _: _merged((rules, insertions)))
+    return _Rewritten((rules, _seeded(delta), insertions), triggers)
 
 
 def _insertions(insertable: tuple[tuple[str, int], ...]) -> _Prepared:
@@ -370,7 +377,7 @@ def _bm_program(program: Program) -> tuple[_Prepared, tuple[tuple[str, int], ...
     return _prepare(rules), tuple(insertable.items())
 
 
-def _kept(program: Program, key: str, compute):
+def _kept(program: Program | Database, key, compute):
     """`compute(program)`, kept in `program.cache[key]` and never changed, so threads
     may share it; two threads that miss at once both compute the same value."""
     kept = program.cache.get(key)
@@ -382,8 +389,8 @@ def _kept(program: Program, key: str, compute):
 class _Rewritten(Program):
     """The rules of prepared runs, in order, built on first read: `ground` reads the runs."""
 
-    def __init__(self, runs: tuple[_Prepared, ...]):
-        object.__setattr__(self, "cache", {"runs": runs})
+    def __init__(self, runs: tuple[_Prepared, ...], triggers: dict | None = None):
+        object.__setattr__(self, "cache", {"runs": runs, "triggers": triggers})
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
@@ -535,6 +542,40 @@ def _join(steps: tuple[_Step, ...], binding: list, derivable: _Derivable, pivot:
 _Prepared = namedtuple("_Prepared", "rules constants heads static seeds triggers lookups atoms")
 _Waiting = namedtuple("_Waiting", "head body origin count")
 
+
+def _waiting(head: tuple, body: tuple[tuple[tuple, bool], ...], origin: str | None) -> _Waiting:
+    """A variable-free rule waiting for its distinct positive body atoms: a seed if none."""
+    return _Waiting(head, body, origin, len({key for key, positive in body if positive}))
+
+
+class _Seeded(_Prepared):
+    """A run of seeds alone (`_seeded`), its `rules` built from them on first read."""
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        atom = lambda key: self.atoms.get(key) or Atom(*key)
+        return tuple([Rule(atom(s.head), tuple([StdLiteral(atom(k), sign) for k, sign in s.body]))
+                      for s in self.seeds])
+
+
+def _seeded(rules: list[tuple[tuple, tuple]], atoms: dict[tuple, Atom] | None = None) -> _Seeded:
+    """What `_prepare` makes of variable-free rules without positive body or origin, each as
+    `GroundProgram._add` takes it, `atoms` the input's: seeds alone, no trigger, nothing static."""
+    keys = [key for head, body in rules for key in (head, *[key for key, _ in body])]
+    return _Seeded(None, frozenset().union(*[key[1] for key in keys]),
+                   frozenset([head[0] for head, _ in rules]), None,
+                   tuple([_waiting(head, body, None) for head, body in rules]), {}, (), atoms or {})
+
+
+def _merged(runs: tuple[_Prepared, ...]) -> dict:
+    """The runs' `triggers` as one map: each key's entries of every run, in run order."""
+    merged: dict = {}
+    for run in runs:
+        for key, entries in run.triggers.items():
+            merged[key] = merged.get(key, ()) + entries
+    return merged
+
+
 # A run's phase 1 of `ground`: its static `predicates`, their ground `table`,
 # and what the run's triggers did once as its atoms left the worklist: `replay`
 # lists what they alone complete, in order, as `seeds` do, and `facts` and
@@ -619,12 +660,10 @@ def _plan(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
             if any((lit.left == lit.right) != (lit.op == "=")
                    for lit in body if isinstance(lit, BuiltinLiteral)):
                 continue
-            keys = _keys(rule, atoms, shared)
-            positive = dict.fromkeys(key for key, sign in keys[1] if sign)
-            waiting = _Waiting(*keys, rule.origin, len(positive))
-            for key in positive:
+            waiting = _waiting(*_keys(rule, atoms, shared), rule.origin)
+            for key in dict.fromkeys(key for key, sign in waiting.body if sign):
                 triggers.setdefault(key, []).append(waiting)
-            if not positive:
+            if not waiting.count:
                 seeds.append(waiting)
             continue
         consts = [t for t in terms if isinstance(t, str)]
@@ -670,36 +709,35 @@ def ground(program: Program) -> GroundProgram:
     completes in rule order, as one run of the rules gives them.  `_prepare`
     plans each rule once, runs phase 1 and joins its atoms into the others, so
     a rewriting passes its runs on prepared (`program.cache["runs"]`), the
-    program's own kept (`_kept`): a call adds its seeds, replays what phase 1's
-    atoms completed and joins its own atoms (`_Static`).  If a later run
-    defines a static predicate (a database fact) or joins on one, the runs are
-    prepared again as one.
+    program's own kept (`_kept`) with their triggers merged: a call adds its
+    seeds, replays what phase 1's atoms completed and joins its own atoms
+    (`_Static`).  If a later run defines a static predicate (a database fact)
+    or joins on one, the runs are prepared again as one.
     """
     runs = program.cache.get("runs") or (_prepare(program.rules),)
+    triggers = program.cache.get("triggers")
     first = runs[0].static
     if any(run.static or first and not first.predicates.isdisjoint(itertools.chain(
             run.heads, [key if isinstance(key, str) else key[0] for key in run.triggers]))
            for run in runs[1:]):
-        runs = (_prepare([rule for run in runs for rule in run.rules]),)
+        runs, triggers = (_prepare([rule for run in runs for rule in run.rules]),), None
     static = runs[0].static
     out = static.table._extended() if static else GroundProgram()
-    _instantiate(out, runs)
+    _instantiate(out, runs, triggers=triggers)
     return out
 
 
 def _instantiate(out: GroundProgram, runs: tuple[_Prepared, ...], given: Iterable[tuple] = (),
-                 record: list | None = None) -> tuple[list, dict[int, int], _Derivable]:
+                 record: list | None = None, triggers: dict | None = None) -> tuple:
     """Add the runs' instances to `out`, the atoms `given` joined first and the first run's
     phase 1 replayed after the seeds; returns the worklist, each waiting rule's count left,
     by id (the rules outlive the call), and the atoms joined.  With `record`, only `given`
-    is joined, and what it completes is listed there (`_Static.replay`), not added."""
+    is joined, and what it completes is listed there (`_Static.replay`), not added.  The
+    runs' `triggers` are merged (`_merged`) unless given."""
     for run in runs:
         out._known.update(run.atoms)
-    first = runs[0].triggers
-    triggers: dict = {}     # each later run's keys, with every run's entries in run order
-    for run in runs[1:]:
-        for key, entries in run.triggers.items():
-            triggers[key] = triggers.get(key, first.get(key, ())) + entries
+    if triggers is None:
+        triggers = _merged(runs)
     missing: dict[int, int] = {}
     derived: set[int] = set()
     queue = list(given)
@@ -741,8 +779,7 @@ def _instantiate(out: GroundProgram, runs: tuple[_Prepared, ...], given: Iterabl
     for key in queue:       # the list grows as the loop runs
         predicate, args = key
         derivable.add(predicate, args)
-        for trigger in (triggers.get(predicate) or first.get(predicate, ())) + \
-                (triggers.get(key) or first.get(key, ())):
+        for trigger in triggers.get(predicate, ()) + triggers.get(key, ()):
             if isinstance(trigger, _Waiting):
                 left = missing[id(trigger)] = missing.get(id(trigger), trigger.count) - 1
                 if not left:

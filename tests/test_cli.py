@@ -283,6 +283,18 @@ class TestGoldenReports:
         assert code == 0
         assert out == (GOLDEN / f"{command}_{mode}_quoted_constants.{suffix}").read_text()
 
+    @pytest.mark.parametrize("argv, golden", [
+        (("ground", "--mode", "st"), "ground_st_project_cascade_unknown.adl"),
+        (("ground", "--mode", "bm"), "ground_bm_project_cascade_unknown.adl"),
+        (("compare", "--json"), "compare_project_cascade_unknown.json")])
+    def test_unknown_facts(self, argv, golden, capsys):
+        """No fixture database holds an unknown fact; this one does, and a quoted constant."""
+        code, out = invoke(capsys, *argv, "-p", fx("project_cascade.adl"),
+                           "-d", str(GOLDEN / "project_cascade_unknown.adb"),
+                           "-u", fx("project_cascade.adu"))
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
 
 CHOICE_PROGRAM = """\
 pick(X) :- cand(X), not skip(X).
