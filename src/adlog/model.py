@@ -93,7 +93,11 @@ class _Value:
         return hash(self._value_key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        # A set's members in `repr` order, so that a copy or a pickle reads the same.
+        fields = ", ".join(
+            f"{name}=frozenset({{{', '.join(sorted(map(repr, value)))}}})"
+            if isinstance(value := getattr(self, name), frozenset) and len(value) > 1
+            else f"{name}={value!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -332,7 +336,8 @@ class Program(_Value):
     def __init__(self, rules: tuple[Rule, ...] = ()):
         _set(self, "rules", rules)
         # What was computed from the rules: validate_program, rewrite._kept, and the
-        # residue components `_Session.family` searched (`enumerate_pstable`'s memo).
+        # memos `_Session` keeps: well-founded values by table structure (`well_founded`)
+        # and the residue components searched (`enumerate_pstable`).
         _set(self, "cache", {})
 
     def __eq__(self, other: object) -> bool:

@@ -24,6 +24,9 @@ grounder fills as it instantiates the rules: each atom numbered once, each rule
 kept by those numbers (its atom dependency graph).  The program's cache keeps
 the well-founded values and model computed from it; a program that extends a
 kept prefix of static atoms (see rewrite.ground) starts from the prefix's.
+The values depend only on the numbered rules, so a caller may keep a bounded
+memo of them by that structure across programs (`well_founded(..., memo)`);
+a table with a prefix is not kept.
 
 The family is kept factorised: `ModelFamily` holds the well-founded model
 and each component's parts, each flagged within its component from per-atom
@@ -227,8 +230,8 @@ def _sccs(program: GroundProgram) -> Iterator[list[int]]:
                     yield [w + settled for w in component]
 
 
-def _well_founded(program: GroundProgram) -> tuple[list[int], Interpretation]:
-    """The well-founded values of `program`'s atoms and its model, computed once and cached.
+def _solve(program: GroundProgram, kept: list[int]) -> list[int]:
+    """The well-founded values of the prefix's atoms, `kept`, then of `program`'s own.
 
     The model is computed one strongly connected component of the atom
     dependency graph at a time, in the order `_sccs` yields them (Van Gelder,
@@ -240,54 +243,73 @@ def _well_founded(program: GroundProgram) -> tuple[list[int], Interpretation]:
     values fixed (`_restrict`).  There are two cases: a single atom that no
     rule of its own reads takes its best rule's floor, and any other
     component iterates Psi from all-undefined until it stops changing.
+    """
+    defs, pos, negs = program._local, program._pos, program._negs
+    vals = kept + [_UNDEF] * len(defs)
+    for component in _sccs(program):
+        # A fast path that pays: settling these atoms through Psi costs chain 47 % of txn/s.
+        if len(component) == 1:
+            a = component[0]
+            value = _FALSE
+            for r in defs[a - len(kept)]:
+                if a in pos[r] or a in negs[r]:
+                    break
+                floor = _TRUE
+                for p in pos[r]:
+                    if vals[p] < floor:
+                        floor = vals[p]
+                for n in negs[r]:
+                    if _TRUE - vals[n] < floor:
+                        floor = _TRUE - vals[n]
+                if floor > value:
+                    value = floor
+            else:
+                vals[a] = value
+                continue
+        rules = _restrict(program, component, vals)
+        sub = [_UNDEF] * len(component)
+        new_sub = _psi(rules, sub)
+        while new_sub != sub:
+            for old, new in zip(sub, new_sub):
+                if old != _UNDEF and old != new:
+                    raise EngineError("well-founded iteration is not inflationary")
+            sub, new_sub = new_sub, _psi(rules, new_sub)
+        for a, v in zip(component, new_sub):
+            vals[a] = v
+    return vals
+
+
+def _well_founded(program: GroundProgram,
+                  memo: dict | None = None) -> tuple[list[int], Interpretation]:
+    """The well-founded values of `program`'s atoms and its model, computed once and cached.
 
     The values are indexed by the program's one atom table, filled as it was
     grounded (or by `GroundProgram(rules)`, which rejects rules that are not
-    ground).  A table that extends a kept `prefix` (rewrite.ground's phase 1)
-    starts from the prefix's values, as its atoms read no other atom, and
-    reads only its own rules; its model builds its sets on first read
-    (`_Model`).  `well_founded` and `enumerate_pstable` on one program share
-    the model, and the enumeration reads the residue off the same values.
-    `enumerate_pstable` calls this function rather than `well_founded`, so
-    a tracer that wraps the public name (perfbench) counts only the requests
-    made from outside this module.  Threads that race on an empty cache each
-    compute the same model, and either is kept.
+    ground), and computed by `_solve`.  A table that extends a kept `prefix`
+    (rewrite.ground's phase 1) starts from the prefix's values, as its atoms
+    read no other atom, and reads only its own rules; its model builds its
+    sets on first read (`_Model`).  `well_founded` and `enumerate_pstable` on
+    one program share the model, and the enumeration reads the residue off
+    the same values.  `enumerate_pstable` calls this function rather than
+    `well_founded`, so a tracer that wraps the public name (perfbench) counts
+    only the requests made from outside this module.  Threads that race on
+    an empty cache each compute the same model, and either is kept.
+
+    `memo`, kept across programs, maps a table's structure, its numbered rules
+    in order, to its values: the structure fixes the atoms' rules, the
+    components and every Psi round, so only the model is built from this
+    table's own atoms.  A table with a prefix is not kept, as its key would
+    have to name the prefix.  Each entry is charged its rules' numbers and
+    its values, of at most `_STRUCTURE_BOUND` (`_keep`).
     """
     cached = program.cache.get("well-founded")
     if cached is None:
-        defs, pos, negs = program._local, program._pos, program._negs
         kept, known = _well_founded(program.prefix) if program.prefix else ([], _NOTHING)
-        vals = kept + [_UNDEF] * len(defs)
-        for component in _sccs(program):
-            # A fast path that pays: settling these atoms through Psi costs chain 47 % of txn/s.
-            if len(component) == 1:
-                a = component[0]
-                value = _FALSE
-                for r in defs[a - len(kept)]:
-                    if a in pos[r] or a in negs[r]:
-                        break
-                    floor = _TRUE
-                    for p in pos[r]:
-                        if vals[p] < floor:
-                            floor = vals[p]
-                    for n in negs[r]:
-                        if _TRUE - vals[n] < floor:
-                            floor = _TRUE - vals[n]
-                    if floor > value:
-                        value = floor
-                else:
-                    vals[a] = value
-                    continue
-            rules = _restrict(program, component, vals)
-            sub = [_UNDEF] * len(component)
-            new_sub = _psi(rules, sub)
-            while new_sub != sub:
-                for old, new in zip(sub, new_sub):
-                    if old != _UNDEF and old != new:
-                        raise EngineError("well-founded iteration is not inflationary")
-                sub, new_sub = new_sub, _psi(rules, new_sub)
-            for a, v in zip(component, new_sub):
-                vals[a] = v
+        key = None if memo is None or program.prefix else tuple(program._rules)
+        stored = None if key is None else memo.get(key)
+        vals = _solve(program, kept) if stored is None else list(stored[0])
+        if key is not None and stored is None:
+            _keep(memo, key, (tuple(vals),), sum(map(len, key)) + len(vals), _STRUCTURE_BOUND)
         cached = program.cache["well-founded"] = (vals, _Model(known, program._atoms,
                                                                 vals[len(kept):]))
     return cached
@@ -320,9 +342,10 @@ class _Model(Interpretation):
         return self._parts[0].value(atom) if own is None else _VALUES[own]
 
 
-def well_founded(program: GroundProgram) -> Interpretation:
-    """Least fixpoint of the reduct operator, computed one dependency component at a time."""
-    return _well_founded(program)[1]
+def well_founded(program: GroundProgram, memo: dict | None = None) -> Interpretation:
+    """Least fixpoint of the reduct operator, computed one dependency component at a time;
+    `memo` keeps the values of each table structure across programs (`_well_founded`)."""
+    return _well_founded(program, memo)[1]
 
 
 def is_pstable(program: GroundProgram, interp: Interpretation) -> bool:
@@ -581,11 +604,23 @@ def _search(rules: _Rules) -> list[list[int]]:
     return found
 
 
-# The most part values, parts times atoms, that one `solved` memo keeps.  Each
-# entry spans its values in a running count of the values kept, so the memo holds
-# the newest entry's end less the oldest's start.  Only a miss takes the lock.
+# The most a memo keeps: part values, parts times atoms, in `solved`, and
+# numbers, rules' and values', in a structure memo (`_well_founded`).
 _SOLVED_BOUND = 65_536
+_STRUCTURE_BOUND = 65_536
 _keeping = threading.Lock()
+
+
+def _keep(memo: dict, key: object, value: tuple, size: int, bound: int) -> None:
+    """Keep `value` at `key`, charged `size` of `memo`'s `bound`: its last field spans that in a
+    running count, so the memo holds the newest end less the oldest start, and the oldest
+    leave first.  A value larger than the bound is not kept.  Only a miss takes the lock."""
+    if size <= bound:
+        with _keeping:
+            end = size + (memo[next(reversed(memo))][-1].stop if memo else 0)
+            while memo and memo[next(iter(memo))][-1].start < end - bound:
+                del memo[next(iter(memo))]
+            memo.setdefault(key, (*value, range(end - size, end)))
 
 
 def enumerate_pstable(program: GroundProgram, cap: int = DEFAULT_ENUMERATION_CAP,
@@ -649,13 +684,8 @@ def _parts(program: GroundProgram, component: _Component,
         parts = _search(rules)
         parts.sort(key=lambda part: [rank[v] for rank, v in zip(ranks, part)])
         kept = (tuple(map(tuple, parts)), _flag(len(atoms), parts))
-        size = len(parts) * len(atoms)
-        if solved is not None and size <= _SOLVED_BOUND:
-            with _keeping:
-                end = size + (solved[next(reversed(solved))][2].stop if solved else 0)
-                while solved and solved[next(iter(solved))][2].start < end - _SOLVED_BOUND:
-                    del solved[next(iter(solved))]
-                solved.setdefault(key, (*kept, range(end - size, end)))
+        if solved is not None:
+            _keep(solved, key, kept, len(parts) * len(atoms), _SOLVED_BOUND)
     universe = frozenset(atoms)
     return tuple(ModelRecord(Interpretation(
                      universe, frozenset(a for a, v in zip(atoms, part) if v == _TRUE),

@@ -261,9 +261,11 @@ class _Session:
             embed_database(self.rewritten(mode), self.database)))
 
     def wf(self, mode: str) -> Interpretation:
-        return self._stage("wf", mode, lambda: well_founded(self.ground(mode)))
+        return self._stage("wf", mode, lambda: well_founded(
+            self.ground(mode), self.up.program.cache.setdefault("structures", {})))
 
     def family(self, mode: str) -> ModelFamily:
+        self.wf(mode)       # through the structure memo: the enumeration reads the model back
         return self._stage("family", mode, lambda: enumerate_pstable(
             self.ground(mode), self.cap, self.up.program.cache.setdefault("solved", {})))
 
