@@ -604,8 +604,8 @@ def _search(rules: _Rules) -> list[list[int]]:
     return found
 
 
-# The most a memo keeps: part values, parts times atoms, in `solved`, and
-# numbers, rules' and values', in a structure memo (`_well_founded`).
+# The most each memo keeps: `solved`, in part values (parts times atoms), and a
+# structure memo (`_well_founded`), in rule atom numbers plus well-founded values.
 _SOLVED_BOUND = 65_536
 _STRUCTURE_BOUND = 65_536
 _keeping = threading.Lock()
