@@ -7,10 +7,11 @@ visible whether it was derived by a rule or requested in the input delta.
 The rival one (`rewrite_bm`) guards each action with the complementary
 update only and turns input updates into guarded rules.
 
-A rewriting lists the program's rules with their guards, the delta's rules,
-then the bridges.  What depends on the program alone is rewritten and planned
-for grounding once per `Program`, and kept with it; the delta's and the
-database's rules have no positive body, and are made as seeds (`_seeded`).
+A rewriting lists the program's rules with their guards and the bridges (or
+the insertion rules), then the delta's rules.  What depends on the program
+alone is rewritten and planned for grounding once per `Program`, and kept with
+it as one prepared run; the delta's and the database's rules have no positive
+body, and are made as seeds (`_seeded`).
 
 All generated predicates live in the reserved '@' namespace, and the prefix
 of each defines its kind; every other predicate is the user's:
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Iterable
 
 from .model import (RESERVED_PREFIX, Atom, BuiltinLiteral, Database, Literal,
@@ -226,7 +227,7 @@ def _keys(rule: Rule, atoms: dict[tuple, Atom],
 def embed_database(program: Program, database: Database) -> Program:
     """One fact per true tuple, one rule `p(t) :- not p(t).` per unknown, in `str` order: seeds."""
     runs = program.cache.get("runs") or (_prepare(program.rules),)
-    return _Rewritten(runs + (_kept(database, "run", _facts),), program.cache.get("triggers"))
+    return _Rewritten(*runs, _kept(database, "run", _facts))
 
 
 def _facts(database: Database) -> _Prepared:
@@ -261,32 +262,31 @@ def _generic_args(arity: int) -> tuple[Variable, ...]:
 
 def rewrite_st(up: UpdateProgram) -> Program:
     """Guarded rewriting with delta markers and bridge predicates."""
-    rules, bridges = _kept(up.program, "rewrite st", _st_program)
-    triggers = _kept(up.program, "triggers st", lambda _: _merged((rules, bridges)))
     markers = _seeded([((delta_marker_predicate(u.polarity, u.atom.predicate), u.atom.args), ())
                        for u in up.delta.ordered])
-    return _Rewritten((rules, markers, bridges), triggers)
+    return _Rewritten(_kept(up.program, "rewrite st", _st_program), markers)
 
 
-def _st_program(program: Program) -> tuple[_Prepared, _Prepared]:
-    """What `rewrite_st` takes from the program alone: its rules with guards, the bridges."""
+def _passive(rule: Rule, body: list[Literal]) -> Rule:
+    """The passive `rule` with `body`: the user's own `Rule` if no literal changed."""
+    return rule if all(map(is_, body, rule.body)) else Rule(rule.head, tuple(body), rule.origin)
+
+
+def _st_program(program: Program) -> _Prepared:
+    """What `rewrite_st` takes from the program alone: its rules with guards and the
+    bridges, prepared as one run."""
     rules: list[Rule] = []
     actions = program.action_predicates()
 
     for rule in program.rules:
-        body: list[Literal] = []
-        for lit in rule.body:
-            if isinstance(lit, UpdLiteral):
-                body.append(_bridge_body_literal(lit))
-            else:
-                body.append(lit)
+        body = [_bridge_body_literal(lit) if isinstance(lit, UpdLiteral) else lit
+                for lit in rule.body]
         if rule.is_active:
-            head_atom = renamed_update_atom(rule.head)
             guard = Atom(guard_predicate(rule.head.atom.predicate), rule.head.atom.args)
             body.append(StdLiteral(guard, positive=False))
-            rules.append(Rule(head_atom, tuple(body), rule.origin))
+            rules.append(Rule(renamed_update_atom(rule.head), tuple(body), rule.origin))
         else:
-            rules.append(Rule(rule.head, tuple(body), rule.origin))
+            rules.append(_passive(rule, body))
 
     for action in sorted(actions):
         args = _generic_args(actions[action])
@@ -295,16 +295,15 @@ def _st_program(program: Program) -> tuple[_Prepared, _Prepared]:
         minus = Atom(renamed_update_predicate(Polarity.DELETE, action), args)
         rules.append(Rule(head, (StdLiteral(plus), StdLiteral(minus))))
 
-    bridges: list[Rule] = []
     for polarity, predicate, arity in sorted(_body_update_pairs(program),
                                              key=lambda p: (p[1], p[0].value)):
         args = _generic_args(arity)
         bridge = Atom(bridge_predicate(polarity, predicate), args)
         renamed = Atom(renamed_update_predicate(polarity, predicate), args)
         marker = Atom(delta_marker_predicate(polarity, predicate), args)
-        bridges.append(Rule(bridge, (StdLiteral(renamed),)))
-        bridges.append(Rule(bridge, (StdLiteral(marker),)))
-    return _prepare(rules), _prepare(bridges)
+        rules.append(Rule(bridge, (StdLiteral(renamed),)))
+        rules.append(Rule(bridge, (StdLiteral(marker),)))
+    return _prepare(rules, program)
 
 
 # ---------------------------------------------------------------------------
@@ -331,35 +330,31 @@ def rewrite_bm(up: UpdateProgram) -> Program:
                       (((renamed_update_predicate(complement, predicate), args), False),)))
         if u.polarity is Polarity.INSERT:
             insertable[predicate] = len(args)
-    # The insertion rules are kept per insertable set, a run of their own: none is a seed.
+    # The rules and the insertion rules are prepared as one run per insertable set.
     key = tuple(sorted(insertable.items()))
-    insertions = _kept(up.program, ("rewrite bm", key), lambda _: _insertions(key))
-    triggers = _kept(up.program, ("triggers bm", key), lambda _: _merged((rules, insertions)))
-    return _Rewritten((rules, _seeded(delta), insertions), triggers)
+    run = _kept(up.program, ("rewrite bm", key),
+                lambda program: _prepare(rules + _insertions(key), program))
+    return _Rewritten(run, _seeded(delta))
 
 
-def _insertions(insertable: tuple[tuple[str, int], ...]) -> _Prepared:
-    """`p(X1, ..) :- @plus_p(X1, ..)` for each insertable predicate p, prepared."""
+def _insertions(insertable: tuple[tuple[str, int], ...]) -> tuple[Rule, ...]:
+    """`p(X1, ..) :- @plus_p(X1, ..)` for each insertable predicate p."""
     rules = []
     for predicate, arity in insertable:
         args = _generic_args(arity)
         plus = Atom(renamed_update_predicate(Polarity.INSERT, predicate), args)
         rules.append(Rule(Atom(predicate, args), (StdLiteral(plus),)))
-    return _prepare(rules)
+    return tuple(rules)
 
 
-def _bm_program(program: Program) -> tuple[_Prepared, tuple[tuple[str, int], ...]]:
+def _bm_program(program: Program) -> tuple[tuple[Rule, ...], tuple[tuple[str, int], ...]]:
     """What `rewrite_bm` takes from the program alone: its rules, what they insert into."""
     rules: list[Rule] = []
     insertable: dict[str, int] = {}
 
     for rule in program.rules:
-        body: list[Literal] = []
-        for lit in rule.body:
-            if isinstance(lit, UpdLiteral):
-                body.append(StdLiteral(renamed_update_atom(lit.uatom), lit.positive))
-            else:
-                body.append(lit)
+        body = [StdLiteral(renamed_update_atom(lit.uatom), lit.positive)
+                if isinstance(lit, UpdLiteral) else lit for lit in rule.body]
         if rule.is_active:
             head_atom = renamed_update_atom(rule.head)
             complement = Polarity.DELETE if rule.head.polarity is Polarity.INSERT \
@@ -373,8 +368,8 @@ def _bm_program(program: Program) -> tuple[_Prepared, tuple[tuple[str, int], ...
                 insertable[rule.head.atom.predicate] = rule.head.atom.arity
             rules.append(Rule(head_atom, tuple(body), rule.origin))
         else:
-            rules.append(Rule(rule.head, tuple(body), rule.origin))
-    return _prepare(rules), tuple(insertable.items())
+            rules.append(_passive(rule, body))
+    return tuple(rules), tuple(insertable.items())
 
 
 def _kept(program: Program | Database, key, compute):
@@ -387,10 +382,11 @@ def _kept(program: Program | Database, key, compute):
 
 
 class _Rewritten(Program):
-    """The rules of prepared runs, in order, built on first read: `ground` reads the runs."""
+    """The rules of a prepared run and then of its seed runs (`_seeded`), built on first
+    read: `ground` reads the runs."""
 
-    def __init__(self, runs: tuple[_Prepared, ...], triggers: dict | None = None):
-        object.__setattr__(self, "cache", {"runs": runs, "triggers": triggers})
+    def __init__(self, prepared: _Prepared, *seeds: _Prepared):
+        object.__setattr__(self, "cache", {"runs": (prepared, *seeds)})
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
@@ -567,17 +563,9 @@ def _seeded(rules: list[tuple[tuple, tuple]], atoms: dict[tuple, Atom] | None = 
                    tuple([_waiting(head, body, None) for head, body in rules]), {}, (), atoms or {})
 
 
-def _merged(runs: tuple[_Prepared, ...]) -> dict:
-    """The runs' `triggers` as one map: each key's entries of every run, in run order."""
-    merged: dict = {}
-    for run in runs:
-        for key, entries in run.triggers.items():
-            merged[key] = merged.get(key, ()) + entries
-    return merged
-
-
-# A run's phase 1 of `ground`: its static `predicates`, their ground `table`,
-# and what the run's triggers did once as its atoms left the worklist: `replay`
+# A run's phase 1 of `ground`: its static `predicates`, their ground `table`
+# (shared by every run with the same static rules, see `_prepare`), and what
+# the run's triggers did once as its atoms left the worklist: `replay`
 # lists what they alone complete, in order, as `seeds` do, and `facts` and
 # `lookups` are their `_Derivable` index, shared and never changed.  `triggers`
 # keep no static key, and a `_Waiting` rule's `count` is what it still waits for.
@@ -610,18 +598,21 @@ def _static(rules: Iterable[Rule]) -> frozenset[str]:
     return frozenset(static)
 
 
-def _prepare(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
+def _prepare(rules: list[Rule] | tuple[Rule, ...], kept: Program | None = None) -> _Prepared:
     """Ground the static rules (phase 1 of `ground`), plan the others (`_plan`) and fire
-    their triggers on the static atoms (`_Static`)."""
+    their triggers on the static atoms (`_Static`).  Phase 1 is kept in `kept`'s cache,
+    if given, by the static rules: every run of one program with the same static rules,
+    whatever its rewriting, shares one table and its derived atoms."""
     static = _static(rules)
     if not static:
         return _plan(rules)
-    first = _plan([rule for rule in rules if rule.head_atom().predicate in static])
+    first = tuple([rule for rule in rules if rule.head_atom().predicate in static])
+    constants, heads, table, derived = _phase_1(first) if kept is None else \
+        _kept(kept, ("phase 1", first), lambda _: _phase_1(first))
     # A call's own atoms are few: built anew, not merged from the run (`GroundProgram.atoms`).
     rest = _plan([rule for rule in rules if rule.head_atom().predicate not in static]
                  )._replace(atoms={})
-    table, replay = GroundProgram(), []
-    derived = _instantiate(table, (first,))[0]
+    replay = []
     _, missing, index = _instantiate(table, (rest._replace(seeds=()),), derived, replay)
     renewed: dict[int, _Waiting] = {}       # by id, each waiting rule with the count it has left
     triggers = {key: tuple([renewed.setdefault(id(t), t._replace(count=missing[id(t)]))
@@ -630,9 +621,16 @@ def _prepare(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
                 if (key if isinstance(key, str) else key[0]) not in static}
     facts, lookups = ({p: d for p, d in kind.items() if p in static}
                       for kind in (index.facts, index.lookups))
-    return rest._replace(rules=tuple(rules), constants=first.constants | rest.constants,
-                         heads=first.heads | rest.heads, triggers=triggers,
+    return rest._replace(rules=tuple(rules), constants=constants | rest.constants,
+                         heads=heads | rest.heads, triggers=triggers,
                          static=_Static(static, table, tuple(replay), facts, lookups))
+
+
+def _phase_1(rules: tuple[Rule, ...]) -> tuple:
+    """Phase 1 of `ground` on the static `rules`: their constants and head predicates, their
+    ground table and its atoms in the order they left the worklist."""
+    first, table = _plan(rules), GroundProgram()
+    return first.constants, first.heads, table, tuple(_instantiate(table, (first,))[0])
 
 
 def _plan(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
@@ -708,36 +706,33 @@ def ground(program: Program) -> GroundProgram:
     worklist.  Instances come out in derivation order, and those one atom
     completes in rule order, as one run of the rules gives them.  `_prepare`
     plans each rule once, runs phase 1 and joins its atoms into the others, so
-    a rewriting passes its runs on prepared (`program.cache["runs"]`), the
-    program's own kept (`_kept`) with their triggers merged: a call adds its
-    seeds, replays what phase 1's atoms completed and joins its own atoms
-    (`_Static`).  If a later run defines a static predicate (a database fact)
-    or joins on one, the runs are prepared again as one.
+    a rewriting passes its runs on (`program.cache["runs"]`): the program's
+    rules and the bridges or insertion rules as one prepared run, kept with the
+    program (`_kept`), then the delta's and the database's seed runs.  A call
+    adds the seeds, replays what phase 1's atoms completed and joins its own
+    atoms (`_Static`).  If a seed run defines a static predicate (a database
+    fact), the runs are prepared again as one.
     """
     runs = program.cache.get("runs") or (_prepare(program.rules),)
-    triggers = program.cache.get("triggers")
-    first = runs[0].static
-    if any(run.static or first and not first.predicates.isdisjoint(itertools.chain(
-            run.heads, [key if isinstance(key, str) else key[0] for key in run.triggers]))
-           for run in runs[1:]):
-        runs, triggers = (_prepare([rule for run in runs for rule in run.rules]),), None
     static = runs[0].static
+    if static and any(not static.predicates.isdisjoint(run.heads) for run in runs[1:]):
+        runs = (_prepare([rule for run in runs for rule in run.rules]),)
+        static = runs[0].static
     out = static.table._extended() if static else GroundProgram()
-    _instantiate(out, runs, triggers=triggers)
+    _instantiate(out, runs)
     return out
 
 
 def _instantiate(out: GroundProgram, runs: tuple[_Prepared, ...], given: Iterable[tuple] = (),
-                 record: list | None = None, triggers: dict | None = None) -> tuple:
-    """Add the runs' instances to `out`, the atoms `given` joined first and the first run's
-    phase 1 replayed after the seeds; returns the worklist, each waiting rule's count left,
-    by id (the rules outlive the call), and the atoms joined.  With `record`, only `given`
-    is joined, and what it completes is listed there (`_Static.replay`), not added.  The
-    runs' `triggers` are merged (`_merged`) unless given."""
+                 record: list | None = None) -> tuple:
+    """Add the instances of a prepared run and its seed runs (`_seeded`) to `out`, the
+    atoms `given` joined first and the prepared run's phase 1 replayed after the seeds;
+    returns the worklist, each waiting rule's count left, by id (the rules outlive the
+    call), and the atoms joined.  Only the prepared run has triggers.  With `record`, only
+    `given` is joined, and what it completes is listed there (`_Static.replay`), not added."""
     for run in runs:
         out._known.update(run.atoms)
-    if triggers is None:
-        triggers = _merged(runs)
+    triggers = runs[0].triggers
     missing: dict[int, int] = {}
     derived: set[int] = set()
     queue = list(given)

@@ -14,9 +14,9 @@ import adlog.rewrite
 import adlog.update
 from adlog import (ConsistencyError, GroundProgram, Interpretation, Program, Semantics,
                    UpdateProgram, embed_database, ground, parse_database, parse_delta,
-                   parse_program, rewrite_st, well_founded)
-from adlog.model import Atom, Rule, StdLiteral, Variable
-from adlog.rewrite import _instantiate, _plan, _prepare, _Rewritten
+                   parse_program, rewrite_bm, rewrite_st, well_founded)
+from adlog.model import Atom
+from adlog.rewrite import _instantiate, _plan, _Seeded
 from adlog.selftest import InstanceGenerator
 from adlog.stable import _Model, _well_founded
 from adlog.update import _Session
@@ -76,7 +76,7 @@ def test_work_per_warm_transaction_does_not_grow_with_n(monkeypatch, semantics):
 def assert_grounds_as_one_phase(up: UpdateProgram, db) -> None:
     """The warm table has the rules and the well-founded model of a grounding without
     phase 1: one plan of all the rules, every atom joined in one worklist."""
-    for rewriting, _ in REWRITINGS:
+    for rewriting in REWRITINGS:
         table = ground(embed_database(rewriting(up), db))
         one = GroundProgram()
         _instantiate(one, (_plan(embed_database(rewriting(cold(up)), db).rules),))
@@ -101,21 +101,27 @@ def test_replay_edge_cases(rule, tmp_path, capsys):
             assert_warm_is_cold(up, db)
             assert_grounds_as_one_phase(up, db)
             assert_compare_warm_is_cold(capsys, tmp_path, up, db)
-    replayed = [len(kept(program, rewriting, key).replay) for rewriting, key in REWRITINGS]
+    replayed = [len(kept(program, rewriting).replay) for rewriting in REWRITINGS]
     assert replayed == ([0, 0] if "+ev" in rule else [1, 1])
 
 
-def test_a_later_run_that_joins_on_a_static_predicate_falls_back():
+def test_one_prepared_run_then_seed_runs_and_one_phase_1_per_program():
     program = parse_program(CHAIN_AB)
-    runs = rewrite_st(UpdateProgram(parse_delta("+ev(n3)."), program)).cache["runs"]
-    x = Variable("X")
-    later = _prepare([Rule(Atom("z", (x,)), (StdLiteral(Atom("a", (x,))),))])
-    table = ground(_Rewritten(runs + (later,)))
-    single = ground(Program(_Rewritten(runs + (later,)).rules))
-    assert table.prefix is not runs[0].static.table
-    assert with_origins(table.rules) == with_origins(single.rules)
-    assert {str(atom) for atom in table.atoms if atom.predicate == "z"} == \
-        {f"z(n{i})" for i in range(12)}
+    db = parse_database("out(n3). ev(n4)?")
+    # Two `bm` insertable sets: the delta's `+ev` adds `ev` to the program's `out`.
+    ups = [UpdateProgram(parse_delta(delta), program) for delta in ("+ev(n3).", "-ev(n3).")]
+    rewritten = [rewrite_st(ups[0])] + [rewrite_bm(up) for up in ups]
+    plain = Program(rewritten[0].rules)
+    for runs in [p.cache["runs"] for p in rewritten] + \
+            [embed_database(p, db).cache["runs"] for p in rewritten + [plain]]:
+        assert not isinstance(runs[0], _Seeded) and runs[0].static is not None
+        assert runs[1:] and all(isinstance(run, _Seeded) for run in runs[1:])
+    keys = [key for key in program.cache if isinstance(key, tuple)]
+    bm = [program.cache[key] for key in keys if key[0] == "rewrite bm"]
+    assert len(bm) == 2 and len([key for key in keys if key[0] == "phase 1"]) == 1
+    table = program.cache["rewrite st"].static.table
+    assert all(run.static.table is table for run in bm)
+    assert embed_database(plain, db).cache["runs"][0].static.table is not table
 
 
 class TestConsistency:
@@ -150,20 +156,21 @@ class TestConsistency:
                 session.apply_model(model, session.delta_applied, table.updates)
 
 
-def test_st_and_bm_keep_equal_phase_1_tables():
+def test_st_and_bm_share_one_phase_1_table():
     gen, rng = InstanceGenerator(random.Random(210)), random.Random(211)
     programs = [parse_program(chain(12))]
     programs += [with_static_part(gen._candidate()[0], rng).program for _ in range(60)]
     compared = 0
     for program in programs:
-        st, bm = (kept(program, rewriting, key) for rewriting, key in REWRITINGS)
-        assert (st is None) == (bm is None)
+        st, bm = (kept(program, rewriting) for rewriting in REWRITINGS)
+        # A second insertable set, on a predicate the program does not have.
+        other = rewrite_bm(UpdateProgram(parse_delta("+zz_new(q)."), program)).cache["runs"][0]
+        assert (st is None) == (bm is None) == (other.static is None)
         if st is None:
             continue
         compared += 1
-        assert st.predicates == bm.predicates
-        assert st.table.atoms == bm.table.atoms
-        assert with_origins(st.table.rules) == with_origins(bm.table.rules)
+        assert st.predicates == bm.predicates == other.static.predicates
+        assert st.table is bm.table is other.static.table
         # Derived in one order: the index keeps each predicate's atoms as they left the worklist.
         assert {p: list(facts) for p, facts in st.facts.items() if facts} == \
             {p: list(facts) for p, facts in bm.facts.items() if facts}

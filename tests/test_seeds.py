@@ -66,8 +66,8 @@ def assert_seeds_match_the_oracle(up: UpdateProgram, db: Database) -> None:
         runs = embedded.cache["runs"]
         assert_same_run(runs[1], delta_run(up.delta))
         assert_same_run(runs[-1], facts(db))
-        # The same runs with the oracle's in place; `_instantiate` merges their triggers.
-        built = _Rewritten(runs[:1] + (delta_run(up.delta),) + runs[2:-1] + (facts(db),))
+        # The same prepared run with the oracle's seed runs.
+        built = _Rewritten(runs[0], delta_run(up.delta), facts(db))
         assert with_origins(embedded.rules) == with_origins(built.rules)
         table, oracle = ground(embedded), ground(built)
         assert with_origins(table.rules) == with_origins(oracle.rules)
@@ -111,7 +111,7 @@ def test_a_fact_on_a_static_predicate_grounds_all_rules_as_one_run(held):
         up = UpdateProgram(parse_delta(delta), program)
         assert_seeds_match_the_oracle(up, db)
         table = ground(embed_database(rewrite_st(up), db))
-        assert table.prefix is not program.cache["rewrite st"][0].static.table
+        assert table.prefix is not program.cache["rewrite st"].static.table
 
 
 def test_a_delta_is_sorted_once_in_str_order():

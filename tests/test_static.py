@@ -28,13 +28,12 @@ CHAIN_AB = "".join([f"a(n{i}) :- not a(n{i + 1}).\nb(n{i}) :- b(n{i + 1}).\n" fo
                    + ["b(n12).\n"]
                    + [f"+out(n{i}) :- a(n{i}), b(n{i}), +ev(n{i}).\n" for i in range(13)])
 
-REWRITINGS = ((rewrite_st, "rewrite st"), (rewrite_bm, "rewrite bm"))
+REWRITINGS = (rewrite_st, rewrite_bm)
 
 
-def kept(program: Program, rewriting, key: str):
-    """The phase 1 `program` keeps for a rewriting."""
-    rewriting(UpdateProgram(DeltaSet(), program))
-    return program.cache[key][0].static
+def kept(program: Program, rewriting):
+    """The phase 1 `program` keeps for a rewriting under an empty delta."""
+    return rewriting(UpdateProgram(DeltaSet(), program)).cache["runs"][0].static
 
 
 def with_static_part(up: UpdateProgram, rng: random.Random) -> UpdateProgram:
@@ -98,16 +97,16 @@ class TestStaticPredicates:
 
     def test_reserved_and_update_reading_predicates_are_not_static(self):
         program = parse_program(CHAIN_AB + "s :- a(n1), +ev(n1).\n")
-        for rewriting, key in REWRITINGS:
-            assert kept(program, rewriting, key).predicates == {"a", "b"}
+        for rewriting in REWRITINGS:
+            assert kept(program, rewriting).predicates == {"a", "b"}
 
     @pytest.mark.parametrize("text", [
         "pick(X) :- cand(X), not skip(X).\nskip(X) :- cand(X), not pick(X).\n"
         "+chosen(X) :- pick(X), +req(X).\n+covered(G) :- pick(X), member(X,G), +want(G).\n",
         fixture_text("project_cascade.adl")])
     def test_the_choice_and_cascade_programs_have_none(self, text):
-        for rewriting, key in REWRITINGS:
-            assert kept(parse_program(text), rewriting, key) is None
+        for rewriting in REWRITINGS:
+            assert kept(parse_program(text), rewriting) is None
 
 
 class TestReuse:
@@ -115,7 +114,7 @@ class TestReuse:
         program = parse_program(CHAIN_AB)
         db = parse_database("out(n3).")
         _Session(UpdateProgram(parse_delta("+ev(n2)."), program), db).wf("st")
-        static = program.cache["rewrite st"][0].static
+        static = program.cache["rewrite st"].static
         settled = len(static.table.atoms)
         assert (settled, len(static.table.heads)) == (26, 25)
         added, visited = [], []
@@ -152,10 +151,10 @@ class TestReuse:
     def test_each_transaction_copies_the_one_kept_phase_1(self):
         program = parse_program(CHAIN)
         db = parse_database("out(n3).")
-        for rewriting, key in REWRITINGS:
+        for rewriting in REWRITINGS:
             tables = {id(ground(embed_database(rewriting(UpdateProgram(
                 parse_delta(f"+ev(n{i})."), program)), db)).prefix) for i in range(4)}
-            assert tables == {id(kept(program, rewriting, key).table)}
+            assert tables == {id(kept(program, rewriting).table)}
 
 
 class TestFallback:
@@ -166,10 +165,10 @@ class TestFallback:
         for delta in ("+ev(n3).", "+ev(n4).\n+ev(n5).\n", ""):
             up = UpdateProgram(parse_delta(delta), program)
             assert_warm_is_cold(up, db)
-            for rewriting, key in REWRITINGS:
+            for rewriting in REWRITINGS:
                 table = ground(embed_database(rewriting(up), db))
                 # Phase 1 is grounded again from all the rules, the fact among them.
-                assert table.prefix is not kept(program, rewriting, key).table
+                assert table.prefix is not kept(program, rewriting).table
                 assert set(table.prefix.atoms) >= {a for a in db.true_facts | db.unknown_facts
                                                    if a.predicate in ("a", "b")}
             assert_compare_warm_is_cold(capsys, tmp_path, up, db)
@@ -182,7 +181,7 @@ class TestFallback:
             up = with_static_part(up, rng)
             for facts in (db, with_derived_facts(up, db, rng)):
                 assert_warm_is_cold(up, facts)
-                static = kept(up.program, rewrite_st, "rewrite st")
+                static = kept(up.program, rewrite_st)
                 prefix = ground(embed_database(rewrite_st(up), facts)).prefix
                 if static is not None:
                     fell_back += prefix is not static.table
@@ -197,7 +196,7 @@ def test_kept_prefix_matches_the_psi_oracle():
     for i in range(300):
         up, db = gen._candidate()
         up = with_static_part(up, rng)
-        for rewriting, _ in REWRITINGS:
+        for rewriting in REWRITINGS:
             for _ in range(2):      # the second grounding copies the kept phase 1
                 g = ground(embed_database(rewriting(up), db))
                 settled += g.prefix is not None

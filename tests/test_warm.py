@@ -37,11 +37,12 @@ def with_origins(rules) -> list:
 def assert_warm_is_cold(up: UpdateProgram, db) -> None:
     """Every rewriting and grounding of `up` equals the one of a fresh program.
 
-    What the program keeps must equal what the fresh program computes, so a
+    Every entry the program keeps (the rewritings, each `bm` insertable set's
+    run, the shared phase 1) must equal what the fresh program computes, so a
     call that changes it in place is caught even where its output is not.
     """
     fresh_up = cold(up)
-    for rewriting, key in ((rewrite_st, "rewrite st"), (rewrite_bm, "rewrite bm")):
+    for rewriting in (rewrite_st, rewrite_bm):
         warm = rewriting(up)
         fresh = rewriting(fresh_up)
         assert with_origins(warm.rules) == with_origins(fresh.rules)
@@ -50,9 +51,10 @@ def assert_warm_is_cold(up: UpdateProgram, db) -> None:
         single = ground(Program(embed_database(fresh, db).rules))
         assert with_origins(grounded.rules) == with_origins(single.rules)
         assert grounded.atoms == single.atoms
-        assert (grounded.heads, grounded.pos, grounded.negs) == \
-            (single.heads, single.pos, single.negs)
-        assert up.program.cache[key] == fresh_up.program.cache[key]
+        assert (grounded.heads, grounded.pos, grounded.negs, grounded.defs) == \
+            (single.heads, single.pos, single.negs, single.defs)
+    for key, entry in fresh_up.program.cache.items():
+        assert up.program.cache[key] == entry, key
 
 
 def compare_json(capsys, program: str, db: str, delta: str, *cap: str) -> str:
