@@ -456,9 +456,8 @@ class Database(_Value):
 
     def __init__(self, true_facts: frozenset[Atom] = frozenset(),
                  unknown_facts: frozenset[Atom] = frozenset()):
-        _set(self, "true_facts", true_facts)
-        _set(self, "unknown_facts", unknown_facts)
-        _set(self, "cache", {})     # what is computed from the facts: rewrite.embed_database's run
+        # `cache` holds what is computed from the facts: rewrite.embed_database's run.
+        self.__dict__.update(true_facts=true_facts, unknown_facts=unknown_facts, cache={})
         overlap = self.true_facts & self.unknown_facts
         if overlap:
             atom = sorted(str(a) for a in overlap)[0]
@@ -471,6 +470,13 @@ class Database(_Value):
     @staticmethod
     def of(true: Iterable[Atom] = (), unknown: Iterable[Atom] = ()) -> "Database":
         return Database(frozenset(true), frozenset(unknown))
+
+    @classmethod
+    def _checked(cls, true_facts: frozenset[Atom], unknown_facts: frozenset[Atom]) -> "Database":
+        """A database of facts that were checked together already: no check runs again."""
+        out = cls.__new__(cls)
+        out.__dict__.update(true_facts=true_facts, unknown_facts=unknown_facts, cache={})
+        return out
 
     @property
     def is_total(self) -> bool:

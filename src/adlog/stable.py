@@ -159,16 +159,14 @@ def _restrict(program: GroundProgram, atoms: Sequence[int], vals: Sequence[int])
         table, own = (program, a - settled) if a >= settled else (program.prefix, a)
         for r in table._local[own]:
             floor, inner_pos, inner_neg = _TRUE, [], []
-            for p in table._pos[r]:
-                if p in slot:
-                    inner_pos.append(slot[p])
-                elif vals[p] < floor:
-                    floor = vals[p]
-            for n in table._negs[r]:
+            for b in table._bodies[r]:      # a negated atom n is ~n
+                n = b if b >= 0 else ~b
                 if n in slot:
-                    inner_neg.append(slot[n])
-                elif _TRUE - vals[n] < floor:
-                    floor = _TRUE - vals[n]
+                    (inner_pos if b >= 0 else inner_neg).append(slot[n])
+                    continue
+                v = vals[n] if b >= 0 else _TRUE - vals[n]
+                if v < floor:
+                    floor = v
             if floor != _FALSE:
                 heads.append(i)
                 pos.append(inner_pos)
@@ -187,11 +185,12 @@ def _sccs(program: GroundProgram) -> Iterator[list[int]]:
     `prefix`'s k atoms come first and reach no other atom: the search runs over
     the own atoms and rules only, atom a at a - k (`GroundProgram._local`).
     """
-    defs, pos, negs = program._local, program._pos, program._negs
+    defs, bodies = program._local, program._bodies
     settled = len(program.prefix.atoms) if program.prefix else 0
 
     def successors(a: int) -> Iterator[int]:
-        return iter([b - settled for r in defs[a] for b in (*pos[r], *negs[r]) if b >= settled])
+        return iter([n - settled for r in defs[a] for b in bodies[r]
+                     if (n := b if b >= 0 else ~b) >= settled])
 
     size = len(defs)
     done = size + 1                 # the order of an atom already yielded: above any low
@@ -244,7 +243,7 @@ def _solve(program: GroundProgram, kept: list[int]) -> list[int]:
     rule of its own reads takes its best rule's floor, and any other
     component iterates Psi from all-undefined until it stops changing.
     """
-    defs, pos, negs = program._local, program._pos, program._negs
+    defs, bodies = program._local, program._bodies
     vals = kept + [_UNDEF] * len(defs)
     for component in _sccs(program):
         # A fast path that pays: settling these atoms through Psi costs chain 47 % of txn/s.
@@ -252,15 +251,13 @@ def _solve(program: GroundProgram, kept: list[int]) -> list[int]:
             a = component[0]
             value = _FALSE
             for r in defs[a - len(kept)]:
-                if a in pos[r] or a in negs[r]:
+                if a in bodies[r] or ~a in bodies[r]:
                     break
                 floor = _TRUE
-                for p in pos[r]:
-                    if vals[p] < floor:
-                        floor = vals[p]
-                for n in negs[r]:
-                    if _TRUE - vals[n] < floor:
-                        floor = _TRUE - vals[n]
+                for b in bodies[r]:     # a negated atom n is ~n
+                    v = vals[b] if b >= 0 else _TRUE - vals[~b]
+                    if v < floor:
+                        floor = v
                 if floor > value:
                     value = floor
             else:

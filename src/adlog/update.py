@@ -126,19 +126,23 @@ def extract_updates(model: Interpretation, schema: frozenset[str] | None = None,
 
 def apply_updates(outcome: UpdateOutcome, database: Database) -> Database:
     """New database state: certain updates applied, undefined ones blur facts they touch."""
+    return Database(*_updated(outcome, database))
+
+
+def _updated(outcome: UpdateOutcome, database: Database) -> tuple[frozenset, frozenset]:
+    """The facts of `apply_updates(outcome, database)`, unchecked (see `Database._checked`)."""
     removed = outcome.certain_delete | outcome.undef_delete
     new_true = outcome.certain_insert | (database.true_facts - removed)
     certain = outcome.certain_insert | outcome.certain_delete
     new_unknown = (database.unknown_facts - certain) \
         | (database.true_facts & outcome.undef_delete) \
         | (outcome.undef_insert - database.true_facts - database.unknown_facts)
-    return Database(frozenset(new_true), frozenset(new_unknown))
+    return frozenset(new_true), frozenset(new_unknown)
 
 
 def apply_delta(delta: DeltaSet, database: Database) -> Database:
     """Input updates are certain: insertions and deletions, no undefined part."""
-    outcome = UpdateOutcome(certain_insert=delta.inserts(), certain_delete=delta.deletes())
-    return apply_updates(outcome, database)
+    return apply_updates(UpdateOutcome(delta.inserts(), delta.deletes()), database)
 
 
 def is_total_transformation(model: Interpretation, database: Database,
@@ -250,7 +254,9 @@ class _Session:
 
     @cached_property
     def delta_applied(self) -> Database:
-        return apply_delta(self.up.delta, self.database)
+        delta = self.up.delta
+        return Database._checked(*_updated(UpdateOutcome(delta.inserts(), delta.deletes()),
+                                           self.database))
 
     def rewritten(self, mode: str) -> Program:
         return self._stage("rewritten", mode, lambda: (
@@ -286,7 +292,7 @@ class _Session:
         output = next((out for seen, out in self._applied if seen == key), None)
         if output is None:
             outcome = extract_updates(model, self.schema, updates)
-            output = apply_updates(outcome, base)
+            output = Database._checked(*_updated(outcome, base))
             if base.is_total and is_total_transformation(model, base, updates) != output.is_total:
                 raise EngineError("totality test disagrees with the applied database")
             self._applied.append((key, output))

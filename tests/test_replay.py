@@ -39,12 +39,13 @@ def work(monkeypatch, n: int, semantics: Semantics) -> tuple[int, int, int]:
     for events in ("+ev(n1).", "+ev(n2).\n+ev(n3).\n"):      # warm both rewritings
         adlog.update.run(UpdateProgram(parse_delta(events), program), db, semantics)
     pops, parses, reads = [], [], []
-    add, parse, extract = (adlog.rewrite._Derivable.add, adlog.rewrite.base_atom_of_renamed,
-                           adlog.update.extract_updates)
+    instantiate, parse, extract = (adlog.rewrite._instantiate, adlog.rewrite.base_atom_of_renamed,
+                                   adlog.update.extract_updates)
 
-    def counting_add(derivable, predicate, args):
-        pops.append(predicate)
-        return add(derivable, predicate, args)
+    def counting_instantiate(*args):
+        worklist = instantiate(*args)
+        pops.extend(worklist[0])        # each atom that enters the worklist is joined once
+        return worklist
 
     def counting_parse(atom):
         parses.append(atom)
@@ -54,7 +55,7 @@ def work(monkeypatch, n: int, semantics: Semantics) -> tuple[int, int, int]:
         reads.extend(updates)
         return extract(model, schema, updates)
 
-    monkeypatch.setattr(adlog.rewrite._Derivable, "add", counting_add)
+    monkeypatch.setattr(adlog.rewrite, "_instantiate", counting_instantiate)
     monkeypatch.setattr(adlog.rewrite, "base_atom_of_renamed", counting_parse)
     monkeypatch.setattr(adlog.update, "extract_updates", counting_extract)
     # n - 5 is odd and n - 6 even for both sizes: one event inserts out(n5), one does not.

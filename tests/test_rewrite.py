@@ -11,10 +11,11 @@ from adlog import (Atom, BuiltinLiteral, Database, DeltaSet,
                    GroundProgram, Polarity, Program, Rule, StdLiteral,
                    UpdateAtom, UpdateProgram, UpdLiteral, ValidationError,
                    Variable, embed_database, enumerate_pstable, ground,
-                   parse_database, parse_program, render, rewrite_bm,
+                   parse_database, parse_delta, parse_program, render, rewrite_bm,
                    rewrite_st)
-from adlog.rewrite import (bridge_predicate, delta_marker_predicate,
-                           guard_predicate, renamed_update_predicate)
+import adlog.rewrite
+from adlog.rewrite import (_maker, _prepare, _Waiting, bridge_predicate,
+                           delta_marker_predicate, guard_predicate, renamed_update_predicate)
 from adlog.selftest import InstanceGenerator
 
 from conftest import FIXTURES, load_update_program
@@ -369,7 +370,173 @@ def assert_same_grounding(program: Program) -> None:
     assert fast.atoms == GroundProgram(fast.rules).atoms
 
 
+# --- compiled plans against the interpretive grounder -----------------------
+#
+# `ground` runs each plan and each trigger as compiled code (`rewrite._emitter`,
+# `rewrite._joiner`).  The interpreter that it replaced is the oracle here:
+# `_match` and `_join` walk a trigger's join steps, `emit` a plan's free
+# slots, tests and atoms, numbered through `GroundProgram._add`.
+
+def _match(step, args: tuple, binding) -> list | None:
+    """Extend `binding` so that the step's literal equals `args`, or None."""
+    out = list(binding)
+    for i, slot in step.unbound:
+        if out[slot] is None:
+            out[slot] = args[i]
+        elif out[slot] != args[i]:
+            return None
+    return out
+
+
+def _join(steps, binding: list, index: tuple, pivot: tuple):
+    if not steps:
+        yield binding
+        return
+    step, (facts, lookups) = steps[0], index
+    key = tuple([binding[k] for k in step.key])
+    if not step.unbound:
+        candidates = (key,) if key in facts[step.predicate] else ()
+    else:
+        candidates = lookups[step.predicate][step.positions].get(key, ()) \
+            if step.positions else facts[step.predicate]
+    for args in candidates:
+        if step.exclude_pivot and args == pivot:
+            continue
+        extended = _match(step, args, binding)
+        if extended is not None:
+            yield from _join(steps[1:], extended, index, pivot)
+
+
+def interpreted_instantiate(out: GroundProgram, runs, given=(), record=None) -> tuple:
+    """`rewrite._instantiate` with every plan and trigger interpreted, not compiled."""
+    for run in runs:
+        out._known.update(run.atoms)
+    triggers = runs[0].triggers
+    missing, derived, queue, constants = {}, set(), list(given), []
+
+    def add(head: tuple, body, origin) -> None:
+        h = out._add(head, body, origin)
+        if h not in derived:
+            derived.add(h)
+            queue.append(head)
+
+    def emit(plan, binding: list) -> None:
+        if plan.free and not constants:
+            constants.extend(sorted(frozenset().union(*[run.constants for run in runs])))
+        for values in itertools.product(constants, repeat=len(plan.free)):
+            for slot, value in zip(plan.free, values):
+                binding[slot] = value
+            for left, right, equal in plan.tests:
+                if (binding[left] == binding[right]) != equal:
+                    break
+            else:
+                add((plan.head[0], tuple([binding[i] for i in plan.head[1]])),
+                    [((p, tuple([binding[i] for i in args])), positive)
+                     for p, args, positive in plan.body], plan.origin)
+
+    if record is not None:
+        add = lambda *instance: record.append(_Waiting(*instance, 0))
+        emit = lambda plan, binding: record.append((plan, tuple(binding[:plan.size])))
+    static = runs[0].static
+    for seed in itertools.chain(*[run.seeds for run in runs], static.replay if static else ()):
+        if isinstance(seed, _Waiting):
+            add(seed.head, seed.body, seed.origin)
+        else:
+            plan, row = seed
+            emit(plan, list(row) + list(plan.row[plan.size:]))
+    facts, lookups = {}, {}
+    for predicate, positions in itertools.chain(*[run.lookups for run in runs]):
+        facts.setdefault(predicate, {})
+        if positions:
+            lookups.setdefault(predicate, {}).setdefault(positions, {})
+    if static:
+        facts.update(static.facts)
+        lookups.update(static.lookups)
+    for key in queue:
+        predicate, args = key
+        if predicate in facts:
+            facts[predicate][args] = None
+            for positions, table in lookups.get(predicate, {}).items():
+                table.setdefault(tuple(args[i] for i in positions), []).append(args)
+        for trigger in triggers.get(predicate, ()) + triggers.get(key, ()):
+            if isinstance(trigger, _Waiting):
+                left = missing[id(trigger)] = missing.get(id(trigger), trigger.count) - 1
+                if not left:
+                    add(trigger.head, trigger.body, trigger.origin)
+                continue
+            pivot, row = trigger.pivot, trigger.plan.row
+            if any(args[i] != row[k] for i, k in zip(pivot.positions, pivot.key)):
+                continue
+            start = _match(pivot, args, row)
+            if start is None:
+                continue
+            for binding in _join(trigger.others, start, (facts, lookups), args):
+                emit(trigger.plan, binding)
+    return queue, missing, (facts, lookups)
+
+
+class Tries(dict):
+    """A table's `_rules` that counts each rule that tries to enter, a copy included."""
+
+    tries = 0
+
+    def setdefault(self, numbers: tuple, origin):
+        self.tries += 1
+        return super().setdefault(numbers, origin)
+
+
+def grounded(program_of, instantiate) -> GroundProgram:
+    """`ground(program_of())` through `instantiate`, each table's `_rules` a `Tries`."""
+    init = GroundProgram.__init__
+
+    def counting_init(table, rules=()):
+        init(table, rules)
+        table._rules = Tries(table._rules)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GroundProgram, "__init__", counting_init)
+        patch.setattr(adlog.rewrite, "_instantiate", instantiate)
+        return ground(program_of())
+
+
+def assert_same_order(program_of) -> None:
+    """`program_of()` builds a fresh program: ground, it gives the interpreter's table.  Every
+    rule comes with its origin and in the same order, as often, and every atom with the same
+    number, in the table and in its kept prefix (phase 1, and each plan it replays) alike."""
+    compiled = grounded(program_of, adlog.rewrite._instantiate)
+    interpreted = grounded(program_of, interpreted_instantiate)
+    assert (compiled.prefix is None) == (interpreted.prefix is None)
+    for mine, theirs in ((compiled, interpreted), (compiled.prefix, interpreted.prefix)):
+        if mine is not None:
+            assert list(mine._rules.items()) == list(theirs._rules.items())
+            assert mine._rules.tries == theirs._rules.tries
+            assert list(mine._index.items()) == list(theirs._index.items())
+
+
+def cold(up: UpdateProgram) -> UpdateProgram:
+    return UpdateProgram(up.delta, Program(up.program.rules))
+
+
 FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.adl"))
+
+EDGE_CASES = [
+    "q(X) :- p(X,X).\np(a,a).\np(a,b).",                   # repeated variable
+    "q(X) :- p(X,b).\np(a,b).\np(c,d).",                   # constant in a body atom
+    "q(X,Y) :- p(X).\np(a).\nr(b).",                      # head-only variable
+    "q(X,c) :- p(a).\np(a).\nr(b).",                      # head-only variable beside a constant
+    "q(X) :- p(X), Y != X.\np(a).\np(b).\nr(c).",          # builtin-only variable
+    "q(X,Y) :- p(X), X = Y.\np(a).\np(b).\nr(c).",         # an `=` test binds a free variable
+    "q(X,Y,Z) :- p(X), not r(Z,Y), Y != X.\np(a).\nr(b,c).",  # two free variables
+    "q(X) :- not p(X).\nr :- not s.\np(a).",              # no positive literal
+    "q(X) :- p(X).\na :- b.\nb.",                        # empty constant set
+    "t(X,Z) :- e(X,Y), t(Y,Z).\nt(X,Y) :- e(X,Y).\n"
+    "s(X,Z) :- e(X,Y), e(Y,Z), X != Z.\ne(a,b).\ne(b,c).\ne(c,a).",  # recursion, self-join
+    "r(X,Y) :- e(X,Y), e(Y,X).\ne(a,b).\ne(b,a).\ne(c,c).",  # a self-join skips its pivot
+    "r(X,Y) :- e(X), e(Y).\ne(a).\ne(b).",                  # in a scan too
+    "p :- a = b.\nq :- a = a.\nr :- a != b.\ns :- a != a.\nt :- p.",  # variable-free builtins
+    # Phase 1 grounds `a` and `b`; what `a` completes alone is a plan, replayed per call.
+    "b(n0) :- b(n1).\nb(n1).\na(X) :- b(X).\nq(X,Y) :- a(X), not s(Y).\ns(c).",
+]
 
 
 class TestRelevanceGrounder:
@@ -380,6 +547,7 @@ class TestRelevanceGrounder:
         up, db = load_update_program(name, db=(FIXTURES / f"{name}.adb").exists(),
                                      delta=(FIXTURES / f"{name}.adu").exists())
         assert_same_grounding(embed_database(embed_database(rewriting(up), db), extra))
+        assert_same_order(lambda: embed_database(embed_database(rewriting(cold(up)), db), extra))
 
     def test_random_candidates_match_oracle(self):
         gen = InstanceGenerator(random.Random(2024))
@@ -387,22 +555,20 @@ class TestRelevanceGrounder:
             up, db = gen._candidate()
             for rewriting in (rewrite_st, rewrite_bm):
                 assert_same_grounding(embed_database(rewriting(up), db))
+                assert_same_order(lambda: embed_database(rewriting(cold(up)), db))
 
-    @pytest.mark.parametrize("text", [
-        "q(X) :- p(X,X).\np(a,a).\np(a,b).",                   # repeated variable
-        "q(X) :- p(X,b).\np(a,b).\np(c,d).",                   # constant in a body atom
-        "q(X,Y) :- p(X).\np(a).\nr(b).",                      # head-only variable
-        "q(X) :- p(X), Y != X.\np(a).\np(b).\nr(c).",          # builtin-only variable
-        "q(X) :- not p(X).\nr :- not s.\np(a).",              # no positive literal
-        "q(X) :- p(X).\na :- b.\nb.",                        # empty constant set
-        "t(X,Z) :- e(X,Y), t(Y,Z).\nt(X,Y) :- e(X,Y).\n"
-        "s(X,Z) :- e(X,Y), e(Y,Z), X != Z.\ne(a,b).\ne(b,c).\ne(c,a).",  # recursion, self-join
-        "p :- a = b.\nq :- a = a.\nr :- a != b.\ns :- a != a.\nt :- p.",  # variable-free builtins
-    ])
+    @pytest.mark.parametrize("text", EDGE_CASES)
     def test_edge_case_matches_oracle(self, text):
         program = parse_program(text, validate=False)
         assert_same_grounding(program)
         assert_same_grounding(embed_database(program, PAD))
+        assert_same_order(lambda: Program(program.rules))
+        assert_same_order(lambda: embed_database(Program(program.rules), PAD))
+
+    def test_phase_1_replays_a_plan(self):
+        static = _prepare(parse_program(EDGE_CASES[-1], validate=False).rules).static
+        assert static.predicates == {"a", "b"}
+        assert [type(seed) for seed in static.replay] == [tuple, tuple]    # a(n0), a(n1)
 
     def test_update_atoms_are_rejected(self):
         program = parse_program("+p(X) :- q(X).\nq(a).")
@@ -430,3 +596,72 @@ class TestRelevanceGrounder:
 
         first = rules("1")
         assert first and first == rules("2")
+
+
+# Quotes, a bracket, a newline, a backslash, a comment and a call: none may become code.
+HOSTILE = ["it's", 'say "x"', "a)b", "two\nlines", "back\\slash", "x#y", "__import__('os')"]
+
+
+class TestCompiledPlans:
+    def test_a_second_insertable_set_or_origin_compiles_nothing(self):
+        text = "+out(X) :- a(X), b(X,Y), not c(Y), +ev(X).\na(X) :- b(X,Y), Y != X.\nb(n1,n2).\n"
+        program = parse_program(text, origin="first.adl")
+        db = parse_database("c(n3).")
+        for rewriting in (rewrite_st, rewrite_bm):
+            ground(embed_database(rewriting(UpdateProgram(parse_delta("+ev(n1)."), program)), db))
+        compiled = _maker.cache_info().misses
+        # A second insertable set: `bm` plans all the rules again, now with `zz`'s.
+        second = rewrite_bm(UpdateProgram(parse_delta("+zz(n1)."), program))
+        assert [key[1] for key in program.cache if isinstance(key, tuple) and
+                key[0] == "rewrite bm"] == [(("ev", 1), ("out", 1)), (("out", 1), ("zz", 1))]
+        other = parse_program(text, origin="second.adl")
+        for rewriting in (rewrite_st, rewrite_bm):
+            ground(embed_database(rewriting(UpdateProgram(parse_delta("+ev(n2)."), other)), db))
+        assert _maker.cache_info().misses == compiled
+        # Equal shapes share one code object; each plan keeps its own origin.
+        runs = [rewrite_bm(UpdateProgram(parse_delta("+ev(n1)."), p)).cache["runs"][0]
+                for p in (program, other)] + [second.cache["runs"][0]]
+        plans = [[trigger.plan for entries in run.triggers.values() for trigger in entries
+                  if not isinstance(trigger, _Waiting)] for run in runs]
+        assert {plan.origin for plan in plans[1]} == {"second.adl:1", "second.adl:2", None}
+        assert [plan.origin for plan in plans[1]] == \
+            [plan.origin and plan.origin.replace("first", "second") for plan in plans[0]]
+        assert [plan.emit.__code__ for plan in plans[0]] == \
+            [plan.emit.__code__ for plan in plans[1]]
+        # The second set's plans of the program's rules equal the first set's, made anew.
+        own = [[plan for plan in run if plan.origin] for run in plans]
+        assert own[0] != own[1] and own[0] == own[2]
+        assert not {id(plan.emit) for plan in own[0]} & {id(plan.emit) for plan in own[2]}
+
+    def test_hostile_symbols_never_become_code(self, monkeypatch):
+        sources = []
+        maker = adlog.rewrite._maker
+        monkeypatch.setattr(adlog.rewrite, "_maker",
+                            lambda source: sources.append(source) or maker(source))
+        p = [f"p{i}{symbol}" for i, symbol in enumerate(HOSTILE)]
+        c = [f"c{i}{symbol}" for i, symbol in enumerate(HOSTILE)]
+        origin = "o" + "".join(HOSTILE)
+        X, Y = Variable("X"), Variable("Y")
+        atom = lambda k, *args: Atom(p[k], args)
+        rules = (
+            Rule(atom(0, c[0], c[1])), Rule(atom(0, c[1], c[2])),
+            Rule(atom(0, c[3], c[4]), (StdLiteral(atom(0, c[1], c[2])),), origin),
+            Rule(atom(1, X, c[5]), (StdLiteral(atom(0, X, Y)), StdLiteral(atom(2, Y), False),
+                                    BuiltinLiteral("!=", X, c[6])), origin),
+            Rule(atom(3, X), (StdLiteral(atom(1, X, c[5])), StdLiteral(atom(0, Y, X))), origin),
+            Rule(atom(4, X, Y), (StdLiteral(atom(3, X)), BuiltinLiteral("=", Y, c[2])), origin),
+            Rule(atom(5, Y), (StdLiteral(atom(4, X, c[2])), StdLiteral(atom(5, X), False)),
+                 origin),
+            Rule(UpdateAtom(Polarity.INSERT, atom(6, X)),
+                 (StdLiteral(atom(5, X)), UpdLiteral(UpdateAtom(Polarity.INSERT, atom(2, X)))),
+                 origin))
+        up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, atom(2, c[0]))]),
+                           Program(rules))
+        assert_same_grounding(Program(rules[:-1]))
+        assert_same_order(lambda: Program(rules[:-1]))
+        for rewriting in (rewrite_st, rewrite_bm):
+            assert_same_grounding(rewriting(up))
+            assert_same_order(lambda: rewriting(cold(up)))
+        assert len(ground(Program(rules[:-1])).rules) > 10 and sources
+        for symbol in p + c + [origin] + HOSTILE:
+            assert not any(symbol in source for source in sources), symbol

@@ -102,7 +102,26 @@ class TestApplyUpdates:
 
 
 class TestOutputDatabases:
-    """`apply_updates` builds its output through the public `Database` constructor."""
+    """`apply_updates` checks its output as the public `Database` constructor does; a
+    session, which checked its facts' schema once, builds its outputs unchecked."""
+
+    @pytest.mark.parametrize("true, unknown, message", [
+        ([atom("p(a)"), Atom("q", (Variable("X"),))], [], "database fact q(X) is not ground"),
+        ([atom("p(a)")], [atom("p(a)"), atom("q(b)")], "fact p(a) is both true and unknown"),
+        ([atom("p(a)")], [atom("q(b)"), atom("p(a,b)")], "predicate p used with arity 1 and 2"),
+    ])
+    def test_the_public_constructor_checks_every_fact(self, true, unknown, message):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
+            Database.of(true, unknown)
+
+    def test_a_session_checks_no_database_it_builds(self, monkeypatch):
+        up, db = load_update_program("project_cascade", db=True)
+        built = []
+        init = Database.__init__
+        monkeypatch.setattr(Database, "__init__", lambda self, *facts: built.append(facts)
+                            or init(self, *facts))
+        rows = compare(up, db).rows
+        assert not built and len({id(row.report.output_db) for row in rows if row.report}) > 1
 
     def test_outputs_equal_the_public_constructor_on_generated_instances(self):
         gen = InstanceGenerator(random.Random(777))
