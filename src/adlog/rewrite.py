@@ -89,7 +89,7 @@ class GroundProgram:
     head `heads[r]`, positive body atoms `pos[r]` and negated body atoms
     `negs[r]`, and `defs[a]` lists the rules with head a: the atom dependency
     graph the solver reads (see stable._well_founded), over its own atoms
-    (`_atoms`) and rules (`_bodies`, `_local`), after a kept `prefix`'s if it
+    (`_atoms`) and rules (`_local`), after a kept `prefix`'s if it
     has one.  `atoms` (atom i is `atoms[i]`), the lists and `rules` are
     built on first read, once the table is filled: a table whose structure the
     solver knows builds no list.  A variable, an update atom or a builtin is a
@@ -135,28 +135,27 @@ class GroundProgram:
 
     heads, pos, negs, atoms = _joined("heads"), _joined("pos"), _joined("negs"), _joined("atoms")
 
-    # Built from `_rules` on first read.  The solver reads only `_local` and `_bodies` (each
-    # rule's body atoms, a negated one n as ~n), so it splits no rule into lists.
+    # Built from `_rules` on first read.  The solver reads only `_local`, so it splits no rule.
     _heads = cached_property(lambda self: [rule[0] for rule in self._rules])
     _pos = cached_property(lambda self: [[a for a in rule[1:] if a >= 0] for rule in self._rules])
     _negs = cached_property(lambda self: [[~a for a in rule[1:] if a < 0] for rule in self._rules])
-    _bodies = cached_property(lambda self: [rule[1:] for rule in self._rules])
 
     @cached_property
-    def _local(self) -> list[list[int]]:
-        """Own atom a's own rules at a - k, k the prefix's atoms; r is r + len(prefix.heads)."""
-        local: list[list[int]] = [[] for _ in self._index]
+    def _local(self) -> list[list[tuple[int, ...]]]:
+        """Own atom a's own rules' bodies at a - k, k the prefix's atoms; a negated n is ~n."""
+        local: list[list[tuple[int, ...]]] = [[] for _ in self._index]
         settled = len(self.prefix._index) if self.prefix else 0
-        for r, rule in enumerate(self._rules):
-            local[rule[0] - settled].append(r)
+        for rule in self._rules:
+            local[rule[0] - settled].append(rule[1:])
         return local
 
     @cached_property
     def defs(self) -> list[list[int]]:
-        if not self.prefix:
-            return self._local
-        shift = len(self.prefix.heads)
-        return self.prefix.defs + [[r + shift for r in rules] for rules in self._local]
+        own: list[list[int]] = [[] for _ in self._index]
+        settled, shift = (len(self.prefix._index), len(self.prefix.heads)) if self.prefix else (0, 0)
+        for r, rule in enumerate(self._rules, shift):
+            own[rule[0] - settled].append(r)
+        return self.prefix.defs + own if self.prefix else own
 
     @cached_property
     def _atoms(self) -> tuple[Atom, ...]:
@@ -477,9 +476,11 @@ def _maker(source: str):
     to straight-line code (as in Soufflé, Jordan, Scholz & Subotić, CAV 2016).  A source
     holds the plan's shape alone, each predicate, constant and origin an argument of `make`:
     no program text becomes code, and equal shapes share one compilation.  A fast path that
-    pays: traced, cascade's grounding fell from 208 to 78 us a transaction.
+    pays: traced, cascade's grounding fell from 208 to 80 us a transaction.  It costs each
+    new shape a compile, about 0.1 ms; a fixture has at most 19 shapes and the benchmark's
+    three workloads 28, so 256 kept shapes (0.4 MB) let programs of one process share them.
     """
-    namespace: dict = {}
+    namespace: dict = {"product": itertools.product}
     exec(compile(source, "<grounding plan>", "exec"), namespace)
     return namespace["make"]
 
@@ -499,8 +500,9 @@ def _emitter(plan: _Plan):
     atom = lambda k, slots: f"(p{k}, ({''.join(name[i] + ', ' for i in slots)}))"
     lines = [" def emit(row, constants, index, rules, derived, queue):",
              f"  {''.join(n + ', ' for n in name[:plan.size])}= row"]
-    lines += [f"  {' ' * depth}for {name[s]} in constants:" for depth, s in enumerate(plan.free)]
-    pad = " " * (len(plan.free) + 2)
+    free = "".join(name[s] + ", " for s in plan.free)
+    lines += [f"  for {free}in product(constants, repeat={len(plan.free)}):"] * bool(plan.free)
+    pad = "   " if plan.free else "  "
     lines += [f"{pad}if {name[left]} {'!=' if equal else '=='} {name[right]}: "
               + ("continue" if plan.free else "return") for left, right, equal in plan.tests]
     body = "".join(f"{'' if positive else '~'}index[{atom(k, slots)}], "
@@ -531,7 +533,13 @@ def _joiner(plan: _Plan, pivot: _Step, others: list[_Step]):
 
     if pivot.unbound:
         bind(pivot, "args", "return")
+    passed = {s for _, s in pivot.unbound}      # the slots bound so far
     for k, step in enumerate(others):
+        if k and not k % 15:    # Python nests at most 20 blocks in a function: go on in another
+            call = f"join{k}(args, facts, lookups, {''.join(name[s] + ', ' for s in sorted(passed))})"
+            lines += [f"{pad}yield from {call}", f" def {call}:"]
+            pad = "  "
+        passed.update(s for _, s in step.unbound)
         key = f"({''.join(name[s] + ', ' for s in step.key)})"
         if not step.unbound:
             other = f" and {key} != args" if step.exclude_pivot else ""

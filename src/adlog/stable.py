@@ -157,9 +157,9 @@ def _restrict(program: GroundProgram, atoms: Sequence[int], vals: Sequence[int])
     settled = len(program.prefix.atoms) if program.prefix else 0
     for i, a in enumerate(atoms):
         table, own = (program, a - settled) if a >= settled else (program.prefix, a)
-        for r in table._local[own]:
+        for body in table._local[own]:
             floor, inner_pos, inner_neg = _TRUE, [], []
-            for b in table._bodies[r]:      # a negated atom n is ~n
+            for b in body:      # a negated atom n is ~n
                 n = b if b >= 0 else ~b
                 if n in slot:
                     (inner_pos if b >= 0 else inner_neg).append(slot[n])
@@ -185,14 +185,14 @@ def _sccs(program: GroundProgram) -> Iterator[list[int]]:
     `prefix`'s k atoms come first and reach no other atom: the search runs over
     the own atoms and rules only, atom a at a - k (`GroundProgram._local`).
     """
-    defs, bodies = program._local, program._bodies
+    bodies = program._local
     settled = len(program.prefix.atoms) if program.prefix else 0
 
     def successors(a: int) -> Iterator[int]:
-        return iter([n - settled for r in defs[a] for b in bodies[r]
+        return iter([n - settled for body in bodies[a] for b in body
                      if (n := b if b >= 0 else ~b) >= settled])
 
-    size = len(defs)
+    size = len(bodies)
     done = size + 1                 # the order of an atom already yielded: above any low
     order = [0] * size              # visit number, from 1; 0 while unvisited
     low = [0] * size
@@ -243,18 +243,18 @@ def _solve(program: GroundProgram, kept: list[int]) -> list[int]:
     rule of its own reads takes its best rule's floor, and any other
     component iterates Psi from all-undefined until it stops changing.
     """
-    defs, bodies = program._local, program._bodies
-    vals = kept + [_UNDEF] * len(defs)
+    bodies = program._local
+    vals = kept + [_UNDEF] * len(bodies)
     for component in _sccs(program):
         # A fast path that pays: settling these atoms through Psi costs chain 47 % of txn/s.
         if len(component) == 1:
             a = component[0]
             value = _FALSE
-            for r in defs[a - len(kept)]:
-                if a in bodies[r] or ~a in bodies[r]:
+            for body in bodies[a - len(kept)]:
+                if a in body or ~a in body:
                     break
                 floor = _TRUE
-                for b in bodies[r]:     # a negated atom n is ~n
+                for b in body:      # a negated atom n is ~n
                     v = vals[b] if b >= 0 else _TRUE - vals[~b]
                     if v < floor:
                         floor = v

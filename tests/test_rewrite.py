@@ -565,6 +565,17 @@ class TestRelevanceGrounder:
         assert_same_order(lambda: Program(program.rules))
         assert_same_order(lambda: embed_database(Program(program.rules), PAD))
 
+    # Python nests at most 20 blocks in one function; these rules need more loops than that.
+    @pytest.mark.parametrize("text, size", [
+        ("c(a).\np.\nq(%s) :- p." % ",".join(f"X{i}" for i in range(1, 22)), 3),   # 21 free
+        ("e(a,b).\ne(b,a).\nr(X0,X22) :- %s." % ", ".join(      # 21 join steps bind a variable
+            f"e(X{i},X{i + 1})" for i in range(22)), 4)], ids=["free", "joins"])
+    def test_long_rule_matches_interpreter(self, text, size):
+        program = parse_program(text, validate=False)
+        assert len(ground(program).rules) == size
+        assert_same_order(lambda: Program(program.rules))
+        assert_same_order(lambda: rewrite_bm(UpdateProgram(DeltaSet.of([]), Program(program.rules))))
+
     def test_phase_1_replays_a_plan(self):
         static = _prepare(parse_program(EDGE_CASES[-1], validate=False).rules).static
         assert static.predicates == {"a", "b"}
