@@ -72,28 +72,19 @@ def renamed_updates(atoms: Iterable[Atom]) -> list[tuple[Atom, Polarity, Atom]]:
     return [(atom, *parsed) for atom in atoms if (parsed := base_atom_of_renamed(atom))]
 
 
-def _joined(name: str) -> cached_property:
-    """The prefix's `name` and then the table's own (`_name`), built on first read."""
-    own = "_" + name
-    return cached_property(lambda self: getattr(self.prefix, name) + getattr(self, own)
-                           if self.prefix else getattr(self, own))
-
-
 class GroundProgram:
     """Variable-free, builtin-free rules with their atoms numbered once: the solver's atom table.
 
     The table is filled one rule at a time, into `_index` and `_rules` only, by
     `ground` (`_add`, and each plan's compiled `emit`) and by this constructor
     from `rules`.  An atom is numbered at its first appearance by its predicate
-    and arguments, and a rule equal to an earlier one is dropped.  Rule r has
-    head `heads[r]`, positive body atoms `pos[r]` and negated body atoms
-    `negs[r]`, and `defs[a]` lists the rules with head a: the atom dependency
-    graph the solver reads (see stable._well_founded), over its own atoms
-    (`_atoms`) and rules (`_local`), after a kept `prefix`'s if it
-    has one.  `atoms` (atom i is `atoms[i]`), the lists and `rules` are
-    built on first read, once the table is filled: a table whose structure the
-    solver knows builds no list.  A variable, an update atom or a builtin is a
-    `ValidationError`.  The lists are read, never changed.
+    and arguments, and a rule equal to an earlier one is dropped.  A table that
+    extends a kept `prefix` numbers its own atoms from `settled`, the prefix's
+    atom count (0 without one).  The solver reads one graph, `_local`: each own
+    atom's rule bodies (see stable._well_founded).  `atoms` (atom i is
+    `atoms[i]`), `_local` and `rules` are built on first read, once the table is
+    filled: a table whose structure the solver knows builds no list.  A
+    variable, an update atom or a builtin is a `ValidationError`.
     """
 
     def __init__(self, rules: Iterable[Rule] = ()):
@@ -107,6 +98,7 @@ class GroundProgram:
         # Atoms the input rules already hold, by key, for `atoms` to reuse.
         self._known: dict[tuple, Atom] = {}
         self.prefix: GroundProgram | None = None    # the kept table this one extends (`_extended`)
+        self.settled = 0                            # the prefix's atom count: own atoms follow
         shared: dict[tuple, tuple] = {}
         for rule in rules:
             for lit in rule.body:
@@ -129,37 +121,25 @@ class GroundProgram:
         """A table that extends this one, its `prefix`: no rule it gains may head a prefix
         atom, so none equals a prefix rule; it reads the prefix's numbers through."""
         out = GroundProgram()
-        out._index, out.prefix = _Numbers(), self
+        out._index, out.prefix, out.settled = _Numbers(), self, len(self._index)
         out._index.kept = self._index
         return out
 
-    heads, pos, negs, atoms = _joined("heads"), _joined("pos"), _joined("negs"), _joined("atoms")
-
-    # Built from `_rules` on first read.  The solver reads only `_local`, so it splits no rule.
-    _heads = cached_property(lambda self: [rule[0] for rule in self._rules])
-    _pos = cached_property(lambda self: [[a for a in rule[1:] if a >= 0] for rule in self._rules])
-    _negs = cached_property(lambda self: [[~a for a in rule[1:] if a < 0] for rule in self._rules])
-
     @cached_property
     def _local(self) -> list[list[tuple[int, ...]]]:
-        """Own atom a's own rules' bodies at a - k, k the prefix's atoms; a negated n is ~n."""
+        """Own atom a's own rules' bodies at a - `settled`; a negated n is ~n."""
         local: list[list[tuple[int, ...]]] = [[] for _ in self._index]
-        settled = len(self.prefix._index) if self.prefix else 0
         for rule in self._rules:
-            local[rule[0] - settled].append(rule[1:])
+            local[rule[0] - self.settled].append(rule[1:])
         return local
-
-    @cached_property
-    def defs(self) -> list[list[int]]:
-        own: list[list[int]] = [[] for _ in self._index]
-        settled, shift = (len(self.prefix._index), len(self.prefix.heads)) if self.prefix else (0, 0)
-        for r, rule in enumerate(self._rules, shift):
-            own[rule[0] - settled].append(r)
-        return self.prefix.defs + own if self.prefix else own
 
     @cached_property
     def _atoms(self) -> tuple[Atom, ...]:
         return tuple([self._known.get(key) or Atom(*key) for key in self._index])
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        return self.prefix.atoms + self._atoms if self.prefix else self._atoms
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
@@ -639,7 +619,7 @@ def _prepare(rules: list[Rule] | tuple[Rule, ...], kept: Program | None = None) 
     if not static:
         return _plan(rules)
     first = tuple([rule for rule in rules if rule.head_atom().predicate in static])
-    constants, heads, table, derived = _phase_1(first) if kept is None else \
+    constants, table, derived = _phase_1(first) if kept is None else \
         _kept(kept, ("phase 1", first), lambda _: _phase_1(first))
     # A call's own atoms are few: built anew, not merged from the run (`GroundProgram.atoms`).
     rest = _plan([rule for rule in rules if rule.head_atom().predicate not in static]
@@ -654,15 +634,15 @@ def _prepare(rules: list[Rule] | tuple[Rule, ...], kept: Program | None = None) 
     facts, lookups = ({p: d for p, d in kind.items() if p in static}
                       for kind in index)
     return rest._replace(rules=tuple(rules), constants=constants | rest.constants,
-                         heads=heads | rest.heads, triggers=triggers,
+                         heads=static | rest.heads, triggers=triggers,
                          static=_Static(static, table, tuple(replay), facts, lookups))
 
 
 def _phase_1(rules: tuple[Rule, ...]) -> tuple:
-    """Phase 1 of `ground` on the static `rules`: their constants and head predicates, their
-    ground table and its atoms in the order they left the worklist."""
+    """Phase 1 of `ground` on the static `rules`: their constants, their ground table and its
+    atoms in the order they left the worklist.  The rules' heads are the static predicates."""
     first, table = _plan(rules), GroundProgram()
-    return first.constants, first.heads, table, tuple(_instantiate(table, (first,))[0])
+    return first.constants, table, tuple(_instantiate(table, (first,))[0])
 
 
 def _plan(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
@@ -684,7 +664,7 @@ def _plan(rules: list[Rule] | tuple[Rule, ...]) -> _Prepared:
             raise ValidationError(f"rule {rule} still contains update atoms") from None
         heads.add(head.predicate)
         variables = [t for t in terms if isinstance(t, Variable)]
-        # A fast path that pays: planning a variable-free rule as a join costs chain 35 % of txn/s.
+        # A fast path that pays: a variable-free rule planned as a join costs chain ~9 % of txn/s.
         if not variables:
             constants.update(terms)
             if any((lit.left == lit.right) != (lit.op == "=")

@@ -154,7 +154,7 @@ def _restrict(program: GroundProgram, atoms: Sequence[int], vals: Sequence[int])
     """
     slot = {a: i for i, a in enumerate(atoms)}
     heads, pos, negs, base = [], [], [], []
-    settled = len(program.prefix.atoms) if program.prefix else 0
+    settled = program.settled
     for i, a in enumerate(atoms):
         table, own = (program, a - settled) if a >= settled else (program.prefix, a)
         for body in table._local[own]:
@@ -182,11 +182,10 @@ def _sccs(program: GroundProgram) -> Iterator[list[int]]:
     of rules does not exhaust Python's recursion limit.  A component is
     yielded only after every component it reaches, and the search starts
     from the atoms in table order, so the order is deterministic.  The
-    `prefix`'s k atoms come first and reach no other atom: the search runs over
-    the own atoms and rules only, atom a at a - k (`GroundProgram._local`).
+    `prefix`'s atoms come first and reach no other atom: the search runs over
+    the own atoms and rules only, atom a at a - `settled` (`GroundProgram._local`).
     """
-    bodies = program._local
-    settled = len(program.prefix.atoms) if program.prefix else 0
+    bodies, settled = program._local, program.settled
 
     def successors(a: int) -> Iterator[int]:
         return iter([n - settled for body in bodies[a] for b in body

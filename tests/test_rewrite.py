@@ -265,16 +265,15 @@ class TestGroundProgram:
     def test_atoms_are_numbered_by_first_appearance(self):
         g = GroundProgram(parse_program("p :- q, not r.\nq.\nr :- not p.").rules)
         assert [str(atom) for atom in g.atoms] == ["p", "q", "r"]
-        assert g.heads == [0, 1, 2]
-        assert g.pos == [[1], [], []] and g.negs == [[2], [], [0]]
-        assert g.defs == [[0], [1], [2]]
+        assert list(g._rules) == [(0, 1, ~2), (1,), (2, ~0)]
+        assert list(g._index) == [("p", ()), ("q", ()), ("r", ())]
         assert g.universe == frozenset(g.atoms)
 
     def test_a_rule_equal_to_an_earlier_one_is_dropped(self):
         text = "p :- q, not r.\nq.\np :- q, not r.\np :- not r, q.\nq.\n"
         g = GroundProgram(parse_program(text, validate=False).rules)
         assert [str(rule) for rule in g.rules] == ["p :- q, not r.", "q.", "p :- not r, q."]
-        assert g.heads == [0, 1, 0] and g.defs == [[0, 2], [1], []]
+        assert list(g._rules) == [(0, 1, ~2), (1,), (0, ~2, 1)]
 
     def test_non_ground_atom_is_rejected(self):
         with pytest.raises(ValidationError, match=r"p\(X\) .* not a ground atom"):

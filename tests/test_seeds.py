@@ -20,6 +20,7 @@ from adlog import (Atom, Database, DeltaSet, Polarity, Program, Rule, Semantics,
 from adlog.rewrite import _prepare, _Rewritten, delta_marker_predicate, renamed_update_atom
 from adlog.selftest import InstanceGenerator
 
+from conftest import rule_lists
 from test_replay import chain
 from test_static import CHAIN_AB, with_static_part
 from test_warm import with_origins
@@ -72,7 +73,7 @@ def assert_seeds_match_the_oracle(up: UpdateProgram, db: Database) -> None:
         table, oracle = ground(embedded), ground(built)
         assert with_origins(table.rules) == with_origins(oracle.rules)
         assert table.atoms == oracle.atoms
-        assert (table.heads, table.pos, table.negs) == (oracle.heads, oracle.pos, oracle.negs)
+        assert rule_lists(table) == rule_lists(oracle)
 
 
 def random_inputs(program: Program, rng: random.Random) -> tuple[UpdateProgram, Database]:

@@ -19,7 +19,7 @@ from adlog.stable import (FLAG_L_STABLE, FLAG_M_STABLE, FLAG_T_STABLE,
                           _components, _psi, _ranks, _restrict, _Rules, _stable,
                           _well_founded)
 
-from conftest import FIXTURES, load_update_program
+from conftest import FIXTURES, load_update_program, rule_lists
 
 a, b, c, p, q = Atom("a"), Atom("b"), Atom("c"), Atom("p"), Atom("q")
 
@@ -112,8 +112,8 @@ def oracle_well_founded(program):
 
 def whole_program_rules(program):
     """The kernel's view of every rule of the program, built without `_restrict`."""
-    return _Rules(len(program.atoms), program.heads, program.pos, program.negs,
-                  [int(TruthValue.TRUE)] * len(program.heads))
+    heads, pos, negs = rule_lists(program)
+    return _Rules(len(program.atoms), heads, pos, negs, [int(TruthValue.TRUE)] * len(heads))
 
 
 def interpretation_of(program, vals):
@@ -191,7 +191,7 @@ def oracle_components(program, base):
             parent[a] = a = parent[parent[a]]
         return a
 
-    for head, pos, neg in zip(program.heads, program.pos, program.negs):
+    for head, pos, neg in zip(*rule_lists(program)):
         if base[head] == undefined and all(base[b] != false for b in pos) \
                 and all(base[n] != true for n in neg):
             for b in (*pos, *neg):

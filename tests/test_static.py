@@ -116,7 +116,7 @@ class TestReuse:
         _Session(UpdateProgram(parse_delta("+ev(n2)."), program), db).wf("st")
         static = program.cache["rewrite st"].static
         settled = len(static.table.atoms)
-        assert (settled, len(static.table.heads)) == (26, 25)
+        assert (settled, len(static.table._rules)) == (26, 25)
         added, visited = [], []
         extended, sccs = GroundProgram._extended, adlog.stable._sccs
 
@@ -149,7 +149,7 @@ class TestReuse:
         # Only the rules of phase 2 are added: markers, the database fact, the
         # bridges, the two `+out` rules the events complete and the guards.
         assert added and not any(table.atoms[head].predicate in ("a", "b") for head in added)
-        assert len(added) == len(table.heads) - len(static.table.heads)
+        assert len(added) == len(table._rules)
         # The kept values stand for the static atoms: no static atom is visited.
         assert {id(t) for t, _ in visited} == {id(table)}
         assert sorted(a for _, component in visited for a in component) == \

@@ -20,7 +20,7 @@ from adlog.cli import main
 from adlog.model import Polarity, UpdateAtom
 from adlog.selftest import InstanceGenerator
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, rule_lists
 
 UPDATE_FIXTURES = ("confirm_manager", "new_hire_mixed", "new_hire_roles", "new_hire_unique",
                    "new_hire_worker", "project_cascade", "promotion")
@@ -51,8 +51,7 @@ def assert_warm_is_cold(up: UpdateProgram, db) -> None:
         single = ground(Program(embed_database(fresh, db).rules))
         assert with_origins(grounded.rules) == with_origins(single.rules)
         assert grounded.atoms == single.atoms
-        assert (grounded.heads, grounded.pos, grounded.negs, grounded.defs) == \
-            (single.heads, single.pos, single.negs, single.defs)
+        assert rule_lists(grounded) == rule_lists(single)
     for key, entry in fresh_up.program.cache.items():
         assert up.program.cache[key] == entry, key
 
