@@ -82,9 +82,9 @@ def draw(rng: random.Random, program: Program, constants: tuple[str, ...],
     base = sorted(set(arities) - set(derived)) + ["zz"]     # `zz` no rule reads
     arities["zz"] = 1
 
-    def atoms(count: int, predicates: list[str]) -> set[Atom]:
-        return {Atom(p, tuple(rng.choices(constants, k=arities[p])))
-                for p in rng.choices(predicates, k=count)}
+    def atoms(count: int, predicates: list[str]) -> list[Atom]:
+        return sorted({Atom(p, tuple(rng.choices(constants, k=arities[p])))
+                       for p in rng.choices(predicates, k=count)}, key=str)
 
     delta = DeltaSet.of(UpdateAtom(rng.choice(list(Polarity)), atom)
                         for atom in atoms(rng.randint(0, 3), base))
@@ -92,9 +92,9 @@ def draw(rng: random.Random, program: Program, constants: tuple[str, ...],
         return delta, rng.choice(databases)
     held = atoms(rng.randint(0, 5), base)
     if derived and rng.random() < 0.15:
-        held |= atoms(1, derived)
+        held += atoms(1, derived)
     unknown = {atom for atom in held if rng.random() < 0.3}
-    databases.append(Database.of(held - unknown, unknown))
+    databases.append(Database.of(set(held) - unknown, unknown))
     del databases[:-4]
     return delta, databases[-1]
 
