@@ -465,24 +465,29 @@ class Database(_Value):
         loose = sorted(str(a) for a in self.true_facts | self.unknown_facts if not a.is_ground())
         if loose:
             raise ValidationError(f"database fact {loose[0]} is not ground")
-        self.predicate_arities()
+        self.arities  # a clash raises
 
     @staticmethod
     def of(true: Iterable[Atom] = (), unknown: Iterable[Atom] = ()) -> "Database":
         return Database(frozenset(true), frozenset(unknown))
 
     @classmethod
-    def _checked(cls, true_facts: frozenset[Atom], unknown_facts: frozenset[Atom]) -> "Database":
-        """A database of facts that were checked together already: no check runs again."""
+    def _checked(cls, true_facts: frozenset[Atom], unknown_facts: frozenset[Atom],
+                 arities: dict[str, int] | None = None) -> "Database":
+        """A database of facts checked together already, with their arities if recorded."""
         out = cls.__new__(cls)
         out.__dict__.update(true_facts=true_facts, unknown_facts=unknown_facts, cache={})
+        if arities is not None:
+            out.__dict__["arities"] = arities
         return out
 
     @property
     def is_total(self) -> bool:
         return not self.unknown_facts
 
-    def predicate_arities(self) -> dict[str, int]:
+    @cached_property
+    def arities(self) -> dict[str, int]:
+        """Each predicate's arity in the facts, recorded once per database; read only."""
         arities: dict[str, int] = {}
         _record_arities(arities, self.true_facts | self.unknown_facts)
         return arities
@@ -523,6 +528,14 @@ class DeltaSet(_Value):
     @staticmethod
     def of(updates: Iterable[UpdateAtom]) -> "DeltaSet":
         return DeltaSet(frozenset(updates))
+
+    @classmethod
+    def _checked(cls, ordered: tuple[UpdateAtom, ...]) -> "DeltaSet":
+        """The delta of updates in `str` order that were checked together: no check runs again."""
+        out = cls.__new__(cls)
+        _set(out, "updates", frozenset(ordered))
+        _set(out, "ordered", ordered)
+        return out
 
     def inserts(self) -> frozenset[Atom]:
         return frozenset(u.atom for u in self.updates if u.polarity is Polarity.INSERT)

@@ -10,6 +10,9 @@ The grammar is line-comment based ('%'), whitespace-insensitive:
 
 Database lines are `atom.` (true) or `atom?` (unknown); delta lines are
 `+atom.` or `-atom.`.  Rendering is canonical and round-trips structurally.
+One pattern, `_FACT`, reads a database or delta text spelled as `render`
+writes it (plain ASCII words, no comment or space inside an atom), checks it
+in that pass and keeps each atom's text; the grammar reads any other text.
 
 Tokens come from one compiled pattern, `_TOKEN`: after whitespace, a `%`
 comment (dropped), a quoted constant `'...'` (a quote inside is written
@@ -30,7 +33,7 @@ import re
 from .model import (Atom, BuiltinLiteral, Database, DeltaSet,
                     Interpretation, ParseError, Polarity, Program, Rule,
                     StdLiteral, UpdateAtom, UpdLiteral, ValidationError,
-                    Variable, _record_arity, validate_program)
+                    Variable, _atom_text, _record_arity, validate_program)
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +47,9 @@ _TOKEN = re.compile(r"""\s*(
     |\S)                            # any other character is an error
 """, re.VERBOSE)
 _POLARITY = {"+": Polarity.INSERT, "-": Polarity.DELETE}
+# After whitespace: the sign, atom text and status of a fact as `render` writes it, or the rest.
+_FACT = re.compile(r"\s*(?:([+-]?)([a-z0-9]\w*(?:\([a-z0-9]\w*(?:,[a-z0-9]\w*)*\))?)([.?])"
+                   r"|\S[\s\S]*)", re.ASCII)
 
 
 class _Kinds(dict):
@@ -231,7 +237,7 @@ def _database(tokens: list[str], lines: list[int], origin: str, terms: dict) -> 
         _arity(arities, atom, start)
         facts[status].add(atom)
         i += 1
-    return Database.of(facts["."], facts["?"])
+    return Database._checked(frozenset(facts["."]), frozenset(facts["?"]), arities)
 
 
 def _delta(tokens: list[str], lines: list[int], origin: str, terms: dict) -> DeltaSet:
@@ -248,7 +254,27 @@ def _delta(tokens: list[str], lines: list[int], origin: str, terms: dict) -> Del
             raise _Syntax(f"conflicting updates +{uatom.atom} and -{uatom.atom}", i)
         _arity(arities, uatom.atom, i)
         i = j + 1
-    return DeltaSet(frozenset(updates.values()))
+    return DeltaSet._checked(tuple(sorted(updates.values(), key=str)))
+
+
+def _read(text: str, signed: bool):
+    """The database, or the delta if `signed`, of facts spelled as `render` writes; else None."""
+    seen, arities, facts = {}, {}, {key: [] for key in (("+.", "-.") if signed else (".", "?"))}
+    for sign, spelled, status in _FACT.findall(text):
+        key = sign + status
+        if key not in facts or seen.setdefault(spelled, key) != key:
+            return None
+    for spelled, key in seen.items():
+        predicate, _, args = spelled.partition("(")
+        atom = Atom(predicate, tuple(args[:-1].split(",")) if args else ())
+        _atom_text(atom, spelled)
+        if arities.setdefault(predicate, len(atom.args)) != len(atom.args):
+            return None
+        facts[key].append(atom)
+    if signed:
+        return DeltaSet._checked(tuple([UpdateAtom(_POLARITY[key[0]], atom)
+                                        for key in facts for atom in sorted(facts[key], key=str)]))
+    return Database._checked(frozenset(facts["."]), frozenset(facts["?"]), arities)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +294,11 @@ def parse_program(text: str, origin: str = "<string>", *, validate: bool = True)
 
 
 def parse_database(text: str, origin: str = "<string>") -> Database:
-    return _parsed(_database, text, origin)
+    return _read(text, False) or _parsed(_database, text, origin)
 
 
 def parse_delta(text: str, origin: str = "<string>") -> DeltaSet:
-    return _parsed(_delta, text, origin)
+    return _read(text, True) or _parsed(_delta, text, origin)
 
 
 # ---------------------------------------------------------------------------

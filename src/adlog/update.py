@@ -46,11 +46,10 @@ class Semantics(enum.Enum):
 
     @staticmethod
     def parse(text: str) -> "Semantics":
-        normal = text.strip().lower().replace("_", "-")
-        for sem in Semantics:
-            if sem.value == normal:
-                return sem
-        raise ValueError(f"unknown semantics {text!r}")
+        try:  # a lookup in the enum's own map of values
+            return Semantics(text.strip().lower().replace("_", "-"))
+        except ValueError:
+            raise ValueError(f"unknown semantics {text!r}") from None
 
 
 # How each semantics runs: the rewriting ("st" or "bm"); the model source
@@ -226,11 +225,13 @@ class _Session:
     def __init__(self, up: UpdateProgram, database: Database, *,
                  cap: int = DEFAULT_ENUMERATION_CAP):
         arities = validate_update_program(up)
-        facts = database.true_facts | database.unknown_facts
-        reserved = sorted(str(a) for a in facts if a.predicate.startswith(RESERVED_PREFIX))
-        if reserved:
-            raise ValidationError(f"reserved predicate name in database fact {reserved[0]}")
-        _record_arities(arities, facts)
+        if any(p.startswith(RESERVED_PREFIX) for p in database.arities):
+            reserved = min(str(a) for a in database.true_facts | database.unknown_facts
+                           if a.predicate.startswith(RESERVED_PREFIX))
+            raise ValidationError(f"reserved predicate name in database fact {reserved}")
+        before = dict(arities)  # a clash is reported as `_record_arities` reports it
+        if any(arities.setdefault(p, n) != n for p, n in database.arities.items()):
+            _record_arities(before, database.true_facts | database.unknown_facts)
         idb = up.program.cache["idb"]
         self.schema = frozenset(p for p in arities if p not in idb)
         self.up = up

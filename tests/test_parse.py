@@ -128,6 +128,12 @@ class TestParseDatabase:
         with pytest.raises(ParseError):
             parse_database("p(X).")
 
+    @pytest.mark.parametrize("text", ["p(a). q(b,c)? r.", "p( a ). q(b, % c\n c)? r."])
+    def test_keeps_the_arities_it_read(self, text):
+        db = parse_database(text)
+        assert db.__dict__["arities"] == {"p": 1, "q": 2, "r": 0}
+        assert Database.of(db.true_facts, db.unknown_facts).arities == db.arities
+
 
 class TestParseDelta:
     def test_delete(self):
@@ -462,8 +468,15 @@ class _OracleParser:
             rules.append(self.rule())
         return Program(tuple(rules))
 
+    def arity(self, arities: dict, atom: Atom, tok: _Token) -> None:
+        """Record the arity of the fact or update at `tok`; a clash is reported there."""
+        seen = arities.setdefault(atom.predicate, atom.arity)
+        if seen != atom.arity:
+            raise self.error(f"predicate {atom.predicate} used with arity {seen} and {atom.arity}",
+                             tok)
+
     def database(self) -> Database:
-        true_facts, unknown_facts = set(), set()
+        true_facts, unknown_facts, arities = set(), set(), {}
         while not self.at_end():
             tok = self.peek()
             atom = self.atom()
@@ -480,13 +493,11 @@ class _OracleParser:
                 unknown_facts.add(atom)
             else:
                 raise self.error(f"expected '.' or '?', found {status.text!r}", status)
-        try:
-            return Database.of(true_facts, unknown_facts)
-        except ValidationError as exc:
-            raise ParseError(str(exc), self.origin) from exc
+            self.arity(arities, atom, tok)
+        return Database.of(true_facts, unknown_facts)
 
     def delta(self) -> DeltaSet:
-        updates = set()
+        polarities, arities = {}, {}
         while not self.at_end():
             tok = self.next()
             if tok.kind not in ("+", "-"):
@@ -496,11 +507,10 @@ class _OracleParser:
             if not atom.is_ground():
                 raise self.error(f"update on non-ground atom {atom}", tok)
             self.expect(".")
-            updates.add(UpdateAtom(polarity, atom))
-        try:
-            return DeltaSet.of(updates)
-        except ValidationError as exc:
-            raise ParseError(str(exc), self.origin) from exc
+            if polarities.setdefault(atom, polarity) is not polarity:
+                raise self.error(f"conflicting updates +{atom} and -{atom}", tok)
+            self.arity(arities, atom, tok)
+        return DeltaSet.of(UpdateAtom(p, atom) for atom, p in polarities.items())
 
 
 PARSERS = {
@@ -556,3 +566,89 @@ def test_oracle_agrees_on_token_soups():
     rng = random.Random(7)
     for _ in range(2000):
         assert_agrees_with_oracle("".join(rng.choices(SOUP, k=rng.randint(1, 14))))
+
+
+# --- well-formed facts and updates, in the spelling `render` writes and others ---
+
+FACT_CASES = ["", "p.", "p(a).\n", "mgr(x,p,d).\nproj(p).\n", "p(a)? q(b).", "1p(2).", "xY(xY).",
+              "p('it''s').", "p(_x).", "_x(a).", "é(a).", "p(é).", "@ck_a(x).", "p(A).",
+              "p('a').", "p( a ).", "p(a,% c\n b).", "p(\na\n).\n", "p. p(a).", "p(a). p(a,b).",
+              "p(a). p(a)?", "p(a)? p(a).", "p(a). p(a).", "+p(a).\n-q(b,c).\n", "+p. -p.",
+              "+q(a). +q(a,b).", "+p(a). +p(a).", "+ p(a).", "+p(a)?", "-p(a).-q(a).",
+              "+@plus_p(a).", "+p(0_,a1).\r\n-p(b,c).\r\n", "p(a). q(b).", "p(a).\x1cq(b)."]
+FACT_NAMES = ["p", "q", "mgr", "1p", "xY", "p_2", "é", "@ck_a", "_x"]
+FACT_TERMS = ["a", "b1", "x", "2", "0_", "xY", "'a'", "'it''s'", "'Quoted Name'", "_x", "é", "A"]
+
+
+def spelled_atom(rng: random.Random, name: str, args: list[str]) -> str:
+    """`name(args)` as `render` writes it, or with spaces, a comment or line breaks inside."""
+    if not args:
+        return name
+    style = rng.choice(["canonical"] * 4 + ["spaced", "comment", "lines"])
+    if style == "canonical":
+        return f"{name}({','.join(args)})"
+    if style == "spaced":
+        return f"{name} ( {' , '.join(args)} )"
+    if style == "comment":
+        return f"{name}( % note\n{', '.join(args)})"
+    return f"{name}(\n  " + ",\n  ".join(args) + "\n)"
+
+
+def well_formed_text(rng: random.Random) -> str:
+    """A database (or, half the time, delta) text whose facts are mostly well formed.
+
+    Mostly plain words in the spelling `render` writes.  Now and then a name or
+    term that only the grammar reads, a second arity for a predicate, an atom
+    listed with two statuses or signs, or a variable.
+    """
+    plain = rng.random() < 0.6
+    names = FACT_NAMES[:5] if plain else FACT_NAMES
+    terms = FACT_TERMS[:5] if plain else FACT_TERMS
+    arity = {name: rng.randint(0, 3) for name in names}
+    pool = []
+    for _ in range(rng.randint(1, 6)):
+        name = rng.choice(names)
+        n = arity[name] if rng.random() < 0.95 else rng.randint(0, 3)
+        pool.append((name, [rng.choice(terms) for _ in range(n)]))
+    signed = rng.random() < 0.5
+    keys = ["+", "-"] if signed else [".", "?"]
+    key_of = {i: rng.choice(keys) for i in range(len(pool))}
+    out = []
+    for _ in range(rng.randint(0, 8)):
+        i = rng.randrange(len(pool))
+        key = key_of[i] if rng.random() < 0.95 else rng.choice(keys)
+        atom = spelled_atom(rng, *pool[i])
+        out.append(f"{key}{atom}." if signed else f"{atom}{key}")
+        out.append(rng.choice(["\n"] * 6 + ["", " ", "\t", "\r\n", "\n\n", "  % note\n"]))
+    return "".join(out)
+
+
+def assert_read_as_built(text: str) -> None:
+    """What a text reads as equals the same atoms built and checked by `Database.of` or
+    `DeltaSet.of`, with the same arities and order, and each atom's text rendered anew."""
+    for parse in (PARSERS["database"], PARSERS["delta"]):
+        value = outcome(parse, text)
+        if isinstance(value, Database):
+            built = Database.of(value.true_facts, value.unknown_facts)
+            assert value == built and value.arities == built.arities, text
+            atoms = value.true_facts | value.unknown_facts
+        elif isinstance(value, DeltaSet):
+            built = DeltaSet.of(value.updates)
+            assert value == built and value.ordered == built.ordered, text
+            atoms = [u.atom for u in value.updates]
+        else:
+            continue
+        assert all(str(a) == str(Atom(a.predicate, a.args)) for a in atoms), text
+
+
+def test_oracle_agrees_on_well_formed_facts():
+    from adlog.parse import _read
+    rng = random.Random(11)
+    texts = FACT_CASES + [well_formed_text(rng) for _ in range(1500)]
+    read = 0
+    for text in texts:
+        assert_agrees_with_oracle(text)
+        assert_read_as_built(text)
+        read += _read(text, False) is not None or _read(text, True) is not None
+    # Both paths are taken: the pattern reads a good share, the grammar the rest.
+    assert 300 < read < len(texts) - 300, read

@@ -202,6 +202,21 @@ class TestIsTotalTransformation:
         assert not is_total_transformation(interp([plus]), Database())
 
 
+@pytest.mark.parametrize("text", ["ws-bm", "WS_BM", " Ws-Bm ", "ws_bm", "\tws-BM\n"])
+def test_semantics_parse_reads_any_case_spacing_and_underscore(text):
+    assert Semantics.parse(text) is Semantics.WS_BM
+
+
+def test_semantics_parse_reads_every_value_and_rejects_others():
+    assert [Semantics.parse(s.value.upper()) for s in Semantics] == list(Semantics)
+    with pytest.raises(ValueError) as exc:
+        Semantics.parse("x")
+    assert str(exc.value) == "unknown semantics 'x'"
+    for text in ("ws bm", "wsbm", "", "W", "ws-"):
+        with pytest.raises(ValueError, match=f"^unknown semantics {re.escape(repr(text))}$"):
+            Semantics.parse(text)
+
+
 class TestRun:
     def test_confirm_manager_ws_and_bm(self):
         up, db = load_update_program("confirm_manager")
