@@ -10,8 +10,9 @@ update only and turns input updates into guarded rules.
 A rewriting lists the program's rules with their guards and the bridges (or
 the insertion rules), then the delta's rules.  What depends on the program
 alone is rewritten and planned for grounding once per `Program`, and kept with
-it as one prepared run; the delta's and the database's rules have no positive
-body, and are made as seeds (`_seeded`).
+it as one prepared run.  The insertion rule of a predicate that only the delta
+inserts into is a run of its own, planned once (`_insertion`).  The delta's and
+the database's rules have no positive body, and are made as seeds (`_seeded`).
 
 All generated predicates live in the reserved '@' namespace, and the prefix
 of each defines its kind; every other predicate is the user's:
@@ -215,15 +216,6 @@ def _facts(database: Database) -> _Prepared:
 # Primary rewriting
 # ---------------------------------------------------------------------------
 
-def _body_update_pairs(program: Program) -> set[tuple[Polarity, str, int]]:
-    pairs = set()
-    for rule in program.rules:
-        for lit in rule.body:
-            if isinstance(lit, UpdLiteral):
-                pairs.add((lit.uatom.polarity, lit.uatom.atom.predicate, lit.uatom.atom.arity))
-    return pairs
-
-
 def _bridge_body_literal(lit: UpdLiteral) -> StdLiteral:
     atom = Atom(bridge_predicate(lit.uatom.polarity, lit.uatom.atom.predicate),
                 lit.uatom.atom.args)
@@ -269,8 +261,9 @@ def _st_program(program: Program) -> _Prepared:
         minus = Atom(renamed_update_predicate(Polarity.DELETE, action), args)
         rules.append(Rule(head, (StdLiteral(plus), StdLiteral(minus))))
 
-    for polarity, predicate, arity in sorted(_body_update_pairs(program),
-                                             key=lambda p: (p[1], p[0].value)):
+    pairs = {(lit.uatom.polarity, lit.uatom.atom.predicate, lit.uatom.atom.arity)
+             for rule in program.rules for lit in rule.body if isinstance(lit, UpdLiteral)}
+    for polarity, predicate, arity in sorted(pairs, key=lambda p: (p[1], p[0].value)):
         args = _generic_args(arity)
         bridge = Atom(bridge_predicate(polarity, predicate), args)
         renamed = Atom(renamed_update_predicate(polarity, predicate), args)
@@ -293,57 +286,57 @@ def rewrite_bm(up: UpdateProgram) -> Program:
     (`p(t) :- @plus_p(t)`), so conditions read the post-update state: this is
     what leaves an atom undefined when its insertion and deletion chase each
     other through the rules, instead of resolving the race in favour of one
-    side.
+    side.  The program's run holds the insertion rules of what its action rules
+    insert into, and each other predicate the delta inserts into adds its own
+    (`_insertion`).
     """
-    rules, insertable = _kept(up.program, "rewrite bm", _bm_program)
-    delta, insertable = [], dict(insertable)
-    for u in up.delta.ordered:
-        predicate, args = u.atom.predicate, u.atom.args
-        complement = Polarity.DELETE if u.polarity is Polarity.INSERT else Polarity.INSERT
-        delta.append(((renamed_update_predicate(u.polarity, predicate), args),
-                      (((renamed_update_predicate(complement, predicate), args), False),)))
-        if u.polarity is Polarity.INSERT:
-            insertable[predicate] = len(args)
-    # The rules and the insertion rules are prepared as one run per insertable set.
-    key = tuple(sorted(insertable.items()))
-    run = _kept(up.program, ("rewrite bm", key),
-                lambda program: _prepare(rules + _insertions(key), program))
-    return _Rewritten(run, _seeded(delta))
+    run, insertable = _kept(up.program, "rewrite bm", _bm_program)
+    delta = [((renamed_update_predicate(u.polarity, u.atom.predicate), u.atom.args),
+              (((renamed_update_predicate(_COMPLEMENT[u.polarity], u.atom.predicate),
+                 u.atom.args), False),)) for u in up.delta.ordered]
+    added = {(atom.predicate, atom.arity) for atom in up.delta.inserts()} - insertable
+    return _Rewritten(run, *[_insertion(*pair) for pair in sorted(added)], _seeded(delta))
 
 
-def _insertions(insertable: tuple[tuple[str, int], ...]) -> tuple[Rule, ...]:
-    """`p(X1, ..) :- @plus_p(X1, ..)` for each insertable predicate p."""
-    rules = []
-    for predicate, arity in insertable:
-        args = _generic_args(arity)
-        plus = Atom(renamed_update_predicate(Polarity.INSERT, predicate), args)
-        rules.append(Rule(Atom(predicate, args), (StdLiteral(plus),)))
-    return tuple(rules)
+_COMPLEMENT = {Polarity.INSERT: Polarity.DELETE, Polarity.DELETE: Polarity.INSERT}
 
 
-def _bm_program(program: Program) -> tuple[tuple[Rule, ...], tuple[tuple[str, int], ...]]:
-    """What `rewrite_bm` takes from the program alone: its rules, what they insert into."""
+@lru_cache(maxsize=256)
+def _insertion(predicate: str, arity: int) -> _Prepared:
+    """p's insertion rule `p(X1, ..) :- @plus_p(X1, ..)` planned alone, a run every program shares.
+
+    Added to a prepared run, it leaves the run's ground table as it is, rule by rule and
+    atom by atom.  It reads `@plus_p`, reserved and so never static: phase 1's atoms fire
+    none of its triggers, and `_instantiate` fires them after the run's own, per predicate
+    (or, at arity 0, per ground atom).  An update may target only a predicate no rule
+    derives (validation), and a static predicate is derived, so the static set and the
+    replay stay as they are.  An unvalidated update of a static p makes this run's `heads`
+    meet the static set, and `ground` prepares all the runs as one.
+    """
+    args = _generic_args(arity)
+    plus = Atom(renamed_update_predicate(Polarity.INSERT, predicate), args)
+    return _plan([Rule(Atom(predicate, args), (StdLiteral(plus),))])
+
+
+def _bm_program(program: Program) -> tuple[_Prepared, frozenset[tuple[str, int]]]:
+    """What `rewrite_bm` takes from the program alone: its rules and the insertion rules
+    of what they insert into, prepared as one run, and those predicates with arities."""
     rules: list[Rule] = []
-    insertable: dict[str, int] = {}
-
     for rule in program.rules:
         body = [StdLiteral(renamed_update_atom(lit.uatom), lit.positive)
                 if isinstance(lit, UpdLiteral) else lit for lit in rule.body]
         if rule.is_active:
-            head_atom = renamed_update_atom(rule.head)
-            complement = Polarity.DELETE if rule.head.polarity is Polarity.INSERT \
-                else Polarity.INSERT
-            guard = StdLiteral(Atom(renamed_update_predicate(complement,
-                                                             rule.head.atom.predicate),
-                                    rule.head.atom.args), positive=False)
+            complement = UpdateAtom(_COMPLEMENT[rule.head.polarity], rule.head.atom)
+            guard = StdLiteral(renamed_update_atom(complement), positive=False)
             if guard not in body:
                 body.append(guard)
-            if rule.head.polarity is Polarity.INSERT:
-                insertable[rule.head.atom.predicate] = rule.head.atom.arity
-            rules.append(Rule(head_atom, tuple(body), rule.origin))
+            rules.append(Rule(renamed_update_atom(rule.head), tuple(body), rule.origin))
         else:
             rules.append(_passive(rule, body))
-    return tuple(rules), tuple(insertable.items())
+    insertable = sorted({(rule.head.atom.predicate, rule.head.atom.arity) for rule in program.rules
+                         if rule.is_active and rule.head.polarity is Polarity.INSERT})
+    return _prepare(rules + [_insertion(*pair).rules[0] for pair in insertable], program), \
+        frozenset(insertable)
 
 
 def _kept(program: Program | Database, key, compute):
@@ -356,11 +349,11 @@ def _kept(program: Program | Database, key, compute):
 
 
 class _Rewritten(Program):
-    """The rules of a prepared run and then of its seed runs (`_seeded`), built on first
-    read: `ground` reads the runs."""
+    """The rules of a prepared run, of its insertion runs (`_insertion`) and then of its
+    seed runs (`_seeded`), built on first read: `ground` reads the runs."""
 
-    def __init__(self, prepared: _Prepared, *seeds: _Prepared):
-        object.__setattr__(self, "cache", {"runs": (prepared, *seeds)})
+    def __init__(self, prepared: _Prepared, *runs: _Prepared):
+        object.__setattr__(self, "cache", {"runs": (prepared, *runs)})
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
@@ -721,10 +714,11 @@ def ground(program: Program) -> GroundProgram:
     the table, runs phase 1 and joins its atoms into the others, so a
     rewriting passes its runs on (`program.cache["runs"]`): the program's
     rules and the bridges or insertion rules as one prepared run, kept with the
-    program (`_kept`), then the delta's and the database's seed runs.  A call
-    adds the seeds, replays what phase 1's atoms completed and joins its own
-    atoms (`_Static`).  If a seed run defines a static predicate (a database
-    fact), the runs are prepared again as one.
+    program (`_kept`), then `bm`'s insertion runs (`_insertion`), then the
+    delta's and the database's seed runs.  A call adds the seeds, replays what
+    phase 1's atoms completed and joins its own atoms (`_Static`).  If a later
+    run defines a static predicate (a database fact, or an unvalidated
+    insertion), the runs are prepared again as one.
     """
     runs = program.cache.get("runs") or (_prepare(program.rules),)
     static = runs[0].static
@@ -738,14 +732,20 @@ def ground(program: Program) -> GroundProgram:
 
 def _instantiate(out: GroundProgram, runs: tuple[_Prepared, ...], given: Iterable[tuple] = (),
                  record: list | None = None) -> tuple:
-    """Add the instances of a prepared run and its seed runs (`_seeded`) to `out`, the
-    atoms `given` joined first and the prepared run's phase 1 replayed after the seeds;
-    returns the worklist, each waiting rule's count left, by id (the rules outlive the
-    call), and the atoms joined, indexed.  Only the prepared run has triggers.  With `record`,
-    only `given` is joined, and what it completes is listed there, as seeds (`_Static.replay`)."""
+    """Add the instances of a prepared run, its insertion runs (`_insertion`) and its seed
+    runs (`_seeded`) to `out`, the atoms `given` joined first and the prepared run's phase 1
+    replayed after the seeds; returns the worklist, each waiting rule's count left, by id
+    (the rules outlive the call), and the atoms joined, indexed.  An atom fires the prepared
+    run's triggers of its predicate, then the insertion runs', then those of its key in the
+    same order, as one run of all their rules does.  With `record`, only `given` is joined,
+    and what it completes is listed there, as seeds (`_Static.replay`)."""
+    triggers, extra = runs[0].triggers, {}
     for run in runs:
         out._known.update(run.atoms)
-    triggers = runs[0].triggers
+        if run.triggers and run is not runs[0]:
+            for key, entries in run.triggers.items():
+                extra[key] = extra.get(key, triggers.get(key, ())) + entries
+    fired = triggers.get if not extra else lambda k, none: extra.get(k) or triggers.get(k, none)
     missing: dict[int, int] = {}
     derived: set[int] = set()
     queue = list(given)
@@ -788,7 +788,7 @@ def _instantiate(out: GroundProgram, runs: tuple[_Prepared, ...], given: Iterabl
             facts[predicate][args] = None
             for positions, table in lookups.get(predicate, {}).items():
                 table.setdefault(tuple([args[i] for i in positions]), []).append(args)
-        for trigger in triggers.get(predicate, ()) + triggers.get(key, ()):
+        for trigger in fired(predicate, ()) + fired(key, ()):
             if isinstance(trigger, _Waiting):
                 left = missing[id(trigger)] = missing.get(id(trigger), trigger.count) - 1
                 if not left:

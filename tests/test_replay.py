@@ -32,8 +32,9 @@ def chain(n: int) -> str:
                    + [f"+out(n{i}) :- a(n{i}), b(n{i}), +ev(n{i}).\n" for i in range(n + 1)])
 
 
-def work(monkeypatch, n: int, semantics: Semantics) -> tuple[int, int, int]:
-    """Worklist pops, update-atom parses and update atoms read in one warm two-event run."""
+def work(monkeypatch, n: int, semantics: Semantics, more: str = "") -> tuple[int, int, int]:
+    """Worklist pops, update-atom parses and update atoms read in one warm two-event run,
+    its delta with the insertions `more` (of one-argument atoms) besides the events."""
     program = parse_program(chain(n))
     db = parse_database("")
     for events in ("+ev(n1).", "+ev(n2).\n+ev(n3).\n"):      # warm both rewritings
@@ -59,10 +60,13 @@ def work(monkeypatch, n: int, semantics: Semantics) -> tuple[int, int, int]:
     monkeypatch.setattr(adlog.rewrite, "base_atom_of_renamed", counting_parse)
     monkeypatch.setattr(adlog.update, "extract_updates", counting_extract)
     # n - 5 is odd and n - 6 even for both sizes: one event inserts out(n5), one does not.
-    report = adlog.update.run(UpdateProgram(parse_delta("+ev(n5).\n+ev(n6).\n"), program),
+    kept = list(program.cache)
+    report = adlog.update.run(UpdateProgram(parse_delta("+ev(n5).\n+ev(n6).\n" + more), program),
                               db, semantics)
     monkeypatch.undo()
-    assert {str(atom) for atom in report.output_db.true_facts} == {"ev(n5)", "ev(n6)", "out(n5)"}
+    assert {str(atom) for atom in report.output_db.true_facts} == \
+        {"ev(n5)", "ev(n6)", "out(n5)", *[u[1:] for u in more.split(".\n") if u]}
+    assert list(program.cache) == kept
     return len(pops), len(parses), len(reads)
 
 
@@ -74,15 +78,27 @@ def test_work_per_warm_transaction_does_not_grow_with_n(monkeypatch, semantics):
     assert 0 < pops < 20 and 0 < reads <= parses < 20
 
 
+def test_a_new_insertable_set_does_not_grow_with_n(monkeypatch):
+    """A `ws-bm` delta that inserts into predicates no rule inserts into plans their
+    insertion rules alone (`rewrite._insertion`): it joins no static atom again and keeps
+    nothing more with the program."""
+    sizes = [work(monkeypatch, n, Semantics.WS_BM, f"+zz_{n}(q).\n+zz_{n}_more(q).\n")
+             for n in (400, 6400)]
+    assert sizes[0] == sizes[1]
+    pops, parses, reads = sizes[0]
+    assert 0 < pops < 30 and 0 < reads <= parses < 30
+
+
 def assert_grounds_as_one_phase(up: UpdateProgram, db) -> None:
     """The warm table has the rules and the well-founded model of a grounding without
-    phase 1: one plan of all the rules, every atom joined in one worklist."""
+    phase 1: one plan of all the rules, every atom joined in one worklist.  The model is
+    read through the program's structure memo, if a run made one, as a run reads it."""
     for rewriting in REWRITINGS:
         table = ground(embed_database(rewriting(up), db))
         one = GroundProgram()
         _instantiate(one, (_plan(embed_database(rewriting(cold(up)), db).rules),))
         assert set(with_origins(table.rules)) == set(with_origins(one.rules))
-        assert well_founded(table) == well_founded(one)
+        assert well_founded(table, up.program.cache.get("structures")) == well_founded(one)
 
 
 # What phase 1's atoms complete alone: a variable-free rule, and a rule whose
@@ -109,19 +125,25 @@ def test_replay_edge_cases(rule, tmp_path, capsys):
 def test_one_prepared_run_then_seed_runs_and_one_phase_1_per_program():
     program = parse_program(CHAIN_AB)
     db = parse_database("out(n3). ev(n4)?")
-    # Two `bm` insertable sets: the delta's `+ev` adds `ev` to the program's `out`.
+    # Two `bm` insertable sets: the delta's `+ev` adds `ev`'s insertion run to the program's.
     ups = [UpdateProgram(parse_delta(delta), program) for delta in ("+ev(n3).", "-ev(n3).")]
     rewritten = [rewrite_st(ups[0])] + [rewrite_bm(up) for up in ups]
     plain = Program(rewritten[0].rules)
+    insertion = rewritten[1].cache["runs"][1]
+    assert [str(rule) for rule in insertion.rules] == ["ev(X1) :- @plus_ev(X1)."]
+    assert insertion.heads == {"ev"}
     for runs in [p.cache["runs"] for p in rewritten] + \
             [embed_database(p, db).cache["runs"] for p in rewritten + [plain]]:
         assert not isinstance(runs[0], _Seeded) and runs[0].static is not None
-        assert runs[1:] and all(isinstance(run, _Seeded) for run in runs[1:])
+        assert runs[1:] and all(isinstance(run, _Seeded) or run is insertion for run in runs[1:])
+    assert [run is insertion for run in rewritten[1].cache["runs"]] == [False, True, False]
     keys = [key for key in program.cache if isinstance(key, tuple)]
-    bm = [program.cache[key] for key in keys if key[0] == "rewrite bm"]
-    assert len(bm) == 2 and len([key for key in keys if key[0] == "phase 1"]) == 1
+    assert [key for key in program.cache if "rewrite bm" in key] == ["rewrite bm"]
+    assert len([key for key in keys if key[0] == "phase 1"]) == 1
+    bm = program.cache["rewrite bm"][0]
+    assert rewritten[1].cache["runs"][0] is rewritten[2].cache["runs"][0] is bm
     table = program.cache["rewrite st"].static.table
-    assert all(run.static.table is table for run in bm)
+    assert bm.static.table is table
     assert embed_database(plain, db).cache["runs"][0].static.table is not table
 
 

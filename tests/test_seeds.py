@@ -17,7 +17,8 @@ import adlog.rewrite
 from adlog import (Atom, Database, DeltaSet, Polarity, Program, Rule, Semantics, StdLiteral,
                    UpdateAtom, UpdateProgram, compare, embed_database, ground, parse_database,
                    parse_delta, parse_program, rewrite_bm, rewrite_st, run)
-from adlog.rewrite import _prepare, _Rewritten, delta_marker_predicate, renamed_update_atom
+from adlog.rewrite import (_prepare, _Rewritten, _Seeded, delta_marker_predicate,
+                           renamed_update_atom)
 from adlog.selftest import InstanceGenerator
 
 from conftest import rule_lists
@@ -64,11 +65,13 @@ def assert_same_run(seeded, oracle) -> None:
 def assert_seeds_match_the_oracle(up: UpdateProgram, db: Database) -> None:
     for rewriting, delta_run in ((rewrite_st, markers), (rewrite_bm, guarded)):
         embedded = embed_database(rewriting(up), db)
-        runs = embedded.cache["runs"]
-        assert_same_run(runs[1], delta_run(up.delta))
-        assert_same_run(runs[-1], facts(db))
-        # The same prepared run with the oracle's seed runs.
-        built = _Rewritten(runs[0], delta_run(up.delta), facts(db))
+        # The prepared run and `bm`'s insertion runs, then the delta's and the database's.
+        planned = [run for run in embedded.cache["runs"] if not isinstance(run, _Seeded)]
+        seeds = [run for run in embedded.cache["runs"] if isinstance(run, _Seeded)]
+        assert_same_run(seeds[0], delta_run(up.delta))
+        assert_same_run(seeds[-1], facts(db))
+        # The same prepared and insertion runs with the oracle's seed runs.
+        built = _Rewritten(*planned, delta_run(up.delta), facts(db))
         assert with_origins(embedded.rules) == with_origins(built.rules)
         table, oracle = ground(embedded), ground(built)
         assert with_origins(table.rules) == with_origins(oracle.rules)
