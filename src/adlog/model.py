@@ -336,8 +336,8 @@ class Program(_Value):
     def __init__(self, rules: tuple[Rule, ...] = ()):
         _set(self, "rules", rules)
         # What was computed from the rules: validate_program, rewrite._kept, and the
-        # memos `_Session` keeps: well-founded values by table structure (`well_founded`)
-        # and the residue components searched (`enumerate_pstable`).
+        # memo `_Session` keeps of well-founded values by table structure and of the
+        # residue components searched (`stable._keep`).
         _set(self, "cache", {})
 
     def __eq__(self, other: object) -> bool:

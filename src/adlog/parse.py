@@ -285,11 +285,10 @@ def _read(text: str, signed: bool):
 _program_of = functools.lru_cache(maxsize=32)(functools.partial(_parsed, _program))
 
 
-def parse_program(text: str, origin: str = "<string>", *, validate: bool = True) -> Program:
+def parse_program(text: str, origin: str = "<string>") -> Program:
     """Equal text and origin give one `Program`, shared with what is computed from it."""
     program = _program_of(text, origin)
-    if validate:
-        validate_program(program)
+    validate_program(program)
     return program
 
 

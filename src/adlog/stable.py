@@ -24,9 +24,6 @@ grounder fills as it instantiates the rules: each atom numbered once, each rule
 kept by those numbers (its atom dependency graph).  The program's cache keeps
 the well-founded values and model computed from it; a program that extends a
 kept prefix of static atoms (see rewrite.ground) starts from the prefix's.
-The values depend only on the numbered rules, so a caller may keep a bounded
-memo of them by that structure across programs (`well_founded(..., memo)`);
-a table with a prefix is not kept.
 
 The family is kept factorised: `ModelFamily` holds the well-founded model
 and each component's parts, each flagged within its component from per-atom
@@ -34,9 +31,10 @@ masks as the component is enumerated.  Components share no atoms, so a model
 carries a flag exactly when each of its parts does (the argument per flag is
 on `ModelFamily`), counts are products of per-component counts, and a model
 is chosen part by part.  The product of the parts is listed only when
-`records` is read.  A caller may keep a bounded memo of searched components
-(`solved`), keyed by all that a component's search and flags read: its rules,
-renumbered, and its atoms' token ranks; an equal component is not searched again.
+`records` is read.  A caller may keep one bounded memo across programs
+(`memo`): a table's numbered rules give its well-founded values (a table with
+a prefix is not kept), and a residue component's renumbered rules and token
+ranks, all that its search and flags read, give its flagged parts.
 """
 
 from __future__ import annotations
@@ -296,7 +294,7 @@ def _well_founded(program: GroundProgram,
     components and every Psi round, so only the model is built from this
     table's own atoms.  A table with a prefix is not kept, as its key would
     have to name the prefix.  Each entry is charged its rules' numbers and
-    its values, of at most `_STRUCTURE_BOUND` (`_keep`).
+    its values (`_keep`).
     """
     cached = program.cache.get("well-founded")
     if cached is None:
@@ -305,7 +303,7 @@ def _well_founded(program: GroundProgram,
         stored = None if key is None else memo.get(key)
         vals = _solve(program, kept) if stored is None else list(stored[0])
         if key is not None and stored is None:
-            _keep(memo, key, (tuple(vals),), sum(map(len, key)) + len(vals), _STRUCTURE_BOUND)
+            _keep(memo, key, (tuple(vals),), sum(map(len, key)) + len(vals))
         cached = program.cache["well-founded"] = (vals, _Model(known, program._atoms,
                                                                 vals[len(kept):]))
     return cached
@@ -600,27 +598,26 @@ def _search(rules: _Rules) -> list[list[int]]:
     return found
 
 
-# The most each memo keeps: `solved`, in part values (parts times atoms), and a
-# structure memo (`_well_founded`), in rule atom numbers plus well-founded values.
-_SOLVED_BOUND = 65_536
-_STRUCTURE_BOUND = 65_536
+# The most a memo keeps, in table entries' numbers and component entries' part values.
+_MEMO_BOUND = 65_536
 _keeping = threading.Lock()
 
 
-def _keep(memo: dict, key: object, value: tuple, size: int, bound: int) -> None:
-    """Keep `value` at `key`, charged `size` of `memo`'s `bound`: its last field spans that in a
-    running count, so the memo holds the newest end less the oldest start, and the oldest
-    leave first.  A value larger than the bound is not kept.  Only a miss takes the lock."""
-    if size <= bound:
+def _keep(memo: dict, key: object, value: tuple, size: int) -> None:
+    """Keep `value` at `key`, charged `size` of `_MEMO_BOUND`: its last field spans that in a
+    running count over both kinds of entry, so the memo holds the newest end less the oldest
+    start, and the oldest leave first.  A value larger than the bound is not kept.  A table's
+    key starts with a rule of integers, a component's with rank triples, so none collide."""
+    if size <= _MEMO_BOUND:
         with _keeping:
             end = size + (memo[next(reversed(memo))][-1].stop if memo else 0)
-            while memo and memo[next(iter(memo))][-1].start < end - bound:
+            while memo and memo[next(iter(memo))][-1].start < end - _MEMO_BOUND:
                 del memo[next(iter(memo))]
             memo.setdefault(key, (*value, range(end - size, end)))
 
 
 def enumerate_pstable(program: GroundProgram, cap: int = DEFAULT_ENUMERATION_CAP,
-                      solved: dict | None = None) -> ModelFamily:
+                      memo: dict | None = None) -> ModelFamily:
     """All partial stable models, as extensions of the well-founded model, with their flags.
 
     The well-founded model W is the least fixpoint of Psi in the knowledge
@@ -643,18 +640,18 @@ def enumerate_pstable(program: GroundProgram, cap: int = DEFAULT_ENUMERATION_CAP
     (`_flag`), and is their product.  W is in the family exactly when every
     component keeps its all-undefined part.
 
-    `solved`, a memo kept across calls, maps a component's key (its rules
-    and its atoms' token ranks) to its parts' values and flags; the search,
-    the sort and the flags read nothing else, so a kept key's parts are what
-    a search finds.  It keeps at most `_SOLVED_BOUND` values, parts times
-    atoms: a larger component is never kept, and the oldest leave first.
+    `memo`, kept across calls, is `well_founded`'s: W is read through it
+    (`_well_founded`), and it maps a component's key (its rules and its
+    atoms' token ranks) to its parts' values and flags; the search, the
+    sort and the flags read nothing else, so a kept key's parts are what a
+    search finds.  Each entry is charged its values, parts times atoms.
     """
-    vals, wf = _well_founded(program)
+    vals, wf = _well_founded(program, memo)
     if wf.undefined_count > cap:
         raise ResourceLimitError(
             f"{wf.undefined_count} atoms undefined in the well-founded model "
             f"exceeds the enumeration cap of {cap}", cap)
-    return ModelFamily(wf, tuple(_parts(program, component, solved)
+    return ModelFamily(wf, tuple(_parts(program, component, memo)
                                  for component in _components(program, vals)))
 
 
@@ -669,19 +666,19 @@ def _ranks(text: str) -> tuple[int, int, int]:
 
 
 def _parts(program: GroundProgram, component: _Component,
-           solved: dict | None = None) -> tuple[ModelRecord, ...]:
+           memo: dict | None = None) -> tuple[ModelRecord, ...]:
     """The flagged parts of a residue component, in `render_key` order."""
     atoms = [program.atoms[s] for s in component]
     ranks = tuple([_ranks(str(atom)) for atom in atoms])
     rules = component.rules
     key = (ranks, rules.heads, rules.pos, rules.negs, rules.base)
-    kept = solved.get(key) if solved is not None else None
+    kept = memo.get(key) if memo is not None else None
     if kept is None:
         parts = _search(rules)
         parts.sort(key=lambda part: [rank[v] for rank, v in zip(ranks, part)])
         kept = (tuple(map(tuple, parts)), _flag(len(atoms), parts))
-        if solved is not None:
-            _keep(solved, key, kept, len(parts) * len(atoms), _SOLVED_BOUND)
+        if memo is not None:
+            _keep(memo, key, kept, len(parts) * len(atoms))
     universe = frozenset(atoms)
     return tuple(ModelRecord(Interpretation(
                      universe, frozenset(a for a, v in zip(atoms, part) if v == _TRUE),

@@ -269,12 +269,11 @@ class _Session:
 
     def wf(self, mode: str) -> Interpretation:
         return self._stage("wf", mode, lambda: well_founded(
-            self.ground(mode), self.up.program.cache.setdefault("structures", {})))
+            self.ground(mode), self.up.program.cache.setdefault("memo", {})))
 
     def family(self, mode: str) -> ModelFamily:
-        self.wf(mode)       # through the structure memo: the enumeration reads the model back
         return self._stage("family", mode, lambda: enumerate_pstable(
-            self.ground(mode), self.cap, self.up.program.cache.setdefault("solved", {})))
+            self.ground(mode), self.cap, self.up.program.cache.setdefault("memo", {})))
 
     def apply_model(self, model: Interpretation, base: Database,
                     updates: Iterable[tuple[Atom, Polarity, Atom]] | None = None) -> Database:

@@ -10,6 +10,7 @@ from adlog import (Atom, BuiltinLiteral, Database, DeltaSet,
                    UpdateProgram, ValidationError, Variable, enumerate_pstable,
                    info_leq, rename_constants, validate_program,
                    validate_update_program, parse_program)
+from adlog.parse import _program_of
 from adlog.selftest import (eval_literal, is_model, random_ground_program,
                             rule_satisfied)
 
@@ -219,8 +220,7 @@ class TestValidation:
             parse_program(text, origin="rules.adl")
         assert str(exc.value) == message
         # Without an origin the message ends with the rule.
-        rules = tuple(Rule(r.head, r.body) for r in parse_program(
-            text, origin="rules.adl", validate=False).rules)
+        rules = tuple(Rule(r.head, r.body) for r in _program_of(text, "rules.adl").rules)
         with pytest.raises(ValidationError) as exc:
             validate_program(Program(rules))
         assert str(exc.value) == message[:message.rindex(" (")]
@@ -230,8 +230,7 @@ class TestValidation:
         validate_program(program)
 
     def test_a_program_is_validated_once(self, monkeypatch):
-        program = parse_program("p(a) :- q(a, b), not +r(b).\ns(X) :- q(X, X).",
-                                validate=False)
+        program = _program_of("p(a) :- q(a, b), not +r(b).\ns(X) :- q(X, X).", "<string>")
         seen = []
         head_atom = Rule.head_atom
         monkeypatch.setattr(Rule, "head_atom", lambda rule: seen.append(rule) or head_atom(rule))
@@ -244,7 +243,7 @@ class TestValidation:
         assert len(seen) == 2
 
     def test_a_failed_validation_is_not_kept(self):
-        program = parse_program("p(X) :- not q(X).", validate=False)
+        program = _program_of("p(X) :- not q(X).", "<string>")
         for _ in range(2):
             with pytest.raises(ValidationError, match="unsafe"):
                 validate_program(program)

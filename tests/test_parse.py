@@ -10,6 +10,7 @@ from adlog import (Atom, BuiltinLiteral, Database, DeltaSet,
                    StdLiteral, UpdateAtom, UpdLiteral, ValidationError,
                    Variable, parse_database, parse_delta, parse_program,
                    render)
+from adlog.parse import _program_of
 from adlog.selftest import InstanceGenerator
 
 
@@ -73,8 +74,7 @@ class TestProgramCache:
     def test_same_text_and_origin_give_the_same_program(self):
         text = "p(a).\nq(X) :- p(X), not r(X).\n+r(b) :- p(b).\n% kept once"
         assert parse_program(text, "kept.adl") is parse_program(text, "kept.adl")
-        assert parse_program(text, "kept.adl") is parse_program(text, "kept.adl",
-                                                                validate=False)
+        assert parse_program(text, "kept.adl") is _program_of(text, "kept.adl")
 
     def test_another_origin_gives_rules_with_that_origin(self):
         text = "p(a).\nq(X) :- p(X).\n% two origins"
@@ -90,15 +90,14 @@ class TestProgramCache:
 
     def test_a_failed_validation_is_raised_on_every_call(self):
         text = "p(X) :- not q(X).\n% unsafe, and parsed before its validation"
-        program = parse_program(text, validate=False)
+        program = _program_of(text, "<string>")
         for _ in range(2):
             with pytest.raises(ValidationError, match="unsafe"):
                 parse_program(text)
-        assert parse_program(text, validate=False) is program
+        assert _program_of(text, "<string>") is program
         assert program.cache == {}
 
     def test_the_cache_stays_within_its_size(self):
-        from adlog.parse import _program_of
         size = _program_of.cache_info().maxsize
         assert size is not None
         for i in range(size + 5):
@@ -220,7 +219,7 @@ rules = st.tuples(
 @given(st.lists(rules, max_size=6))
 def test_program_round_trip(rule_list):
     program = Program(tuple(rule_list))
-    assert parse_program(render(program), validate=False) == program
+    assert _program_of(render(program), "<string>") == program
 
 
 @settings(max_examples=100, deadline=None)
@@ -514,7 +513,7 @@ class _OracleParser:
 
 
 PARSERS = {
-    "program": lambda text: parse_program(text, "f.adl", validate=False),
+    "program": lambda text: _program_of(text, "f.adl"),
     "database": lambda text: parse_database(text, "f.adb"),
     "delta": lambda text: parse_delta(text, "f.adu"),
 }

@@ -92,13 +92,13 @@ def test_a_new_insertable_set_does_not_grow_with_n(monkeypatch):
 def assert_grounds_as_one_phase(up: UpdateProgram, db) -> None:
     """The warm table has the rules and the well-founded model of a grounding without
     phase 1: one plan of all the rules, every atom joined in one worklist.  The model is
-    read through the program's structure memo, if a run made one, as a run reads it."""
+    read through the program's memo, if a run made one, as a run reads it."""
     for rewriting in REWRITINGS:
         table = ground(embed_database(rewriting(up), db))
         one = GroundProgram()
         _instantiate(one, (_plan(embed_database(rewriting(cold(up)), db).rules),))
         assert set(with_origins(table.rules)) == set(with_origins(one.rules))
-        assert well_founded(table, up.program.cache.get("structures")) == well_founded(one)
+        assert well_founded(table, up.program.cache.get("memo")) == well_founded(one)
 
 
 # What phase 1's atoms complete alone: a variable-free rule, and a rule whose

@@ -13,6 +13,7 @@ from adlog import (Atom, BuiltinLiteral, Database, DeltaSet,
                    Variable, embed_database, enumerate_pstable, ground,
                    parse_database, parse_delta, parse_program, render, rewrite_bm,
                    rewrite_st)
+from adlog.parse import _program_of
 import adlog.rewrite
 from adlog.rewrite import (_maker, _prepare, _Waiting, bridge_predicate,
                            delta_marker_predicate, guard_predicate, renamed_update_predicate)
@@ -159,7 +160,7 @@ class TestRewriteBm:
 class TestGround:
     def test_false_neq_instances_are_dropped(self):
         program = parse_program("diff(X,D) :- mgr(Y,P,D), Y != X.")
-        db_rules = parse_program("mgr(x,p,d).", validate=False)
+        db_rules = _program_of("mgr(x,p,d).", "<string>")
         merged = Program(program.rules + db_rules.rules)
         rules = {str(r) for r in ground(merged).rules}
         assert "diff(x,d) :- mgr(x,p,d)." not in rules  # x != x is false
@@ -271,7 +272,7 @@ class TestGroundProgram:
 
     def test_a_rule_equal_to_an_earlier_one_is_dropped(self):
         text = "p :- q, not r.\nq.\np :- q, not r.\np :- not r, q.\nq.\n"
-        g = GroundProgram(parse_program(text, validate=False).rules)
+        g = GroundProgram(_program_of(text, "<string>").rules)
         assert [str(rule) for rule in g.rules] == ["p :- q, not r.", "q.", "p :- not r, q."]
         assert list(g._rules) == [(0, 1, ~2), (1,), (0, ~2, 1)]
 
@@ -561,7 +562,7 @@ class TestRelevanceGrounder:
 
     @pytest.mark.parametrize("text", EDGE_CASES)
     def test_edge_case_matches_oracle(self, text):
-        program = parse_program(text, validate=False)
+        program = _program_of(text, "<string>")
         assert_same_grounding(program)
         assert_same_grounding(embed_database(program, PAD))
         assert_same_order(lambda: Program(program.rules))
@@ -573,13 +574,13 @@ class TestRelevanceGrounder:
         ("e(a,b).\ne(b,a).\nr(X0,X22) :- %s." % ", ".join(      # 21 join steps bind a variable
             f"e(X{i},X{i + 1})" for i in range(22)), 4)], ids=["free", "joins"])
     def test_long_rule_matches_interpreter(self, text, size):
-        program = parse_program(text, validate=False)
+        program = _program_of(text, "<string>")
         assert len(ground(program).rules) == size
         assert_same_order(lambda: Program(program.rules))
         assert_same_order(lambda: rewrite_bm(UpdateProgram(DeltaSet.of([]), Program(program.rules))))
 
     def test_phase_1_replays_a_plan(self):
-        static = _prepare(parse_program(EDGE_CASES[-1], validate=False).rules).static
+        static = _prepare(_program_of(EDGE_CASES[-1], "<string>").rules).static
         assert static.predicates == {"a", "b"}
         assert [type(seed) for seed in static.replay] == [tuple, tuple]    # a(n0), a(n1)
 

@@ -647,26 +647,33 @@ def count_searches(monkeypatch) -> list:
     return calls
 
 
+def components_of(memo: dict) -> list[tuple]:
+    """The memo's component entries, (parts, flags, span), oldest first; a table's is
+    (values, span)."""
+    return [entry for entry in memo.values() if len(entry) == 3]
+
+
 class TestSolvedMemo:
-    """A `solved` memo shared across programs changes no family: not its components, their
-    parts' order, their flags (records compare with their flags) or its counts."""
+    """The components a memo keeps, shared across programs, change no family: not its
+    components, their parts' order, their flags (records compare with their flags) or its
+    counts."""
 
     def test_shared_across_random_fixture_and_ring_programs(self, monkeypatch):
         programs = [(random_ground_program(random.Random(seed)), seed) for seed in range(1500)]
         programs += [(g, name) for name in FIXTURE_NAMES for g in fixture_programs(name)]
         programs += [(ground_of(ring_program(n)), n) for n in range(2, 7)]
         searches = count_searches(monkeypatch)
-        solved: dict = {}
+        memo: dict = {}
         with_memo = 0
         for g, tag in programs:
             expected = enumerate_pstable(g, cap=64)
             before = len(searches)
-            family = enumerate_pstable(g, cap=64, solved=solved)
+            family = enumerate_pstable(g, cap=64, memo=memo)
             with_memo += len(searches) - before
             assert family == expected, tag
             assert family.counts() == expected.counts(), tag
         # Each entry came from a search, and the memo saved some of them.
-        assert 0 < len(solved) <= with_memo < len(searches) - with_memo
+        assert 0 < len(components_of(memo)) <= with_memo < len(searches) - with_memo
 
     def test_part_order_follows_each_components_own_atoms(self, monkeypatch):
         # One rule structure three times; `a.` sorts before `not a.`, but `not p.`
@@ -674,42 +681,55 @@ class TestSolvedMemo:
         g = ground_of("a :- not b.\nb :- not a.\np :- not q.\nq :- not p.\n"
                       "r :- not s.\ns :- not r.\n")
         searches = count_searches(monkeypatch)
-        solved: dict = {}
-        family = enumerate_pstable(g, solved=solved)
+        memo: dict = {}
+        family = enumerate_pstable(g, memo=memo)
         assert [[part.model.render_key() for part in parts] for parts in family.components] == [
             ["a. not b.", "a? b?", "not a. b."],
             ["not p. q.", "p. not q.", "p? q?"],
             ["not r. s.", "r. not s.", "r? s?"]]
-        assert (len(searches), len(solved)) == (2, 2)
+        assert (len(searches), len(components_of(memo)), len(memo)) == (2, 2, 3)
         assert family == enumerate_pstable(g)
 
     def test_memo_keeps_no_more_than_its_bound(self):
-        solved: dict = {}
-        enumerate_pstable(ground_of(pairs_program(1)), solved=solved)
-        counts = enumerate_pstable(ground_of(coupled_pairs_program(8)), solved=solved).counts()
+        memo: dict = {}
+        enumerate_pstable(ground_of(pairs_program(1)), memo=memo)
+        counts = enumerate_pstable(ground_of(coupled_pairs_program(8)), memo=memo).counts()
         assert (counts["models"], counts["m_stable"], counts["max_deterministic"]) \
             == (3 ** 8, 2 ** 8, 1)
-        # 6,561 parts of 17 atoms pass the bound, so only the pair's 3 parts of 2 stay.
-        assert sum(len(values) * len(values[0]) for values, *_ in solved.values()) == 6
-        assert adlog.stable._SOLVED_BOUND == 65_536
+        # 6,561 parts of 17 atoms pass the bound, so only the pair's 3 parts of 2 stay,
+        # with the two tables' values.
+        assert sum(len(values) * len(values[0]) for values, *_ in components_of(memo)) == 6
+        assert len(memo) == 3
+        assert adlog.stable._MEMO_BOUND == 65_536
 
     def test_oldest_entries_leave_first(self, monkeypatch):
-        monkeypatch.setattr(adlog.stable, "_SOLVED_BOUND", 12)
-        solved: dict = {}
+        monkeypatch.setattr(adlog.stable, "_MEMO_BOUND", 18)
+        memo: dict = {}
+        kept = []
         for text in ("a :- not b.\nb :- not a.\n", "p :- not q.\nq :- not p.\n",
                      "a :- not a.\n", coupled_pairs_program(2), "p :- not p.\n"):
-            enumerate_pstable(ground_of(text), solved=solved)
-        # 6 + 6 values, then 1 more pushes out the first pair; coupled m = 2, 9
-        # parts of 5 atoms, passes the bound and is never kept; the last 1 fits.
-        kept = [(len(values), len(values[0]), span) for values, _, span in solved.values()]
-        assert kept == [(3, 2, range(6, 12)), (1, 1, range(12, 13)), (1, 1, range(13, 14))]
+            enumerate_pstable(ground_of(text), memo=memo)
+            kept.append([(len(entry), entry[-1]) for entry in memo.values()])
+        # A table of 2 rules is charged 4 numbers and 2 values, its component 3 parts of
+        # 2 atoms.  p/q has a/b's structure, so only its component is kept (its parts
+        # sort otherwise), and 18 fits.  The ring of 1 keeps a table of 3 and a component
+        # of 1, pushing out the first table.  Coupled m = 2 keeps a table of 12 numbers
+        # and 5 values, pushing out all but the last entry; its 9 parts of 5 atoms pass
+        # the bound and are never kept.  The last ring's table was pushed out, so it is
+        # kept again, with its component, and they push out the rest.
+        assert kept == [[(2, range(0, 6)), (3, range(6, 12))],
+                        [(2, range(0, 6)), (3, range(6, 12)), (3, range(12, 18))],
+                        [(3, range(6, 12)), (3, range(12, 18)), (2, range(18, 21)),
+                         (3, range(21, 22))],
+                        [(3, range(21, 22)), (2, range(22, 39))],
+                        [(2, range(39, 42)), (3, range(42, 43))]]
 
     def test_threads_sharing_one_memo(self, monkeypatch):
         # A small bound makes every thread push entries out while others keep and read.
-        monkeypatch.setattr(adlog.stable, "_SOLVED_BOUND", 40)
+        monkeypatch.setattr(adlog.stable, "_MEMO_BOUND", 40)
         programs = [random_ground_program(random.Random(seed)) for seed in range(200)]
         expected = [enumerate_pstable(g, cap=64) for g in programs]
-        solved: dict = {}
+        memo: dict = {}
         failures: list = []
         start = threading.Barrier(4)
 
@@ -719,7 +739,7 @@ class TestSolvedMemo:
             random.Random(t).shuffle(order)
             for i in order:
                 try:
-                    if enumerate_pstable(programs[i], cap=64, solved=solved) != expected[i]:
+                    if enumerate_pstable(programs[i], cap=64, memo=memo) != expected[i]:
                         failures.append(i)
                 except Exception as exc:          # such as a dict changed while iterated
                     failures.append(exc)
@@ -737,7 +757,7 @@ class TestSolvedMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         # Each entry's span starts where the one before it ends, and all fit the bound.
-        spans = [span for _, _, span in solved.values()]
+        spans = [entry[-1] for entry in memo.values()]
         assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
         assert spans and spans[-1].stop - spans[0].start <= 40
 

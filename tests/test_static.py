@@ -15,6 +15,7 @@ import adlog.stable
 from adlog import (Atom, Database, DeltaSet, GroundProgram, Program, Rule, Semantics,
                    StdLiteral, UpdateProgram, embed_database, ground, parse_database,
                    parse_delta, parse_program, render, rewrite_bm, rewrite_st, well_founded)
+from adlog.parse import _program_of
 from adlog.rewrite import _static
 from adlog.selftest import InstanceGenerator, random_ground_program
 from adlog.update import _Session
@@ -82,7 +83,7 @@ def assert_compare_warm_is_cold(capsys, tmp_path, up: UpdateProgram, db: Databas
 
 class TestStaticPredicates:
     def test_which_predicates_are_static(self):
-        rules = parse_program(
+        rules = _program_of(
             "a(n0) :- not a(n1).\n"                 # reads another atom of its own
             "f(n0).\n"                              # facts only
             "u(n0) :- not u(n0).\n"                 # reads only its head
@@ -92,7 +93,7 @@ class TestStaticPredicates:
             "v(X) :- d(X).\nv(X).\n"                # so does a fact's variable
             "g :- d(n0), not h.\nh :- not g.\n"     # a static cycle
             "i :- j.\nj :- i.\nj :- e(n1).\n",      # a cycle that reads e
-            validate=False).rules
+            "<string>").rules
         assert _static(rules) == {"a", "d", "g", "h"}
 
     def test_reserved_and_update_reading_predicates_are_not_static(self):

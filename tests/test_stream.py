@@ -3,11 +3,11 @@
 Seven programs are kept and their transactions interleaved: the benchmark's
 chain of 12 links, with a rule its static atoms complete alone, `project_cascade`,
 the choice program, three `InstanceGenerator` programs, and two choice pairs
-that differ in their atoms' token ranks alone (`solved` must tell them apart).
+that differ in their atoms' token ranks alone (the memo must tell them apart).
 Each transaction meets what the earlier ones left in every kept cache: the
 parsed program, its rewritings and `bm`'s insertion runs, the shared phase 1
-and its replay, each database's embedded run, and the `solved` and
-`structures` memos, shrunk so that entries are evicted mid-stream.  A
+and its replay, each database's embedded run, and the solver's memo of tables
+and components, shrunk so that entries of both kinds are evicted mid-stream.  A
 transaction draws a delta of both polarities, at times inserting into a
 predicate no rule inserts into (a new `bm` insertable set), and a database
 with true and unknown facts, at times a fact on a derived predicate (on the
@@ -19,18 +19,24 @@ Every 25th transaction must also ground as one phase would, a check that the
 fresh program cannot make, as it takes the same path.
 
 `stream(count)` runs one such stream; a longer one is a CI step.  Four
-threads also run disjoint streams on the same kept programs at once.
+threads also run disjoint streams on the same kept programs at once.  A
+renamed stream runs each transaction again with every constant renamed by a
+bijection, on renamed programs that share the originals' memos: the
+semantics is generic, so each answer must be the original's renamed.
 """
 
 import random
+import re
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import adlog.stable
 from adlog import (Atom, Database, DeltaSet, Polarity, Program, Semantics, UpdateAtom,
                    UpdateProgram, compare, parse_program, render, run)
-from adlog.model import PreconditionError, ResourceLimitError
+from adlog.model import PreconditionError, ResourceLimitError, rename_constants
+from adlog.update import PLANS
 from adlog.selftest import InstanceGenerator
 
 from conftest import fixture_text
@@ -59,18 +65,30 @@ OPERATIONS = (*Semantics, "compare")
 REPLAYED = "+out(n1) :- a(n1), b(n1).\n"
 
 
-class Memo(dict):
-    """A memo that counts its hits and its evictions."""
+# A memo entry's kind by its length: a table's (values, span), a component's (parts, flags, span).
+KINDS = {2: "table", 3: "component"}
 
-    hits = evicted = 0
+
+class Memo(dict):
+    """A memo that counts its hits, its evictions and its new entries, per kind of entry."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits, self.evicted, self.stored = Counter(), Counter(), Counter()
 
     def get(self, key, default=None):
         value = super().get(key, default)
-        self.hits += value is not None
+        if value is not None:
+            self.hits[KINDS[len(value)]] += 1
         return value
 
+    def setdefault(self, key, value):
+        if key not in self:
+            self.stored[KINDS[len(value)]] += 1
+        return super().setdefault(key, value)
+
     def __delitem__(self, key):
-        self.evicted += 1
+        self.evicted[KINDS[len(self[key])]] += 1
         super().__delitem__(key)
 
 
@@ -140,8 +158,8 @@ def fresh(up: UpdateProgram, db: Database) -> tuple[UpdateProgram, Database]:
 
 
 def shrunk():
-    """The `solved` and `structures` bounds shrunk, so that entries are evicted mid-stream."""
-    return mock.patch.multiple(adlog.stable, _SOLVED_BOUND=24, _STRUCTURE_BOUND=600)
+    """The memo bound shrunk, so that entries of both kinds are evicted mid-stream."""
+    return mock.patch.object(adlog.stable, "_MEMO_BOUND", 600)
 
 
 def stream(count: int, seed: int = 1) -> None:
@@ -151,18 +169,17 @@ def stream(count: int, seed: int = 1) -> None:
     texts = programs(rng)
     memos = []
     for text, _ in texts:
-        kept = parse_program(text, "stream").cache
-        kept["solved"], kept["structures"] = Memo(), Memo()
-        memos.append((kept["solved"], kept["structures"]))
+        memos.append(Memo())
+        parse_program(text, "stream").cache["memo"] = memos[-1]
     with shrunk():
         for k, (up, db, step) in enumerate(transactions(rng, texts, count)):
             warm, cold = outcome(up, db, *step), outcome(*fresh(up, db), *step)
             assert warm == cold, (k, render(up.delta), render(db), step)
             if not k % 25:
                 assert_grounds_as_one_phase(up, db)
-    for kind, counted in zip(("solved", "structures"), zip(*memos)):
-        assert sum(memo.hits for memo in counted), f"no {kind} hit"
-        assert sum(memo.evicted for memo in counted), f"no {kind} eviction"
+    for kind in KINDS.values():
+        assert sum(memo.hits[kind] for memo in memos), f"no {kind} hit"
+        assert sum(memo.evicted[kind] for memo in memos), f"no {kind} eviction"
 
 
 def test_a_warm_stream_answers_as_fresh_programs():
@@ -190,3 +207,69 @@ def test_four_threads_on_shared_programs_answer_as_one_by_one():
                          in transactions(random.Random(seed), texts, 100)] for seed in range(4)]
     assert all(parse_program(text, "stream") is program
                for (text, _), program in zip(texts, shared))
+
+
+def renaming(rng: random.Random, originals: list[Program], texts, keep_order: bool) -> dict:
+    """A bijection from every constant of the programs and their pools onto fresh names of
+    one width: in the constants' own order, or shuffled by `rng`.  One width keeps the
+    order of any two atoms, as ',' and ')' sort before every character of a name."""
+    constants = sorted(set().union(*(program.constants() | set(pool)
+                                     for program, (_, pool) in zip(originals, texts))))
+    names = [f"k{i:03d}" for i in range(len(constants))]
+    if not keep_order:
+        rng.shuffle(names)
+    return dict(zip(constants, names))
+
+
+def normal(result, rho: dict, keep_order: bool):
+    """An `outcome` with its constants renamed by `rho`, its fact lists sorted and its model's
+    tokens in the order of their atoms.  A bijection that does not keep the constants' order
+    changes the render order that `lex` and `random` choose by, so then a choosing semantics'
+    model and output are left out; what it chooses among is generic."""
+    def rename(text: str) -> str:
+        return re.sub(r"\(([^()]*)\)", lambda m: "(" + ",".join(
+            rho.get(c, c) for c in m[1].split(",")) + ")", text)
+
+    if isinstance(result, list):
+        return [normal(row, rho, keep_order) for row in result]
+    if isinstance(result, str):             # an error
+        return rename(result)
+    data = dict(result)
+    for side in ("input", "output"):
+        data[side] = {k: sorted(map(rename, facts)) for k, facts in data[side].items()}
+    if data["model"] is not None:
+        data["model"] = sorted(re.findall(r"(?:not )?\S+", rename(data["model"])),
+                               key=lambda token: token.removeprefix("not ")[:-1])
+    if not keep_order and PLANS[Semantics(data["semantics"])].choose:
+        del data["model"], data["output"]
+    return data
+
+
+def test_a_renamed_stream_answers_as_the_original_renamed():
+    """Each transaction, with every constant renamed, answers as the original renamed: by a
+    bijection that keeps the constants' order, whose transactions read all they solve from
+    the memo the original filled, and then by a shuffled one."""
+    rng = random.Random(7)
+    texts = programs(rng)
+    originals = [parse_program(text, "stream") for text, _ in texts]
+    for program in originals:
+        program.cache["memo"] = Memo()
+    for keep_order in (True, False):
+        rho = renaming(rng, originals, texts, keep_order)
+        renamed = {id(program): Program(rename_constants(program, rho).rules)
+                   for program in originals}
+        for program in originals:
+            renamed[id(program)].cache["memo"] = program.cache["memo"]
+        hits = stored = 0
+        for k, (up, db, step) in enumerate(transactions(rng, texts, 200)):
+            expected = normal(outcome(up, db, *step), rho, keep_order)
+            memo = up.program.cache["memo"]
+            before = sum(memo.hits.values()), sum(memo.stored.values())
+            got = outcome(UpdateProgram(rename_constants(up.delta, rho), renamed[id(up.program)]),
+                          rename_constants(db, rho), *step)
+            assert normal(got, {}, keep_order) == expected, (k, keep_order, render(up.delta),
+                                                            render(db), step)
+            hits += sum(memo.hits.values()) - before[0]
+            stored += sum(memo.stored.values()) - before[1]
+        if keep_order:
+            assert hits and not stored

@@ -1,4 +1,4 @@
-"""The structure memo: well-founded values kept by a table's numbered rules, across programs."""
+"""The memo's table entries: well-founded values kept by a table's numbered rules, across programs."""
 
 import random
 import sys
@@ -8,8 +8,8 @@ import pytest
 
 import adlog.stable
 from adlog import (Atom, GroundProgram, Rule, Semantics, StdLiteral, UpdateProgram,
-                   parse_database, parse_delta, parse_program, rename_constants, run,
-                   well_founded)
+                   enumerate_pstable, parse_database, parse_delta, parse_program,
+                   rename_constants, run, well_founded)
 from adlog.selftest import random_ground_program
 from adlog.stable import _well_founded
 from adlog.update import _Session
@@ -64,7 +64,7 @@ class TestSharedMemo:
                 assert model.undefined_count == fresh.undefined_count, seed
                 # A copy's structure is its original's, so the copy is never solved.
                 assert not (suffix and solved), seed
-        assert spans(memo)[-1].stop - spans(memo)[0].start <= adlog.stable._STRUCTURE_BOUND
+        assert spans(memo)[-1].stop - spans(memo)[0].start <= adlog.stable._MEMO_BOUND
 
     def test_public_well_founded_takes_the_memo(self):
         memo: dict = {}
@@ -75,6 +75,23 @@ class TestSharedMemo:
         assert values == tuple(_well_founded(g)[0])
         assert span == range(0, sum(map(len, g._rules)) + len(g.atoms))
 
+    def test_enumeration_reads_the_model_through_the_memo(self, monkeypatch):
+        # A stratified table: its family is its well-founded model, searched nowhere.
+        g = GroundProgram(parse_program("a :- not b.\nb :- c.\nc :- not d.\nd :- e.\n").rules)
+        memo: dict = {}
+        well_founded(g, memo)
+        calls = count_solves(monkeypatch)
+        family = enumerate_pstable(GroundProgram(g.rules), memo=memo)
+        assert calls == []
+        assert family == enumerate_pstable(GroundProgram(g.rules))
+        # A table with a residue: one enumeration keeps its values and its components.
+        g = random_ground_program(random.Random(8))
+        expected = enumerate_pstable(g, cap=64, memo=memo)
+        assert expected.components
+        calls.clear()
+        assert enumerate_pstable(GroundProgram(g.rules), cap=64, memo=memo) == expected
+        assert calls == []
+
 
 class TestSessions:
     @pytest.mark.parametrize("semantics", [Semantics.WS, Semantics.MD, Semantics.WS_BM])
@@ -84,7 +101,7 @@ class TestSessions:
         db = parse_database("proj(p1). proj(p2). mgr(x1,p1,d1). mgr(x2,p2,d1).")
         delta = parse_delta("-proj(p1).")
         first = run(UpdateProgram(delta, program), db, semantics)
-        assert program.cache["structures"]
+        assert program.cache["memo"]
         # The renaming keeps the constants' order, so the grounding numbers alike.
         rho = {"p1": "q1", "p2": "q2", "x1": "y1", "x2": "y2", "d1": "e1"}
         calls = count_solves(monkeypatch)
@@ -101,7 +118,7 @@ class TestSessions:
             for mode in ("st", "bm"):
                 session.wf(mode)
                 assert session.ground(mode).prefix is not None
-        assert program.cache["structures"] == {}
+        assert program.cache["memo"] == {}
 
 
 class TestBound:
@@ -113,7 +130,7 @@ class TestBound:
              "p :- not q.\nq :- not p.\n")          # the first structure again
 
     def test_oldest_entries_leave_first(self, monkeypatch):
-        monkeypatch.setattr(adlog.stable, "_STRUCTURE_BOUND", 20)
+        monkeypatch.setattr(adlog.stable, "_MEMO_BOUND", 20)
         memo: dict = {}
         kept = []
         for text in self.TEXTS:
@@ -128,19 +145,19 @@ class TestBound:
                         [range(9, 15), range(15, 23), range(23, 29)]]
 
     def test_memo_keeps_no_more_than_its_bound(self, monkeypatch):
-        monkeypatch.setattr(adlog.stable, "_STRUCTURE_BOUND", 50)
+        monkeypatch.setattr(adlog.stable, "_MEMO_BOUND", 50)
         memo: dict = {}
         for seed in range(300):
             _well_founded(random_ground_program(random.Random(seed)), memo)
             held = spans(memo)
             assert all(a.stop == b.start for a, b in zip(held, held[1:])), seed
             assert held[-1].stop - held[0].start <= 50, seed
-        assert adlog.stable._STRUCTURE_BOUND == 50
+        assert adlog.stable._MEMO_BOUND == 50
 
 
 def test_threads_sharing_one_memo(monkeypatch):
     # A small bound makes every thread push entries out while others keep and read.
-    monkeypatch.setattr(adlog.stable, "_STRUCTURE_BOUND", 60)
+    monkeypatch.setattr(adlog.stable, "_MEMO_BOUND", 60)
     programs = [random_ground_program(random.Random(seed)) for seed in range(100)]
     expected = [_well_founded(g) for g in programs]
     memo: dict = {}

@@ -482,7 +482,7 @@ class TestSolvedComponents:
         monkeypatch.setattr(adlog.stable, "_search",
                             lambda rules: calls.append(1) or search(rules))
         compare(UpdateProgram(parse_delta("+req(c1)."), program), parse_database("cand(c1)."))
-        assert calls and program.cache["solved"]
+        assert calls and program.cache["memo"]
         calls.clear()
         up, db = UpdateProgram(parse_delta("+req(c7)."), program), parse_database("cand(c7).")
         second = compare(up, db)
