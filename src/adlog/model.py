@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
 
 
 class AdlogError(Exception):
@@ -146,7 +146,7 @@ class Variable(_Ordered):
 
 
 # A constant is its symbol, an uninterpreted `str`.
-Term = Union[str, Variable]
+Term = str | Variable
 
 
 def render_term(term: Term) -> str:
@@ -274,8 +274,8 @@ class BuiltinLiteral(_Ordered):
         return f"{render_term(self.left)} {self.op} {render_term(self.right)}"
 
 
-Literal = Union[StdLiteral, UpdLiteral, BuiltinLiteral]
-Head = Union[Atom, UpdateAtom]
+Literal = StdLiteral | UpdLiteral | BuiltinLiteral
+Head = Atom | UpdateAtom
 
 
 class Rule(_Value):

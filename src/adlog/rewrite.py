@@ -29,10 +29,11 @@ of each defines its kind; every other predicate is the user's:
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import defaultdict, namedtuple
+from collections.abc import Iterable
 from functools import cached_property, lru_cache
 from operator import attrgetter, is_
-from typing import Iterable
 
 from .model import (RESERVED_PREFIX, Atom, BuiltinLiteral, Database, Literal,
                     Polarity, Program, Rule, StdLiteral, UpdateAtom,
@@ -311,7 +312,7 @@ def _insertion(predicate: str, arity: int) -> _Prepared:
     (or, at arity 0, per ground atom).  An update may target only a predicate no rule
     derives (validation), and a static predicate is derived, so the static set and the
     replay stay as they are.  An unvalidated update of a static p makes this run's `heads`
-    meet the static set, and `ground` prepares all the runs as one.
+    meet the static set, and `ground` moves its rule into the prepared run's base.
     """
     args = _generic_args(arity)
     plus = Atom(renamed_update_predicate(Polarity.INSERT, predicate), args)
@@ -365,7 +366,7 @@ class _Rewritten(Program):
 # ---------------------------------------------------------------------------
 
 def _compiled(name: str, fields: str) -> type:
-    """A namedtuple whose last field, code made from the others, takes no part in equality."""
+    """A namedtuple whose last field, made from the others, takes no part in equality."""
     return type(name, (namedtuple(name, fields),), {
         "__slots__": (), "__hash__": lambda t: hash(t[:-1]),
         "__eq__": lambda t, u: t[:-1] == u[:-1], "__ne__": lambda t, u: t[:-1] != u[:-1]})
@@ -574,7 +575,10 @@ def _seeded(rules: list[tuple[tuple, tuple]], atoms: dict[tuple, Atom] | None = 
 # lists what they alone complete, in order, as `seeds` do, and `facts` and
 # `lookups` are their index (`_instantiate`), shared and never changed.  `triggers`
 # keep no static key, and a `_Waiting` rule's `count` is what it still waits for.
-_Static = namedtuple("_Static", "predicates table replay facts lookups")
+# `bases` keeps at most `_BASE_BOUND` of the run's bases (see `ground`), by the rules moved
+# into each; `_keeping` is held to change them, and the solver's memo (stable._keep).
+_Static = _compiled("_Static", "predicates table replay facts lookups bases")
+_BASE_BOUND, _keeping = 4, threading.Lock()
 
 
 def _static(rules: Iterable[Rule]) -> frozenset[str]:
@@ -628,7 +632,7 @@ def _prepare(rules: list[Rule] | tuple[Rule, ...], kept: Program | None = None) 
                       for kind in index)
     return rest._replace(rules=tuple(rules), constants=constants | rest.constants,
                          heads=static | rest.heads, triggers=triggers,
-                         static=_Static(static, table, tuple(replay), facts, lookups))
+                         static=_Static(static, table, tuple(replay), facts, lookups, {}))
 
 
 def _phase_1(rules: tuple[Rule, ...]) -> tuple:
@@ -716,15 +720,28 @@ def ground(program: Program) -> GroundProgram:
     rules and the bridges or insertion rules as one prepared run, kept with the
     program (`_kept`), then `bm`'s insertion runs (`_insertion`), then the
     delta's and the database's seed runs.  A call adds the seeds, replays what
-    phase 1's atoms completed and joins its own atoms (`_Static`).  If a later
-    run defines a static predicate (a database fact, or an unvalidated
-    insertion), the runs are prepared again as one.
+    phase 1's atoms completed and joins its own atoms (`_Static`).  A later
+    run's rules of a static predicate (a database fact, or an unvalidated
+    insertion) join the prepared run in a base, kept once per such rules, but a
+    fact on a predicate an insertion leaves static no more stays in its run.
     """
     runs = program.cache.get("runs") or (_prepare(program.rules),)
     static = runs[0].static
     if static and any(not static.predicates.isdisjoint(run.heads) for run in runs[1:]):
-        runs = (_prepare([rule for run in runs for rule in run.rules]),)
-        static = runs[0].static
+        moved = tuple([rule for run in runs[1:] for rule in run.rules
+                       if rule.head.predicate in static.predicates])
+        if (base := static.bases.get(moved)) is None:
+            kept = _static(runs[0].rules + moved)       # the base's static predicates
+            base = _prepare(runs[0].rules + tuple([r for r in moved if r.head.predicate in kept
+                                                   or any(lit.positive for lit in r.body)]))
+            with _keeping:      # the oldest leaves first
+                while len(static.bases) >= _BASE_BOUND:
+                    del static.bases[next(iter(static.bases))]
+                static.bases[moved] = base
+        kept = base.static.predicates if base.static else ()
+        runs = (base, *[run._replace(seeds=tuple([s for s in run.seeds if s.head[0] not in kept]))
+                        for run in runs[1:] if run.seeds or not run.heads & static.predicates])
+        static = base.static
     out = static.table._extended() if static else GroundProgram()
     _instantiate(out, runs)
     return out

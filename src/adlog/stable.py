@@ -41,13 +41,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
 
 from .model import (Atom, EngineError, Interpretation, ResourceLimitError, TruthValue,
                     _set, _Value, render_token)
-from .rewrite import GroundProgram
+from .rewrite import GroundProgram, _keeping
 
 DEFAULT_ENUMERATION_CAP = 20
 
@@ -600,7 +599,6 @@ def _search(rules: _Rules) -> list[list[int]]:
 
 # The most a memo keeps, in table entries' numbers and component entries' part values.
 _MEMO_BOUND = 65_536
-_keeping = threading.Lock()
 
 
 def _keep(memo: dict, key: object, value: tuple, size: int) -> None:

@@ -13,8 +13,8 @@ import enum
 import math
 import random
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 from .model import (RESERVED_PREFIX, Atom, ConsistencyError, Database, DeltaSet,
                     EngineError, Interpretation, Polarity, PreconditionError,

@@ -1,9 +1,12 @@
 """Timed checks on warm transactions over one chain of active rules; pytest does not collect them.
 
 The chain of n links is `a(n_i) :- not a(n_i+1).`, `b(n_i) :- b(n_i+1).` and
-`+out(n_i) :- a(n_i), b(n_i), +ev(n_i).`, with `b(n_n).` its one fact.  Every
-transaction inserts two events, and must output them with `out(n_i)` for each
-event whose `a(n_i)` holds, that is, for which n - i is odd.  Run one check as
+`+out(n_i) :- a(n_i), b(n_i), +ev(n_i).`, with `b(n_n).` its one fact; `a` and
+`b` are static.  Every transaction inserts two events, and must output them and
+its database's facts with `out(n_i)` for each event whose `a(n_i)` holds, that
+is, for which n - i is odd.  The database is empty, but in `static_fact`, which
+compares one with a fact on a static predicate (`b(n5).`) against one without
+(`out(n3).`).  Run one check as
 
     python3 tests/chain_checks.py NAME [BOUND]
 
@@ -28,16 +31,18 @@ def chain(n: int):
 
 
 def transaction(program, n: int, rng: random.Random, semantics: Semantics,
-                more: str = "") -> float:
+                more: str = "", facts: str = "") -> float:
     """One two-event transaction on the chain of `n` links, its delta with `more`
-    (one insertion or nothing): its time, once its output is checked."""
+    (one insertion or nothing) and its database of `facts` (true ones): its time, once
+    its output is checked."""
     events = sorted(rng.sample(range(n + 1), 2))
     delta = parse_delta("".join(f"+ev(n{i}).\n" for i in events) + more)
+    db = parse_database(facts)
     start = time.perf_counter()
-    report = run(UpdateProgram(delta, program), parse_database(""), semantics)
+    report = run(UpdateProgram(delta, program), db, semantics)
     took = time.perf_counter() - start
     expected = {f"ev(n{i})" for i in events} | {f"out(n{i})" for i in events if (n - i) % 2} \
-        | {more[1:-2]} - {""}
+        | {more[1:-2]} - {""} | {str(atom) for atom in db.true_facts}
     if {str(atom) for atom in report.output_db.true_facts} != expected:
         sys.exit(f"n = {n}, {semantics.value}: wrong output for events {events} and {more!r}")
     return took
@@ -88,5 +93,24 @@ def new_set(bound: str = "5") -> None:
         sys.exit("a new insertable set prepares the program again")
 
 
+def static_fact(bound: str = "3") -> None:
+    """A warm ws or ws-bm transaction on a chain of 6,400 links with the database `b(n5).`, a
+    fact on a static predicate, takes at most `bound` times one with `out(n3).`."""
+    program = chain(N)
+    for semantics in (Semantics.WS, Semantics.WS_BM):
+        times = {}
+        for facts in ("out(n3).", "b(n5)."):
+            rng = random.Random(1)
+            # The first two warm the program and, with `b(n5).`, prepare its base.
+            took = [transaction(program, N, rng, semantics, facts=facts) for _ in range(42)]
+            times[facts] = statistics.median(took[2:])
+        ratio = times["b(n5)."] / times["out(n3)."]
+        print(f"{semantics.value}: {times['out(n3).'] * 1e3:.3f} ms with out(n3), "
+              f"{times['b(n5).'] * 1e3:.3f} ms with b(n5), ratio {ratio:.2f}")
+        if ratio > float(bound):
+            sys.exit(f"{semantics.value}: a fact on a static predicate grounds the program again")
+
+
 if __name__ == "__main__":
-    {"hundred": hundred, "growth": growth, "new_set": new_set}[sys.argv[1]](*sys.argv[2:])
+    {"hundred": hundred, "growth": growth, "new_set": new_set,
+     "static_fact": static_fact}[sys.argv[1]](*sys.argv[2:])

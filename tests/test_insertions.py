@@ -23,6 +23,7 @@ from adlog.selftest import InstanceGenerator
 from conftest import FIXTURES, fixture_text
 from test_replay import assert_grounds_as_one_phase
 from test_static import CHAIN_AB, with_static_part
+from test_warm import assert_warm_is_cold
 
 
 def insertions(insertable) -> list[Rule]:
@@ -102,11 +103,20 @@ def test_an_unvalidated_insertion_into_a_static_predicate_grounds_as_one_run():
     program = parse_program(CHAIN_AB)
     up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("a", ("n3",)))]), program)
     assert insertion_runs(up)[0].heads == {"a"} <= program.cache["rewrite bm"][0].static.predicates
-    for db in (Database(), parse_database("out(n2). ev(n4)?")):
+    # `a(n5).` is on a predicate the insertion leaves static no more, `b(n2)?` on a static one.
+    for db in (Database(), parse_database("out(n2). ev(n4)?"), parse_database("a(n5). b(n2)?")):
         assert_grounds_as_one_run_per_set(up, db)
         assert_grounds_as_one_phase(up, db)
+        assert_warm_is_cold(up, db)
         assert ground(embed_database(rewrite_bm(up), db)).prefix is not \
             program.cache["rewrite bm"][0].static.table
+    # Here the insertion leaves no predicate static: the base has no phase 1.
+    program = parse_program("a(n0) :- not a(n1).\na(n1) :- a(n2).\n+out(n0) :- a(n0), +ev(n0).\n")
+    up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("a", ("n2",)))]), program)
+    db = parse_database("a(n5). a(n1)?")
+    assert_grounds_as_one_run_per_set(up, db)
+    assert_warm_is_cold(up, db)
+    assert ground(embed_database(rewrite_bm(up), db)).prefix is None
 
 
 def test_random_programs_under_new_insertable_sets():

@@ -32,11 +32,13 @@ def chain(n: int) -> str:
                    + [f"+out(n{i}) :- a(n{i}), b(n{i}), +ev(n{i}).\n" for i in range(n + 1)])
 
 
-def work(monkeypatch, n: int, semantics: Semantics, more: str = "") -> tuple[int, int, int]:
+def work(monkeypatch, n: int, semantics: Semantics, more: str = "",
+         facts: str = "") -> tuple[int, int, int]:
     """Worklist pops, update-atom parses and update atoms read in one warm two-event run,
-    its delta with the insertions `more` (of one-argument atoms) besides the events."""
+    its delta with the insertions `more` (of one-argument atoms) besides the events, on a
+    database of the true `facts`."""
     program = parse_program(chain(n))
-    db = parse_database("")
+    db = parse_database(facts)
     for events in ("+ev(n1).", "+ev(n2).\n+ev(n3).\n"):      # warm both rewritings
         adlog.update.run(UpdateProgram(parse_delta(events), program), db, semantics)
     pops, parses, reads = [], [], []
@@ -65,7 +67,8 @@ def work(monkeypatch, n: int, semantics: Semantics, more: str = "") -> tuple[int
                               db, semantics)
     monkeypatch.undo()
     assert {str(atom) for atom in report.output_db.true_facts} == \
-        {"ev(n5)", "ev(n6)", "out(n5)", *[u[1:] for u in more.split(".\n") if u]}
+        {"ev(n5)", "ev(n6)", "out(n5)", *[u[1:] for u in more.split(".\n") if u],
+         *map(str, db.true_facts)}
     assert list(program.cache) == kept
     return len(pops), len(parses), len(reads)
 
@@ -87,6 +90,31 @@ def test_a_new_insertable_set_does_not_grow_with_n(monkeypatch):
     assert sizes[0] == sizes[1]
     pops, parses, reads = sizes[0]
     assert 0 < pops < 30 and 0 < reads <= parses < 30
+
+
+@pytest.mark.parametrize("semantics", [Semantics.WS, Semantics.WS_BM])
+def test_a_fact_on_a_static_predicate_does_not_grow_with_n(monkeypatch, semantics):
+    """A database fact on a static predicate joins the program's base, prepared once per
+    such facts (see `rewrite.ground`): a warm transaction joins only its own atoms."""
+    sizes = [work(monkeypatch, n, semantics, facts="b(n5).") for n in (400, 6400)]
+    assert sizes[0] == sizes[1]
+    pops, parses, reads = sizes[0]
+    assert 0 < pops < 20 and 0 < reads <= parses < 20
+
+
+def test_equal_static_facts_reuse_one_base():
+    """Databases with equal facts on static predicates share one base and its phase 1 table,
+    whatever their other facts; other static facts have a base of their own."""
+    program = parse_program(CHAIN_AB)
+    for rewriting in REWRITINGS:
+        prefixes = [ground(embed_database(rewriting(UpdateProgram(parse_delta(f"+ev(n{i})."),
+                                                                  program)),
+                                          parse_database(facts))).prefix
+                    for i, facts in enumerate(["b(n5). out(n1).", "out(n2). b(n5).", "b(n5).",
+                                               "b(n5)?", "a(n3). b(n5)."])]
+        assert prefixes[0] is prefixes[1] is prefixes[2] is not kept(program, rewriting).table
+        assert len({id(prefix) for prefix in prefixes}) == 3
+        assert Atom("b", ("n5",)) in prefixes[0].atoms
 
 
 def assert_grounds_as_one_phase(up: UpdateProgram, db) -> None:

@@ -3,8 +3,9 @@
 A static predicate's ground rules read no database fact and no update, so a
 program keeps them, numbered first, with their well-founded values; each
 transaction copies them and grounds and solves only the rest.  A database fact
-on a static predicate makes a transaction ground its static rules again, from
-all the rules.  Either way every result must equal a fresh program's.
+on a static predicate joins the static rules in a base, grounded and solved
+once per such facts and kept with the program's run.  Either way every result
+must equal a fresh program's.
 """
 
 import random
@@ -167,7 +168,7 @@ class TestReuse:
             assert tables == {id(kept(program, rewriting).table)}
 
 
-class TestFallback:
+class TestStaticFacts:
     @pytest.mark.parametrize("facts", ["a(n3).", "a(n3)?", "out(n3). b(n20)?", "a(n12)."])
     def test_database_fact_on_a_static_predicate(self, facts, tmp_path, capsys):
         program = parse_program(CHAIN_AB)
@@ -177,15 +178,17 @@ class TestFallback:
             assert_warm_is_cold(up, db)
             for rewriting in REWRITINGS:
                 table = ground(embed_database(rewriting(up), db))
-                # Phase 1 is grounded again from all the rules, the fact among them.
+                # Phase 1 is the base's: the static rules with the fact among them,
+                # grounded once and copied by the next call.
                 assert table.prefix is not kept(program, rewriting).table
+                assert ground(embed_database(rewriting(up), db)).prefix is table.prefix
                 assert set(table.prefix.atoms) >= {a for a in db.true_facts | db.unknown_facts
                                                    if a.predicate in ("a", "b")}
             assert_compare_warm_is_cold(capsys, tmp_path, up, db)
 
     def test_random_programs_with_facts_on_derived_predicates(self, tmp_path, capsys):
         gen, rng = InstanceGenerator(random.Random(2020)), random.Random(2021)
-        fell_back = reused = 0
+        based = reused = 0
         for _ in range(80):
             up, db = gen._candidate()
             up = with_static_part(up, rng)
@@ -194,10 +197,10 @@ class TestFallback:
                 static = kept(up.program, rewrite_st)
                 prefix = ground(embed_database(rewrite_st(up), facts)).prefix
                 if static is not None:
-                    fell_back += prefix is not static.table
+                    based += prefix is not static.table
                     reused += prefix is static.table
                 assert_compare_warm_is_cold(capsys, tmp_path, up, facts)
-        assert fell_back > 10 and reused > 40
+        assert based > 10 and reused > 40
 
 
 def test_kept_prefix_matches_the_psi_oracle():

@@ -6,13 +6,14 @@ the choice program, three `InstanceGenerator` programs, and two choice pairs
 that differ in their atoms' token ranks alone (the memo must tell them apart).
 Each transaction meets what the earlier ones left in every kept cache: the
 parsed program, its rewritings and `bm`'s insertion runs, the shared phase 1
-and its replay, each database's embedded run, and the solver's memo of tables
-and components, shrunk so that entries of both kinds are evicted mid-stream.  A
+and its replay, each database's embedded run, the bases that facts on static
+predicates join, and the solver's memo of tables and components, the last two
+bounded so that bases and memo entries of both kinds are evicted mid-stream.  A
 transaction draws a delta of both polarities, at times inserting into a
 predicate no rule inserts into (a new `bm` insertable set), and a database
 with true and unknown facts, at times a fact on a derived predicate (on the
-chain a static one, such as `b(n5).`).  It runs one of the nine semantics,
-under the `lex` or the `random` policy, or `compare`.  Its
+chain a static one, such as `b(n5).`, which joins a base).  It runs one of the
+nine semantics, under the `lex` or the `random` policy, or `compare`.  Its
 report (`to_json_dict()`), or its error, must equal the same transaction's on
 a fresh `Program` of the same rules and a fresh `Database` of the same facts.
 Every 25th transaction must also ground as one phase would, a check that the
@@ -25,6 +26,7 @@ bijection, on renamed programs that share the originals' memos: the
 semantics is generic, so each answer must be the original's renamed.
 """
 
+import contextlib
 import random
 import re
 import sys
@@ -32,6 +34,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
+import adlog.rewrite
 import adlog.stable
 from adlog import (Atom, Database, DeltaSet, Polarity, Program, Semantics, UpdateAtom,
                    UpdateProgram, compare, parse_program, render, run)
@@ -157,17 +160,33 @@ def fresh(up: UpdateProgram, db: Database) -> tuple[UpdateProgram, Database]:
             Database.of(db.true_facts, db.unknown_facts))
 
 
+# The bases a kept rewriting holds while shrunk: the chain's are evicted and prepared again.
+BASES = 1
+
+
+@contextlib.contextmanager
 def shrunk():
-    """The memo bound shrunk, so that entries of both kinds are evicted mid-stream."""
-    return mock.patch.object(adlog.stable, "_MEMO_BOUND", 600)
+    """The memo and base bounds shrunk, so that memo entries of both kinds, and bases, are
+    evicted mid-stream."""
+    with mock.patch.object(adlog.stable, "_MEMO_BOUND", 600), \
+            mock.patch.object(adlog.rewrite, "_BASE_BOUND", BASES):
+        yield
+
+
+def bases(program: Program) -> list[dict]:
+    """The bases each kept rewriting of `program` holds, by the rules moved into them
+    (see `rewrite.ground`)."""
+    runs = [program.cache.get("rewrite st"), (program.cache.get("rewrite bm") or (None,))[0]]
+    return [run.static.bases for run in runs if run is not None and run.static is not None]
 
 
 def stream(count: int, seed: int = 1) -> None:
-    """Run `count` seeded transactions, warm against fresh, with small memo bounds; every
-    25th also grounds as one phase would (`assert_grounds_as_one_phase`)."""
+    """Run `count` seeded transactions, warm against fresh, with small memo and base bounds;
+    every 25th also grounds as one phase would (`assert_grounds_as_one_phase`)."""
     rng = random.Random(seed)
     texts = programs(rng)
     memos = []
+    moved: dict = {}        # per kept rewriting's bases, every key they held
     for text, _ in texts:
         memos.append(Memo())
         parse_program(text, "stream").cache["memo"] = memos[-1]
@@ -177,9 +196,13 @@ def stream(count: int, seed: int = 1) -> None:
             assert warm == cold, (k, render(up.delta), render(db), step)
             if not k % 25:
                 assert_grounds_as_one_phase(up, db)
+            for held in bases(up.program):
+                assert len(held) <= BASES
+                moved.setdefault(id(held), set()).update(held)
     for kind in KINDS.values():
         assert sum(memo.hits[kind] for memo in memos), f"no {kind} hit"
         assert sum(memo.evicted[kind] for memo in memos), f"no {kind} eviction"
+    assert any(len(keys) > BASES for keys in moved.values()), "no base eviction"
 
 
 def test_a_warm_stream_answers_as_fresh_programs():
@@ -194,8 +217,11 @@ def test_four_threads_on_shared_programs_answer_as_one_by_one():
     switch = sys.getswitchinterval()
 
     def warm(seed: int) -> list:
-        return [outcome(up, db, *step)
-                for up, db, step in transactions(random.Random(seed), texts, 100)]
+        out = []
+        for up, db, step in transactions(random.Random(seed), texts, 100):
+            out.append(outcome(up, db, *step))
+            assert all(len(held) <= BASES for held in bases(up.program))
+        return out
 
     sys.setswitchinterval(1e-5)
     try:
@@ -207,6 +233,26 @@ def test_four_threads_on_shared_programs_answer_as_one_by_one():
                          in transactions(random.Random(seed), texts, 100)] for seed in range(4)]
     assert all(parse_program(text, "stream") is program
                for (text, _), program in zip(texts, shared))
+
+
+def test_an_evicted_base_is_prepared_again():
+    """Databases that alternate their fact on a static predicate evict each other's base, one
+    base kept per rewriting; each answer equals a fresh program's."""
+    program = parse_program(CHAIN_AB + REPLAYED, "evicted")
+    kept = []
+    with shrunk():
+        for k, static in enumerate(("n5", "n7", "n5")):
+            up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("ev", (f"n{k}",)))]),
+                               program)
+            db = Database.of([Atom("b", (static,)), Atom("out", ("n1",))])
+            for operation in OPERATIONS:
+                step = (operation, "lex", 0, 20)
+                assert outcome(up, db, *step) == outcome(*fresh(up, db), *step), (k, operation)
+            assert [len(held) for held in bases(program)] == [BASES, BASES]
+            kept.append([item for held in bases(program) for item in held.items()])
+    for first, other, again in zip(*kept):      # per rewriting: (moved rules, base)
+        assert first[0] == again[0] != other[0]
+        assert first[1] is not again[1]
 
 
 def renaming(rng: random.Random, originals: list[Program], texts, keep_order: bool) -> dict:
