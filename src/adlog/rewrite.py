@@ -29,7 +29,6 @@ of each defines its kind; every other predicate is the user's:
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import defaultdict, namedtuple
 from collections.abc import Iterable
 from functools import cached_property, lru_cache
@@ -341,8 +340,8 @@ def _bm_program(program: Program) -> tuple[_Prepared, frozenset[tuple[str, int]]
 
 
 def _kept(program: Program | Database, key, compute):
-    """`compute(program)`, kept in `program.cache[key]` and never changed, so threads
-    may share it; two threads that miss at once both compute the same value."""
+    """`compute(program)`, kept in `program.cache[key]` and never changed but for a run's
+    `_Static.base`, so threads share it; two threads that miss at once compute the same value."""
     kept = program.cache.get(key)
     if kept is None:
         kept = program.cache[key] = compute(program)
@@ -366,7 +365,7 @@ class _Rewritten(Program):
 # ---------------------------------------------------------------------------
 
 def _compiled(name: str, fields: str) -> type:
-    """A namedtuple whose last field, made from the others, takes no part in equality."""
+    """A namedtuple whose last field, code or a mutable slot, takes no part in equality."""
     return type(name, (namedtuple(name, fields),), {
         "__slots__": (), "__hash__": lambda t: hash(t[:-1]),
         "__eq__": lambda t, u: t[:-1] == u[:-1], "__ne__": lambda t, u: t[:-1] != u[:-1]})
@@ -531,16 +530,16 @@ def _joiner(plan: _Plan, pivot: _Step, others: list[_Step]):
 
 
 # Rules prepared for grounding (`_prepare`): a run that reads no rule before or
-# after it and is never changed.  `heads` are the predicates its `rules` define,
-# and `static` its phase 1 of `ground` (`_Static`, or None); the rest plans its
-# other rules.  `seeds` come out before any join, in rule order: plans, each
-# with a binding of no variable, and variable-free rules without positive body
-# (`_Waiting`, as `GroundProgram._add` takes it).  `triggers` maps a predicate
-# to the triggers whose pivot has it and variables, and a ground atom's key to
-# the triggers whose pivot it is and to each variable-free rule that has it
-# among the `count` distinct positive body atoms that must leave the worklist
-# first.  `lookups` are the (predicate, positions) the joins read, and `atoms`
-# the variable-free rules'.
+# after it and is never changed but for `_Static.base`.  `heads` are the
+# predicates its `rules` define, and `static` its phase 1 of `ground`
+# (`_Static`, or None); the rest plans its other rules.  `seeds` come out before
+# any join, in rule order: plans, each with a binding of no variable, and
+# variable-free rules without positive body (`_Waiting`, as `GroundProgram._add`
+# takes it).  `triggers` maps a predicate to the triggers whose pivot has it and
+# variables, and a ground atom's key to the triggers whose pivot it is and to
+# each variable-free rule that has it among the `count` distinct positive body
+# atoms that must leave the worklist first.  `lookups` are the (predicate,
+# positions) the joins read, and `atoms` the variable-free rules'.
 _Prepared = namedtuple("_Prepared", "rules constants heads static seeds triggers lookups atoms")
 _Waiting = namedtuple("_Waiting", "head body origin count")
 
@@ -575,10 +574,9 @@ def _seeded(rules: list[tuple[tuple, tuple]], atoms: dict[tuple, Atom] | None = 
 # lists what they alone complete, in order, as `seeds` do, and `facts` and
 # `lookups` are their index (`_instantiate`), shared and never changed.  `triggers`
 # keep no static key, and a `_Waiting` rule's `count` is what it still waits for.
-# `bases` keeps at most `_BASE_BOUND` of the run's bases (see `ground`), by the rules moved
-# into each; `_keeping` is held to change them, and the solver's memo (stable._keep).
-_Static = _compiled("_Static", "predicates table replay facts lookups bases")
-_BASE_BOUND, _keeping = 4, threading.Lock()
+# `base` is the run's one mutable part: a one-element list of the rules that entered its
+# last base (see `ground`) and that base, replaced whole in one store, so threads need no lock.
+_Static = _compiled("_Static", "predicates table replay facts lookups base")
 
 
 def _static(rules: Iterable[Rule]) -> frozenset[str]:
@@ -631,8 +629,8 @@ def _prepare(rules: list[Rule] | tuple[Rule, ...], kept: Program | None = None) 
     facts, lookups = ({p: d for p, d in kind.items() if p in static}
                       for kind in index)
     return rest._replace(rules=tuple(rules), constants=constants | rest.constants,
-                         heads=static | rest.heads, triggers=triggers,
-                         static=_Static(static, table, tuple(replay), facts, lookups, {}))
+                         heads=static | rest.heads, triggers=triggers, static=_Static(
+                             static, table, tuple(replay), facts, lookups, [(None, None)]))
 
 
 def _phase_1(rules: tuple[Rule, ...]) -> tuple:
@@ -722,23 +720,23 @@ def ground(program: Program) -> GroundProgram:
     delta's and the database's seed runs.  A call adds the seeds, replays what
     phase 1's atoms completed and joins its own atoms (`_Static`).  A later
     run's rules of a static predicate (a database fact, or an unvalidated
-    insertion) join the prepared run in a base, kept once per such rules, but a
-    fact on a predicate an insertion leaves static no more stays in its run.
+    insertion) join the prepared run in a base, the last one kept, but a fact
+    on a predicate an insertion leaves static no more stays in its run.
     """
     runs = program.cache.get("runs") or (_prepare(program.rules),)
     static = runs[0].static
     if static and any(not static.predicates.isdisjoint(run.heads) for run in runs[1:]):
         moved = tuple([rule for run in runs[1:] for rule in run.rules
                        if rule.head.predicate in static.predicates])
-        if (base := static.bases.get(moved)) is None:
-            kept = _static(runs[0].rules + moved)       # the base's static predicates
-            base = _prepare(runs[0].rules + tuple([r for r in moved if r.head.predicate in kept
-                                                   or any(lit.positive for lit in r.body)]))
-            with _keeping:      # the oldest leaves first
-                while len(static.bases) >= _BASE_BOUND:
-                    del static.bases[next(iter(static.bases))]
-                static.bases[moved] = base
-        kept = base.static.predicates if base.static else ()
+        # Of these, the facts on the base's static predicates enter it, and every insertion.
+        held = lambda base: base.static.predicates if base.static else ()
+        entering = lambda kept: tuple([r for r in moved if r.head.predicate in kept
+                                       or any(lit.positive for lit in r.body)])
+        rules, base = static.base[0]
+        if base is None or entering(held(base)) != rules:   # facts change no static set
+            rules = entering(_static(runs[0].rules + moved))
+            static.base[0] = rules, (base := _prepare(runs[0].rules + rules))
+        kept = held(base)
         runs = (base, *[run._replace(seeds=tuple([s for s in run.seeds if s.head[0] not in kept]))
                         for run in runs[1:] if run.seeds or not run.heads & static.predicates])
         static = base.static

@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 
 from .model import (Atom, EngineError, Interpretation, ResourceLimitError, TruthValue,
                     _set, _Value, render_token)
-from .rewrite import GroundProgram, _keeping
+from .rewrite import GroundProgram
 
 DEFAULT_ENUMERATION_CAP = 20
 
@@ -599,6 +600,7 @@ def _search(rules: _Rules) -> list[list[int]]:
 
 # The most a memo keeps, in table entries' numbers and component entries' part values.
 _MEMO_BOUND = 65_536
+_keeping = threading.Lock()
 
 
 def _keep(memo: dict, key: object, value: tuple, size: int) -> None:

@@ -110,6 +110,10 @@ def test_an_unvalidated_insertion_into_a_static_predicate_grounds_as_one_run():
         assert_warm_is_cold(up, db)
         assert ground(embed_database(rewrite_bm(up), db)).prefix is not \
             program.cache["rewrite bm"][0].static.table
+    # A fact that enters no base needs none of its own: these share the last base.
+    prefixes = [ground(embed_database(rewrite_bm(up), parse_database(facts))).prefix
+                for facts in ("a(n6).", "a(n7). out(n1).", "")]
+    assert prefixes[0] is prefixes[1] is prefixes[2]
     # Here the insertion leaves no predicate static: the base has no phase 1.
     program = parse_program("a(n0) :- not a(n1).\na(n1) :- a(n2).\n+out(n0) :- a(n0), +ev(n0).\n")
     up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("a", ("n2",)))]), program)

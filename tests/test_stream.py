@@ -6,9 +6,10 @@ the choice program, three `InstanceGenerator` programs, and two choice pairs
 that differ in their atoms' token ranks alone (the memo must tell them apart).
 Each transaction meets what the earlier ones left in every kept cache: the
 parsed program, its rewritings and `bm`'s insertion runs, the shared phase 1
-and its replay, each database's embedded run, the bases that facts on static
-predicates join, and the solver's memo of tables and components, the last two
-bounded so that bases and memo entries of both kinds are evicted mid-stream.  A
+and its replay, each database's embedded run, the last base that facts on
+static predicates joined (one per rewriting, so a new one replaces it
+mid-stream), and the solver's memo of tables and components, shrunk so that
+entries of both kinds are evicted mid-stream.  A
 transaction draws a delta of both polarities, at times inserting into a
 predicate no rule inserts into (a new `bm` insertable set), and a database
 with true and unknown facts, at times a fact on a derived predicate (on the
@@ -26,7 +27,6 @@ bijection, on renamed programs that share the originals' memos: the
 semantics is generic, so each answer must be the original's renamed.
 """
 
-import contextlib
 import random
 import re
 import sys
@@ -34,7 +34,6 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
-import adlog.rewrite
 import adlog.stable
 from adlog import (Atom, Database, DeltaSet, Polarity, Program, Semantics, UpdateAtom,
                    UpdateProgram, compare, parse_program, render, run)
@@ -160,33 +159,27 @@ def fresh(up: UpdateProgram, db: Database) -> tuple[UpdateProgram, Database]:
             Database.of(db.true_facts, db.unknown_facts))
 
 
-# The bases a kept rewriting holds while shrunk: the chain's are evicted and prepared again.
-BASES = 1
-
-
-@contextlib.contextmanager
 def shrunk():
-    """The memo and base bounds shrunk, so that memo entries of both kinds, and bases, are
-    evicted mid-stream."""
-    with mock.patch.object(adlog.stable, "_MEMO_BOUND", 600), \
-            mock.patch.object(adlog.rewrite, "_BASE_BOUND", BASES):
-        yield
+    """The memo bound shrunk, so that entries of both kinds are evicted mid-stream."""
+    return mock.patch.object(adlog.stable, "_MEMO_BOUND", 600)
 
 
-def bases(program: Program) -> list[dict]:
-    """The bases each kept rewriting of `program` holds, by the rules moved into them
-    (see `rewrite.ground`)."""
+def bases(program: Program) -> list[list]:
+    """The base slot of each kept rewriting of `program`: the rules that entered its last base
+    and that base (see `rewrite.ground`), or (None, None)."""
     runs = [program.cache.get("rewrite st"), (program.cache.get("rewrite bm") or (None,))[0]]
-    return [run.static.bases for run in runs if run is not None and run.static is not None]
+    slots = [run.static.base for run in runs if run is not None and run.static is not None]
+    assert all(len(slot) == 1 for slot in slots)        # one base at most
+    return slots
 
 
 def stream(count: int, seed: int = 1) -> None:
-    """Run `count` seeded transactions, warm against fresh, with small memo and base bounds;
-    every 25th also grounds as one phase would (`assert_grounds_as_one_phase`)."""
+    """Run `count` seeded transactions, warm against fresh, with a small memo bound; every
+    25th also grounds as one phase would (`assert_grounds_as_one_phase`)."""
     rng = random.Random(seed)
     texts = programs(rng)
     memos = []
-    moved: dict = {}        # per kept rewriting's bases, every key they held
+    entered: dict = {}      # per kept rewriting's base slot, every set of rules it held
     for text, _ in texts:
         memos.append(Memo())
         parse_program(text, "stream").cache["memo"] = memos[-1]
@@ -196,13 +189,12 @@ def stream(count: int, seed: int = 1) -> None:
             assert warm == cold, (k, render(up.delta), render(db), step)
             if not k % 25:
                 assert_grounds_as_one_phase(up, db)
-            for held in bases(up.program):
-                assert len(held) <= BASES
-                moved.setdefault(id(held), set()).update(held)
+            for slot in bases(up.program):
+                entered.setdefault(id(slot), set()).add(slot[0][0])
     for kind in KINDS.values():
         assert sum(memo.hits[kind] for memo in memos), f"no {kind} hit"
         assert sum(memo.evicted[kind] for memo in memos), f"no {kind} eviction"
-    assert any(len(keys) > BASES for keys in moved.values()), "no base eviction"
+    assert any(len(rules - {None}) > 1 for rules in entered.values()), "no base replaced"
 
 
 def test_a_warm_stream_answers_as_fresh_programs():
@@ -220,7 +212,7 @@ def test_four_threads_on_shared_programs_answer_as_one_by_one():
         out = []
         for up, db, step in transactions(random.Random(seed), texts, 100):
             out.append(outcome(up, db, *step))
-            assert all(len(held) <= BASES for held in bases(up.program))
+            bases(up.program)       # one base at most, whatever the other threads keep
         return out
 
     sys.setswitchinterval(1e-5)
@@ -235,8 +227,8 @@ def test_four_threads_on_shared_programs_answer_as_one_by_one():
                for (text, _), program in zip(texts, shared))
 
 
-def test_an_evicted_base_is_prepared_again():
-    """Databases that alternate their fact on a static predicate evict each other's base, one
+def test_a_replaced_base_is_prepared_again():
+    """Databases that alternate their fact on a static predicate replace each other's base, one
     base kept per rewriting; each answer equals a fresh program's."""
     program = parse_program(CHAIN_AB + REPLAYED, "evicted")
     kept = []
@@ -248,9 +240,9 @@ def test_an_evicted_base_is_prepared_again():
             for operation in OPERATIONS:
                 step = (operation, "lex", 0, 20)
                 assert outcome(up, db, *step) == outcome(*fresh(up, db), *step), (k, operation)
-            assert [len(held) for held in bases(program)] == [BASES, BASES]
-            kept.append([item for held in bases(program) for item in held.items()])
-    for first, other, again in zip(*kept):      # per rewriting: (moved rules, base)
+            kept.append([slot[0] for slot in bases(program)])
+            assert len(kept[-1]) == 2
+    for first, other, again in zip(*kept):      # per rewriting: (entered rules, base)
         assert first[0] == again[0] != other[0]
         assert first[1] is not again[1]
 
