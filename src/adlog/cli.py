@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json.encoder
+import json
 import sys
 
 from .model import (Database, DeltaSet, ParseError, PreconditionError,
@@ -17,7 +17,7 @@ from .model import (Database, DeltaSet, ParseError, PreconditionError,
                     ValidationError)
 from .parse import parse_database, parse_delta, parse_program, render
 from .stable import DEFAULT_ENUMERATION_CAP
-from .update import Semantics, _Session, compare, run
+from .update import CompareResult, RunReport, Semantics, _Session, compare, run
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -48,69 +48,82 @@ def _add_io_flags(parser: argparse.ArgumentParser, *, db: bool = True) -> None:
     parser.add_argument("-u", "--delta", help="input update file (.adu); empty if omitted")
 
 
-# The JSON text of a value that holds no other value, by its exact type.
-_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
-            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
-_ENCODE = _SCALARS[str]
+_ENCODE = json.encoder.encode_basestring_ascii   # the string encoder `json.dumps` uses
+
+# A report's eight keys in `sort_keys` order, as its lines start them.
+_REPORT_KEYS = tuple(f'"{key}": ' for key in ("family", "input", "model", "output", "policy",
+                                              "seed", "semantics", "status"))
 
 
-def json_text(value, written: dict | None = None) -> str:
-    """`value` exactly as `json.dumps(value, indent=2, sort_keys=True)` writes it.
-
-    For dicts with `str` keys, lists, tuples, `str`, `int`, `bool` and None.
-    Strings go through the C encoder that `json.dumps` uses for them, a list
-    of strings is joined in one call, and a tuple is written once per call,
-    however often it occurs (a report's fact texts are tuples shared by
-    every report on the same database).  `written` maps `(id(container),
-    pad)` to the text of a container that stays alive and unchanged, written
-    where `pad` starts its lines (see `_write`); it is read, not changed.
-    """
-    return _write(value, "\n", dict(written or ()))
+def _block(items, pad: str, brackets: str = "[]") -> str:
+    """A list, or with `brackets` "{}" a dict, of item texts (none empty) as `json.dumps`
+    writes it with `indent=2`: the items on lines that start with `pad` and two more spaces."""
+    inner = pad + "  "
+    body = ("," + inner).join(items)
+    return brackets[0] + inner + body + pad + brackets[1] if body else brackets
 
 
-def _write(value, pad: str, written: dict) -> str:
-    """`value`, nested where `pad` (a newline and two spaces per level) starts a line."""
-    kind = type(value)
-    if kind is dict or kind is list or kind is tuple:
-        if not value:
-            return "{}" if kind is dict else "[]"
-        # A fast path that pays: writing each shared tuple again costs choice 5 % of txn/s.
-        done = written.get((id(value), pad))
-        if done is not None:
-            return done
+def _database_json(database: Database, pad: str, written: dict) -> str:
+    """`{"true": [...], "unknown": [...]}`, written once per database in `written`."""
+    if (text := written.get(id(database))) is None:
         inner = pad + "  "
-        if kind is dict:
-            return "{" + inner + ("," + inner).join([
-                _ENCODE(key) + ": " + (text(item) if (text := _SCALARS.get(type(item)))
-                                       else _write(item, inner, written))
-                for key, item in sorted(value.items())]) + pad + "}"
-        body = None
-        if type(value[0]) is str:
-            try:
-                body = ("," + inner).join(map(_ENCODE, value))
-            except TypeError:   # a later item is not a string
-                pass
-        if body is None:
-            body = ("," + inner).join([text(item) if (text := _SCALARS.get(type(item)))
-                                       else _write(item, inner, written) for item in value])
-        done = "[" + inner + body + pad + "]"
-        if kind is tuple:   # the caller's value holds the tuple, so its id stays its own
-            written[(id(value), pad)] = done
-        return done
-    text = _SCALARS.get(kind)
-    if text is None:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return text(value)
+        text = written[id(database)] = _block(
+            [key + _block(map(_ENCODE, facts), inner)
+             for key, facts in zip(('"true": ', '"unknown": '), database.fact_texts)], pad, "{}")
+    return text
 
 
-# Every ordered pair of semantics with its `info_leq` entry, in the order
-# `compare --json` lists them: by the names of the lower, then the upper.
-# The entries never change, so each is written once, at the depth at which
-# `compare --json` lists it.
-_INFO_PAIRS = sorted((((s1, s2), {"lower": s1.value, "upper": s2.value})
-                      for s1 in Semantics for s2 in Semantics),
-                     key=lambda pair: (pair[1]["lower"], pair[1]["upper"]))
-_INFO_WRITTEN = {(id(entry), "\n    "): _write(entry, "\n    ", {}) for _, entry in _INFO_PAIRS}
+def report_json(report: RunReport, pad: str = "\n", written: dict | None = None) -> str:
+    """`json.dumps(report.to_json_dict(), indent=2, sort_keys=True)`, from the report's fixed keys.
+
+    `pad` starts the report's own lines: a newline and two spaces per level of
+    nesting.  `written` holds the text of each database and model (by id) and
+    of each family's counts already written at this `pad`, and gains the ones
+    written here; its caller keeps those objects alive while it keeps it.
+    """
+    written = {} if written is None else written
+    inner = pad + "  "
+    model, stats, seed = report.chosen_model, report.family_stats, report.seed
+    if model is None:
+        model_text = "null"
+    elif (model_text := written.get(id(model))) is None:
+        model_text = written[id(model)] = _ENCODE(model.render_key())
+    if stats is None:
+        family = "null"
+    elif (family := written.get(counts := tuple(stats.items()))) is None:
+        family = written[counts] = _block(
+            [_ENCODE(name) + ": " + int.__repr__(count) for name, count in sorted(counts)],
+            inner, "{}")
+    return _block(map(str.__add__, _REPORT_KEYS, (
+        family, _database_json(report.input_db, inner, written), model_text,
+        _database_json(report.output_db, inner, written), _ENCODE(report.policy),
+        "null" if seed is None else int.__repr__(seed), _ENCODE(report.semantics.value),
+        _ENCODE(report.status))), pad, "{}")
+
+
+# Every ordered pair of semantics with the text of its `info_leq` entry, in the order
+# `compare --json` lists them (by the names of the lower, then the upper), nested as there.
+_INFO_LEQ = sorted((((s1, s2), json.dumps({"lower": s1.value, "upper": s2.value}, indent=2,
+                                           sort_keys=True).replace("\n", "\n    "))
+                    for s1 in Semantics for s2 in Semantics),
+                   key=lambda pair: (pair[0][0].value, pair[0][1].value))
+
+
+def compare_json(result: CompareResult) -> str:
+    """What `compare --json` prints, `json.dumps(doc, indent=2, sort_keys=True)`: `doc` holds
+    `rows` (each row's `semantics`, `report` as `to_json_dict()` and `error`) and `info_leq`,
+    the pairs of semantics whose outputs `info_matrix` relates.  `result` keeps every row's
+    databases and models alive, so each is written once."""
+    matrix = result.info_matrix()
+    written: dict = {}
+    rows = [_block(('"error": ' + ("null" if row.error is None else _ENCODE(row.error)),
+                    '"report": ' + ("null" if row.report is None
+                                    else report_json(row.report, "\n      ", written)),
+                    '"semantics": ' + _ENCODE(row.semantics.value)), "\n    ", "{}")
+            for row in result.rows]
+    return _block(('"info_leq": ' + _block([text for pair, text in _INFO_LEQ if matrix.get(pair)],
+                                           "\n  "),
+                   '"rows": ' + _block(rows, "\n  ")), "\n", "{}")
 
 
 def _load(args) -> tuple[UpdateProgram, Database]:
@@ -150,7 +163,7 @@ def cmd_models(args) -> int:
                            "undefined": r.undefined_count}
                           for r in family.records],
                "counts": family.counts()}
-        print(json_text(doc))
+        print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
     print(f"{len(family.records)} stable models")
     for number, record in enumerate(family.records, start=1):
@@ -167,7 +180,7 @@ def cmd_apply(args) -> int:
     semantics = Semantics.parse(args.semantics)
     report = run(up, database, semantics, policy=args.choose, seed=args.seed, cap=args.cap)
     if args.json:
-        print(json_text(report._json_data()))
+        print(report_json(report))
     else:
         print(f"semantics: {report.semantics.value}")
         print(f"status: {report.status}")
@@ -180,13 +193,7 @@ def cmd_compare(args) -> int:
     up, database = _load(args)
     result = compare(up, database, cap=args.cap)
     if args.json:
-        matrix = result.info_matrix()
-        doc = {"rows": [{"semantics": row.semantics.value,
-                         "report": row.report._json_data() if row.report else None,
-                         "error": row.error}
-                        for row in result.rows],
-               "info_leq": [entry for pair, entry in _INFO_PAIRS if matrix.get(pair)]}
-        print(json_text(doc, _INFO_WRITTEN))
+        print(compare_json(result))
         return EXIT_OK
     for row in result.rows:
         if row.report is None:

@@ -193,13 +193,6 @@ class RunReport(_Value):
 
     def to_json_dict(self) -> dict:
         """The report as JSON data; every call returns new lists and dicts."""
-        return self._json_data(list)
-
-    def _json_data(self, facts=tuple) -> dict:
-        """The report as JSON data, each database's facts as `facts` of its cached texts.
-
-        With `tuple`, the texts themselves: shared with every report on the same database.
-        """
         (true_in, unknown_in), (true_out, unknown_out) = \
             self.input_db.fact_texts, self.output_db.fact_texts
         return {
@@ -207,8 +200,8 @@ class RunReport(_Value):
             "status": self.status,
             "policy": self.policy,
             "seed": self.seed,
-            "input": {"true": facts(true_in), "unknown": facts(unknown_in)},
-            "output": {"true": facts(true_out), "unknown": facts(unknown_out)},
+            "input": {"true": list(true_in), "unknown": list(unknown_in)},
+            "output": {"true": list(true_out), "unknown": list(unknown_out)},
             "model": self.chosen_model.render_key() if self.chosen_model else None,
             "family": dict(self.family_stats) if self.family_stats is not None else None,
         }

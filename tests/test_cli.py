@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -359,6 +360,48 @@ class TestRendersOnce:
         # The input database, shared by all nine reports, is rendered once too.
         assert [id(db) for db in built].count(id(loaded[0])) == 1
         assert len({id(db) for db in built}) == len(built)
+
+    @pytest.mark.parametrize("shape", ["mixed", "free pairs"])
+    def test_each_distinct_value_is_written_once(self, argv, shape, monkeypatch, capsys):
+        """One `{"true", "unknown"}` block per distinct database, one encoded key per model."""
+        if shape == "free pairs":   # the benchmark's three free choice pairs
+            pathlib.Path(argv[argv.index("-d") + 1]).write_text("cand(c1). cand(c2). cand(c3).")
+            pathlib.Path(argv[argv.index("-u") + 1]).write_text("+req(c1). +req(c2). +req(c3).")
+        encoded, encode = Counter(), adlog.cli._ENCODE
+
+        def counted(text):
+            encoded[text] += 1
+            return encode(text)
+
+        texts, read = Database.__dict__["fact_texts"], []
+
+        def recorded(database):     # a property: every read counts, not only the first
+            read.append(id(database))
+            return texts.func(database)
+
+        results = []
+
+        def kept(*args, **kwargs):
+            results.append(adlog.update.compare(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(adlog.cli, "_ENCODE", counted)
+        monkeypatch.setattr(Database, "fact_texts", property(recorded))
+        monkeypatch.setattr(adlog.cli, "compare", kept)
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        reports = [row.report for row in results[0].rows if row.report is not None]
+        databases = {id(db): db for r in reports for db in (r.input_db, r.output_db)}
+        models = {id(r.chosen_model): r.chosen_model for r in reports if r.chosen_model}
+        assert sorted(read) == sorted(databases)
+        keys = Counter(model.render_key() for model in models.values())
+        assert {key: encoded[key] for key in keys} == keys
+        facts = Counter(fact for db in databases.values()
+                        for part in texts.func(db) for fact in part)
+        assert {fact: encoded[fact] for fact in facts} == facts
+        if shape == "free pairs":   # nine rows: the well-founded, least total and ws-bm models
+            assert len(reports) == 9 and sum(keys.values()) == 3
 
     def test_to_json_dict_returns_new_lists(self):
         up = UpdateProgram(parse_delta("+req(c1)."), parse_program(CHOICE_PROGRAM))
