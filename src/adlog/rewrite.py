@@ -10,9 +10,9 @@ update only and turns input updates into guarded rules.
 A rewriting lists the program's rules with their guards and the bridges (or
 the insertion rules), then the delta's rules.  What depends on the program
 alone is rewritten and planned for grounding once per `Program`, and kept with
-it as one prepared run.  The insertion rule of a predicate that only the delta
-inserts into is a run of its own, planned once (`_insertion`).  The delta's and
-the database's rules have no positive body, and are made as seeds (`_seeded`).
+it as one prepared run.  Each insertion rule is a run of its own, planned once
+per process (`_insertion`).  The delta's and the database's rules have no
+positive body, and are made as seeds (`_seeded`).
 
 All generated predicates live in the reserved '@' namespace, and the prefix
 of each defines its kind; every other predicate is the user's:
@@ -286,16 +286,15 @@ def rewrite_bm(up: UpdateProgram) -> Program:
     (`p(t) :- @plus_p(t)`), so conditions read the post-update state: this is
     what leaves an atom undefined when its insertion and deletion chase each
     other through the rules, instead of resolving the race in favour of one
-    side.  The program's run holds the insertion rules of what its action rules
-    insert into, and each other predicate the delta inserts into adds its own
-    (`_insertion`).
+    side.  Each predicate an action rule or the delta inserts into adds its
+    insertion rule as a run of its own (`_insertion`), after the program's run.
     """
     run, insertable = _kept(up.program, "rewrite bm", _bm_program)
     delta = [((renamed_update_predicate(u.polarity, u.atom.predicate), u.atom.args),
               (((renamed_update_predicate(_COMPLEMENT[u.polarity], u.atom.predicate),
                  u.atom.args), False),)) for u in up.delta.ordered]
-    added = {(atom.predicate, atom.arity) for atom in up.delta.inserts()} - insertable
-    return _Rewritten(run, *[_insertion(*pair) for pair in sorted(added)], _seeded(delta))
+    inserted = insertable | {(atom.predicate, atom.arity) for atom in up.delta.inserts()}
+    return _Rewritten(run, *[_insertion(*pair) for pair in sorted(inserted)], _seeded(delta))
 
 
 _COMPLEMENT = {Polarity.INSERT: Polarity.DELETE, Polarity.DELETE: Polarity.INSERT}
@@ -305,13 +304,12 @@ _COMPLEMENT = {Polarity.INSERT: Polarity.DELETE, Polarity.DELETE: Polarity.INSER
 def _insertion(predicate: str, arity: int) -> _Prepared:
     """p's insertion rule `p(X1, ..) :- @plus_p(X1, ..)` planned alone, a run every program shares.
 
-    Added to a prepared run, it leaves the run's ground table as it is, rule by rule and
-    atom by atom.  It reads `@plus_p`, reserved and so never static: phase 1's atoms fire
-    none of its triggers, and `_instantiate` fires them after the run's own, per predicate
-    (or, at arity 0, per ground atom).  An update may target only a predicate no rule
-    derives (validation), and a static predicate is derived, so the static set and the
-    replay stay as they are.  An unvalidated update of a static p makes this run's `heads`
-    meet the static set, and `ground` moves its rule into the prepared run's base.
+    After a prepared run, it leaves the ground table as one run of both gives it, rule by
+    rule and atom by atom.  It reads `@plus_p`, reserved and so never static: phase 1's
+    atoms fire none of its triggers, and `_instantiate` fires them after the prepared run's
+    own, per predicate (or, at arity 0, per ground atom).  An update may target only a
+    predicate no rule derives (validation), and a static predicate is derived, so the
+    prepared run's static set and replay are those of one run of both.
     """
     args = _generic_args(arity)
     plus = Atom(renamed_update_predicate(Polarity.INSERT, predicate), args)
@@ -319,8 +317,8 @@ def _insertion(predicate: str, arity: int) -> _Prepared:
 
 
 def _bm_program(program: Program) -> tuple[_Prepared, frozenset[tuple[str, int]]]:
-    """What `rewrite_bm` takes from the program alone: its rules and the insertion rules
-    of what they insert into, prepared as one run, and those predicates with arities."""
+    """What `rewrite_bm` takes from the program alone: its rules, prepared as one run, and
+    the predicates its action rules insert into, with their arities."""
     rules: list[Rule] = []
     for rule in program.rules:
         body = [StdLiteral(renamed_update_atom(lit.uatom), lit.positive)
@@ -333,10 +331,9 @@ def _bm_program(program: Program) -> tuple[_Prepared, frozenset[tuple[str, int]]
             rules.append(Rule(renamed_update_atom(rule.head), tuple(body), rule.origin))
         else:
             rules.append(_passive(rule, body))
-    insertable = sorted({(rule.head.atom.predicate, rule.head.atom.arity) for rule in program.rules
-                         if rule.is_active and rule.head.polarity is Polarity.INSERT})
-    return _prepare(rules + [_insertion(*pair).rules[0] for pair in insertable], program), \
-        frozenset(insertable)
+    return _prepare(rules, program), frozenset(
+        (rule.head.atom.predicate, rule.head.atom.arity) for rule in program.rules
+        if rule.is_active and rule.head.polarity is Polarity.INSERT)
 
 
 def _kept(program: Program | Database, key, compute):
@@ -574,8 +571,9 @@ def _seeded(rules: list[tuple[tuple, tuple]], atoms: dict[tuple, Atom] | None = 
 # lists what they alone complete, in order, as `seeds` do, and `facts` and
 # `lookups` are their index (`_instantiate`), shared and never changed.  `triggers`
 # keep no static key, and a `_Waiting` rule's `count` is what it still waits for.
-# `base` is the run's one mutable part: a one-element list of the rules that entered its
-# last base (see `ground`) and that base, replaced whole in one store, so threads need no lock.
+# `base` is the run's one mutable part: a one-element list of the database facts on static
+# predicates that entered its last base (see `ground`) and that base, replaced whole in one
+# store, so threads need no lock.
 _Static = _compiled("_Static", "predicates table replay facts lookups base")
 
 
@@ -715,31 +713,30 @@ def ground(program: Program) -> GroundProgram:
     plans each rule once, as code (`_maker`) that numbers its instances into
     the table, runs phase 1 and joins its atoms into the others, so a
     rewriting passes its runs on (`program.cache["runs"]`): the program's
-    rules and the bridges or insertion rules as one prepared run, kept with the
+    rewritten rules (with `st`'s bridges) as one prepared run, kept with the
     program (`_kept`), then `bm`'s insertion runs (`_insertion`), then the
     delta's and the database's seed runs.  A call adds the seeds, replays what
-    phase 1's atoms completed and joins its own atoms (`_Static`).  A later
-    run's rules of a static predicate (a database fact, or an unvalidated
-    insertion) join the prepared run in a base, the last one kept, but a fact
-    on a predicate an insertion leaves static no more stays in its run.
+    phase 1's atoms completed and joins its own atoms (`_Static`).  A database
+    fact on a static predicate, true or unknown, joins the prepared run's rules
+    in a base with the same static predicates, the last one kept.  An insertion
+    into a static predicate, which only unvalidated input sends, grounds the
+    rewriting as the plain program it is, with no base.
     """
     runs = program.cache.get("runs") or (_prepare(program.rules),)
     static = runs[0].static
     if static and any(not static.predicates.isdisjoint(run.heads) for run in runs[1:]):
         moved = tuple([rule for run in runs[1:] for rule in run.rules
                        if rule.head.predicate in static.predicates])
-        # Of these, the facts on the base's static predicates enter it, and every insertion.
-        held = lambda base: base.static.predicates if base.static else ()
-        entering = lambda kept: tuple([r for r in moved if r.head.predicate in kept
-                                       or any(lit.positive for lit in r.body)])
-        rules, base = static.base[0]
-        if base is None or entering(held(base)) != rules:   # facts change no static set
-            rules = entering(_static(runs[0].rules + moved))
-            static.base[0] = rules, (base := _prepare(runs[0].rules + rules))
-        kept = held(base)
-        runs = (base, *[run._replace(seeds=tuple([s for s in run.seeds if s.head[0] not in kept]))
-                        for run in runs[1:] if run.seeds or not run.heads & static.predicates])
-        static = base.static
+        if any(lit.positive for rule in moved for lit in rule.body):
+            runs = (_prepare(program.rules),)
+        else:
+            facts, base = static.base[0]
+            if facts != moved:
+                static.base[0] = moved, (base := _prepare(runs[0].rules + moved))
+            runs = (base, *[run._replace(seeds=tuple([s for s in run.seeds
+                                                      if s.head[0] not in static.predicates]))
+                            for run in runs[1:]])
+        static = runs[0].static
     out = static.table._extended() if static else GroundProgram()
     _instantiate(out, runs)
     return out

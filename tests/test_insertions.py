@@ -1,12 +1,11 @@
 """`rewrite_bm`'s insertion rules: one prepared run per program, one small run per predicate.
 
-The program's run holds its `bm` rules and the insertion rules of what its
-action rules insert into; a predicate only the delta inserts into adds its
-insertion rule's own run (`_insertion`), shared by every program.  The oracle
-is the construction this replaces: the `bm` rules and the insertion rules of
-the whole insertable set, prepared as one run per set.  Both must give the
-same ground table, rule by rule and atom by atom, the same kept prefix and
-the same well-founded models.
+The program's run holds its `bm` rules alone; each predicate an action rule or
+the delta inserts into adds its insertion rule's own run (`_insertion`), shared
+by every program.  The oracle is the construction this replaces: the `bm` rules
+and the insertion rules of the whole insertable set, prepared as one run per
+set.  Both must give the same ground table, rule by rule and atom by atom, the
+same kept prefix and the same well-founded models.
 """
 
 import random
@@ -22,7 +21,7 @@ from adlog.selftest import InstanceGenerator
 
 from conftest import FIXTURES, fixture_text
 from test_replay import assert_grounds_as_one_phase
-from test_static import CHAIN_AB, with_static_part
+from test_static import CHAIN_AB, REWRITINGS, with_derived_facts, with_static_part
 from test_warm import assert_warm_is_cold
 
 
@@ -68,22 +67,78 @@ def insertion_runs(up: UpdateProgram) -> list:
     return [run for run in rewrite_bm(up).cache["runs"][1:] if not isinstance(run, _Seeded)]
 
 
-@pytest.mark.parametrize("name", sorted(path.stem for path in FIXTURES.glob("*.adl")))
-def test_fixtures(name):
+def assert_one_run_per_inserted_predicate(up: UpdateProgram, db: Database, shared: dict) -> None:
+    """No kept `bm` run, the prepared run or its base, holds an insertion rule; the rewriting
+    has one `_insertion` run per inserted predicate, in order, the one every program has."""
+    rewritten = rewrite_bm(up)
+    ground(embed_database(rewritten, db))
+    run, insertable = up.program.cache["rewrite bm"]
+    kept = [run, run.static.base[0][1]] if run.static else [run]
+    assert not [rule for k in kept if k for rule in k.rules
+                if insertions([(rule.head.predicate, rule.head.arity)]) == [rule]]
+    inserted = sorted(insertable | {(atom.predicate, atom.arity) for atom in up.delta.inserts()})
+    own = [r for r in rewritten.cache["runs"][1:] if not isinstance(r, _Seeded)]
+    assert [r.rules for r in own] == [tuple(insertions([pair])) for pair in inserted]
+    assert all(shared.setdefault(pair, r) is r for pair, r in zip(inserted, own))
+
+
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.adl"))
+MORE = ("", "+zz(q).\n", "+q.\n", "+zz(q).\n+q.\n-yy(q).\n")
+
+
+def fixture(name: str) -> tuple[Program, str, Database]:
     program = parse_program(fixture_text(f"{name}.adl"), origin=name)
     delta = fixture_text(f"{name}.adu") if (FIXTURES / f"{name}.adu").exists() else ""
     db = parse_database(fixture_text(f"{name}.adb")) if (FIXTURES / f"{name}.adb").exists() \
         else Database()
-    for more in ("", "+zz(q).\n", "+q.\n", "+zz(q).\n+q.\n-yy(q).\n"):
+    return program, delta, db
+
+
+def new_sets(program: Program, rng: random.Random):
+    """Three deltas, each with an insertable set the earlier ones did not bring."""
+    arities = {atom.predicate: atom.arity
+               for rule in program.rules for atom in Program._all_atoms(rule)}
+    base = sorted(set(arities) - program.idb_predicates())
+    actions = sorted(program.action_predicates())
+    for k in range(3):
+        updates = {Atom(f"zz{k}", ("a",) * (k % 2)): Polarity.INSERT}
+        for predicate in rng.sample(base, min(len(base), 2)) + actions[:k % 2]:
+            atom = Atom(predicate, tuple(rng.choices("abc", k=arities[predicate])))
+            updates.setdefault(atom, rng.choice(list(Polarity)))
+        yield DeltaSet.of(UpdateAtom(polarity, atom) for atom, polarity in updates.items())
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixtures(name):
+    program, delta, db = fixture(name)
+    for more in MORE:
         assert_grounds_as_one_run_per_set(UpdateProgram(parse_delta(delta + more), program), db)
+
+
+def test_no_kept_run_holds_an_insertion_rule():
+    shared: dict = {}
+    for name in FIXTURE_NAMES:
+        program, delta, db = fixture(name)
+        for more in MORE:
+            assert_one_run_per_inserted_predicate(
+                UpdateProgram(parse_delta(delta + more), program), db, shared)
+    gen, rng = InstanceGenerator(random.Random(3301)), random.Random(3302)
+    for case in range(100):
+        up, db = gen._candidate()
+        if case % 2:        # static predicates, with facts on them in some databases
+            up = with_static_part(up, rng)
+            db = with_derived_facts(up, db, rng)
+        for delta in new_sets(up.program, rng):
+            assert_one_run_per_inserted_predicate(UpdateProgram(delta, up.program), db, shared)
+    assert {"mgr", "q", "zz", "zz0", "zz1", "zz2"} <= {predicate for predicate, _ in shared}
 
 
 # On the chain, `out` is what the action rules insert into, and `a` and `b` are static.
 CHAIN_CASES = [
-    ("+q.\n", "", 1),                        # arity 0: its trigger is keyed by the ground atom
-    ("+zz(q).\n+ev(n3).\n", "", 2),          # a predicate no rule mentions, and `ev`
-    ("+out(n3).\n", "ev(n3).", 0),           # an action-inserted predicate: no run of its own
-    ("+ev(n3).\n+zz(q).\n", "b(n5).", 2),    # a database fact on a static predicate
+    ("+q.\n", "", 2),                        # arity 0: its trigger is keyed by the ground atom
+    ("+zz(q).\n+ev(n3).\n", "", 3),          # a predicate no rule mentions, and `ev`
+    ("+out(n3).\n", "ev(n3).", 1),           # an action-inserted predicate: its one run
+    ("+ev(n3).\n+zz(q).\n", "b(n5).", 3),    # a database fact on a static predicate
 ]
 
 
@@ -103,17 +158,19 @@ def test_an_unvalidated_insertion_into_a_static_predicate_grounds_as_one_run():
     program = parse_program(CHAIN_AB)
     up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("a", ("n3",)))]), program)
     assert insertion_runs(up)[0].heads == {"a"} <= program.cache["rewrite bm"][0].static.predicates
+    slot = program.cache["rewrite bm"][0].static.base
+    before = slot[0]
     # `a(n5).` is on a predicate the insertion leaves static no more, `b(n2)?` on a static one.
     for db in (Database(), parse_database("out(n2). ev(n4)?"), parse_database("a(n5). b(n2)?")):
         assert_grounds_as_one_run_per_set(up, db)
         assert_grounds_as_one_phase(up, db)
         assert_warm_is_cold(up, db)
-        assert ground(embed_database(rewrite_bm(up), db)).prefix is not \
-            program.cache["rewrite bm"][0].static.table
-    # A fact that enters no base needs none of its own: these share the last base.
-    prefixes = [ground(embed_database(rewrite_bm(up), parse_database(facts))).prefix
-                for facts in ("a(n6).", "a(n7). out(n1).", "")]
-    assert prefixes[0] is prefixes[1] is prefixes[2]
+        embedded = embed_database(rewrite_bm(up), db)
+        table = ground(embedded)
+        assert table.prefix is not program.cache["rewrite bm"][0].static.table
+        # The rewriting grounds as the plain program it is, and keeps no base.
+        assert_same_table(table, ground(Program(embedded.rules)))
+        assert slot[0] is before
     # Here the insertion leaves no predicate static: the base has no phase 1.
     program = parse_program("a(n0) :- not a(n1).\na(n1) :- a(n2).\n+out(n0) :- a(n0), +ev(n0).\n")
     up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("a", ("n2",)))]), program)
@@ -131,15 +188,48 @@ def test_random_programs_under_new_insertable_sets():
             up = with_static_part(up, rng)
             if rng.random() < 0.3:
                 db = Database.of(db.true_facts | {Atom("k_a")}, db.unknown_facts)
-        program = up.program
-        arities = {atom.predicate: atom.arity
-                   for rule in program.rules for atom in Program._all_atoms(rule)}
-        base = sorted(set(arities) - program.idb_predicates())
-        actions = sorted(program.action_predicates())
-        for k in range(3):      # each delta brings a set the earlier ones did not
-            updates = {Atom(f"zz{k}", ("a",) * (k % 2)): Polarity.INSERT}
-            for predicate in rng.sample(base, min(len(base), 2)) + actions[:k % 2]:
-                atom = Atom(predicate, tuple(rng.choices("abc", k=arities[predicate])))
-                updates.setdefault(atom, rng.choice(list(Polarity)))
-            delta = DeltaSet.of(UpdateAtom(polarity, atom) for atom, polarity in updates.items())
-            assert_grounds_as_one_run_per_set(UpdateProgram(delta, program), db)
+        for delta in new_sets(up.program, rng):
+            assert_grounds_as_one_run_per_set(UpdateProgram(delta, up.program), db)
+
+
+def static_facts(db: Database, predicates) -> tuple[Rule, ...]:
+    """The database's facts on `predicates` as its seed run has them: true ones, then unknown
+    ones `p(t) :- not p(t)`, each in `str` order."""
+    true = [Rule(atom) for atom in sorted(db.true_facts, key=str) if atom.predicate in predicates]
+    return tuple(true + [Rule(atom, (StdLiteral(atom, False),))
+                         for atom in sorted(db.unknown_facts, key=str)
+                         if atom.predicate in predicates])
+
+
+def assert_base_holds_static_facts(up: UpdateProgram, db: Database, rewriting) -> None:
+    table = ground(embed_database(rewriting(up), db))
+    run = rewriting(up).cache["runs"][0]
+    facts = static_facts(db, run.static.predicates) if run.static else ()
+    if not facts:
+        return
+    moved, base = run.static.base[0]
+    assert moved == facts and base.rules == run.rules + facts
+    assert base.static.predicates == run.static.predicates
+    assert table.prefix is base.static.table
+
+
+def test_a_base_holds_the_database_facts_on_static_predicates():
+    program = parse_program(CHAIN_AB)
+    up = UpdateProgram(parse_delta("+ev(n1)."), program)
+    for rewriting in REWRITINGS:
+        for facts in ("b(n5).", "b(n5)? out(n1). a(n2)?", "a(n3). b(n1)? b(n7). ev(n2)?"):
+            assert_base_holds_static_facts(up, parse_database(facts), rewriting)
+    # An unvalidated insertion into a static predicate leaves the kept base as it was.
+    slot = program.cache["rewrite bm"][0].static.base
+    before = slot[0]
+    up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("a", ("n3",)))]), program)
+    for facts in ("", "b(n2)?", "a(n5). b(n7)."):
+        ground(embed_database(rewrite_bm(up), parse_database(facts)))
+        assert slot[0] is before
+    gen, rng = InstanceGenerator(random.Random(3303)), random.Random(3304)
+    for _ in range(60):
+        up, db = gen._candidate()
+        up = with_static_part(up, rng)
+        db = with_derived_facts(up, db, rng)
+        for rewriting in REWRITINGS:
+            assert_base_holds_static_facts(up, db, rewriting)

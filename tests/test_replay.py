@@ -36,7 +36,7 @@ def work(monkeypatch, n: int, semantics: Semantics, more: str = "",
          facts: str = "") -> tuple[int, int, int]:
     """Worklist pops, update-atom parses and update atoms read in one warm two-event run,
     its delta with the insertions `more` (of one-argument atoms) besides the events, on a
-    database of the true `facts`."""
+    database of the `facts`."""
     program = parse_program(chain(n))
     db = parse_database(facts)
     for events in ("+ev(n1).", "+ev(n2).\n+ev(n3).\n"):      # warm both rewritings
@@ -92,11 +92,13 @@ def test_a_new_insertable_set_does_not_grow_with_n(monkeypatch):
     assert 0 < pops < 30 and 0 < reads <= parses < 30
 
 
+@pytest.mark.parametrize("facts", ["b(n5).", "b(n5)?"])
 @pytest.mark.parametrize("semantics", [Semantics.WS, Semantics.WS_BM])
-def test_a_fact_on_a_static_predicate_does_not_grow_with_n(monkeypatch, semantics):
-    """A database fact on a static predicate joins the program's base, prepared once per
-    such facts (see `rewrite.ground`): a warm transaction joins only its own atoms."""
-    sizes = [work(monkeypatch, n, semantics, facts="b(n5).") for n in (400, 6400)]
+def test_a_fact_on_a_static_predicate_does_not_grow_with_n(monkeypatch, semantics, facts):
+    """A database fact on a static predicate, true or unknown, joins the program's base,
+    prepared once per such facts (see `rewrite.ground`): a warm transaction joins only its
+    own atoms."""
+    sizes = [work(monkeypatch, n, semantics, facts=facts) for n in (400, 6400)]
     assert sizes[0] == sizes[1]
     pops, parses, reads = sizes[0]
     assert 0 < pops < 20 and 0 < reads <= parses < 20
@@ -153,18 +155,23 @@ def test_replay_edge_cases(rule, tmp_path, capsys):
 def test_one_prepared_run_then_seed_runs_and_one_phase_1_per_program():
     program = parse_program(CHAIN_AB)
     db = parse_database("out(n3). ev(n4)?")
-    # Two `bm` insertable sets: the delta's `+ev` adds `ev`'s insertion run to the program's.
+    # Two `bm` insertable sets: `out`'s, which the action rules insert into, and with `+ev`,
+    # `ev`'s besides: each predicate's insertion run follows the prepared run.
     ups = [UpdateProgram(parse_delta(delta), program) for delta in ("+ev(n3).", "-ev(n3).")]
     rewritten = [rewrite_st(ups[0])] + [rewrite_bm(up) for up in ups]
     plain = Program(rewritten[0].rules)
-    insertion = rewritten[1].cache["runs"][1]
+    insertion, out = rewritten[1].cache["runs"][1:3]
     assert [str(rule) for rule in insertion.rules] == ["ev(X1) :- @plus_ev(X1)."]
-    assert insertion.heads == {"ev"}
+    assert [str(rule) for rule in out.rules] == ["out(X1) :- @plus_out(X1)."]
+    assert insertion.heads == {"ev"} and out.heads == {"out"}
     for runs in [p.cache["runs"] for p in rewritten] + \
             [embed_database(p, db).cache["runs"] for p in rewritten + [plain]]:
         assert not isinstance(runs[0], _Seeded) and runs[0].static is not None
-        assert runs[1:] and all(isinstance(run, _Seeded) or run is insertion for run in runs[1:])
-    assert [run is insertion for run in rewritten[1].cache["runs"]] == [False, True, False]
+        assert runs[1:] and all(isinstance(run, _Seeded) or run is insertion or run is out
+                                for run in runs[1:])
+    assert [run is insertion for run in rewritten[1].cache["runs"]] == [False, True, False, False]
+    assert [run is out for run in rewritten[1].cache["runs"]] == [False, False, True, False]
+    assert [run is out for run in rewritten[2].cache["runs"]] == [False, True, False]
     keys = [key for key in program.cache if isinstance(key, tuple)]
     assert [key for key in program.cache if "rewrite bm" in key] == ["rewrite bm"]
     assert len([key for key in keys if key[0] == "phase 1"]) == 1

@@ -624,7 +624,7 @@ class TestCompiledPlans:
         for rewriting in (rewrite_st, rewrite_bm):
             ground(embed_database(rewriting(UpdateProgram(parse_delta("+ev(n1)."), program)), db))
         compiled = _maker.cache_info().misses
-        # A second insertable set: `zz`'s insertion run joins the program's one `bm` run.
+        # A second insertable set: `zz`'s insertion run follows the program's one `bm` run.
         second = rewrite_bm(UpdateProgram(parse_delta("+zz(n1)."), program))
         ground(embed_database(second, db))
         assert [key for key in program.cache if "rewrite bm" in key] == ["rewrite bm"]
@@ -642,10 +642,13 @@ class TestCompiledPlans:
             [plan.origin and plan.origin.replace("first", "second") for plan in plans[0]]
         assert [plan.emit.__code__ for plan in plans[0]] == \
             [plan.emit.__code__ for plan in plans[1]]
-        # The second set reads the program's run, kept once, and `ev`'s insertion plan's code.
+        # The second set reads the program's run, kept once, `out`'s insertion run and the
+        # code of `ev`'s insertion plan.  Each program has the same `ev` and `out` runs.
         assert runs[2][0] is runs[0][0] and runs[0][1] is runs[1][1]
-        assert plans[2][:-1] == plans[0][:-1] and plans[2][-1] != plans[0][-1]
-        assert plans[2][-1].emit.__code__ is plans[0][-1].emit.__code__
+        assert runs[0][2] is runs[1][2] is runs[2][1]
+        assert plans[2][:-2] == plans[0][:-2] and plans[2][-2] is plans[0][-1]
+        assert plans[2][-1] != plans[0][-2]
+        assert plans[2][-1].emit.__code__ is plans[0][-2].emit.__code__
 
     def test_hostile_symbols_never_become_code(self, monkeypatch):
         sources = []
