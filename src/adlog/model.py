@@ -71,7 +71,8 @@ class _Value:
     since assigning an attribute raises `AttributeError`.  Two values are
     equal when they are of the same class and agree on the `_compared`
     fields (all fields unless the class lists fewer); the hash is that of
-    those fields.
+    those fields.  A copy or a pickle calls the constructor with the fields
+    (`__reduce__`), and `repr` prints that call.
     """
 
     __slots__ = ()
@@ -94,11 +95,12 @@ class _Value:
 
     def __repr__(self) -> str:
         # A set's members in `repr` order, so that a copy or a pickle reads the same.
+        cls, args = self.__reduce__()
         fields = ", ".join(
             f"{name}=frozenset({{{', '.join(sorted(map(repr, value)))}}})"
-            if isinstance(value := getattr(self, name), frozenset) and len(value) > 1
-            else f"{name}={value!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+            if isinstance(value, frozenset) and len(value) > 1
+            else f"{name}={value!r}" for name, value in zip(cls._fields, args))
+        return f"{cls.__qualname__}({fields})"
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
@@ -592,29 +594,62 @@ class TruthValue(enum.IntEnum):
         return self.name.lower()
 
 
+# The values as the solver keeps them, and the value each stands for.
+_FALSE, _UNDEF, _TRUE = map(int, TruthValue)
+_TRUTH = tuple(TruthValue)
+
+
 class Interpretation(_Value):
-    """Consistent three-valued assignment over a finite ground atom universe."""
+    """Consistent three-valued assignment over a finite ground atom universe.
+
+    A map from its own atoms to their values (indices of `_TRUTH`) over the
+    interpretation it extends, which maps none of them: a model of the top of a
+    splitting set extends its bottom's (Lifschitz & Turner 1994).  The constructor
+    takes the three sets; the solver gives a table's own atoms and values (`_of`).
+    What either was not given is built on first read, so a model over a kept prefix
+    builds no set over it unless one is read.  A copy or a pickle is built from the sets.
+    """
 
     _fields = ("universe", "true_atoms", "false_atoms")
 
     def __init__(self, universe: frozenset[Atom], true_atoms: frozenset[Atom] = frozenset(),
                  false_atoms: frozenset[Atom] = frozenset()):
-        _set(self, "universe", universe)
-        _set(self, "true_atoms", true_atoms)
-        _set(self, "false_atoms", false_atoms)
-        if self.true_atoms & self.false_atoms:
+        self.__dict__.update(universe=universe, true_atoms=true_atoms, false_atoms=false_atoms,
+                             _over=None)
+        if true_atoms & false_atoms:
             raise EngineError("interpretation assigns an atom both true and false")
-        if not (self.true_atoms <= self.universe and self.false_atoms <= self.universe):
+        if not (true_atoms <= universe and false_atoms <= universe):
             raise UniverseError("literal set mentions atoms outside the universe")
 
+    @classmethod
+    def _of(cls, over: "Interpretation | None", atoms: Iterable[Atom],
+            values: Iterable[int]) -> "Interpretation":
+        """`over`, or nothing, extended by `atoms`, none of `over`'s, with `values`."""
+        out = cls.__new__(cls)
+        out.__dict__.update(_over=over, _values=dict(zip(atoms, values)))
+        return out
+
+    def _with(self, name: str, value: int | None = None) -> frozenset[Atom]:
+        """The set `name` of the interpretation extended, with the own atoms (of `value`)."""
+        own = self._values if value is None else [a for a, v in self._values.items() if v == value]
+        return frozenset(own) if self._over is None else getattr(self._over, name).union(own)
+
+    universe = cached_property(lambda self: self._with("universe"))
+    true_atoms = cached_property(lambda self: self._with("true_atoms", _TRUE))
+    false_atoms = cached_property(lambda self: self._with("false_atoms", _FALSE))
+    undefined_count = cached_property(lambda self: list(self._values.values()).count(_UNDEF)
+                                      + (0 if self._over is None else self._over.undefined_count))
+    _values = cached_property(lambda self: {**dict.fromkeys(self.universe, _UNDEF),
+                                            **dict.fromkeys(self.true_atoms, _TRUE),
+                                            **dict.fromkeys(self.false_atoms, _FALSE)})
+
     def value(self, atom: Atom) -> TruthValue:
-        if atom in self.true_atoms:
-            return TruthValue.TRUE
-        if atom in self.false_atoms:
-            return TruthValue.FALSE
-        if atom not in self.universe:
+        own = self._values.get(atom)
+        if own is not None:
+            return _TRUTH[own]
+        if self._over is None:
             raise UniverseError(f"atom {atom} outside interpretation universe")
-        return TruthValue.UNDEFINED
+        return self._over.value(atom)
 
     @property
     def is_total(self) -> bool:
@@ -622,10 +657,6 @@ class Interpretation(_Value):
 
     def undefined_atoms(self) -> frozenset[Atom]:
         return self.universe - self.true_atoms - self.false_atoms
-
-    @property
-    def undefined_count(self) -> int:
-        return len(self.universe) - len(self.true_atoms) - len(self.false_atoms)
 
     def literal_set(self) -> frozenset[tuple[Atom, bool]]:
         """The set view {A | A true} as (atom, True) plus {not A | A false} as (atom, False)."""
@@ -651,10 +682,7 @@ class Interpretation(_Value):
 
     @cached_property
     def _key(self) -> str:
-        true, false = self.true_atoms, self.false_atoms
-        return " ".join([render_token(text, TruthValue.TRUE if atom in true
-                                      else TruthValue.FALSE if atom in false
-                                      else TruthValue.UNDEFINED)
+        return " ".join([render_token(text, self.value(atom))
                          for text, atom in sorted([(str(a), a) for a in self.universe])])
 
 

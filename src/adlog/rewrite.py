@@ -347,7 +347,8 @@ def _kept(program: Program | Database, key, compute):
 
 class _Rewritten(Program):
     """The rules of a prepared run, of its insertion runs (`_insertion`) and then of its
-    seed runs (`_seeded`), built on first read: `ground` reads the runs."""
+    seed runs (`_seeded`), built on first read: `ground` reads the runs.  A copy or a
+    pickle is the plain `Program` of the rules, and `repr` prints it."""
 
     def __init__(self, prepared: _Prepared, *runs: _Prepared):
         object.__setattr__(self, "cache", {"runs": (prepared, *runs)})
@@ -355,6 +356,9 @@ class _Rewritten(Program):
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
         return tuple([rule for run in self.cache["runs"] for rule in run.rules])
+
+    def __reduce__(self):
+        return Program, (self.rules,)
 
 
 # ---------------------------------------------------------------------------

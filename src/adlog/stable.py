@@ -23,7 +23,7 @@ the fixpoints of Psi found per component.  Both read one atom table, which the
 grounder fills as it instantiates the rules: each atom numbered once, each rule
 kept by those numbers (its atom dependency graph).  The program's cache keeps
 the well-founded values and model computed from it; a program that extends a
-kept prefix of static atoms (see rewrite.ground) starts from the prefix's.
+kept prefix of static atoms (see rewrite.ground) extends the prefix's values and model.
 
 The family is kept factorised: `ModelFamily` holds the well-founded model
 and each component's parts, each flagged within its component from per-atom
@@ -45,7 +45,7 @@ import threading
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 
-from .model import (Atom, EngineError, Interpretation, ResourceLimitError, TruthValue,
+from .model import (_FALSE, _TRUE, _UNDEF, EngineError, Interpretation, ResourceLimitError,
                     _set, _Value, render_token)
 from .rewrite import GroundProgram
 
@@ -60,12 +60,6 @@ FLAG_MAX_DETERMINISTIC = "max-deterministic"
 
 ALL_FLAGS = (FLAG_WELL_FOUNDED, FLAG_T_STABLE, FLAG_M_STABLE, FLAG_L_STABLE,
              FLAG_DETERMINISTIC, FLAG_MAX_DETERMINISTIC)
-
-_TRUE = int(TruthValue.TRUE)
-_UNDEF = int(TruthValue.UNDEFINED)
-_FALSE = int(TruthValue.FALSE)
-_NOTHING = Interpretation(frozenset())
-_VALUES = (TruthValue.FALSE, TruthValue.UNDEFINED, TruthValue.TRUE)
 
 
 class _Rules:
@@ -281,8 +275,8 @@ def _well_founded(program: GroundProgram,
     grounded (or by `GroundProgram(rules)`, which rejects rules that are not
     ground), and computed by `_solve`.  A table that extends a kept `prefix`
     (rewrite.ground's phase 1) starts from the prefix's values, as its atoms
-    read no other atom, and reads only its own rules; its model builds its
-    sets on first read (`_Model`).  `well_founded` and `enumerate_pstable` on
+    read no other atom, and reads only its own rules; its model extends the
+    prefix's (`Interpretation._of`).  `well_founded` and `enumerate_pstable` on
     one program share the model, and the enumeration reads the residue off
     the same values.  `enumerate_pstable` calls this function rather than
     `well_founded`, so a tracer that wraps the public name (perfbench) counts
@@ -298,42 +292,15 @@ def _well_founded(program: GroundProgram,
     """
     cached = program.cache.get("well-founded")
     if cached is None:
-        kept, known = _well_founded(program.prefix) if program.prefix else ([], _NOTHING)
+        kept, known = _well_founded(program.prefix) if program.prefix else ([], None)
         key = None if memo is None or program.prefix else tuple(program._rules)
         stored = None if key is None else memo.get(key)
         vals = _solve(program, kept) if stored is None else list(stored[0])
         if key is not None and stored is None:
             _keep(memo, key, (tuple(vals),), sum(map(len, key)) + len(vals))
-        cached = program.cache["well-founded"] = (vals, _Model(known, program._atoms,
-                                                                vals[len(kept):]))
+        cached = program.cache["well-founded"] = (
+            vals, Interpretation._of(known, program._atoms, vals[len(kept):]))
     return cached
-
-
-class _Model(Interpretation):
-    """The prefix's model, `known`, with a table's own atoms and values, consistent as built:
-    `value` and `undefined_count` read the own atoms only, and the sets are built on first read."""
-
-    def __init__(self, known: Interpretation, atoms: Sequence[Atom], vals: Sequence[int]):
-        object.__setattr__(self, "_parts", (known, dict(zip(atoms, vals))))
-
-    def _with(self, value: int, inherited: frozenset[Atom]) -> frozenset[Atom]:
-        return inherited.union([a for a, v in self._parts[1].items() if v == value])
-
-    universe = cached_property(lambda self: self._parts[0].universe.union(self._parts[1]))
-    true_atoms = cached_property(lambda self: self._with(_TRUE, self._parts[0].true_atoms))
-    false_atoms = cached_property(lambda self: self._with(_FALSE, self._parts[0].false_atoms))
-    undefined_count = cached_property(lambda self: self._parts[0].undefined_count
-                                      + list(self._parts[1].values()).count(_UNDEF))
-    __hash__ = Interpretation.__hash__
-
-    def __eq__(self, other: object) -> bool:    # also when `other` is no `_Model`
-        return isinstance(other, Interpretation) and \
-            (self.universe, self.true_atoms, self.false_atoms) == \
-            (other.universe, other.true_atoms, other.false_atoms)
-
-    def value(self, atom: Atom) -> TruthValue:
-        own = self._parts[1].get(atom)
-        return self._parts[0].value(atom) if own is None else _VALUES[own]
 
 
 def well_founded(program: GroundProgram, memo: dict | None = None) -> Interpretation:
@@ -679,10 +646,7 @@ def _parts(program: GroundProgram, component: _Component,
         kept = (tuple(map(tuple, parts)), _flag(len(atoms), parts))
         if memo is not None:
             _keep(memo, key, kept, len(parts) * len(atoms))
-    universe = frozenset(atoms)
-    return tuple(ModelRecord(Interpretation(
-                     universe, frozenset(a for a, v in zip(atoms, part) if v == _TRUE),
-                     frozenset(a for a, v in zip(atoms, part) if v == _FALSE)), flags)
+    return tuple(ModelRecord(Interpretation._of(None, atoms, part), flags)
                  for part, flags in zip(*kept[:2]))
 
 

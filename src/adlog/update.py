@@ -232,7 +232,7 @@ class _Session:
         self.cap = cap
         self._stages: dict[tuple[str, str], object] = {}
         # Each model and base applied, with the output.
-        self._applied: list[tuple[tuple[Interpretation, Database], Database]] = []
+        self._applied: list[tuple[Interpretation, Database, Database]] = []
 
     def _stage(self, name: str, mode: str, compute):
         key = (name, mode)
@@ -270,25 +270,24 @@ class _Session:
 
     def apply_model(self, model: Interpretation, base: Database,
                     updates: Iterable[tuple[Atom, Polarity, Atom]] | None = None) -> Database:
-        """`model`'s updates applied to `base`; an equal model and base give the same object.
+        """`model`'s updates applied to `base`; the same model and base give the same object.
 
         Only a run's chosen model is applied: `mstt` decides totality on each
-        part alone (see `run`).  The model and the base are compared by value,
-        so the semantics that share a model share one output, but the same
-        objects match first: the sets of a model (stable._Model) are read only
-        to tell it from another.  `updates` are its table's (`extract_updates`).
-        On a total base, the applied database's totality is checked against
-        `is_total_transformation` of the model.
+        part alone (see `run`).  The semantics that share a model share the
+        object (`well_founded`'s cache, `ModelFamily.model_of`) and so one
+        output; no model's sets are read to match it.  `updates` are its
+        table's (`extract_updates`).  On a total base, the applied database's
+        totality is checked against `is_total_transformation` of the model.
         """
         # A fast path that pays: applying each semantics' model again costs choice 5 % of txn/s.
-        key = (model, base)
-        output = next((out for seen, out in self._applied if seen == key), None)
+        output = next((out for seen, against, out in self._applied
+                       if seen is model and against is base), None)
         if output is None:
             outcome = extract_updates(model, self.schema, updates)
             output = Database._checked(*_updated(outcome, base))
             if base.is_total and is_total_transformation(model, base, updates) != output.is_total:
                 raise EngineError("totality test disagrees with the applied database")
-            self._applied.append((key, output))
+            self._applied.append((model, base, output))
         return output
 
     def run(self, semantics: Semantics, policy: str = "lex",

@@ -6,7 +6,8 @@ The chain of n links is `a(n_i) :- not a(n_i+1).`, `b(n_i) :- b(n_i+1).` and
 its database's facts with `out(n_i)` for each event whose `a(n_i)` holds, that
 is, for which n - i is odd.  The database is empty, but in `static_fact`, which
 compares ones with a true or an unknown fact on a static predicate (`b(n5).`,
-`b(n5)?`) against one without (`out(n3).`).  Run one check as
+`b(n5)?`) against one without (`out(n3).`).  A library `compare` must output the
+same in each of its rows.  Run one check as
 
     python3 tests/chain_checks.py NAME [BOUND]
 
@@ -18,7 +19,8 @@ import statistics
 import sys
 import time
 
-from adlog import Semantics, UpdateProgram, parse_database, parse_delta, parse_program, run
+from adlog import (Semantics, UpdateProgram, compare, parse_database, parse_delta,
+                   parse_program, run)
 
 N = 6400
 
@@ -30,21 +32,25 @@ def chain(n: int):
                              for i in range(n + 1)]))
 
 
-def transaction(program, n: int, rng: random.Random, semantics: Semantics,
+def transaction(program, n: int, rng: random.Random, semantics: Semantics | None,
                 more: str = "", facts: str = "") -> float:
-    """One two-event transaction on the chain of `n` links, its delta with `more`
-    (one insertion or nothing) and its database of `facts`: its time, once its output is
-    checked."""
+    """One two-event transaction on the chain of `n` links under `semantics`, or a library
+    `compare` if None, its delta with `more` (one insertion or nothing) and its database of
+    `facts`: its time, once each report is checked to be applied with the expected output."""
     events = sorted(rng.sample(range(n + 1), 2))
     delta = parse_delta("".join(f"+ev(n{i}).\n" for i in events) + more)
     db = parse_database(facts)
+    up = UpdateProgram(delta, program)
     start = time.perf_counter()
-    report = run(UpdateProgram(delta, program), db, semantics)
+    reports = {semantics: run(up, db, semantics)} if semantics else \
+        {row.semantics: row.report for row in compare(up, db).rows}
     took = time.perf_counter() - start
     expected = {f"ev(n{i})" for i in events} | {f"out(n{i})" for i in events if (n - i) % 2} \
         | {more[1:-2]} - {""} | {str(atom) for atom in db.true_facts}
-    if {str(atom) for atom in report.output_db.true_facts} != expected:
-        sys.exit(f"n = {n}, {semantics.value}: wrong output for events {events} and {more!r}")
+    for name, report in reports.items():
+        if report is None or not report.applied \
+                or {str(atom) for atom in report.output_db.true_facts} != expected:
+            sys.exit(f"n = {n}, {name.value}: wrong output for events {events} and {more!r}")
     return took
 
 
@@ -114,6 +120,19 @@ def static_fact(bound: str = "3") -> None:
                          "again")
 
 
+def compare_rows() -> None:
+    """Twenty warm library compares on a chain of 6,400 links, each row applied with the
+    output `ws` gives; the median time against 400 links is printed, and bounds nothing."""
+    medians = {}
+    for n in (400, N):
+        program, rng = chain(n), random.Random(1)
+        # The first two warm the program.
+        times = [transaction(program, n, rng, None) for _ in range(22)]
+        medians[n] = statistics.median(times[2:])
+    print(f"compare: {medians[400] * 1e3:.3f} ms at n = 400, {medians[N] * 1e3:.3f} ms at "
+          f"n = 6,400, ratio {medians[N] / medians[400]:.2f}")
+
+
 if __name__ == "__main__":
-    {"hundred": hundred, "growth": growth, "new_set": new_set,
-     "static_fact": static_fact}[sys.argv[1]](*sys.argv[2:])
+    {"hundred": hundred, "growth": growth, "new_set": new_set, "static_fact": static_fact,
+     "compare": compare_rows}[sys.argv[1]](*sys.argv[2:])

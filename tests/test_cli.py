@@ -10,8 +10,8 @@ import pytest
 
 import adlog.cli
 import adlog.update
-from adlog import (Database, Semantics, UpdateProgram, parse_database, parse_delta,
-                   parse_program, run)
+from adlog import (Database, DeltaSet, Semantics, UpdateProgram, ValidationError,
+                   parse_database, parse_delta, parse_program, run)
 from adlog.cli import main
 
 from conftest import FIXTURES
@@ -71,6 +71,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert f"reserved predicate name in database fact {shown}" in captured.err
+
+    def test_program_and_database_arity_clash_exits_one(self, tmp_path, capsys):
+        program, facts = "+r(X) :- q(X).", "q(a,b). q(c,d)."
+        prog, db = tmp_path / "c.adl", tmp_path / "c.adb"
+        prog.write_text(program)
+        db.write_text(facts)
+        code = main(["apply", "--semantics", "ws", "-p", str(prog), "-d", str(db)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: predicate q used with arity 1 and 2\n"
+        with pytest.raises(ValidationError) as caught:
+            run(UpdateProgram(DeltaSet(), parse_program(program)), parse_database(facts),
+                Semantics.WS)
+        assert str(caught.value) == "predicate q used with arity 1 and 2"
 
     def test_partial_db_precondition_exits_three(self, tmp_path, capsys):
         db = tmp_path / "partial.adb"

@@ -18,7 +18,7 @@ from adlog import (ConsistencyError, GroundProgram, Interpretation, Program, Sem
 from adlog.model import Atom
 from adlog.rewrite import _instantiate, _plan, _Seeded
 from adlog.selftest import InstanceGenerator
-from adlog.stable import _Model, _well_founded
+from adlog.stable import _well_founded
 from adlog.update import _Session
 
 from test_static import CHAIN_AB, REWRITINGS, assert_compare_warm_is_cold, kept, with_static_part
@@ -207,7 +207,8 @@ class TestConsistency:
         false = set(wf.false_atoms) - {plus_atom, minus_atom}
         own = {atom: 2 if atom in true else 0 if atom in false else 1 for atom in table._atoms}
         models = [Interpretation(table.universe, frozenset(true), frozenset(false)),
-                  _Model(_well_founded(table.prefix)[1], tuple(own), tuple(own.values()))]
+                  Interpretation._of(_well_founded(table.prefix)[1], tuple(own),
+                                     tuple(own.values()))]
         assert models[0] == models[1]
         for model in models:
             with pytest.raises(ConsistencyError, match=message):

@@ -162,13 +162,16 @@ class TestOutputDatabases:
 
 
 class TestApplyModel:
-    def test_equal_models_give_one_output(self):
+    def test_the_same_model_gives_one_output(self):
         up, db = load_update_program("project_cascade", db=True)
         session = adlog.update._Session(up, db)
         wf, base = session.wf("st"), session.delta_applied
+        output = session.apply_model(wf, base)
+        assert session.apply_model(wf, base) is output
+        # Models are matched by identity: an equal copy is applied again, to an equal output.
         copy = Interpretation(wf.universe, wf.true_atoms, wf.false_atoms)
-        assert copy is not wf
-        assert session.apply_model(copy, base) is session.apply_model(wf, base)
+        again = session.apply_model(copy, base)
+        assert again == output and again is not output
 
 
 class TestApplyDelta:

@@ -17,11 +17,16 @@ import sys
 import pytest
 
 from adlog import (Atom, BuiltinLiteral, CompareResult, ConsistencyError, Database, DeltaSet,
-                   EngineError, Interpretation, ModelFamily, ModelRecord, Polarity, Program,
-                   Rule, RunReport, Semantics, StdLiteral, UniverseError, UpdateAtom,
-                   UpdateOutcome, UpdateProgram, UpdLiteral, ValidationError, Variable)
-from adlog.stable import _FALSE, _Model
-from adlog.update import CompareRow
+                   EngineError, GroundProgram, Interpretation, ModelFamily, ModelRecord,
+                   Polarity, Program, Rule, RunReport, Semantics, StdLiteral, UniverseError,
+                   UpdateAtom, UpdateOutcome, UpdateProgram, UpdLiteral, ValidationError,
+                   Variable, compare, enumerate_pstable, parse_database, parse_delta,
+                   parse_program, run, well_founded)
+from adlog.model import _FALSE
+from adlog.rewrite import embed_database, rewrite_bm, rewrite_st
+from adlog.update import CompareRow, _Session
+
+from test_static import CHAIN_AB
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -198,7 +203,7 @@ def test_constructors_validate(build, error, message):
 
 def test_lazy_model_equals_interpretation_both_ways():
     a, b = Atom("p", ("a",)), Atom("q")
-    model = _Model(Interpretation(frozenset({a}), frozenset({a})), [b], [_FALSE])
+    model = Interpretation._of(Interpretation(frozenset({a}), frozenset({a})), [b], [_FALSE])
     same = Interpretation(frozenset({a, b}), frozenset({a}), frozenset({b}))
     other = Interpretation(frozenset({a, b}), frozenset({a}))
     assert model == same and same == model
@@ -206,6 +211,52 @@ def test_lazy_model_equals_interpretation_both_ways():
     assert hash(model) == hash(same)
     assert model != other and other != model
     assert model != (same.universe, same.true_atoms, same.false_atoms)
+
+
+def returned_values():
+    """Each value the engine returns that a lazy class may build, with its public class."""
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    pair = (Rule(a, (StdLiteral(b, False),)), Rule(b, (StdLiteral(a, False),)), Rule(c))
+    family = enumerate_pstable(GroundProgram(pair))
+    up = UpdateProgram(parse_delta("+ev(n2).\n+ev(n5)."), parse_program(CHAIN_AB))
+    db = parse_database("out(n3).")
+    session = _Session(up, db)
+    assert session.ground("st").prefix is not None
+    return [
+        ("well_founded", Interpretation, well_founded(GroundProgram(pair))),
+        ("wf over a prefix", Interpretation, session.wf("st")),
+        ("family", ModelFamily, family),
+        ("family wf", Interpretation, family.wf),
+        ("part", Interpretation, family.components[0][1].model),
+        ("ws run", RunReport, run(up, db, Semantics.WS)),
+        ("rewrite_st", Program, rewrite_st(up)),
+        ("rewrite_bm", Program, rewrite_bm(up)),
+        ("embed_database", Program, embed_database(rewrite_bm(up), db)),
+    ]
+
+
+def test_returned_values_copy_pickle_and_print_as_their_public_class():
+    for name, cls, value in returned_values():
+        shown = repr(value)
+        assert shown.startswith(cls.__name__ + "("), name
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is cls, name
+            assert twin == value and value == twin, name
+            assert repr(twin) == shown, name
+
+
+def test_a_compare_on_a_chain_builds_no_model_set():
+    # A program of its own: a kept prefix whose sets another test read would have them.
+    program, db = Program(parse_program(CHAIN_AB).rules), parse_database("")
+    for delta in ("+ev(n2).", "+ev(n4).\n+ev(n7)."):       # a cold and a warm compare
+        result = compare(UpdateProgram(parse_delta(delta), program), db)
+        assert all(row.report.applied for row in result.rows)
+        for row in result.rows:
+            model = row.report.chosen_model
+            while model is not None:        # the model, and each model it extends
+                assert not {"universe", "true_atoms", "false_atoms"} & set(vars(model)), \
+                    row.semantics
+                model = getattr(model, "_over", None)
 
 
 @pytest.mark.parametrize("module", ["adlog", "adlog.cli"])
