@@ -606,8 +606,8 @@ class Interpretation(_Value):
     interpretation it extends, which maps none of them: a model of the top of a
     splitting set extends its bottom's (Lifschitz & Turner 1994).  The constructor
     takes the three sets; the solver gives a table's own atoms and values (`_of`).
-    What either was not given is built on first read, so a model over a kept prefix
-    builds no set over it unless one is read.  A copy or a pickle is built from the sets.
+    What either was not given is built on first read, and kept by the one read alone: a
+    model over a kept prefix leaves no set on it.  A copy or a pickle is built from the sets.
     """
 
     _fields = ("universe", "true_atoms", "false_atoms")
@@ -630,9 +630,9 @@ class Interpretation(_Value):
         return out
 
     def _with(self, name: str, value: int | None = None) -> frozenset[Atom]:
-        """The set `name` of the interpretation extended, with the own atoms (of `value`)."""
+        """The own atoms (of `value`) with the set `name` of the one extended, which keeps none."""
         own = self._values if value is None else [a for a, v in self._values.items() if v == value]
-        return frozenset(own) if self._over is None else getattr(self._over, name).union(own)
+        return frozenset(own) if self._over is None else self._over._with(name, value).union(own)
 
     universe = cached_property(lambda self: self._with("universe"))
     true_atoms = cached_property(lambda self: self._with("true_atoms", _TRUE))

@@ -34,9 +34,9 @@ from collections.abc import Iterable
 from functools import cached_property, lru_cache
 from operator import attrgetter, is_
 
-from .model import (RESERVED_PREFIX, Atom, BuiltinLiteral, Database, Literal,
-                    Polarity, Program, Rule, StdLiteral, UpdateAtom,
-                    UpdateProgram, UpdLiteral, ValidationError, Variable)
+from .model import (RESERVED_PREFIX, Atom, BuiltinLiteral, Database, Literal, Polarity, Program,
+                    Rule, StdLiteral, UpdateAtom, UpdateProgram, UpdLiteral, ValidationError,
+                    Variable, validate_update_program)
 
 
 def guard_predicate(action: str) -> str:
@@ -288,12 +288,16 @@ def rewrite_bm(up: UpdateProgram) -> Program:
     other through the rules, instead of resolving the race in favour of one
     side.  Each predicate an action rule or the delta inserts into adds its
     insertion rule as a run of its own (`_insertion`), after the program's run.
+    An insertion into a predicate the program's run holds static is refused as
+    validation refuses it: a static predicate is derived.
     """
     run, insertable = _kept(up.program, "rewrite bm", _bm_program)
+    inserted = insertable | {(atom.predicate, atom.arity) for atom in up.delta.inserts()}
+    if run.static and not run.static.predicates.isdisjoint([p for p, _ in inserted]):
+        validate_update_program(up)     # raises: a static predicate is derived
     delta = [((renamed_update_predicate(u.polarity, u.atom.predicate), u.atom.args),
               (((renamed_update_predicate(_COMPLEMENT[u.polarity], u.atom.predicate),
                  u.atom.args), False),)) for u in up.delta.ordered]
-    inserted = insertable | {(atom.predicate, atom.arity) for atom in up.delta.inserts()}
     return _Rewritten(run, *[_insertion(*pair) for pair in sorted(inserted)], _seeded(delta))
 
 
@@ -307,9 +311,9 @@ def _insertion(predicate: str, arity: int) -> _Prepared:
     After a prepared run, it leaves the ground table as one run of both gives it, rule by
     rule and atom by atom.  It reads `@plus_p`, reserved and so never static: phase 1's
     atoms fire none of its triggers, and `_instantiate` fires them after the prepared run's
-    own, per predicate (or, at arity 0, per ground atom).  An update may target only a
-    predicate no rule derives (validation), and a static predicate is derived, so the
-    prepared run's static set and replay are those of one run of both.
+    own, per predicate (or, at arity 0, per ground atom).  `rewrite_bm` refuses an
+    insertion into a static predicate, so the prepared run's static set and replay are
+    those of one run of both.
     """
     args = _generic_args(arity)
     plus = Atom(renamed_update_predicate(Polarity.INSERT, predicate), args)
@@ -337,8 +341,8 @@ def _bm_program(program: Program) -> tuple[_Prepared, frozenset[tuple[str, int]]
 
 
 def _kept(program: Program | Database, key, compute):
-    """`compute(program)`, kept in `program.cache[key]` and never changed but for a run's
-    `_Static.base`, so threads share it; two threads that miss at once compute the same value."""
+    """`compute(program)`, kept in `program.cache[key]`, never changed but for a run's `base`
+    and never compared, so threads share it; two threads that miss at once compute alike."""
     kept = program.cache.get(key)
     if kept is None:
         kept = program.cache[key] = compute(program)
@@ -365,20 +369,13 @@ class _Rewritten(Program):
 # Grounding
 # ---------------------------------------------------------------------------
 
-def _compiled(name: str, fields: str) -> type:
-    """A namedtuple whose last field, code or a mutable slot, takes no part in equality."""
-    return type(name, (namedtuple(name, fields),), {
-        "__slots__": (), "__hash__": lambda t: hash(t[:-1]),
-        "__eq__": lambda t, u: t[:-1] == u[:-1], "__ne__": lambda t, u: t[:-1] != u[:-1]})
-
-
 # A rule with `size` variables, planned for grounding.  A row holds each
 # variable's value, by slot in name order, then the rule's constants; `row`
 # binds no variable.  An atom is its predicate and the row index of each
 # argument: `body` holds the standard body literals as (predicate, indices,
 # positive), `tests` the builtins as (left index, right index, whether equal),
 # `free` the slots in no positive body literal, and `emit` is code (`_emitter`).
-_Plan = _compiled("_Plan", "origin size row head body tests free emit")
+_Plan = namedtuple("_Plan", "origin size row head body tests free emit")
 
 
 def _compile(rule: Rule, variables: list[Variable], consts: list[str]):
@@ -409,7 +406,7 @@ def _compile(rule: Rule, variables: list[Variable], consts: list[str]):
 _Step = namedtuple("_Step", "predicate positions key unbound exclude_pivot")
 
 # How a new atom for a plan's pivot literal joins the `others`: `join` (`_joiner`).
-_Trigger = _compiled("_Trigger", "plan pivot others join")
+_Trigger = namedtuple("_Trigger", "plan pivot others join")
 
 
 def _step(pattern: tuple, bound: set[int], exclude_pivot: bool) -> _Step:
@@ -530,8 +527,8 @@ def _joiner(plan: _Plan, pivot: _Step, others: list[_Step]):
     return _made(plan, [step.predicate for step in others], "join", lines)
 
 
-# Rules prepared for grounding (`_prepare`): a run that reads no rule before or
-# after it and is never changed but for `_Static.base`.  `heads` are the
+# Rules prepared for grounding (`_prepare`): a plain value, a run that reads no rule
+# before or after it and is never changed but for `_Static.base`.  `heads` are the
 # predicates its `rules` define, and `static` its phase 1 of `ground`
 # (`_Static`, or None); the rest plans its other rules.  `seeds` come out before
 # any join, in rule order: plans, each with a binding of no variable, and
@@ -577,8 +574,8 @@ def _seeded(rules: list[tuple[tuple, tuple]], atoms: dict[tuple, Atom] | None = 
 # keep no static key, and a `_Waiting` rule's `count` is what it still waits for.
 # `base` is the run's one mutable part: a one-element list of the database facts on static
 # predicates that entered its last base (see `ground`) and that base, replaced whole in one
-# store, so threads need no lock.
-_Static = _compiled("_Static", "predicates table replay facts lookups base")
+# store, so threads need no lock.  A base adds database facts alone (see `rewrite_bm`).
+_Static = namedtuple("_Static", "predicates table replay facts lookups base")
 
 
 def _static(rules: Iterable[Rule]) -> frozenset[str]:
@@ -722,25 +719,22 @@ def ground(program: Program) -> GroundProgram:
     delta's and the database's seed runs.  A call adds the seeds, replays what
     phase 1's atoms completed and joins its own atoms (`_Static`).  A database
     fact on a static predicate, true or unknown, joins the prepared run's rules
-    in a base with the same static predicates, the last one kept.  An insertion
-    into a static predicate, which only unvalidated input sends, grounds the
-    rewriting as the plain program it is, with no base.
+    in a base with the same static predicates, the last one kept; `rewrite_bm`
+    refuses an insertion into one, so no other run heads one.  A program that
+    carries no runs is prepared as one.
     """
     runs = program.cache.get("runs") or (_prepare(program.rules),)
     static = runs[0].static
     if static and any(not static.predicates.isdisjoint(run.heads) for run in runs[1:]):
         moved = tuple([rule for run in runs[1:] for rule in run.rules
                        if rule.head.predicate in static.predicates])
-        if any(lit.positive for rule in moved for lit in rule.body):
-            runs = (_prepare(program.rules),)
-        else:
-            facts, base = static.base[0]
-            if facts != moved:
-                static.base[0] = moved, (base := _prepare(runs[0].rules + moved))
-            runs = (base, *[run._replace(seeds=tuple([s for s in run.seeds
-                                                      if s.head[0] not in static.predicates]))
-                            for run in runs[1:]])
-        static = runs[0].static
+        facts, base = static.base[0]
+        if facts != moved:
+            static.base[0] = moved, (base := _prepare(runs[0].rules + moved))
+        runs = (base, *[run._replace(seeds=tuple([s for s in run.seeds
+                                                  if s.head[0] not in static.predicates]))
+                        for run in runs[1:]])
+        static = base.static
     out = static.table._extended() if static else GroundProgram()
     _instantiate(out, runs)
     return out

@@ -384,7 +384,7 @@ class ModelFamily(_Value):
     def __init__(self, wf: Interpretation, components: tuple[tuple[ModelRecord, ...], ...]):
         _set(self, "wf", wf)
         _set(self, "components", components)
-        # `model_of`'s model, by the models of its parts.
+        # `model_of`'s parts and model, by the parts' ids.
         _set(self, "_models", {})
 
     @cached_property
@@ -427,24 +427,21 @@ class ModelFamily(_Value):
         """The well-founded model with each component set to its part in `parts`.
 
         `parts` holds one part of every component, so the model spans all of
-        `wf`'s universe.  Equal parts give the same object, and parts that
-        define no atom give `wf` itself: so a model's `render_key` is rendered
-        once and `_Session.apply_model` applies it once.  The parts are the
-        key; a frozenset caches its hash, so a lookup hashes no atom again.
+        `wf`'s universe.  The same parts give the same object, and parts that
+        are each well-founded, so define no atom (`_flag`), give `wf` itself:
+        so a model's `render_key` is rendered once and `_Session.apply_model`
+        applies it once.  The parts' ids are the key, and the entry keeps the
+        parts, so no id is reused while it lives: a lookup builds no set.
         """
-        parts = tuple(part.model for part in parts)
-        model = self._models.get(parts)
-        if model is None:
+        parts = tuple(parts)
+        key = tuple(map(id, parts))
+        if key not in self._models:
             wf = self.wf
-            if not any(part.true_atoms or part.false_atoms for part in parts):
-                model = wf
-            else:
-                model = Interpretation(
-                    wf.universe,
-                    wf.true_atoms.union(*(part.true_atoms for part in parts)),
-                    wf.false_atoms.union(*(part.false_atoms for part in parts)))
-            self._models[parts] = model
-        return model
+            model = wf if all(FLAG_WELL_FOUNDED in p.flags for p in parts) else Interpretation(
+                wf.universe, wf.true_atoms.union(*(p.model.true_atoms for p in parts)),
+                wf.false_atoms.union(*(p.model.false_atoms for p in parts)))
+            self._models[key] = parts, model
+        return self._models[key][1]
 
     def nth(self, eligible: Sequence[Sequence[ModelRecord]], index: int) -> Interpretation:
         """The model at `index` in `render_key` order of the product of `eligible`.
@@ -611,15 +608,16 @@ def enumerate_pstable(program: GroundProgram, cap: int = DEFAULT_ENUMERATION_CAP
     (`_well_founded`), and it maps a component's key (its rules and its
     atoms' token ranks) to its parts' values and flags; the search, the
     sort and the flags read nothing else, so a kept key's parts are what a
-    search finds.  Each entry is charged its values, parts times atoms.
+    search finds.  Each entry is charged its values, parts times atoms.  An
+    empty residue, a kept prefix's included, has no component to build.
     """
     vals, wf = _well_founded(program, memo)
     if wf.undefined_count > cap:
         raise ResourceLimitError(
             f"{wf.undefined_count} atoms undefined in the well-founded model "
             f"exceeds the enumeration cap of {cap}", cap)
-    return ModelFamily(wf, tuple(_parts(program, component, memo)
-                                 for component in _components(program, vals)))
+    components = _components(program, vals) if wf.undefined_count else ()
+    return ModelFamily(wf, tuple(_parts(program, component, memo) for component in components))
 
 
 def _ranks(text: str) -> tuple[int, int, int]:

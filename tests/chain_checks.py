@@ -120,17 +120,20 @@ def static_fact(bound: str = "3") -> None:
                          "again")
 
 
-def compare_rows() -> None:
-    """Twenty warm library compares on a chain of 6,400 links, each row applied with the
-    output `ws` gives; the median time against 400 links is printed, and bounds nothing."""
+def compare_rows(bound: str = "2") -> None:
+    """A warm library compare on 6,400 links, each row applied with the output `ws` gives,
+    takes at most `bound` times one on 400 links (the median of twenty)."""
     medians = {}
     for n in (400, N):
         program, rng = chain(n), random.Random(1)
         # The first two warm the program.
         times = [transaction(program, n, rng, None) for _ in range(22)]
         medians[n] = statistics.median(times[2:])
+    ratio = medians[N] / medians[400]
     print(f"compare: {medians[400] * 1e3:.3f} ms at n = 400, {medians[N] * 1e3:.3f} ms at "
-          f"n = 6,400, ratio {medians[N] / medians[400]:.2f}")
+          f"n = 6,400, ratio {ratio:.2f}")
+    if ratio > float(bound):
+        sys.exit("compare: a warm compare grows with the chain")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from adlog import (Database, DeltaSet, EngineError, PreconditionError,
+from adlog import (Database, DeltaSet, EngineError, Interpretation, PreconditionError,
                    ResourceLimitError, UpdateProgram, enumerate_pstable,
                    parse_database, parse_delta, parse_program, render)
 from adlog.selftest import InstanceGenerator, random_ground_program
@@ -232,6 +232,23 @@ class TestFamilyMatchesProductOracle:
         family = enumerate_pstable(ground_of(pairs_program(12)), cap=24)
         assert family.counts()["models"] == 3 ** 12
         assert "records" not in vars(family)
+
+    def test_model_of_finds_its_model_by_identity(self, monkeypatch):
+        """The same records give the same model without building a set; well-founded parts
+        give the well-founded model itself, and a lookup reads none of their sets."""
+        family = enumerate_pstable(ground_of(pairs_program(2)))
+        sets = ("universe", "true_atoms", "false_atoms")
+        plain = [parts[0] for parts in family.parts_with(FLAG_WELL_FOUNDED)]
+        total = [parts[0] for parts in family.parts_with(FLAG_T_STABLE)]
+        first = family.model_of(total)
+        built = []
+        with_set = Interpretation._with
+        monkeypatch.setattr(Interpretation, "_with",
+                            lambda *args: built.append(args) or with_set(*args))
+        assert family.model_of(plain) is family.model_of(iter(plain)) is family.wf
+        assert family.model_of(total) is first and first != family.wf
+        assert not built
+        assert not [name for part in plain for name in sets if name in vars(part.model)]
 
     def test_nth_rejects_an_index_outside_the_product(self):
         family = enumerate_pstable(ground_of(pairs_program(2)))

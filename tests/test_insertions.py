@@ -9,20 +9,20 @@ same kept prefix and the same well-founded models.
 """
 
 import random
+import re
 
 import pytest
 
 from adlog import (Atom, Database, DeltaSet, Polarity, Program, UpdateAtom, UpdateProgram,
                    embed_database, ground, parse_database, parse_delta, parse_program, rewrite_bm,
                    well_founded)
-from adlog.model import Rule, StdLiteral, Variable
+from adlog.model import (Rule, StdLiteral, ValidationError, Variable, validate_program,
+                         validate_update_program)
 from adlog.rewrite import _prepare, _Rewritten, _Seeded
 from adlog.selftest import InstanceGenerator
 
 from conftest import FIXTURES, fixture_text
-from test_replay import assert_grounds_as_one_phase
 from test_static import CHAIN_AB, REWRITINGS, with_derived_facts, with_static_part
-from test_warm import assert_warm_is_cold
 
 
 def insertions(insertable) -> list[Rule]:
@@ -154,30 +154,52 @@ def test_chain_cases(delta, facts, runs):
     assert (table.prefix is kept) == ("b(" not in facts)
 
 
-def test_an_unvalidated_insertion_into_a_static_predicate_grounds_as_one_run():
-    program = parse_program(CHAIN_AB)
-    up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("a", ("n3",)))]), program)
-    assert insertion_runs(up)[0].heads == {"a"} <= program.cache["rewrite bm"][0].static.predicates
-    slot = program.cache["rewrite bm"][0].static.base
+def refused(up: UpdateProgram, db: Database, slot: list) -> None:
+    """`rewrite_bm` refuses `up` as validation does, and leaves the kept base `slot` as it was."""
     before = slot[0]
-    # `a(n5).` is on a predicate the insertion leaves static no more, `b(n2)?` on a static one.
+    with pytest.raises(ValidationError) as validation:
+        validate_update_program(up)
+    with pytest.raises(ValidationError) as rewriting:
+        ground(embed_database(rewrite_bm(up), db))
+    assert str(rewriting.value) == str(validation.value)
+    assert slot[0] is before
+
+
+def test_an_unvalidated_insertion_into_a_static_predicate_is_refused():
+    """A static predicate is derived: an insertion into one is refused with validation's
+    message, and grounds no rewriting of its own."""
+    program = parse_program(CHAIN_AB)
+    ground(embed_database(rewrite_bm(UpdateProgram(DeltaSet(), program)),
+                          parse_database("b(n5).")))
+    assert "a" in program.cache["rewrite bm"][0].static.predicates
+    slot = program.cache["rewrite bm"][0].static.base
+    assert slot[0][1] is not None
+    up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("a", ("n3",)))]), program)
+    with pytest.raises(ValidationError, match=r"^input update \+a\(n3\) targets derived "
+                                              r"predicate$"):
+        rewrite_bm(up)
+    # `a(n5).` is a fact on the static predicate, `b(n2)?` an unknown one.
     for db in (Database(), parse_database("out(n2). ev(n4)?"), parse_database("a(n5). b(n2)?")):
-        assert_grounds_as_one_run_per_set(up, db)
-        assert_grounds_as_one_phase(up, db)
-        assert_warm_is_cold(up, db)
-        embedded = embed_database(rewrite_bm(up), db)
-        table = ground(embedded)
-        assert table.prefix is not program.cache["rewrite bm"][0].static.table
-        # The rewriting grounds as the plain program it is, and keeps no base.
-        assert_same_table(table, ground(Program(embedded.rules)))
-        assert slot[0] is before
-    # Here the insertion leaves no predicate static: the base has no phase 1.
+        refused(up, db, slot)
+    # Here `a` is static only without the insertion rule: the insertion is refused all the same.
     program = parse_program("a(n0) :- not a(n1).\na(n1) :- a(n2).\n+out(n0) :- a(n0), +ev(n0).\n")
     up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("a", ("n2",)))]), program)
-    db = parse_database("a(n5). a(n1)?")
-    assert_grounds_as_one_run_per_set(up, db)
-    assert_warm_is_cold(up, db)
-    assert ground(embed_database(rewrite_bm(up), db)).prefix is None
+    rewrite_bm(UpdateProgram(DeltaSet(), program))
+    refused(up, parse_database("a(n5). a(n1)?"), program.cache["rewrite bm"][0].static.base)
+
+
+def test_an_unvalidated_action_rule_inserting_into_a_static_predicate_is_refused():
+    program = Program(parse_program(CHAIN_AB).rules
+                      + parse_program("+a(X) :- b(X), +ev(X).\n", origin="extra").rules)
+    up = UpdateProgram(parse_delta("+ev(n1)."), program)
+    message = ("update atom +a(X) targets derived predicate in rule '+a(X) :- b(X), +ev(X).' "
+               "(extra:1)")
+    for _ in range(2):      # cold, then from the kept run
+        with pytest.raises(ValidationError) as caught:
+            rewrite_bm(up)
+        assert str(caught.value) == message
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_program(Program(program.rules))
 
 
 def test_random_programs_under_new_insertable_sets():
@@ -219,13 +241,11 @@ def test_a_base_holds_the_database_facts_on_static_predicates():
     for rewriting in REWRITINGS:
         for facts in ("b(n5).", "b(n5)? out(n1). a(n2)?", "a(n3). b(n1)? b(n7). ev(n2)?"):
             assert_base_holds_static_facts(up, parse_database(facts), rewriting)
-    # An unvalidated insertion into a static predicate leaves the kept base as it was.
+    # An unvalidated insertion into a static predicate is refused, the kept base as it was.
     slot = program.cache["rewrite bm"][0].static.base
-    before = slot[0]
     up = UpdateProgram(DeltaSet.of([UpdateAtom(Polarity.INSERT, Atom("a", ("n3",)))]), program)
     for facts in ("", "b(n2)?", "a(n5). b(n7)."):
-        ground(embed_database(rewrite_bm(up), parse_database(facts)))
-        assert slot[0] is before
+        refused(up, parse_database(facts), slot)
     gen, rng = InstanceGenerator(random.Random(3303)), random.Random(3304)
     for _ in range(60):
         up, db = gen._candidate()

@@ -11,10 +11,11 @@ import random
 import pytest
 
 import adlog.rewrite
+import adlog.stable
 import adlog.update
 from adlog import (ConsistencyError, GroundProgram, Interpretation, Program, Semantics,
-                   UpdateProgram, embed_database, ground, parse_database, parse_delta,
-                   parse_program, rewrite_bm, rewrite_st, well_founded)
+                   UpdateProgram, embed_database, enumerate_pstable, ground, parse_database,
+                   parse_delta, parse_program, rewrite_bm, rewrite_st, well_founded)
 from adlog.model import Atom
 from adlog.rewrite import _instantiate, _plan, _Seeded
 from adlog.selftest import InstanceGenerator
@@ -32,16 +33,23 @@ def chain(n: int) -> str:
                    + [f"+out(n{i}) :- a(n{i}), b(n{i}), +ev(n{i}).\n" for i in range(n + 1)])
 
 
-def work(monkeypatch, n: int, semantics: Semantics, more: str = "",
+def work(monkeypatch, n: int, semantics: Semantics | None, more: str = "",
          facts: str = "") -> tuple[int, int, int]:
     """Worklist pops, update-atom parses and update atoms read in one warm two-event run,
-    its delta with the insertions `more` (of one-argument atoms) besides the events, on a
-    database of the `facts`."""
+    or library `compare` if `semantics` is None, its delta with the insertions `more` (of
+    one-argument atoms) besides the events, on a database of the `facts`.  No run scans the
+    chain's well-founded model for a residue: it has none."""
     program = parse_program(chain(n))
     db = parse_database(facts)
+
+    def reports(delta: str) -> list:
+        up = UpdateProgram(parse_delta(delta), program)
+        return [adlog.update.run(up, db, semantics)] if semantics else \
+            [row.report for row in adlog.update.compare(up, db).rows]
+
     for events in ("+ev(n1).", "+ev(n2).\n+ev(n3).\n"):      # warm both rewritings
-        adlog.update.run(UpdateProgram(parse_delta(events), program), db, semantics)
-    pops, parses, reads = [], [], []
+        reports(events)
+    pops, parses, reads, scans = [], [], [], []
     instantiate, parse, extract = (adlog.rewrite._instantiate, adlog.rewrite.base_atom_of_renamed,
                                    adlog.update.extract_updates)
 
@@ -61,23 +69,28 @@ def work(monkeypatch, n: int, semantics: Semantics, more: str = "",
     monkeypatch.setattr(adlog.rewrite, "_instantiate", counting_instantiate)
     monkeypatch.setattr(adlog.rewrite, "base_atom_of_renamed", counting_parse)
     monkeypatch.setattr(adlog.update, "extract_updates", counting_extract)
+    components = adlog.stable._components
+    monkeypatch.setattr(adlog.stable, "_components",
+                        lambda *args: scans.append(args) or components(*args))
     # n - 5 is odd and n - 6 even for both sizes: one event inserts out(n5), one does not.
     kept = list(program.cache)
-    report = adlog.update.run(UpdateProgram(parse_delta("+ev(n5).\n+ev(n6).\n" + more), program),
-                              db, semantics)
+    done = reports("+ev(n5).\n+ev(n6).\n" + more)
     monkeypatch.undo()
-    assert {str(atom) for atom in report.output_db.true_facts} == \
-        {"ev(n5)", "ev(n6)", "out(n5)", *[u[1:] for u in more.split(".\n") if u],
-         *map(str, db.true_facts)}
-    assert list(program.cache) == kept
+    for report in done:
+        assert report.applied and {str(atom) for atom in report.output_db.true_facts} == \
+            {"ev(n5)", "ev(n6)", "out(n5)", *[u[1:] for u in more.split(".\n") if u],
+             *map(str, db.true_facts)}
+    assert list(program.cache) == kept and not scans
     return len(pops), len(parses), len(reads)
 
 
-@pytest.mark.parametrize("semantics", [Semantics.WS, Semantics.WS_BM])
+@pytest.mark.parametrize("semantics", [Semantics.WS, Semantics.WS_BM, None])
 def test_work_per_warm_transaction_does_not_grow_with_n(monkeypatch, semantics):
+    """Also for a library `compare` (None), whose enumerating semantics take the family path:
+    the chain's residue is empty, the kept prefix's included, so it builds no component."""
     small, large = work(monkeypatch, 400, semantics), work(monkeypatch, 6400, semantics)
     assert small == large
-    pops, parses, reads = small       # 6, 8, 2 under ws and 8, 12, 8 under ws-bm
+    pops, parses, reads = small       # 6, 2, 2 under ws, 8, 8, 8 under ws-bm, 14, 10, 10 compare
     assert 0 < pops < 20 and 0 < reads <= parses < 20
 
 
@@ -150,6 +163,22 @@ def test_replay_edge_cases(rule, tmp_path, capsys):
             assert_compare_warm_is_cold(capsys, tmp_path, up, db)
     replayed = [len(kept(program, rewriting).replay) for rewriting in REWRITINGS]
     assert replayed == ([0, 0] if "+ev" in rule else [1, 1])
+
+
+def test_a_compare_over_a_kept_residue_is_warm_as_cold(tmp_path, capsys):
+    """A static even loop leaves the kept prefix a residue, which an action rule reads: the
+    family path builds its component, warm as cold."""
+    program = parse_program(CHAIN_AB + "c(n1) :- not d(n1).\nd(n1) :- not c(n1).\n"
+                            "+out(n1) :- c(n1), +ev(n1).\n")
+    for facts in ("", "out(n3).", "b(n5)."):
+        for delta in ("+ev(n1).", "+ev(n1).\n+ev(n2).\n", ""):
+            up, db = UpdateProgram(parse_delta(delta), program), parse_database(facts)
+            assert_compare_warm_is_cold(capsys, tmp_path, up, db)
+            table = ground(embed_database(rewrite_st(up), db))
+            assert {Atom("c", ("n1",)), Atom("d", ("n1",))} <= table.prefix.universe
+            assert well_founded(table.prefix).undefined_count == 2
+            assert enumerate_pstable(table).counts()["models"] == 3
+    assert {"c", "d"} <= kept(program, rewrite_st).predicates
 
 
 def test_one_prepared_run_then_seed_runs_and_one_phase_1_per_program():

@@ -246,17 +246,18 @@ def test_returned_values_copy_pickle_and_print_as_their_public_class():
 
 
 def test_a_compare_on_a_chain_builds_no_model_set():
-    # A program of its own: a kept prefix whose sets another test read would have them.
-    program, db = Program(parse_program(CHAIN_AB).rules), parse_database("")
+    """A compare reads no model's sets, and a key rendered builds them on its model alone:
+    none on the kept prefix's model, which every call's model extends."""
+    program, db = parse_program(CHAIN_AB), parse_database("")
     for delta in ("+ev(n2).", "+ev(n4).\n+ev(n7)."):       # a cold and a warm compare
         result = compare(UpdateProgram(parse_delta(delta), program), db)
         assert all(row.report.applied for row in result.rows)
-        for row in result.rows:
-            model = row.report.chosen_model
-            while model is not None:        # the model, and each model it extends
-                assert not {"universe", "true_atoms", "false_atoms"} & set(vars(model)), \
-                    row.semantics
-                model = getattr(model, "_over", None)
+        models = [row.report.chosen_model for row in result.rows]
+        assert not [m for m in models if {"universe", "true_atoms", "false_atoms"} & set(vars(m))]
+        for model in models:
+            model.render_key()
+            while (model := model._over) is not None:       # each model it extends
+                assert not {"universe", "true_atoms", "false_atoms"} & set(vars(model))
 
 
 @pytest.mark.parametrize("module", ["adlog", "adlog.cli"])

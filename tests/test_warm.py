@@ -18,6 +18,7 @@ from adlog import (DeltaSet, Program, Semantics, UpdateProgram, compare, embed_d
                    rewrite_st, run)
 from adlog.cli import main
 from adlog.model import Polarity, UpdateAtom
+from adlog.rewrite import _Plan, _Static, _Trigger
 from adlog.selftest import InstanceGenerator
 
 from conftest import FIXTURES, fixture_text, rule_lists
@@ -53,7 +54,19 @@ def assert_warm_is_cold(up: UpdateProgram, db) -> None:
         assert grounded.atoms == single.atoms
         assert rule_lists(grounded) == rule_lists(single)
     for key, entry in fresh_up.program.cache.items():
-        assert up.program.cache[key] == entry, key
+        assert kept_view(up.program.cache[key]) == kept_view(entry), key
+
+
+def kept_view(value):
+    """A kept entry as a value to compare: a plan's `emit` and a trigger's `join` are code
+    made per run, and a run's `base` the one slot a call changes, so each is left out."""
+    if isinstance(value, (_Plan, _Trigger, _Static)):
+        return kept_view(value[:-1])
+    if isinstance(value, dict):
+        return {key: kept_view(entry) for key, entry in value.items()}
+    if isinstance(value, tuple):
+        return tuple([kept_view(entry) for entry in value])
+    return value
 
 
 def compare_json(capsys, program: str, db: str, delta: str, *cap: str) -> str:
